@@ -103,19 +103,6 @@ def _assign_orbit(R, i, j, k, l, v):
         R[b, a, d, c] = s * v
 
 
-def from_sparse(n, entries):
-    """Build a tensor from a few independent components.
-
-    ``entries`` maps (i, j, k, l) with i<j, k<l to values; the symmetry
-    orbit of each entry is filled in automatically and the result is
-    validated (the cyclic identity can still fail for bad data).
-    """
-    R = np.zeros((n, n, n, n))
-    for (i, j, k, l), v in entries.items():
-        _assign_orbit(R, i, j, k, l, v)
-    return CurvatureTensor(R).validate()
-
-
 def constant_curvature(n, kappa):
     """Space form of sectional curvature ``kappa`` in dimension ``n``."""
     delta = np.eye(n)

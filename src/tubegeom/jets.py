@@ -1,10 +1,21 @@
-"""Truncated multivariate polynomial (jet) arithmetic.
+"""Truncated multivariate polynomial (jet) arithmetic on dense graded arrays.
 
 A jet is a polynomial in ``num_vars`` real variables kept only up to total
 degree ``max_degree``.  All arithmetic truncates consistently, so a product
 of two jets is the exact degree-``max_degree`` part of the product of the
-underlying polynomials.  Coefficients may be real or complex; complex
-coefficients appear once Wirtinger derivatives enter.
+underlying polynomials.  Coefficients may be real or complex; a jet stays
+float64 until a complex operand (typically a Wirtinger derivative) enters.
+
+Storage is one coefficient array per jet, indexed by the graded monomial
+table of ``(num_vars, max_degree)``: monomials are listed degree by degree,
+lexicographically within a degree, so truncating to degree ``d`` is a prefix
+slice.  The tables (exponent matrix, product index maps per pair of degrees,
+one index map per partial derivative, and the parent table used by
+``evaluate``) are built once with vectorised NumPy and cached.  Products
+scatter the outer product of two homogeneous parts into their target degree
+with ``np.bincount`` and skip degrees whose coefficients are all zero.  This
+is truncated Taylor arithmetic (Griewank and Walther, *Evaluating
+Derivatives*, ch. 13).
 
 The tube-potential work uses the variable layout ``(x_1..x_n, y_1..y_n)``:
 variable ``i`` is ``x_{i+1}`` and variable ``n+i`` is ``y_{i+1}``.  The
@@ -14,37 +25,195 @@ agnostic.
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
 
 from .errors import MalformedInput, SingularSystem
 
+_EVAL_CHUNK = 1 << 16  # monomial values held at once by ``evaluate``
+
+
+# -- cached monomial tables ---------------------------------------------
+
+def _readonly(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+def _encode(exponents, base):
+    """Base-``base`` integer codes of exponent rows; they sort like the rows."""
+    weights = base ** np.arange(exponents.shape[-1] - 1, -1, -1, dtype=np.int64)
+    return exponents @ weights
+
+
+@functools.lru_cache(maxsize=None)
+def _monomials(num_vars, degree):
+    """Exponent rows of total degree ``degree`` in lexicographic order."""
+    if degree == 0:
+        return _readonly(np.zeros((1, num_vars), dtype=np.int64))
+    lower = _monomials(num_vars, degree - 1)
+    raised = lower[:, None, :] + np.eye(num_vars, dtype=np.int64)
+    return _readonly(np.unique(raised.reshape(-1, num_vars), axis=0))
+
+
+@functools.lru_cache(maxsize=None)
+def _product_block(num_vars, d1, d2):
+    """Position within degree ``d1 + d2`` of each product monomial m1 * m2,
+    flattened over (m1 of degree d1, m2 of degree d2)."""
+    base = d1 + d2 + 1
+    c1 = _encode(_monomials(num_vars, d1), base)
+    c2 = _encode(_monomials(num_vars, d2), base)
+    target = _encode(_monomials(num_vars, d1 + d2), base)
+    return _readonly(np.searchsorted(target, (c1[:, None] + c2[None, :]).ravel()))
+
+
+class _Layout:
+    """Graded monomial table of ``(num_vars, max_degree)``."""
+
+    def __init__(self, num_vars, max_degree):
+        if (max_degree + 1) ** num_vars >= 2 ** 62:
+            raise MalformedInput("jet too large for the monomial encoding")
+        blocks = [_monomials(num_vars, d) for d in range(max_degree + 1)]
+        self.exponents = _readonly(np.concatenate(blocks))
+        self.offsets = np.cumsum([0] + [len(b) for b in blocks])
+        self.size = int(self.offsets[-1])
+        self._blocks = [slice(int(a), int(b))
+                        for a, b in zip(self.offsets[:-1], self.offsets[1:])]
+        self.degrees = _readonly(np.repeat(np.arange(max_degree + 1),
+                                           [len(b) for b in blocks]))
+        self.base = max_degree + 1
+        codes = _encode(self.exponents, self.base)
+        self._order = np.argsort(codes)
+        self._sorted_codes = codes[self._order]
+        # evaluate: monomial m = monomial parent[m] times variable var[m]
+        self.var = np.argmax(self.exponents > 0, axis=1)
+        lowered = self.exponents.copy()
+        lowered[np.arange(1, self.size), self.var[1:]] -= 1
+        self.parent = self.index(lowered)
+
+    def block(self, d):
+        """Slice of the monomials of total degree ``d``."""
+        return self._blocks[d]
+
+    def index(self, exponents):
+        """Positions of exponent rows, each of total degree <= max_degree."""
+        codes = _encode(np.asarray(exponents, dtype=np.int64), self.base)
+        return self._order[np.searchsorted(self._sorted_codes, codes)]
+
+    def live_degrees(self, coeffs):
+        """Degrees at which any of the stacked coefficient arrays is nonzero."""
+        nonzero = np.any(coeffs.reshape(-1, self.size) != 0, axis=0)
+        return np.flatnonzero(np.logical_or.reduceat(nonzero, self.offsets[:-1])).tolist()
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(num_vars, max_degree):
+    return _Layout(num_vars, max_degree)
+
+
+@functools.lru_cache(maxsize=None)
+def _partial_map(num_vars, max_degree, var_index):
+    """(src, dst, weight): d/dx_var sends coefficient src to dst times weight."""
+    layout = _layout(num_vars, max_degree)
+    src = np.flatnonzero(layout.exponents[:, var_index] > 0)
+    lowered = layout.exponents[src].copy()
+    weight = lowered[:, var_index].copy()
+    lowered[:, var_index] -= 1
+    return _readonly(src), _readonly(layout.index(lowered)), _readonly(weight)
+
+
+def _scatter(index, values, length):
+    """Row-wise ``bincount``: out[r, index[t]] += values[r, t]."""
+    rows = values.shape[0]
+    flat = index if rows == 1 else (index + length * np.arange(rows)[:, None]).ravel()
+    total = rows * length
+    if np.iscomplexobj(values):
+        out = (np.bincount(flat, values.real.ravel(), total)
+               + 1j * np.bincount(flat, values.imag.ravel(), total))
+    else:
+        out = np.bincount(flat, values.ravel(), total)
+    return out.reshape(rows, length)
+
+
+def _graded_matmul(A, B, num_vars, bound):
+    """C[i, j] = sum_k A[i, k] * B[k, j] for stacked coefficient arrays.
+
+    ``A`` has shape (p, q, >= size) and ``B`` shape (q, r, >= size), where
+    size is the monomial count of ``(num_vars, bound)``.  Each pair of live
+    degrees (d1, d2) contributes the outer products of the degree-d1 parts
+    of A with the degree-d2 parts of B, summed over k and scattered into
+    degree d1 + d2.  Rows of C are formed one at a time, which bounds the
+    temporaries by one row of outer products.
+    """
+    layout = _layout(num_vars, bound)
+    A = A[..., :layout.size]
+    B = B[..., :layout.size]
+    C = np.zeros((A.shape[0], B.shape[1], layout.size), dtype=np.result_type(A, B))
+    live_b = layout.live_degrees(B)
+    for d1 in layout.live_degrees(A):
+        for d2 in live_b:
+            d = d1 + d2
+            if d > bound:
+                break
+            target = layout.block(d)
+            index = _product_block(num_vars, d1, d2)
+            Bt = B[:, :, layout.block(d2)].transpose(1, 0, 2)  # (r, q, N2)
+            for i, row in enumerate(A[:, :, layout.block(d1)]):  # row: (q, N1)
+                outer = (row.T @ Bt).reshape(len(Bt), -1)  # (r, N1 * N2)
+                C[i, :, target] += _scatter(index, outer, target.stop - target.start)
+    return C
+
+
+# -- jets ----------------------------------------------------------------
 
 class JetPolynomial:
-    """Sparse polynomial truncated at a total degree bound.
+    """Polynomial truncated at a total degree bound, stored densely.
 
-    Terms are stored as a dict mapping exponent tuples (one exponent per
-    variable) to scalar coefficients.  Instances are treated as immutable;
-    all operations return new jets.
+    Construct from a dict mapping exponent tuples (one exponent per
+    variable) to scalar coefficients; terms above the degree bound are
+    dropped.  Instances are treated as immutable; all operations return new
+    jets.
     """
 
-    __slots__ = ("num_vars", "max_degree", "coeffs")
+    __slots__ = ("num_vars", "max_degree", "_c")
+    __array_ufunc__ = None  # NumPy scalars defer to the jet's operators
 
     def __init__(self, num_vars, max_degree, coeffs=None):
         self.num_vars = int(num_vars)
         self.max_degree = int(max_degree)
-        cleaned = {}
-        if coeffs:
-            for powers, c in coeffs.items():
-                if len(powers) != self.num_vars:
-                    raise MalformedInput(
-                        f"exponent tuple {powers} has {len(powers)} entries, "
-                        f"expected {self.num_vars}")
-                if sum(powers) > self.max_degree or c == 0:
-                    continue
-                cleaned[tuple(int(p) for p in powers)] = c
-        self.coeffs = cleaned
+        if self.max_degree < 0 or self.num_vars < 1:
+            raise MalformedInput("jets need num_vars >= 1 and max_degree >= 0")
+        layout = _layout(self.num_vars, self.max_degree)
+        if not coeffs:
+            self._c = np.zeros(layout.size)
+            return
+        for powers in coeffs:
+            if len(powers) != self.num_vars:
+                raise MalformedInput(
+                    f"exponent tuple {powers} has {len(powers)} entries, "
+                    f"expected {self.num_vars}")
+        rows = np.array(list(coeffs), dtype=np.int64).reshape(-1, self.num_vars)
+        if np.any(rows < 0):
+            raise MalformedInput("exponents must be non-negative")
+        values = np.asarray(list(coeffs.values()))
+        keep = rows.sum(axis=1) <= self.max_degree
+        self._c = np.zeros(layout.size,
+                           dtype=complex if np.iscomplexobj(values) else float)
+        self._c[layout.index(rows[keep])] = values[keep]
+
+    @classmethod
+    def _from_array(cls, num_vars, max_degree, coeffs):
+        jet = cls.__new__(cls)
+        jet.num_vars = num_vars
+        jet.max_degree = max_degree
+        jet._c = coeffs
+        return jet
+
+    @property
+    def _layout(self):
+        return _layout(self.num_vars, self.max_degree)
 
     # -- constructors -------------------------------------------------
 
@@ -64,36 +233,58 @@ class JetPolynomial:
 
     # -- structure ----------------------------------------------------
 
+    @property
+    def coeffs(self):
+        """Dict of the nonzero terms, exponent tuple -> coefficient (a copy)."""
+        nz = np.flatnonzero(self._c)
+        rows = self._layout.exponents[nz].tolist()
+        return dict(zip(map(tuple, rows), self._c[nz].tolist()))
+
     def coefficient(self, powers):
         """Coefficient of the monomial with the given exponent tuple."""
-        return self.coeffs.get(tuple(powers), 0.0)
+        powers = tuple(int(p) for p in powers)
+        if len(powers) != self.num_vars:
+            raise MalformedInput("exponent tuple does not match variable count")
+        if min(powers) < 0 or sum(powers) > self.max_degree:
+            return 0.0
+        return self._c[self._layout.index(powers)].item()
 
     def degree(self):
         """Largest total degree with a stored term (0 for the zero jet)."""
-        return max((sum(p) for p in self.coeffs), default=0)
+        nz = np.flatnonzero(self._c)
+        return int(self._layout.degrees[nz[-1]]) if nz.size else 0
 
     def terms_of_degree(self, d):
         """Sub-jet keeping only terms of total degree exactly ``d``."""
-        kept = {p: c for p, c in self.coeffs.items() if sum(p) == d}
-        return JetPolynomial(self.num_vars, self.max_degree, kept)
+        out = np.zeros_like(self._c)
+        if 0 <= d <= self.max_degree:
+            block = self._layout.block(d)
+            out[block] = self._c[block]
+        return JetPolynomial._from_array(self.num_vars, self.max_degree, out)
 
     def truncated(self, new_max_degree):
-        kept = {p: c for p, c in self.coeffs.items() if sum(p) <= new_max_degree}
-        return JetPolynomial(self.num_vars, new_max_degree, kept)
+        if new_max_degree < 0:
+            raise MalformedInput("max_degree must be >= 0")
+        size = _layout(self.num_vars, int(new_max_degree)).size
+        out = np.zeros(size, dtype=self._c.dtype)
+        kept = min(size, self._c.size)
+        out[:kept] = self._c[:kept]
+        return JetPolynomial._from_array(self.num_vars, int(new_max_degree), out)
 
     def is_real(self, tol=0.0):
-        return all(abs(np.imag(c)) <= tol for c in self.coeffs.values())
-
-    def real_part(self):
-        return JetPolynomial(
-            self.num_vars, self.max_degree,
-            {p: float(np.real(c)) for p, c in self.coeffs.items()})
+        return (not np.iscomplexobj(self._c)
+                or bool(np.all(np.abs(self._c.imag) <= tol)))
 
     def max_abs_coeff(self, degrees=None):
-        """Largest |coefficient|, optionally restricted to a set of total degrees."""
-        vals = [abs(c) for p, c in self.coeffs.items()
-                if degrees is None or sum(p) in degrees]
-        return max(vals, default=0.0)
+        """Largest |coefficient|, optionally restricted to a set of total
+        degrees; NaN when any of those coefficients is NaN."""
+        values = self._c
+        if degrees is not None:
+            layout = self._layout
+            values = np.concatenate(
+                [values[layout.block(d)] for d in sorted(degrees)
+                 if 0 <= d <= self.max_degree] or [values[:0]])
+        return float(np.max(np.abs(values))) if values.size else 0.0
 
     # -- arithmetic ---------------------------------------------------
 
@@ -101,45 +292,42 @@ class JetPolynomial:
         if self.num_vars != other.num_vars:
             raise MalformedInput("jets have different variable counts")
 
-    def __add__(self, other):
-        if np.isscalar(other):
-            other = JetPolynomial.constant(other, self.num_vars, self.max_degree)
+    def _binary(self, other, op):
         self._check_compatible(other)
         bound = min(self.max_degree, other.max_degree)
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            out[p] = out.get(p, 0.0) + c
-        return JetPolynomial(self.num_vars, bound, out)
+        size = _layout(self.num_vars, bound).size
+        return JetPolynomial._from_array(self.num_vars, bound,
+                                         op(self._c[:size], other._c[:size]))
+
+    def __add__(self, other):
+        if np.isscalar(other):
+            out = self._c.astype(np.result_type(self._c, other))
+            out[0] += other
+            return JetPolynomial._from_array(self.num_vars, self.max_degree, out)
+        return self._binary(other, np.add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return JetPolynomial(self.num_vars, self.max_degree,
-                             {p: -c for p, c in self.coeffs.items()})
+        return JetPolynomial._from_array(self.num_vars, self.max_degree, -self._c)
 
     def __sub__(self, other):
         if np.isscalar(other):
-            other = JetPolynomial.constant(other, self.num_vars, self.max_degree)
-        return self + (-other)
+            return self + (-other)
+        return self._binary(other, np.subtract)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if np.isscalar(other):
-            return JetPolynomial(self.num_vars, self.max_degree,
-                                 {p: c * other for p, c in self.coeffs.items()})
+            return JetPolynomial._from_array(self.num_vars, self.max_degree,
+                                             self._c * other)
         self._check_compatible(other)
         bound = min(self.max_degree, other.max_degree)
-        out = {}
-        for p1, c1 in self.coeffs.items():
-            d1 = sum(p1)
-            for p2, c2 in other.coeffs.items():
-                if d1 + sum(p2) > bound:
-                    continue
-                key = tuple(a + b for a, b in zip(p1, p2))
-                out[key] = out.get(key, 0.0) + c1 * c2
-        return JetPolynomial(self.num_vars, bound, out)
+        product = _graded_matmul(self._c[None, None], other._c[None, None],
+                                 self.num_vars, bound)
+        return JetPolynomial._from_array(self.num_vars, bound, product[0, 0])
 
     __rmul__ = __mul__
 
@@ -149,40 +337,50 @@ class JetPolynomial:
         The result of differentiating a degree-d jet is complete through
         degree d-1, so the degree bound is kept as is.
         """
-        out = {}
-        for p, c in self.coeffs.items():
-            e = p[var_index]
-            if e == 0:
-                continue
-            q = list(p)
-            q[var_index] = e - 1
-            key = tuple(q)
-            out[key] = out.get(key, 0.0) + e * c
-        return JetPolynomial(self.num_vars, self.max_degree, out)
+        src, dst, weight = _partial_map(self.num_vars, self.max_degree, var_index)
+        out = np.zeros_like(self._c)
+        out[dst] = weight * self._c[src]
+        return JetPolynomial._from_array(self.num_vars, self.max_degree, out)
 
     def evaluate(self, points):
-        """Evaluate at one point (1-d array) or many points ((P, num_vars))."""
+        """Evaluate at one point (1-d array) or many points ((P, num_vars)).
+
+        Monomial values are built degree by degree from their parents, in
+        chunks of points, up to the jet's degree; one mat-vec per chunk
+        finishes the sum.
+        """
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         if single:
             pts = pts[None, :]
-        if pts.shape[1] != self.num_vars:
+        if pts.ndim != 2 or pts.shape[1] != self.num_vars:
             raise MalformedInput("point dimension does not match variable count")
-        vals = np.zeros(pts.shape[0], dtype=complex)
-        for p, c in self.coeffs.items():
-            mono = np.ones(pts.shape[0])
-            for k, e in enumerate(p):
-                if e:
-                    mono = mono * pts[:, k] ** e
-            vals += c * mono
+        layout = self._layout
+        top = self.degree()
+        size = layout.block(top).stop
+        coeffs = self._c[:size]
+        vals = np.empty(pts.shape[0], dtype=coeffs.dtype)
+        chunk = max(1, _EVAL_CHUNK // size)
+        for start in range(0, pts.shape[0], chunk):
+            xt = pts[start:start + chunk].T
+            mono = np.empty((size, xt.shape[1]))  # one row per monomial
+            mono[0] = 1.0
+            for d in range(1, top + 1):
+                block = layout.block(d)
+                np.multiply(mono[layout.parent[block]], xt[layout.var[block]],
+                            out=mono[block])
+            if np.iscomplexobj(coeffs):
+                vals[start:start + chunk] = coeffs.real @ mono + 1j * (coeffs.imag @ mono)
+            else:
+                vals[start:start + chunk] = coeffs @ mono
         if self.is_real():
             vals = vals.real
         return vals[0] if single else vals
 
     def __repr__(self):
-        n_terms = len(self.coeffs)
         return (f"JetPolynomial(num_vars={self.num_vars}, "
-                f"max_degree={self.max_degree}, terms={n_terms})")
+                f"max_degree={self.max_degree}, "
+                f"terms={np.count_nonzero(self._c)})")
 
     # -- serialization ------------------------------------------------
 
@@ -218,30 +416,43 @@ def wirtinger_zbar(jet, alpha, n):
 
 # -- matrix jets -------------------------------------------------------
 
+def _stack(A):
+    """(num_vars, bound, array of shape (rows, cols, size)) of a jet matrix."""
+    entries = [e for row in A for e in row]
+    num_vars = entries[0].num_vars
+    for e in entries:
+        e._check_compatible(entries[0])
+    bound = min(e.max_degree for e in entries)
+    size = _layout(num_vars, bound).size
+    out = np.empty((len(A), len(A[0]), size),
+                   dtype=np.result_type(*(e._c for e in entries)))
+    for i, row in enumerate(A):
+        for j, e in enumerate(row):
+            out[i, j] = e._c[:size]
+    return num_vars, bound, out
+
+
+def _unstack(num_vars, bound, stacked):
+    return [[JetPolynomial._from_array(num_vars, bound, entry) for entry in row]
+            for row in stacked]
+
+
 def matrix_identity(size, num_vars, max_degree):
     return [[JetPolynomial.constant(1.0 if i == j else 0.0, num_vars, max_degree)
              for j in range(size)] for i in range(size)]
 
 
 def matrix_multiply(A, B):
-    size = len(A)
-    out = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            acc = A[i][0] * B[0][j]
-            for k in range(1, size):
-                acc = acc + A[i][k] * B[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    nv_a, bound_a, SA = _stack(A)
+    nv_b, bound_b, SB = _stack(B)
+    if nv_a != nv_b:
+        raise MalformedInput("jets have different variable counts")
+    bound = min(bound_a, bound_b)
+    return _unstack(nv_a, bound, _graded_matmul(SA, SB, nv_a, bound))
 
 
 def matrix_constant_part(A):
-    size = len(A)
-    zero = (0,) * A[0][0].num_vars
-    return np.array([[complex(A[i][j].coefficient(zero)) for j in range(size)]
-                     for i in range(size)])
+    return np.array([[complex(entry._c[0]) for entry in row] for row in A])
 
 
 def matrix_inverse(A, cond_limit=1e12):
@@ -252,47 +463,28 @@ def matrix_inverse(A, cond_limit=1e12):
     series terminates at the degree bound, so the result is exact at jet
     level: A @ inverse == identity through max_degree.
     """
-    size = len(A)
-    num_vars = A[0][0].num_vars
-    bound = min(A[i][j].max_degree for i in range(size) for j in range(size))
-    A0 = matrix_constant_part(A)
+    num_vars, bound, S = _stack(A)
+    A0 = S[:, :, 0]
     if not np.all(np.isfinite(A0)) or np.linalg.cond(A0) > cond_limit:
         raise SingularSystem("constant part of the jet matrix is singular")
     A0inv = np.linalg.inv(A0)
 
-    # E = A0^-1 dA as a jet matrix with zero constant part
-    E = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            acc = JetPolynomial.zero(num_vars, bound)
-            for k in range(size):
-                dA = A[k][j] - JetPolynomial.constant(A0[k, j], num_vars, bound)
-                acc = acc + A0inv[i, k] * dA
-            row.append(acc)
-        E.append(row)
+    # E = A0^-1 dA, a jet matrix with zero constant part
+    dA = S.copy()
+    dA[:, :, 0] = 0.0
+    E = np.einsum("ik,kjm->ijm", A0inv, dA)
 
     # Neumann sum I - E + E^2 - ... ; E has valuation >= 1 so powers beyond
     # the degree bound vanish identically.
-    series = matrix_identity(size, num_vars, bound)
-    power = matrix_identity(size, num_vars, bound)
+    series = np.zeros_like(E)
+    series[:, :, 0] = np.eye(len(A))
+    power = E
     for k in range(1, bound + 1):
-        power = matrix_multiply(power, E)
-        if all(not power[i][j].coeffs for i in range(size) for j in range(size)):
+        if k > 1:
+            power = _graded_matmul(power, E, num_vars, bound)
+        if not power.any():
             break
-        sign = -1.0 if k % 2 else 1.0
-        for i in range(size):
-            for j in range(size):
-                series[i][j] = series[i][j] + sign * power[i][j]
+        series += power if k % 2 == 0 else -power
 
     # inverse = series @ A0^-1
-    out = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            acc = JetPolynomial.zero(num_vars, bound)
-            for k in range(size):
-                acc = acc + series[i][k] * A0inv[k, j]
-            row.append(acc)
-        out.append(row)
-    return out
+    return _unstack(num_vars, bound, np.einsum("ikm,kj->ijm", series, A0inv))

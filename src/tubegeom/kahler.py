@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateHessian, EqualIndices, IndexOutOfRange, MalformedInput
+from .errors import EqualIndices, IndexOutOfRange, MalformedInput
 from .jets import matrix_constant_part, wirtinger_z, wirtinger_zbar
-from .majet import complex_hessian
+from .majet import complex_hessian, require_positive_hessian
 
 PLANE_KINDS = ("xy", "xx", "yy", "holomorphic")
 
@@ -75,11 +75,10 @@ def kahler_curvature_from_jet(rho, hessian_tol=1e-8):
     n = rho.num_vars // 2
     if rho.num_vars != 2 * n:
         raise MalformedInput("potential jets use 2n variables")
+    rho = rho.truncated(4)  # derivatives of order <= 4 at 0 see nothing higher
 
     H0 = matrix_constant_part(complex_hessian(rho))
-    eigs = np.linalg.eigvalsh(0.5 * (H0 + H0.conj().T))
-    if np.min(eigs) < hessian_tol:
-        raise DegenerateHessian("quadratic part of the potential is degenerate")
+    require_positive_hessian(H0, hessian_tol)
     H0inv = np.linalg.inv(H0)
     # raised convention: rho^{nu mubar} = (H^-1)[mu, nu]
     raised = H0inv.T
@@ -89,19 +88,20 @@ def kahler_curvature_from_jet(rho, hessian_tol=1e-8):
     dzbar = [wirtinger_zbar(rho, a, n) for a in range(n)]
     dz2 = [[wirtinger_z(dz[a], b, n) for b in range(n)] for a in range(n)]
     dzbar2 = [[wirtinger_zbar(dzbar[a], b, n) for b in range(n)] for a in range(n)]
+    # rho_{i k mubar}, whose values at 0 also enter the correction term
+    dz2zbar = [[[wirtinger_zbar(dz2[i][k], mu, n) for mu in range(n)]
+                for k in range(n)] for i in range(n)]
     # third derivatives at 0, both slot patterns of the correction term
-    d3a = np.array([[[complex(wirtinger_zbar(dz2[i][k], mu, n).coefficient(origin))
+    d3a = np.array([[[complex(dz2zbar[i][k][mu].coefficient(origin))
                       for mu in range(n)] for k in range(n)] for i in range(n)])
     d3b = np.array([[[complex(wirtinger_z(dzbar2[j][l], nu, n).coefficient(origin))
                       for nu in range(n)] for l in range(n)] for j in range(n)])
 
     K = np.zeros((n, n, n, n), dtype=complex)
     for i, j, k, l in itertools.product(range(n), repeat=4):
-        fourth = complex(
-            wirtinger_zbar(wirtinger_zbar(dz2[i][k], j, n), l, n).coefficient(origin))
-        corr = sum(raised[nu, mu] * d3a[i, k, mu] * d3b[j, l, nu]
-                   for nu in range(n) for mu in range(n))
-        K[i, j, k, l] = fourth - corr
+        K[i, j, k, l] = complex(
+            wirtinger_zbar(dz2zbar[i][k][j], l, n).coefficient(origin))
+    K -= np.einsum("nm,ikm,jln->ijkl", raised, d3a, d3b)
     return KahlerCurvatureAtZero(K)
 
 

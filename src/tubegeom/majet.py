@@ -25,8 +25,8 @@ formula here assumes the value below.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +79,15 @@ def complex_hessian(rho):
             for a in range(n)]
 
 
+def require_positive_hessian(H0, hessian_tol):
+    """Raise DegenerateHessian unless the constant complex Hessian ``H0`` is
+    positive-definite with smallest eigenvalue at least ``hessian_tol``."""
+    smallest = np.min(np.linalg.eigvalsh(0.5 * (H0 + H0.conj().T)))
+    if not smallest >= hessian_tol:
+        raise DegenerateHessian(
+            f"quadratic part not positive-definite (min eigenvalue {smallest:.3e})")
+
+
 def ma_residual(rho, hessian_tol=1e-8):
     """Jet of sum_a rho^a rho_a - 2 rho.
 
@@ -88,11 +97,7 @@ def ma_residual(rho, hessian_tol=1e-8):
     """
     n = _fiber_dimension(rho)
     H = complex_hessian(rho)
-    H0 = matrix_constant_part(H)
-    eigs = np.linalg.eigvalsh(0.5 * (H0 + H0.conj().T))
-    if np.min(eigs) < hessian_tol:
-        raise DegenerateHessian(
-            f"quadratic part not positive-definite (min eigenvalue {np.min(eigs):.3e})")
+    require_positive_hessian(matrix_constant_part(H), hessian_tol)
     try:
         N = matrix_inverse(H)
     except SingularSystem as exc:  # pragma: no cover - guarded by eig check
@@ -159,7 +164,9 @@ class QuarticCoefficients:
                 + self.shift_sum(b, k, l, a))
 
     def max_abs(self):
-        return max((abs(v) for v in self.values.values()), default=0.0)
+        """Largest |coefficient|; NaN when any coefficient is NaN."""
+        values = np.abs(np.asarray(list(self.values.values())))
+        return float(np.max(values)) if values.size else 0.0
 
 
 def ordered_quadruples(n):
@@ -213,19 +220,17 @@ def _pure_y_quartic_vector(residual, n, quads):
     return out
 
 
-def solve_quartic_coefficients(tensor, cond_limit=1e8):
-    """Solve for the free quartic coefficients directly from the identity.
+@functools.lru_cache(maxsize=None)
+def _quartic_probe_matrix(n):
+    """Read-only matrix of the quartic matching system in dimension ``n``.
 
-    Imposes the Monge-Ampere residual on the quartic ansatz and solves the
-    (exactly affine) system obtained by matching the pure-y degree-4
-    residual coefficients at x = 0.  The probe matrix depends only on the
-    dimension, not on the curvature input.
+    Column q is the change of the pure-y quartic residual vector when the
+    flat ansatz gains a unit coefficient at quadruple q.
     """
-    tensor.validate()
-    n = tensor.dimension
-    quads = ordered_quadruples(n)
+    from .curvature import CurvatureTensor
 
-    flat = _zero_tensor_like(tensor)
+    quads = ordered_quadruples(n)
+    flat = CurvatureTensor(np.zeros((n, n, n, n)))
     base = _pure_y_quartic_vector(
         ma_residual(_quartic_ansatz(flat, {}, 4)), n, quads)
     columns = []
@@ -233,6 +238,24 @@ def solve_quartic_coefficients(tensor, cond_limit=1e8):
         res = ma_residual(_quartic_ansatz(flat, {q: 1.0}, 4))
         columns.append(_pure_y_quartic_vector(res, n, quads) - base)
     L = np.column_stack(columns)
+    L.flags.writeable = False
+    return L
+
+
+def solve_quartic_coefficients(tensor, cond_limit=1e8):
+    """Solve for the free quartic coefficients directly from the identity.
+
+    Imposes the Monge-Ampere residual on the quartic ansatz and solves the
+    (exactly affine) system obtained by matching the pure-y degree-4
+    residual coefficients at x = 0.  The probe matrix depends only on the
+    dimension, not on the curvature input, so it is built once per
+    dimension; its conditioning is checked on every call.
+    """
+    tensor.validate()
+    n = tensor.dimension
+    quads = ordered_quadruples(n)
+
+    L = _quartic_probe_matrix(n)
     if np.linalg.cond(L) > cond_limit:
         raise SingularSystem("quartic matching system is ill-conditioned")
 
@@ -241,12 +264,6 @@ def solve_quartic_coefficients(tensor, cond_limit=1e8):
     solution = np.linalg.solve(L, -rhs)
     values = {q: float(v) for q, v in zip(quads, solution)}
     return QuarticCoefficients(n, values)
-
-
-def _zero_tensor_like(tensor):
-    from .curvature import CurvatureTensor
-    n = tensor.dimension
-    return CurvatureTensor(np.zeros((n, n, n, n)))
 
 
 def matching_cross_check(tensor, quartic):
@@ -269,15 +286,6 @@ def matching_cross_check(tensor, quartic):
 
 
 # -- residual scaling study --------------------------------------------
-
-def residual_sup_on_polydisk(residual, n, eps, samples=400, rng=None):
-    """Sup of |residual| over sampled points of the polydisk of radius eps."""
-    if rng is None:
-        rng = np.random.default_rng(2024)
-    pts = rng.uniform(-1.0, 1.0, size=(samples, 2 * n)) * eps
-    vals = residual.evaluate(pts)
-    return float(np.max(np.abs(vals)))
-
 
 def residual_scaling_table(rho, eps_values=None, samples=400, seed=2024):
     """Rows (eps, sup |residual|) for the numerically evaluated identity."""
@@ -306,8 +314,3 @@ def scaling_table_csv(rows):
     lines += [f"{eps:.6e},{sup:.12e}" for eps, sup in rows]
     return "\n".join(lines) + "\n"
 
-
-def quartic_to_json(quartic):
-    rows = [[list(k), v] for k, v in sorted(quartic.values.items())]
-    return json.dumps({"kind": "quartic_coefficients",
-                       "dimension": quartic.dimension, "values": rows})

@@ -87,3 +87,48 @@ def test_records_carry_schema_fields():
         if d["status"] == "fail":
             assert d["metric"] > d["tol"]
         assert d["ms"] == 0  # timings disabled by default for determinism
+
+
+def test_unmet_preconditions_become_skip_records(tmp_path, capsys):
+    # so3 has no subalgebra split: the coset and moment-map cases are skipped
+    assert cli.main(["--suite", "all", "--context", "so3",
+                     "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    skipped = {(rec["suite"], rec["case"]) for rec in report
+               if rec["status"] == "skip"}
+    assert skipped == {("complexify-holomorphy", "leaf-cr-order-coset"),
+                       ("complexify-holomorphy", "coset-equivariance"),
+                       ("nahm-gauge", "moment-map-zero"),
+                       ("nahm-gauge", "moment-map-loop-gauge")}
+    assert all(rec["status"] == "pass" for rec in report
+               if (rec["suite"], rec["case"]) not in skipped)
+    assert all("no subalgebra split" in rec["note"] for rec in report
+               if rec["status"] == "skip")
+    assert "4 skipped" in capsys.readouterr().out
+
+
+def test_nahm_gauge_skips_triple_cases_on_a_two_dimensional_algebra(tmp_path):
+    # torus2 has two basis elements, too few for the Nahm data
+    assert cli.main(["--suite", "nahm-gauge", "--context", "torus2",
+                     "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    status = {rec["case"]: rec["status"] for rec in report}
+    assert status == {"solution-residual": "skip", "gauge-invariance-ratio": "skip",
+                      "connection-gauged-constancy": "pass",
+                      "moment-map-zero": "skip", "moment-map-loop-gauge": "skip"}
+
+
+def test_split_context_keeps_every_record_of_the_guarded_suites(tmp_path):
+    # su2_u1 meets every precondition: no skip records, same case list
+    for suite, cases in (("complexify-holomorphy",
+                          {"leaf-cr-order-group", "leaf-cr-order-coset",
+                           "coset-equivariance", "polar-inverse"}),
+                         ("nahm-gauge",
+                          {"solution-residual", "gauge-invariance-ratio",
+                           "connection-gauged-constancy", "moment-map-zero",
+                           "moment-map-loop-gauge"})):
+        assert cli.main(["--suite", suite, "--context", "su2_u1",
+                         "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert {rec["case"]: rec["status"] for rec in report} == \
+            dict.fromkeys(cases, "pass")

@@ -119,3 +119,12 @@ def test_json_roundtrip():
     assert back.coeffs.keys() == jet.coeffs.keys()
     for powers, c in jet.coeffs.items():
         assert back.coefficient(powers) == pytest.approx(c, abs=1e-16)
+
+
+def test_max_abs_coeff_propagates_nan():
+    jet = JetPolynomial(2, 3, {(0, 0): 1.0, (1, 0): 2.0, (1, 1): np.nan,
+                               (3, 0): 0.5})
+    assert np.isnan(jet.max_abs_coeff())
+    assert np.isnan(jet.max_abs_coeff(degrees={2}))
+    assert jet.max_abs_coeff(degrees={0, 1, 3}) == 2.0
+    assert JetPolynomial.zero(2, 3).max_abs_coeff() == 0.0

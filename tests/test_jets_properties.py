@@ -1,0 +1,136 @@
+"""Property tests of the jet engine against oracles that do not use it.
+
+Polynomials are generated as plain exponent -> coefficient dicts; the
+oracles evaluate and differentiate those dicts directly, term by term.
+"""
+
+import pathlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tubegeom.jets import (JetPolynomial, matrix_identity, matrix_inverse,
+                           matrix_multiply, wirtinger_z, wirtinger_zbar)
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+coefficient = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def polynomial(draw, num_vars, max_degree, max_terms=8):
+    """Dict of up to ``max_terms`` monomials of total degree <= max_degree."""
+    exponents = st.lists(st.integers(0, max_degree), min_size=num_vars,
+                         max_size=num_vars).filter(lambda e: sum(e) <= max_degree)
+    terms = draw(st.dictionaries(exponents.map(tuple), coefficient,
+                                 max_size=max_terms))
+    return {p: c for p, c in terms.items() if c != 0.0}
+
+
+def oracle_value(terms, point):
+    return sum(c * np.prod([x ** e for x, e in zip(point, p)])
+               for p, c in terms.items())
+
+
+def oracle_partial(terms, var):
+    out = {}
+    for p, c in terms.items():
+        if p[var]:
+            q = list(p)
+            q[var] -= 1
+            out[tuple(q)] = out.get(tuple(q), 0.0) + c * p[var]
+    return out
+
+
+@st.composite
+def product_case(draw):
+    num_vars = draw(st.integers(1, 4))
+    bound = draw(st.integers(0, 6))
+    deg_a = draw(st.integers(0, bound))
+    a = draw(polynomial(num_vars, deg_a))
+    b = draw(polynomial(num_vars, bound - deg_a))
+    point = draw(st.lists(st.floats(-1.0, 1.0), min_size=num_vars,
+                          max_size=num_vars))
+    return num_vars, bound, a, b, np.array(point)
+
+
+@SETTINGS
+@given(product_case())
+def test_product_evaluates_to_product_of_values(case):
+    num_vars, bound, a, b, point = case
+    jet_a = JetPolynomial(num_vars, bound, a)
+    jet_b = JetPolynomial(num_vars, bound, b)
+    want = oracle_value(a, point) * oracle_value(b, point)
+    assert (jet_a * jet_b).evaluate(point) == pytest.approx(want, abs=1e-11)
+    assert jet_a.evaluate(point) == pytest.approx(oracle_value(a, point), abs=1e-12)
+
+
+@SETTINGS
+@given(st.data())
+def test_partial_matches_analytic_derivative(data):
+    num_vars = data.draw(st.integers(1, 5))
+    max_degree = data.draw(st.integers(0, 6))
+    terms = data.draw(polynomial(num_vars, max_degree))
+    var = data.draw(st.integers(0, num_vars - 1))
+    got = JetPolynomial(num_vars, max_degree, terms).partial(var)
+    want = oracle_partial(terms, var)
+    assert set(got.coeffs) == {p for p, c in want.items() if c != 0.0}
+    for p, c in want.items():
+        assert got.coefficient(p) == c  # one product per term: exact
+
+
+@st.composite
+def near_identity_matrix(draw):
+    size = draw(st.integers(1, 3))
+    num_vars = draw(st.integers(1, 3))
+    bound = draw(st.integers(1, 4))
+    rows = []
+    for i in range(size):
+        row = []
+        for j in range(size):
+            re = draw(polynomial(num_vars, bound, max_terms=4))
+            im = draw(polynomial(num_vars, bound, max_terms=4))
+            entry = (JetPolynomial(num_vars, bound, re)
+                     + 1j * JetPolynomial(num_vars, bound, im)) * 0.2
+            row.append(entry + (1.0 if i == j else 0.0))
+        rows.append(row)
+    return rows
+
+
+@SETTINGS
+@given(near_identity_matrix())
+def test_inverse_times_matrix_is_identity_through_the_bound(A):
+    size = len(A)
+    num_vars, bound = A[0][0].num_vars, A[0][0].max_degree
+    prod = matrix_multiply(A, matrix_inverse(A))
+    eye = matrix_identity(size, num_vars, bound)
+    for i in range(size):
+        for j in range(size):
+            assert prod[i][j].max_degree == bound
+            assert (prod[i][j] - eye[i][j]).max_abs_coeff() < 1e-10
+
+
+def golden_jets():
+    """The jets whose serialisation the fixture records; every coefficient
+    is exactly representable, so the text does not depend on summation
+    order."""
+    a = JetPolynomial(4, 4, {(0, 0, 0, 0): 1.5, (1, 0, 0, 0): -2.0,
+                             (0, 0, 2, 0): 0.25, (1, 1, 0, 1): 0.75,
+                             (0, 2, 0, 2): -0.125, (2, 0, 0, 0): 3.0,
+                             (0, 1, 1, 0): -0.5})
+    return [a, a * a, wirtinger_z(a, 0, 2),
+            wirtinger_zbar(wirtinger_z(a, 1, 2), 0, 2),
+            (a - 0.5 * a.partial(2)).truncated(2), JetPolynomial.zero(3, 2)]
+
+
+def test_to_json_matches_golden_fixture():
+    lines = (FIXTURES / "jets_golden.jsonl").read_text().splitlines()
+    jets = golden_jets()
+    assert len(lines) == len(jets)
+    for jet, line in zip(jets, lines):
+        assert jet.to_json() == line
+        assert JetPolynomial.from_json(line).to_json() == line

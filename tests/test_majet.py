@@ -3,7 +3,8 @@ import pytest
 
 from tubegeom import curvature as cv
 from tubegeom import majet
-from tubegeom.errors import DegenerateHessian, MalformedInput, UnorderedIndices
+from tubegeom.errors import (DegenerateHessian, MalformedInput, SingularSystem,
+                             UnorderedIndices)
 from tubegeom.jets import JetPolynomial, matrix_identity, matrix_multiply
 
 
@@ -256,3 +257,34 @@ def test_scaling_csv_shape():
     lines = text.strip().splitlines()
     assert lines[0] == "eps,sup_residual"
     assert len(lines) == len(rows) + 1
+
+
+def test_quartic_probe_matrix_is_built_once_per_dimension(monkeypatch):
+    rng = np.random.default_rng(11)
+    R = cv.random_admissible(2, rng)
+    majet._quartic_probe_matrix.cache_clear()
+    first = majet.solve_quartic_coefficients(R)
+    L = majet._quartic_probe_matrix(2)
+    assert not L.flags.writeable
+    calls = []
+    real_residual = majet.ma_residual
+    monkeypatch.setattr(majet, "ma_residual",
+                        lambda rho: calls.append(1) or real_residual(rho))
+    second = majet.solve_quartic_coefficients(R)
+    assert second.values == first.values
+    assert len(calls) == 1  # the right-hand side only; L comes from the cache
+    assert majet._quartic_probe_matrix(2) is L
+
+
+def test_quartic_probe_matrix_conditioning_is_checked_every_call():
+    R = cv.random_admissible(2, np.random.default_rng(12))
+    majet.solve_quartic_coefficients(R)
+    with pytest.raises(SingularSystem):
+        majet.solve_quartic_coefficients(R, cond_limit=0.5)  # cond >= 1
+
+
+def test_quartic_max_abs_propagates_nan():
+    q = majet.QuarticCoefficients(2, {(0, 0, 0, 0): 1.0, (0, 0, 0, 1): np.nan,
+                                      (0, 0, 1, 1): 0.5})
+    assert np.isnan(q.max_abs())
+    assert majet.QuarticCoefficients(2, {}).max_abs() == 0.0

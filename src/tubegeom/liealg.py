@@ -115,6 +115,10 @@ class LieAlgebraContext:
         flat = np.asarray(values, dtype=complex).reshape(len(values), -1)
         return np.real(flat @ self._expand_op.T)
 
+    def path_reconstruct(self, coeffs):
+        """Vectorized inverse of ``path_coefficients``: (nodes, dim) -> stack."""
+        return np.einsum("nd,dij->nij", coeffs, self.basis)
+
     # -- split ---------------------------------------------------------
 
     def _require_split(self):

@@ -7,8 +7,11 @@ uniform grid over [0, 1].  The machinery here provides
 * residuals of the Nahm system  dT1/dt + [T0,T1] + [T2,T3] = 0  (cyclic in
   1,2,3) and of its reduced two-path form  dT1/dt + [T0,T1] = 0,
 * the gauge action  g.T0 = g T0 g^-1 - (dg/dt) g^-1,  g.Tj = g Tj g^-1,
-* the gauge-fixing linear ODE  dg/dt = g A(t), g(1) = id,  solved by
-  classical RK4 with per-step reprojection to the group,
+* the gauge-fixing linear ODE  dg/dt = g A(t), g(1) = id,  solved for the
+  whole path at once by the 4th-order Magnus method: one stacked matrix
+  exponential of the per-interval Magnus exponents, then suffix products
+  by doubling.  Each factor is an exponential of an algebra element, so
+  the solution stays in the group without reprojection,
 * the flat L^2 metric, the symplectic pairing for the first complex
   structure, its quadratic potential, the endpoint moment map for a
   subgroup split, the circle action rotating (T2, T3), and a RK4
@@ -16,6 +19,8 @@ uniform grid over [0, 1].  The machinery here provides
 
 Derivatives on the grid use 4th-order stencils (one-sided at the ends) so
 that residual magnitudes track the integrator's order on analytic data.
+Matrix exponentials along a path are taken for the whole (nodes, m, m)
+stack in one call (``_expm_stack``), never node by node.
 """
 
 from __future__ import annotations
@@ -76,15 +81,35 @@ class GaugePath:
         return self.context.path_coefficients(self.values)
 
     def group_defect(self):
-        """Worst per-node group-membership defect for group-kind paths:
-        distance from unitarity (real kind) or from unit determinant
-        (complexified kind)."""
+        """Worst per-node group-membership defect for group-kind paths.
+
+        Real kind: distance from unitarity.  Complexified kind: distance from
+        G_C = G exp(i g), read off the polar split m = u exp(i v) that
+        ``complexify.group_complexification_inverse`` uses: the sum of the
+        distances of v and of the principal logarithm of u from the real
+        span of the context's basis.  Like ``group_log``, this needs u to
+        have no eigenvalue at -1.
+        """
         if self.kind == "group":
             eye = np.eye(self.context.matrix_size)
             prods = np.einsum("nij,nkj->nik", self.values, self.values.conj())
             return float(np.max(np.linalg.norm(prods - eye, axis=(1, 2))))
         if self.kind == "complex-group":
-            return float(np.max(np.abs(np.linalg.det(self.values) - 1.0)))
+            m = self.values
+            # m* m = exp(2iv) is positive definite; its eigenbasis gives v
+            # and the inverse square root that leaves the unitary factor u
+            mu, Q = np.linalg.eigh(np.einsum("nji,njk->nik", m.conj(), m))
+            if not np.all(mu > 0.0):
+                return float("inf") if np.all(np.isfinite(mu)) else float("nan")
+            Qh = Q.conj().transpose(0, 2, 1)
+            v = -0.5j * ((Q * np.log(mu)[:, None, :]) @ Qh)
+            u = m @ ((Q / np.sqrt(mu)[:, None, :]) @ Qh)
+            w, V = np.linalg.eig(u)
+            log_u = (V * np.log(w)[:, None, :]) @ np.linalg.inv(V)
+            ctx = self.context
+            gap = lambda X: np.linalg.norm(
+                X - ctx.path_reconstruct(ctx.path_coefficients(X)), axis=(1, 2))
+            return float(np.max(gap(v) + gap(log_u)))
         raise MalformedInput("group_defect applies to group-kind paths")
 
 
@@ -255,44 +280,101 @@ def compose_gauges(g, h):
     return GaugePath(np.einsum("nij,njk->nik", g.values, h.values), kind, g.context)
 
 
-def _project_group(m, complexified):
-    if complexified:
-        # determinant renormalization for special linear models
-        det = np.linalg.det(m)
-        return m / det ** (1.0 / m.shape[0])
-    u, _, vh = np.linalg.svd(m)
-    return u @ vh
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
-def solve_gauge_ode(A, reproject=True):
-    """Solve dg/dt = g A(t) backward from g(1) = id by classical RK4.
+def _taylor_plan(norm):
+    """(degree, squarings) for exp by Taylor series with scaling.
 
-    One RK4 step per grid interval; midpoint samples of A come from
-    4th-order interpolation, which preserves the integrator's global
-    order.  Group membership is restored after every step (polar projection
-    for unitary models, determinant renormalization for complexified ones).
+    The squarings bring theta = norm / 2**s down to at most 1/2 (each one
+    doubles the rounding error, so none are spent beyond that); the degree
+    is then the least q whose remainder relative to exp, at most
+    theta**(q+1) / (q+1)! * e**(2 theta), is below unit round-off.
+    """
+    squarings = int(np.ceil(np.log2(2.0 * norm))) if norm > 0.5 else 0
+    theta = norm / 2.0 ** squarings
+    degree, bound = 1, 0.5 * theta * theta * np.exp(2.0 * theta)
+    while bound > _UNIT_ROUNDOFF:
+        degree += 1
+        bound *= theta / (degree + 1)
+    return degree, squarings
+
+
+def _expm_stack(X):
+    """Exponential of every matrix in a (K, m, m) stack.
+
+    Horner evaluation of one Taylor polynomial followed by repeated
+    squaring, with the degree and the number of squarings chosen once from
+    the largest 1-norm in the stack (``_taylor_plan``).  The 2**-s scaling
+    is folded into the Horner divisors, and all products go through two
+    ping-pong buffers.  A non-finite entry makes the whole result NaN.
+    """
+    X = np.asarray(X, dtype=complex)
+    K, m = X.shape[0], X.shape[-1]
+    norm = float(np.max(np.abs(X).sum(axis=1), initial=0.0))
+    if not np.isfinite(norm):
+        return np.full(X.shape, np.nan, dtype=complex)
+    degree, squarings = _taylor_plan(norm)
+    scale = 2.0 ** -squarings
+    out = np.multiply(X, scale / degree)
+    spare = np.empty_like(out)
+    out.reshape(K, m * m)[:, ::m + 1] += 1.0
+    for k in range(degree - 1, 0, -1):
+        np.matmul(X, out, out=spare)
+        spare *= scale / k
+        spare.reshape(K, m * m)[:, ::m + 1] += 1.0
+        out, spare = spare, out
+    for _ in range(squarings):
+        np.matmul(out, out, out=spare)
+        out, spare = spare, out
+    return out
+
+
+def solve_gauge_ode(A):
+    """Solve dg/dt = g A(t) backward from g(1) = id by 4th-order Magnus.
+
+    Over [t_k, t_k+1] the propagator is g_k = g_k+1 exp(-Omega_k) with the
+    Simpson-form exponent
+
+        Omega_k = h/6 (A_k + 4 A_k+1/2 + A_k+1) + h^2/12 [A_k, A_k+1],
+
+    whose commutator sign is the one for right multiplication integrated
+    backward (the opposite sign drops the method to order 2).  Midpoint
+    samples come from 4th-order interpolation.  All exponentials are one
+    stacked call, and g_k = E_N-1 ... E_k are suffix products formed by
+    doubling (log2 N batched products).  Each factor is the exponential of
+    an element of the (complexified) algebra, so the path stays in the
+    group by construction; on an abelian algebra the step is exact.
     """
     if A.kind not in ("algebra", "complex-algebra"):
         raise MalformedInput("gauge ODE input must be algebra-valued")
-    complexified = A.kind == "complex-algebra"
     vals = A.values
     N = A.grid_size
     h = 1.0 / N
-    mids = _midpoints(vals)
     m = A.context.matrix_size
+    omega = _midpoints(vals)
+    omega *= 4.0
+    omega += vals[:-1]
+    omega += vals[1:]
+    omega *= h / 6.0
+    comm = np.matmul(vals[:-1], vals[1:])
+    comm -= np.matmul(vals[1:], vals[:-1])
+    comm *= h * h / 12.0
+    omega += comm
+    del comm
+    np.negative(omega, out=omega)
+    prod = _expm_stack(omega)
+    spare = omega  # free once the exponentials exist
+    step = 1
+    while step < N:
+        np.matmul(prod[step:], prod[:-step], out=spare[:-step])
+        spare[-step:] = prod[-step:]
+        prod, spare = spare, prod
+        step *= 2
     g = np.empty((N + 1, m, m), dtype=complex)
+    g[:N] = prod
     g[N] = np.eye(m)
-    f = lambda gm, am: gm @ am
-    for k in range(N - 1, -1, -1):
-        g1 = g[k + 1]
-        a_right, a_mid, a_left = vals[k + 1], mids[k], vals[k]
-        k1 = f(g1, a_right)
-        k2 = f(g1 - 0.5 * h * k1, a_mid)
-        k3 = f(g1 - 0.5 * h * k2, a_mid)
-        k4 = f(g1 - h * k3, a_left)
-        step = g1 - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        g[k] = _project_group(step, complexified) if reproject else step
-    kind = "complex-group" if complexified else "group"
+    kind = "complex-group" if A.kind == "complex-algebra" else "group"
     return GaugePath(g, kind, A.context)
 
 
@@ -304,25 +386,35 @@ def embed_tangent(a, v, grid_size, h_path=None):
     supplied ``h_path`` must run from a at t = 0 to the identity (or into
     the subgroup) at t = 1.  The pair satisfies the reduced flow equation
     and T1(1) = v for the default path.
+
+    The default path factors L = log a once by a complex Schur form
+    L = Z diag(lam) Z* (Z unitary), so that T1(t) = Z (exp((1 - t)(lam_i -
+    lam_j)) * Z* v Z) Z*.  Raises MalformedInput when L is not normal,
+    which no compact algebra produces.
     """
     ctx = a.context
+    v = np.asarray(v, dtype=complex)
     if h_path is None:
         L = group_log(a)  # LogBranchFailure propagates
+        tri, Z = scipy.linalg.schur(L, output="complex")
+        lam = np.diag(tri)
+        if np.linalg.norm(tri - np.diag(lam)) > 1e-10 * max(1.0, np.linalg.norm(L)):
+            raise MalformedInput("log of the base point is not a normal matrix")
         ts = np.linspace(0.0, 1.0, grid_size + 1)
-        hv = np.array([scipy.linalg.expm((1.0 - t) * L) for t in ts])
-        T0 = constant_path(ctx, L, grid_size)
-    else:
-        if h_path.grid_size != grid_size:
-            raise GridMismatch("h_path grid does not match the requested grid")
-        hv = h_path.values
-        if np.linalg.norm(hv[0] - a.matrix) > 1e-8:
-            raise MalformedInput("h_path must start at the base point")
-        dh = path_derivative(hv, 1.0 / grid_size)
-        hinv = np.linalg.inv(hv)
-        T0 = GaugePath(-np.einsum("nij,njk->nik", dh, hinv), "algebra", ctx)
+        Zh = Z.conj().T
+        phases = np.exp((1.0 - ts)[:, None, None] * (lam[:, None] - lam[None, :]))
+        phases *= Zh @ v @ Z
+        T1 = GaugePath(Z @ phases @ Zh, "algebra", ctx)
+        return constant_path(ctx, L, grid_size), T1
+    if h_path.grid_size != grid_size:
+        raise GridMismatch("h_path grid does not match the requested grid")
+    hv = h_path.values
+    if np.linalg.norm(hv[0] - a.matrix) > 1e-8:
+        raise MalformedInput("h_path must start at the base point")
+    dh = path_derivative(hv, 1.0 / grid_size)
     hinv = np.linalg.inv(hv)
-    T1 = GaugePath(np.einsum("nij,jk,nkl->nil", hv, np.asarray(v, dtype=complex),
-                             hinv), "algebra", ctx)
+    T0 = GaugePath(-np.einsum("nij,njk->nik", dh, hinv), "algebra", ctx)
+    T1 = GaugePath(np.einsum("nij,jk,nkl->nil", hv, v, hinv), "algebra", ctx)
     return T0, T1
 
 
@@ -499,11 +591,8 @@ def smooth_gauge(context, rng, grid_size, amplitude=0.5, endpoints="free"):
         c2 = c_end
     else:
         profiles = [np.cos(0.5 * np.pi * ts), np.sin(1.5 * ts)]
-    vals = []
-    for i, t in enumerate(ts):
-        A = context.reconstruct(profiles[0][i] * c1 + profiles[1][i] * c2)
-        vals.append(scipy.linalg.expm(A))
-    return GaugePath(np.array(vals), "group", context)
+    coeffs = np.outer(profiles[0], c1) + np.outer(profiles[1], c2)
+    return GaugePath(_expm_stack(context.path_reconstruct(coeffs)), "group", context)
 
 
 def smooth_tangent(context, rng, grid_size, amplitude=1.0):

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from tubegeom import cli
+from tubegeom import cli, liealg, nahm
 from tubegeom.errors import ConfigParseError, UnknownSuite
 
 
@@ -132,3 +133,72 @@ def test_split_context_keeps_every_record_of_the_guarded_suites(tmp_path):
         report = json.loads((tmp_path / "report.json").read_text())
         assert {rec["case"]: rec["status"] for rec in report} == \
             dict.fromkeys(cases, "pass")
+
+
+def test_abelian_context_passes_every_suite(tmp_path):
+    # Magnus is exact on torus2: the order sweep sees round-off only
+    assert cli.main(["--suite", "all", "--context", "torus2",
+                     "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    roundtrip = {rec["case"]: rec for rec in report
+                 if rec["suite"] == "nahm-roundtrip"}
+    assert set(roundtrip) == {"roundtrip-error", "roundtrip-zero-vector",
+                              "roundtrip-order"}
+    assert all(rec["status"] == "pass" for rec in roundtrip.values())
+    assert roundtrip["roundtrip-order"]["note"].startswith("exact (errors <= ")
+
+
+@pytest.mark.parametrize("context", ["su2_u1", "su3_u2"])
+def test_path_space_suites_keep_case_ids_and_statuses(context, tmp_path):
+    expected = {
+        ("nahm-gauge", "solution-residual"), ("nahm-gauge", "gauge-invariance-ratio"),
+        ("nahm-gauge", "connection-gauged-constancy"),
+        ("nahm-gauge", "moment-map-zero"), ("nahm-gauge", "moment-map-loop-gauge"),
+        ("nahm-roundtrip", "roundtrip-error"), ("nahm-roundtrip", "roundtrip-order"),
+        ("nahm-roundtrip", "roundtrip-zero-vector")}
+    report = []
+    for suite in ("nahm-gauge", "nahm-roundtrip"):
+        assert cli.main(["--suite", suite, "--context", context,
+                         "--out", str(tmp_path)]) == 0
+        report += json.loads((tmp_path / "report.json").read_text())
+    assert {(rec["suite"], rec["case"]): rec["status"] for rec in report} == \
+        dict.fromkeys(expected, "pass")
+    order = next(rec for rec in report if rec["case"] == "roundtrip-order")
+    assert order["note"].startswith("median observed order")
+
+
+def test_nan_roundtrip_sample_fails_its_case(monkeypatch):
+    real = nahm.adapted_roundtrip
+    calls = []
+
+    def second_is_nan(a, v, grid_size=2000, h_path=None):
+        calls.append(grid_size)
+        got = real(a, v, grid_size, h_path)
+        if len(calls) == 2:
+            return liealg.GroupElement(np.full_like(got.matrix, np.nan), a.context,
+                                       complexified=True)
+        return got
+
+    monkeypatch.setattr(nahm, "adapted_roundtrip", second_is_nan)
+    records = cli.run_suite(cli.SuiteConfig(suite="nahm-roundtrip", steps=64,
+                                            sweeps={"pairs": 3}))
+    status = {rec.case: rec.status for rec in records}
+    assert status["roundtrip-error"] == "fail"
+    assert status["roundtrip-zero-vector"] == "pass"
+
+
+def test_nan_order_fails_order_case():
+    runner = cli._Runner(cli.SuiteConfig(), "probe")
+    runner.order_case("nan-order", float("nan"), 1.9)
+    runner.order_case("met-order", 2.5, 1.9)
+    runner.case("nan-metric", lambda: float("nan"), 1.0)
+    runner.case("inf-metric", float("inf"), float("inf"))
+    assert [rec.status for rec in runner.records] == ["fail", "pass", "fail", "fail"]
+
+
+def test_timings_measure_the_roundtrip_computation(tmp_path):
+    assert cli.main(["--suite", "nahm-roundtrip", "--sweep.pairs=4", "--timings",
+                     "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    ms = {rec["case"]: rec["ms"] for rec in report}
+    assert ms["roundtrip-error"] > 0

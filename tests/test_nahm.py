@@ -585,3 +585,91 @@ def test_configuration_csv_roundtrip(ctx, tmp_path):
     assert back.grid_size == cfg.grid_size
     for a, b in zip(cfg.paths(), back.paths()):
         assert np.max(np.abs(a.values - b.values)) == 0.0
+
+
+# -- batched kernels -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_expm_stack_matches_scipy(m):
+    rng = np.random.default_rng(40 + m)
+    for norm in np.geomspace(1e-3, 3.0, 9):
+        X = rng.standard_normal((50, m, m)) + 1j * rng.standard_normal((50, m, m))
+        X *= norm / np.max(np.abs(X).sum(axis=1))
+        got = nahm._expm_stack(X)
+        want = scipy.linalg.expm(X)
+        gap = np.linalg.norm(got - want, axis=(1, 2))
+        assert np.max(gap / np.linalg.norm(want, axis=(1, 2))) <= 1e-14, norm
+
+
+def test_expm_stack_zero_and_non_finite():
+    assert np.array_equal(nahm._expm_stack(np.zeros((5, 3, 3))),
+                          np.broadcast_to(np.eye(3), (5, 3, 3)))
+    X = np.zeros((4, 2, 2), dtype=complex)
+    X[2, 0, 1] = np.nan
+    assert np.all(np.isnan(nahm._expm_stack(X)))
+
+
+@pytest.mark.parametrize("name", ["su3_u2", "so4"])
+def test_gauge_ode_order_four_higher_rank(name):
+    ctx_n = la.builtin_context(name)
+    rng = _rng()
+    C1 = ctx_n.random_element(rng, 1.0)
+    C2 = ctx_n.random_element(rng, 1.0)
+    func = lambda t: np.sin(1.7 * t) * C1 + t * t * C2
+    fine = nahm.solve_gauge_ode(nahm.sampled_path(ctx_n, func, 4096))
+    errs = [np.linalg.norm(nahm.solve_gauge_ode(nahm.sampled_path(ctx_n, func, N))
+                           .values[0] - fine.values[0]) for N in (32, 64, 128)]
+    orders = [np.log2(errs[k] / errs[k + 1]) for k in range(2)]
+    assert min(orders) > 3.6
+
+
+def test_gauge_ode_exact_on_abelian_complex_constant():
+    ctx2 = la.torus(2)
+    rng = _rng()
+    C = ctx2.random_element(rng, 1.0) + 1j * ctx2.random_element(rng, 1.5)
+    N = 200
+    g = nahm.solve_gauge_ode(nahm.constant_path(ctx2, C, N, kind="complex-algebra"))
+    ts = np.linspace(0.0, 1.0, N + 1)
+    exact = np.array([scipy.linalg.expm((t - 1.0) * C) for t in ts])
+    assert g.kind == "complex-group"
+    assert np.max(np.abs(g.values - exact)) <= 1e-12
+
+
+def test_adapted_roundtrip_abelian_context():
+    ctx2 = la.torus(2)
+    rng = _rng()
+    for _ in range(3):
+        a = la.group_exp(ctx2, ctx2.random_element(rng, 1.2))
+        v = ctx2.random_element(rng, 2.0)
+        got = nahm.adapted_roundtrip(a, v, 2000)
+        assert np.linalg.norm(got.matrix - a.matrix @ scipy.linalg.expm(1j * v)) < 1e-11
+
+
+def test_embed_tangent_rejects_non_normal_log():
+    # a non-compact algebra: strictly upper triangular 2x2 matrices
+    nil = la.LieAlgebraContext("nil", [[[0, 1], [0, 0]]], inner_product=[[1.0]])
+    a = la.GroupElement(scipy.linalg.expm(0.7 * nil.basis[0]), nil)
+    with pytest.raises(MalformedInput):
+        nahm.embed_tangent(a, 0.3 * nil.basis[0], 64)
+
+
+def test_complex_group_defect_on_torus():
+    ctx2 = la.torus(2)
+    rng = _rng()
+    A = nahm.sampled_path(ctx2, lambda t: np.cos(t) * ctx2.basis[0]
+                          + 1j * np.sin(2 * t) * ctx2.basis[1], 300)
+    gc = nahm.solve_gauge_ode(nahm.GaugePath(A.values, "complex-algebra", ctx2))
+    assert gc.group_defect() < 1e-12
+    m = scipy.linalg.expm(ctx2.random_element(rng) + 1j * ctx2.random_element(rng))
+    inside = nahm.constant_path(ctx2, m, 10, kind="complex-group")
+    assert inside.group_defect() < 1e-12
+
+
+@pytest.mark.parametrize("matrix", [[[1.0, 0.5], [0.0, 1.0]],    # shear
+                                    [[0.0, -1.0], [1.0, 0.0]]])  # rotation
+def test_complex_group_defect_rejects_det_one_outside_torus(matrix):
+    ctx2 = la.torus(2)
+    assert abs(np.linalg.det(matrix) - 1.0) < 1e-15
+    path = nahm.constant_path(ctx2, matrix, 10, kind="complex-group")
+    assert path.group_defect() > 0.1

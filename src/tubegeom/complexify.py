@@ -22,7 +22,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ContextMismatch, LogBranchFailure, VectorNotInM
-from .liealg import GroupElement, group_exp, tangent_at
+from .liealg import (GroupElement, LieAlgebraContext, group_exp,
+                     membership_defect, tangent_at)
 
 
 @dataclass(frozen=True)
@@ -64,13 +65,20 @@ class CosetPoint:
         return bool(self.subgroup_membership(rel))
 
 
-def diagonal_torus_membership(tol=1e-8):
-    """Membership test for the complexified diagonal torus in SL(2, C)."""
+def subgroup_membership(context, tol=1e-8):
+    """Membership test for the complexified subgroup H_C of the context's split.
+
+    H is modeled by a sub-context over the subalgebra basis (with its block
+    of the inner product); a matrix belongs to H_C = H exp(i h) when its
+    polar-split defect (``liealg.membership_defect``) is below ``tol``.
+    Raises NoSplitConfigured when the context has no split.
+    """
+    mask = context.h_mask
+    sub = LieAlgebraContext(f"{context.name}:h", context.h_basis(),
+                            inner_product=context.inner_product[np.ix_(mask, mask)])
 
     def member(m):
-        m = np.asarray(m)
-        off = abs(m[0, 1]) + abs(m[1, 0])
-        return off < tol and abs(np.linalg.det(m) - 1.0) < tol
+        return membership_defect(sub, np.asarray(m)[None]) < tol
 
     return member
 

@@ -280,6 +280,33 @@ def check_reductive(context, tol=1e-12):
     return worst
 
 
+def membership_defect(context, matrices, complexified=True):
+    """Worst distance of a (K, m, m) matrix stack from the modeled group.
+
+    Each matrix is split as m = u exp(i v): m* m = exp(2iv) is positive
+    definite, its eigenbasis gives v and the inverse square root that
+    leaves the unitary factor u.  The defect is the distance of the
+    principal logarithm of u from the real span of the basis plus, for the
+    complexified group G exp(i g), the distance of v from that span, or for
+    G itself the norm of v.  Like ``group_log``, this needs u to have no
+    eigenvalue at -1.  Infinite when some m* m is singular, NaN for
+    non-finite input.
+    """
+    m = np.asarray(matrices, dtype=complex)
+    mu, Q = np.linalg.eigh(np.einsum("nji,njk->nik", m.conj(), m))
+    if not np.all(mu > 0.0):
+        return float("inf") if np.all(np.isfinite(mu)) else float("nan")
+    Qh = Q.conj().transpose(0, 2, 1)
+    v = -0.5j * ((Q * np.log(mu)[:, None, :]) @ Qh)
+    u = m @ ((Q / np.sqrt(mu)[:, None, :]) @ Qh)
+    w, V = np.linalg.eig(u)
+    log_u = (V * np.log(w)[:, None, :]) @ np.linalg.inv(V)
+    gap = lambda X: np.linalg.norm(
+        X - context.path_reconstruct(context.path_coefficients(X)), axis=(1, 2))
+    v_defect = gap(v) if complexified else np.linalg.norm(v, axis=(1, 2))
+    return float(np.max(v_defect + gap(log_u)))
+
+
 def tangent_at(a, w, tol=1e-8):
     """Left-trivialize a tangent matrix at ``a``: returns a^-1 w in the algebra."""
     if not isinstance(a, GroupElement):

@@ -115,28 +115,6 @@ def ma_residual(rho, hessian_tol=1e-8):
     return residual
 
 
-def invert_near_identity(matrix_jet):
-    """Inverse of ``I + a(y)`` with ``a`` homogeneous of degree 2.
-
-    Validates the shape (identity constant part, purely degree-2
-    perturbation) and returns the jet inverse, whose degree-2 part is
-    ``-a_ij`` off the diagonal and ``1 - a_jj`` on it.
-    """
-    size = len(matrix_jet)
-    num_vars = matrix_jet[0][0].num_vars
-    for i in range(size):
-        for j in range(size):
-            entry = matrix_jet[i][j]
-            const = entry.coefficient((0,) * num_vars)
-            expected = 1.0 if i == j else 0.0
-            if abs(const - expected) > 1e-12:
-                raise MalformedInput("constant part must be the identity")
-            rest = entry - JetPolynomial.constant(const, num_vars, entry.max_degree)
-            if any(sum(p) != 2 for p in rest.coeffs):
-                raise MalformedInput("perturbation must be homogeneous of degree 2")
-    return matrix_inverse(matrix_jet)
-
-
 @dataclass(frozen=True)
 class QuarticCoefficients:
     """Free quartic y-coefficients of the potential ansatz.

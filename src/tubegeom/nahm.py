@@ -32,7 +32,8 @@ import scipy.linalg
 
 from .errors import (BlowupDetected, ContextMismatch, GridMismatch,
                      MalformedInput)
-from .liealg import GroupElement, LieAlgebraContext, group_log
+from .liealg import (GroupElement, LieAlgebraContext, group_log,
+                     membership_defect)
 
 PATH_KINDS = ("group", "algebra", "complex-group", "complex-algebra")
 
@@ -83,34 +84,16 @@ class GaugePath:
     def group_defect(self):
         """Worst per-node group-membership defect for group-kind paths.
 
-        Real kind: distance from unitarity.  Complexified kind: distance from
-        G_C = G exp(i g), read off the polar split m = u exp(i v) that
-        ``complexify.group_complexification_inverse`` uses: the sum of the
-        distances of v and of the principal logarithm of u from the real
-        span of the context's basis.  Like ``group_log``, this needs u to
-        have no eigenvalue at -1.
+        Read off the polar split m = u exp(i v) that
+        ``complexify.group_complexification_inverse`` uses (see
+        ``liealg.membership_defect``): the principal logarithm of u must lie
+        in the real span of the context's basis, and v must lie in it too
+        (complexified kind, G exp(i g)) or vanish (real kind, G).
         """
-        if self.kind == "group":
-            eye = np.eye(self.context.matrix_size)
-            prods = np.einsum("nij,nkj->nik", self.values, self.values.conj())
-            return float(np.max(np.linalg.norm(prods - eye, axis=(1, 2))))
-        if self.kind == "complex-group":
-            m = self.values
-            # m* m = exp(2iv) is positive definite; its eigenbasis gives v
-            # and the inverse square root that leaves the unitary factor u
-            mu, Q = np.linalg.eigh(np.einsum("nji,njk->nik", m.conj(), m))
-            if not np.all(mu > 0.0):
-                return float("inf") if np.all(np.isfinite(mu)) else float("nan")
-            Qh = Q.conj().transpose(0, 2, 1)
-            v = -0.5j * ((Q * np.log(mu)[:, None, :]) @ Qh)
-            u = m @ ((Q / np.sqrt(mu)[:, None, :]) @ Qh)
-            w, V = np.linalg.eig(u)
-            log_u = (V * np.log(w)[:, None, :]) @ np.linalg.inv(V)
-            ctx = self.context
-            gap = lambda X: np.linalg.norm(
-                X - ctx.path_reconstruct(ctx.path_coefficients(X)), axis=(1, 2))
-            return float(np.max(gap(v) + gap(log_u)))
-        raise MalformedInput("group_defect applies to group-kind paths")
+        if self.kind not in ("group", "complex-group"):
+            raise MalformedInput("group_defect applies to group-kind paths")
+        return membership_defect(self.context, self.values,
+                                 complexified=self.kind == "complex-group")
 
 
 def _same_grid(*paths):

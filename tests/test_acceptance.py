@@ -1,19 +1,18 @@
 """Acceptance criteria, one test per criterion.
 
-Each test pins the tolerances stated in the project contract, prints one
-pass/fail line (visible with ``pytest -s`` or ``-rA``), and enforces its
-runtime budget.
+Each test pins the seeds, sample counts and tolerances stated in the
+project contract, prints one pass/fail line (visible with ``pytest -s`` or
+``-rA``), and enforces its runtime budget.  The sweeps are the ones the
+command line runs, from ``tubegeom.registry``.
 """
 
 import time
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-from tubegeom import complexify as cx
 from tubegeom import curvature as cv
-from tubegeom import kahler, liealg, majet, nahm
+from tubegeom import kahler, liealg, registry
 
 
 def _report(number, name, ok, detail, t0, budget):
@@ -27,15 +26,7 @@ def _report(number, name, ok, detail, t0, budget):
 
 def test_criterion_1_quartic_vanishing_oracle():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(1001)
-    worst_a = 0.0
-    worst_match = 0.0
-    for n in (2, 3):
-        for _ in range(25):
-            R = cv.random_admissible(n, rng)
-            q = majet.solve_quartic_coefficients(R)
-            worst_a = max(worst_a, q.max_abs())
-            worst_match = max(worst_match, majet.matching_cross_check(R, q))
+    worst_a, worst_match = registry.quartic_sweep(np.random.default_rng(1001), 25)
     ok = worst_a <= 1e-9 and worst_match <= 1e-9
     _report(1, "quartic vanishing", ok,
             f"max |A| {worst_a:.2e}, matching gap {worst_match:.2e} (tol 1e-9)",
@@ -44,40 +35,20 @@ def test_criterion_1_quartic_vanishing_oracle():
 
 def test_criterion_2_residual_scaling():
     t0 = time.perf_counter()
-    sphere = cv.constant_curvature(2, 1.0)
-    rho = majet.potential_expansion(sphere)
+    rho = registry.sphere_potential()
     # frozen coefficients of the sphere jet
     assert rho.coefficient((0, 0, 2, 0)) == 1.0
     assert rho.coefficient((2, 0, 0, 2)) == pytest.approx(-1.0 / 3.0)
-    rows = majet.residual_scaling_table(
-        rho, eps_values=np.geomspace(1e-2, 1e-1, 7))
-    slope = majet.fitted_loglog_slope(rows)
+    slope, _ = registry.residual_scaling(
+        rho, seed=2024, eps_values=np.geomspace(1e-2, 1e-1, 7))
     _report(2, "residual scaling", slope >= 4.5,
             f"log-log slope {slope:.3f} (needs >= 4.5)", t0, 5.0)
 
 
 def test_criterion_3_kahler_closed_forms():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(1003)
-    worst = 0.0
-    for n in (2, 3):
-        for _ in range(10):
-            R = cv.random_admissible(n, rng)
-            K_jet = kahler.kahler_curvature_from_jet(majet.potential_expansion(R))
-            want = (R.components + R.components.transpose(0, 3, 2, 1)) / 6.0
-            worst = max(worst, float(np.max(np.abs(K_jet.components - want))))
-
-    sphere = cv.constant_curvature(2, 1.0)
-    K = kahler.kahler_curvature_at_zero(sphere)
-    specials = [
-        abs(K.components[0, 1, 0, 1].real - 1.0 / 3.0),
-        abs(K.components[0, 1, 1, 0].real + 1.0 / 6.0),
-        abs(kahler.plane_sectional(sphere, "xy", 0, 1) + 1.0 / 3.0),
-        abs(kahler.plane_sectional(sphere, "xx", 0, 1) - 1.0),
-        abs(kahler.plane_sectional(sphere, "holomorphic", 0)),
-        abs(kahler.plane_sectional(sphere, "holomorphic", 1)),
-    ]
-    worst_special = max(specials)
+    worst, _ = registry.kahler_oracle_sweep(np.random.default_rng(1003), 10)
+    worst_special = max(gap for gap, _ in registry.sphere_special_gaps().values())
     ok = worst <= 1e-10 and worst_special <= 1e-10
     _report(3, "kahler closed forms", ok,
             f"oracle gap {worst:.2e}, special values gap {worst_special:.2e} "
@@ -111,29 +82,10 @@ def test_criterion_5_roundtrip():
     t0 = time.perf_counter()
     ctx = liealg.su2()
     rng = np.random.default_rng(1005)
-    worst = 0.0
-    for _ in range(100):
-        a = liealg.group_exp(ctx, ctx.random_element(rng, 1.2))
-        v = ctx.random_element(rng, 2.0)
-        assert ctx.norm(v) <= 2.0 + 1e-12
-        got = nahm.adapted_roundtrip(a, v, 2000)
-        want = a.matrix @ scipy.linalg.expm(1j * v)
-        worst = max(worst, float(np.linalg.norm(got.matrix - want)))
-
-    worst_zero = 0.0
-    for _ in range(5):
-        a = liealg.group_exp(ctx, ctx.random_element(rng, 1.2))
-        got = nahm.adapted_roundtrip(a, np.zeros((2, 2)), 2000)
-        worst_zero = max(worst_zero,
-                         float(np.linalg.norm(got.matrix - a.matrix)))
-
-    a = liealg.group_exp(ctx, ctx.random_element(rng, 1.2))
-    v = ctx.random_element(rng, 1.8)
-    want = a.matrix @ scipy.linalg.expm(1j * v)
-    errs = [float(np.linalg.norm(nahm.adapted_roundtrip(a, v, N).matrix - want))
-            for N in (32, 64, 128, 256)]
-    orders = [float(np.log2(errs[k] / errs[k + 1])) for k in range(3)]
-    med = float(np.median(orders))
+    worst, largest_v = registry.roundtrip_error(ctx, rng, 100, 2000)
+    assert largest_v <= 2.0 + 1e-12
+    worst_zero = registry.roundtrip_zero_vector(ctx, rng, 5, 2000)
+    med = registry.halving_order(registry.roundtrip_order_errors(ctx, rng))
     ok = worst <= 1e-6 and worst_zero <= 1e-12 and 3.8 <= med <= 4.2
     _report(5, "adapted-map roundtrip", ok,
             f"error {worst:.2e} (tol 1e-6), v=0 {worst_zero:.2e} (tol 1e-12), "
@@ -144,41 +96,10 @@ def test_criterion_6_gauge_and_moment_map():
     t0 = time.perf_counter()
     ctx = liealg.builtin_context("su2_u1")
     rng = np.random.default_rng(1006)
-    N = 2000
-
-    T0 = nahm.sampled_path(
-        ctx, lambda t: 0.6 * np.sin(1.3 * t) * ctx.basis[0]
-        + 0.4 * t * ctx.basis[2], N)
-    init = [0.5 * ctx.basis[0], 0.8 * ctx.basis[1], 1.0 * ctx.basis[2]]
-    sol = nahm.integrate_nahm(ctx, init, T0)
-    base = nahm.nahm_residual_sup(sol)
-    worst_ratio = 0.0
-    for _ in range(20):
-        g = nahm.smooth_gauge(ctx, rng, N, amplitude=0.5)
-        ratio = nahm.nahm_residual_sup(nahm.gauge_transform(g, sol)) / base
-        worst_ratio = max(worst_ratio, ratio)
-
-    a = liealg.group_exp(ctx, ctx.random_element(rng, 1.2))
-    v = ctx.random_element(rng, 1.5)
-    T0e, T1e = nahm.embed_tangent(a, v, N)
-    xi = nahm.solve_gauge_ode(T0e)
-    zero = nahm.constant_path(ctx, np.zeros((2, 2)), N)
-    gauged = nahm.gauge_transform(
-        xi, nahm.NahmConfiguration(T0e, T1e, zero, zero))
-    constancy = float(np.max(np.linalg.norm(
-        gauged.T1.values - T1e.end[None], axis=(1, 2))))
-
-    m_parts = [ctx.project_m(ctx.random_element(rng)) for _ in range(3)]
-    paths = [nahm.sampled_path(
-        ctx, lambda t, M=M: np.cos(t) * M + t * (1 - t) * ctx.basis[2], N)
-        for M in m_parts]
-    cfg = nahm.NahmConfiguration(T0, *paths)
-    phi = nahm.moment_map(cfg)
-    phi_norm = max(float(np.linalg.norm(x)) for x in phi)
-    g0 = nahm.smooth_gauge(ctx, rng, N, endpoints="loop")
-    phi2 = nahm.moment_map(nahm.gauge_transform(g0, cfg))
-    phi_gap = max(float(np.linalg.norm(x - y)) for x, y in zip(phi, phi2))
-
+    T0, sol, base = registry.nahm_solution(ctx, 2000)
+    worst_ratio = registry.gauge_ratio(ctx, rng, sol, base, 20)
+    constancy = registry.gauged_constancy(ctx, rng, 2000)
+    phi_norm, phi_gap = registry.moment_map_gaps(ctx, rng, T0)
     ok = (worst_ratio <= 10.0 and constancy <= 1e-6
           and phi_norm <= 1e-12 and phi_gap <= 1e-12)
     _report(6, "gauge and moment map", ok,
@@ -191,62 +112,10 @@ def test_criterion_7_hyperkahler_identities():
     t0 = time.perf_counter()
     ctx = liealg.builtin_context("su2_u1")
     rng = np.random.default_rng(1007)
-    N = 300
-
-    X = nahm.smooth_tangent(ctx, rng, N)
-    Y = nahm.smooth_tangent(ctx, rng, N)
-    T = nahm.NahmConfiguration(*(nahm.smooth_tangent(ctx, rng, N).paths()))
-    exact = [
-        abs(nahm.omega_I(X, X)),
-        abs(nahm.omega_I(X, Y) + nahm.omega_I(Y, X)),
-        abs(nahm.omega_I(X.complex_rotated(), Y.complex_rotated())
-            - nahm.omega_I(X, Y)),
-    ]
-    theta = 2.0 * np.pi * rng.uniform()
-    exact += [
-        abs(nahm.l2_metric(X.rotated(theta), Y.rotated(theta))
-            - nahm.l2_metric(X, Y)),
-        abs(nahm.omega_I(X.rotated(theta), Y.rotated(theta))
-            - nahm.omega_I(X, Y)),
-        abs(nahm.kahler_potential(nahm.circle_action(theta, T))
-            - nahm.kahler_potential(T)),
-    ]
-    worst_exact = max(exact)
-
-    seeds = (41, 43, 47)
-    ref_grid = 25600
-    refX = nahm.smooth_tangent(ctx, np.random.default_rng(seeds[1]), ref_grid)
-    refY = nahm.smooth_tangent(ctx, np.random.default_rng(seeds[2]), ref_grid)
-    ref_val = nahm.omega_I(refX, refY)
-    errs = []
-    grids = (50, 100, 200)
-    for n in grids:
-        Tn = nahm.NahmConfiguration(
-            *(nahm.smooth_tangent(ctx, np.random.default_rng(seeds[0]), n)
-              .paths()))
-        Xn = nahm.smooth_tangent(ctx, np.random.default_rng(seeds[1]), n)
-        Yn = nahm.smooth_tangent(ctx, np.random.default_rng(seeds[2]), n)
-        errs.append(abs(nahm.potential_two_form(Tn, Xn, Yn) - ref_val))
-    order = float(-np.polyfit(np.log(grids), np.log(errs), 1)[0])
-
-    zero = nahm.constant_path(ctx, np.zeros((2, 2)), 500)
-    worst_pot = 0.0
-    for _ in range(5):
-        a = liealg.group_exp(ctx, ctx.random_element(rng, 1.2))
-        v = ctx.random_element(rng, 1.5)
-        T0e, T1e = nahm.embed_tangent(a, v, 500)
-        f1 = nahm.kahler_potential(nahm.NahmConfiguration(T0e, T1e, zero, zero))
-        w = ctx.random_element(rng, 0.6)
-        L = liealg.group_log(a)
-        hv = np.array([scipy.linalg.expm((1 - t) * L)
-                       @ scipy.linalg.expm(np.sin(np.pi * t) * w)
-                       for t in np.linspace(0, 1, 501)])
-        T0a, T1a = nahm.embed_tangent(a, v, 500,
-                                      h_path=nahm.GaugePath(hv, "group", ctx))
-        f2 = nahm.kahler_potential(nahm.NahmConfiguration(T0a, T1a, zero, zero))
-        half = 0.5 * ctx.pair(v, v)
-        worst_pot = max(worst_pot, abs(f1 - half), abs(f2 - half))
-
+    defects, _ = registry.hyperkahler_identities(ctx, rng, 300)
+    worst_exact = max(defects.values())
+    order = registry.two_form_order(ctx, (41, 43, 47), 25600)
+    worst_pot = registry.embedded_potential(ctx, rng, 500, 5)
     ok = worst_exact <= 1e-14 and order >= 1.9 and worst_pot <= 1e-8
     _report(7, "hyperkahler identities", ok,
             f"exact identities {worst_exact:.2e} (tol 1e-14), two-form order "
@@ -258,18 +127,8 @@ def test_criterion_8_leaf_holomorphy():
     t0 = time.perf_counter()
     ctx = liealg.builtin_context("su2_u1")
     rng = np.random.default_rng(1008)
-    worst = 2.0
-    for _ in range(20):
-        a = liealg.group_exp(ctx, ctx.random_element(rng, 1.2))
-        X = ctx.random_element(rng, 1.0)
-        worst = min(worst, cx.cr_order_estimate(a, X))
-    worst_coset = 2.0
-    for _ in range(20):
-        a = liealg.group_exp(ctx, ctx.random_element(rng, 1.2))
-        Y = ctx.project_m(ctx.random_element(rng, 1.0))
-        if ctx.norm(Y) < 0.05:
-            Y = 0.7 * ctx.basis[0]
-        worst_coset = min(worst_coset, cx.cr_order_estimate(a, Y))
+    worst = registry.leaf_cr_order(ctx, rng, 20)
+    worst_coset = registry.leaf_cr_order(ctx, rng, 20, coset=True)
     ok = worst >= 1.9 and worst_coset >= 1.9
     _report(8, "leaf holomorphy", ok,
             f"min CR order group {worst:.2f}, coset {worst_coset:.2f} "

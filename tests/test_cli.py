@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from tubegeom import cli, liealg, nahm
+from tubegeom import cli, liealg, nahm, registry
+from tubegeom import complexify as cx
 from tubegeom.errors import ConfigParseError, UnknownSuite
 
 
@@ -98,7 +99,7 @@ def test_unmet_preconditions_become_skip_records(tmp_path, capsys):
     skipped = {(rec["suite"], rec["case"]) for rec in report
                if rec["status"] == "skip"}
     assert skipped == {("complexify-holomorphy", "leaf-cr-order-coset"),
-                       ("complexify-holomorphy", "coset-equivariance"),
+                       ("complexify-holomorphy", "coset-well-defined"),
                        ("nahm-gauge", "moment-map-zero"),
                        ("nahm-gauge", "moment-map-loop-gauge")}
     assert all(rec["status"] == "pass" for rec in report
@@ -123,7 +124,7 @@ def test_split_context_keeps_every_record_of_the_guarded_suites(tmp_path):
     # su2_u1 meets every precondition: no skip records, same case list
     for suite, cases in (("complexify-holomorphy",
                           {"leaf-cr-order-group", "leaf-cr-order-coset",
-                           "coset-equivariance", "polar-inverse"}),
+                           "coset-well-defined", "polar-inverse"}),
                          ("nahm-gauge",
                           {"solution-residual", "gauge-invariance-ratio",
                            "connection-gauged-constancy", "moment-map-zero",
@@ -188,12 +189,15 @@ def test_nan_roundtrip_sample_fails_its_case(monkeypatch):
 
 
 def test_nan_order_fails_order_case():
-    runner = cli._Runner(cli.SuiteConfig(), "probe")
-    runner.order_case("nan-order", float("nan"), 1.9)
-    runner.order_case("met-order", 2.5, 1.9)
-    runner.case("nan-metric", lambda: float("nan"), 1.0)
-    runner.case("inf-metric", float("inf"), float("inf"))
-    assert [rec.status for rec in runner.records] == ["fail", "pass", "fail", "fail"]
+    probes = [registry.Check("probe", "nan-order", lambda *_: (float("nan"), ""),
+                             order_min=1.9),
+              registry.Check("probe", "met-order", lambda *_: (2.5, ""), order_min=1.9),
+              registry.Check("probe", "nan-metric", lambda *_: (float("nan"), ""),
+                             tol=1.0),
+              registry.Check("probe", "inf-metric", lambda *_: (float("inf"), ""),
+                             tol=float("inf"))]
+    records, _ = cli._run_checks(probes, cli.SuiteConfig(), None)
+    assert [rec.status for rec in records] == ["fail", "pass", "fail", "fail"]
 
 
 def test_timings_measure_the_roundtrip_computation(tmp_path):
@@ -202,3 +206,72 @@ def test_timings_measure_the_roundtrip_computation(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     ms = {rec["case"]: rec["ms"] for rec in report}
     assert ms["roundtrip-error"] > 0
+
+
+def test_timings_measure_every_suite(tmp_path):
+    assert cli.main(["--suite", "all", "--context", "su2_u1", "--timings",
+                     "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    timed = {rec["suite"] for rec in report if rec["ms"] > 0}
+    assert timed == set(cli.SUITE_NAMES)
+
+
+def test_unknown_override_keys_are_rejected():
+    assert cli.main(["--suite", "nahm-roundtrip", "--tol.roundtrp=1e-30"]) == 2
+    assert cli.main(["--suite", "nahm-roundtrip", "--sweep.pairz=1"]) == 2
+    # a key of another suite is accepted: [all] sections set keys of any suite
+    parsed = cli.parse_args(["--suite", "nahm-roundtrip", "--tol.quartic=1e-8"])
+    assert parsed.tolerances == {"quartic": 1e-8}
+
+
+def test_unknown_config_file_keys_are_rejected(tmp_path):
+    for line in ("tol.roundtrp = 1e-30", "sweep.pairz = 1"):
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(f"[all]\n{line}\n")
+        with pytest.raises(ConfigParseError):
+            cli.parse_args(["--suite", "nahm-roundtrip", "--config", str(cfg)])
+        assert cli.main(["--suite", "nahm-roundtrip", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("context", sorted(liealg.BUILTIN_CONTEXTS))
+def test_every_builtin_context_runs_every_suite(context, tmp_path):
+    # unmet preconditions are skips; every other case passes
+    assert cli.main(["--suite", "all", "--context", context,
+                     "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    ctx = liealg.builtin_context(context)
+    unmet = {(c.suite, c.case) for c in registry.CHECKS if c.unmet(ctx)}
+    assert {(rec["suite"], rec["case"]) for rec in report} == \
+        {(c.suite, c.case) for c in registry.CHECKS}
+    for rec in report:
+        want = "skip" if (rec["suite"], rec["case"]) in unmet else "pass"
+        assert rec["status"] == want, rec
+
+
+def test_growing_two_form_error_fails_the_order_gate(monkeypatch):
+    # an error that grows like N^2 has order -2: a sign-blind gate passes it
+    real = nahm.potential_two_form
+
+    def growing(config, X, Y, step=1e-3):
+        return real(config, X, Y, step) + 1e-6 * config.grid_size ** 2
+
+    monkeypatch.setattr(nahm, "potential_two_form", growing)
+    records = cli.run_suite(cli.SuiteConfig(suite="s1-isometry", grid=64))
+    order = next(rec for rec in records if rec.case == "two-form-order")
+    assert order.status == "fail"
+    assert "[observed -1.99" in order.note
+
+
+def test_coset_case_fails_for_shifts_outside_the_subgroup(monkeypatch):
+    ctx = liealg.builtin_context("su2_u1")
+    off = liealg.group_exp(ctx, 0.8 * ctx.m_basis()[0]).matrix  # exp(m), not in H
+
+    def shift_by_complement(point, h):
+        base = liealg.GroupElement(point.base.matrix @ off, point.context)
+        return cx.TangentPoint(base, point.vector)
+
+    monkeypatch.setattr(cx, "bundle_shift", shift_by_complement)
+    records = cli.run_suite(cli.SuiteConfig(suite="complexify-holomorphy"))
+    case = next(rec for rec in records if rec.case == "coset-well-defined")
+    assert case.status == "fail"
+    assert case.metric == 25.0

@@ -4,7 +4,8 @@ import scipy.linalg
 
 from tubegeom import complexify as cx
 from tubegeom import liealg as la
-from tubegeom.errors import LogBranchFailure, NotTangent, VectorNotInM
+from tubegeom.errors import (LogBranchFailure, NoSplitConfigured, NotTangent,
+                             VectorNotInM)
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +78,7 @@ def test_polar_inverse_recovers_point(ctx):
 
 
 def test_coset_map_identity_point(ctx):
-    member = cx.diagonal_torus_membership()
+    member = cx.subgroup_membership(ctx)
     pt = cx.TangentPoint(la.identity_element(ctx), np.zeros((2, 2)))
     got = cx.coset_complexification(pt, member)
     identity = cx.CosetPoint(la.identity_element(ctx, complexified=True), member)
@@ -86,7 +87,7 @@ def test_coset_map_identity_point(ctx):
 
 def test_coset_map_well_defined(ctx):
     rng = np.random.default_rng(5)
-    member = cx.diagonal_torus_membership()
+    member = cx.subgroup_membership(ctx)
     a = la.group_exp(ctx, ctx.random_element(rng, 1.0))
     v = ctx.project_m(ctx.random_element(rng, 1.0))
     pt = cx.TangentPoint(a, v)
@@ -103,7 +104,7 @@ def test_coset_map_well_defined(ctx):
 
 def test_coset_map_equivariance(ctx):
     rng = np.random.default_rng(6)
-    member = cx.diagonal_torus_membership()
+    member = cx.subgroup_membership(ctx)
     for _ in range(50):
         a = la.group_exp(ctx, ctx.random_element(rng, 1.0))
         v = ctx.project_m(ctx.random_element(rng, 1.0))
@@ -117,9 +118,31 @@ def test_coset_map_equivariance(ctx):
         assert lhs.same_coset(rhs)
 
 
+@pytest.mark.parametrize("split", [la.su2, la.su3])
+def test_coset_map_tells_subgroup_shifts_from_complement_shifts(split):
+    # (a h, Ad_{h^-1} v) lands in the coset of (a, v); a shift by exp(m) does not
+    c = split(h_split=True)
+    member = cx.subgroup_membership(c)
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        a = la.group_exp(c, c.random_element(rng, 1.0))
+        pt = cx.TangentPoint(a, c.project_m(c.random_element(rng, 1.0)))
+        h = la.group_exp(c, c.project_h(c.random_element(rng, 1.0)))
+        base = cx.coset_complexification(pt, member)
+        assert base.same_coset(cx.coset_complexification(cx.bundle_shift(pt, h), member))
+        off = la.group_exp(c, c.project_m(c.random_element(rng, 1.0)))
+        moved = cx.CosetPoint(base.representative @ off, member)
+        assert not base.same_coset(moved)
+
+
+def test_subgroup_membership_needs_a_split():
+    with pytest.raises(NoSplitConfigured):
+        cx.subgroup_membership(la.su2())
+
+
 def test_coset_map_requires_complement_vector(ctx):
     a = la.identity_element(ctx)
-    member = cx.diagonal_torus_membership()
+    member = cx.subgroup_membership(ctx)
     with pytest.raises(VectorNotInM):
         cx.coset_complexification(cx.TangentPoint(a, ctx.basis[2]), member)
 

@@ -673,3 +673,11 @@ def test_complex_group_defect_rejects_det_one_outside_torus(matrix):
     assert abs(np.linalg.det(matrix) - 1.0) < 1e-15
     path = nahm.constant_path(ctx2, matrix, 10, kind="complex-group")
     assert path.group_defect() > 0.1
+
+
+@pytest.mark.parametrize("name, matrix", [
+    ("su2", scipy.linalg.expm(0.7j * np.eye(2))),  # unitary, but not in SU(2)
+    ("torus2", [[0.0, -1.0], [1.0, 0.0]])])        # unitary, but not diagonal
+def test_group_defect_rejects_unitary_matrices_outside_the_group(name, matrix):
+    path = nahm.constant_path(la.builtin_context(name), matrix, 10, kind="group")
+    assert path.group_defect() > 0.1

@@ -8,7 +8,9 @@ Modules by theme:
 * ``majet``      -- tube-potential expansion and Monge-Ampere residuals
 * ``kahler``     -- curvature of the tube Kahler metric at the zero section
 * ``complexify`` -- group/coset complexification maps and holomorphy checks
-* ``nahm``       -- discretized path space: Nahm flows, gauge actions, forms
+* ``nahm``       -- discretized path space: one configuration type for points
+                    and tangent vectors, Nahm flows, gauge actions, the flat
+                    hyperkahler forms
 * ``cli``        -- verification-suite command line driver
 """
 
@@ -26,11 +28,11 @@ from .liealg import (GroupElement, LieAlgebraContext, adjoint, bracket,
                      save_context)
 from .majet import (QuarticCoefficients, ma_residual, potential_expansion,
                     solve_quartic_coefficients)
-from .nahm import (GaugePath, NahmConfiguration, PathTangent,
-                   adapted_roundtrip, baby_nahm_residual, circle_action,
-                   embed_tangent, gauge_transform, integrate_nahm,
-                   kahler_potential, l2_metric, moment_map, nahm_residual,
-                   omega_I, solve_gauge_ode)
+from .nahm import (GaugePath, NahmConfiguration, adapted_roundtrip,
+                   baby_nahm_residual, circle_action, embed_tangent,
+                   gauge_transform, integrate_nahm, kahler_potential,
+                   l2_metric, moment_map, nahm_residual, omega_I,
+                   solve_gauge_ode)
 
 __version__ = "0.1.0"
 

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
-from .errors import ContextMismatch, LogBranchFailure, VectorNotInM
+from .errors import ContextMismatch, VectorNotInM
 from .liealg import (GroupElement, LieAlgebraContext, group_exp,
-                     membership_defect, tangent_at)
+                     membership_defect, polar_split, tangent_at)
 
 
 @dataclass(frozen=True)
@@ -98,10 +97,9 @@ def group_complexification(point):
                         complexified=True)
 
 
-def coset_complexification(point, membership, check_vector=True):
+def coset_complexification(point, membership):
     """Map (a, v) with v in the complement to the coset of a exp(i v)."""
-    if check_vector:
-        point.require_in_complement()
+    point.require_in_complement()
     rep = group_complexification(point)
     return CosetPoint(rep, membership)
 
@@ -110,19 +108,15 @@ def group_complexification_inverse(context, image, tol=1e-10):
     """Recover (a, v) from m = a exp(i v) by polar splitting.
 
     For anti-Hermitian algebras exp(i v) is the positive-definite polar
-    factor of m, so v = -i/2 log(m^* m) whenever the principal logarithm is
-    defined.  Raises LogBranchFailure otherwise.
+    factor of m, so v = -i/2 log(m^* m) and a is the unitary factor
+    (``liealg.polar_split``).  Raises LogBranchFailure when the polar factor
+    is singular, ClosureViolation when v leaves the algebra beyond ``tol``,
+    and MalformedInput when a is not unitary.
     """
     m = image.matrix if isinstance(image, GroupElement) else np.asarray(image)
-    p2 = m.conj().T @ m
-    eigs = np.linalg.eigvalsh(0.5 * (p2 + p2.conj().T))
-    if np.min(eigs) <= 1e-14:
-        raise LogBranchFailure("polar factor is singular")
-    v = -0.5j * scipy.linalg.logm(p2)
-    coeffs = context.coefficients(v, tol)
-    v = context.reconstruct(coeffs)
-    a = m @ np.linalg.inv(scipy.linalg.expm(1j * v))
-    return GroupElement(a, context).validate(), v
+    u, v = polar_split(m[None])
+    v = context.reconstruct(context.coefficients(v[0], tol))
+    return GroupElement(u[0], context).validate(), v
 
 
 def geodesic_leaf(a, X, t, s):

@@ -202,7 +202,6 @@ class MetricChart:
 
     dimension: int
     evaluator: Callable[[np.ndarray], np.ndarray]
-    normal_at_origin: bool = True
     name: str = field(default="chart")
 
     def __call__(self, x):

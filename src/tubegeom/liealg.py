@@ -226,18 +226,20 @@ def group_exp(context, X, complexified=None):
     return GroupElement(scipy.linalg.expm(X), context, complexified)
 
 
-def group_log(a, project=True, tol=1e-8):
+def group_log(a, tol=1e-8):
     """Principal matrix logarithm of a group element, back into the algebra.
 
-    Raises LogBranchFailure when an eigenvalue sits on the closed negative
-    real axis, where the principal branch is undefined.
+    The logarithm of a real group element is projected onto the basis span
+    (ClosureViolation beyond ``tol``).  Raises LogBranchFailure when an
+    eigenvalue sits on the closed negative real axis, where the principal
+    branch is undefined.
     """
     m = a.matrix if isinstance(a, GroupElement) else np.asarray(a, dtype=complex)
     eigs = np.linalg.eigvals(m)
     if np.any((eigs.real <= 0.0) & (np.abs(eigs.imag) < 1e-12)):
         raise LogBranchFailure("eigenvalue on the negative real axis")
     L = scipy.linalg.logm(m)
-    if project and isinstance(a, GroupElement) and not a.complexified:
+    if isinstance(a, GroupElement) and not a.complexified:
         coeffs = a.context.coefficients(L, tol)
         L = a.context.reconstruct(coeffs)
     return L
@@ -280,25 +282,42 @@ def check_reductive(context, tol=1e-12):
     return worst
 
 
-def membership_defect(context, matrices, complexified=True):
-    """Worst distance of a (K, m, m) matrix stack from the modeled group.
+def polar_split(matrices):
+    """Split each matrix of a (K, m, m) stack as m = u exp(i v).
 
-    Each matrix is split as m = u exp(i v): m* m = exp(2iv) is positive
-    definite, its eigenbasis gives v and the inverse square root that
-    leaves the unitary factor u.  The defect is the distance of the
-    principal logarithm of u from the real span of the basis plus, for the
-    complexified group G exp(i g), the distance of v from that span, or for
-    G itself the norm of v.  Like ``group_log``, this needs u to have no
-    eigenvalue at -1.  Infinite when some m* m is singular, NaN for
-    non-finite input.
+    m* m = exp(2iv) is positive definite: one batched Hermitian eigensolve
+    gives v = -i/2 log(m* m) and the inverse square root exp(-iv) that
+    leaves the unitary factor u.  Returns (u, v), both (K, m, m).  Raises
+    LogBranchFailure when some m* m has an eigenvalue at or below 1e-14
+    (m singular) or a non-finite one.
     """
     m = np.asarray(matrices, dtype=complex)
     mu, Q = np.linalg.eigh(np.einsum("nji,njk->nik", m.conj(), m))
-    if not np.all(mu > 0.0):
-        return float("inf") if np.all(np.isfinite(mu)) else float("nan")
+    if not np.all(mu > 1e-14):
+        raise LogBranchFailure("polar factor is singular")
     Qh = Q.conj().transpose(0, 2, 1)
     v = -0.5j * ((Q * np.log(mu)[:, None, :]) @ Qh)
     u = m @ ((Q / np.sqrt(mu)[:, None, :]) @ Qh)
+    return u, v
+
+
+def membership_defect(context, matrices, complexified=True):
+    """Worst distance of a (K, m, m) matrix stack from the modeled group.
+
+    Each matrix is split as m = u exp(i v) (``polar_split``).  The defect is
+    the distance of the principal logarithm of u from the real span of the
+    basis plus, for the complexified group G exp(i g), the distance of v
+    from that span, or for G itself the norm of v.  Like ``group_log``, this
+    needs u to have no eigenvalue at -1.  Infinite when some m is singular,
+    NaN for non-finite input.
+    """
+    m = np.asarray(matrices, dtype=complex)
+    if not np.all(np.isfinite(m)):
+        return float("nan")
+    try:
+        u, v = polar_split(m)
+    except LogBranchFailure:
+        return float("inf")
     w, V = np.linalg.eig(u)
     log_u = (V * np.log(w)[:, None, :]) @ np.linalg.inv(V)
     gap = lambda X: np.linalg.norm(

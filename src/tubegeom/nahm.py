@@ -2,7 +2,9 @@
 flat hyperkahler structure on paths.
 
 Configurations are quadruples (T0, T1, T2, T3) of algebra-valued paths on a
-uniform grid over [0, 1].  The machinery here provides
+uniform grid over [0, 1].  The space of configurations is affine, so one
+type, ``NahmConfiguration``, serves both for its points and for its tangent
+vectors.  The machinery here provides
 
 * residuals of the Nahm system  dT1/dt + [T0,T1] + [T2,T3] = 0  (cyclic in
   1,2,3) and of its reduced two-path form  dT1/dt + [T0,T1] = 0,
@@ -12,8 +14,8 @@ uniform grid over [0, 1].  The machinery here provides
   exponential of the per-interval Magnus exponents, then suffix products
   by doubling.  Each factor is an exponential of an algebra element, so
   the solution stays in the group without reprojection,
-* the flat L^2 metric, the symplectic pairing for the first complex
-  structure, its quadratic potential, the endpoint moment map for a
+* the flat L^2 metric, the first complex structure I and its symplectic
+  pairing, the quadratic potential, the endpoint moment map for a
   subgroup split, the circle action rotating (T2, T3), and a RK4
   integrator for the flow itself.
 
@@ -58,14 +60,6 @@ class GaugePath:
     @property
     def grid_size(self):
         return self.values.shape[0] - 1
-
-    @property
-    def times(self):
-        return np.linspace(0.0, 1.0, self.values.shape[0])
-
-    @property
-    def start(self):
-        return self.values[0]
 
     @property
     def end(self):
@@ -143,7 +137,8 @@ def _midpoints(values):
 
 @dataclass(frozen=True)
 class NahmConfiguration:
-    """Quadruple of algebra-valued paths on a shared grid."""
+    """Quadruple of algebra-valued paths on a shared grid: a point of the
+    flat configuration space, or a tangent vector to it."""
 
     T0: GaugePath
     T1: GaugePath
@@ -164,49 +159,15 @@ class NahmConfiguration:
     def paths(self):
         return (self.T0, self.T1, self.T2, self.T3)
 
-    def alpha(self):
-        """First complex combination T0 + i T1."""
-        return GaugePath(self.T0.values + 1j * self.T1.values,
-                         "complex-algebra", self.context)
-
-    def beta(self):
-        """Second complex combination T2 + i T3."""
-        return GaugePath(self.T2.values + 1j * self.T3.values,
-                         "complex-algebra", self.context)
-
-
-@dataclass(frozen=True)
-class PathTangent:
-    """Tangent vector to the (flat) space of configurations."""
-
-    X0: GaugePath
-    X1: GaugePath
-    X2: GaugePath
-    X3: GaugePath
-
-    def __post_init__(self):
-        _same_grid(self.X0, self.X1, self.X2, self.X3)
-
-    def paths(self):
-        return (self.X0, self.X1, self.X2, self.X3)
-
-    def rotated(self, theta):
-        c, s = np.cos(theta), np.sin(theta)
-        ctx = self.X0.context
-        return PathTangent(
-            self.X0, self.X1,
-            GaugePath(c * self.X2.values - s * self.X3.values, "algebra", ctx),
-            GaugePath(s * self.X2.values + c * self.X3.values, "algebra", ctx))
-
     def complex_rotated(self):
-        """Action of the first complex structure: multiplication by i on
-        (T0 + i T1, T2 + i T3), i.e. (X0,X1,X2,X3) -> (-X1,X0,-X3,X2)."""
-        ctx = self.X0.context
-        return PathTangent(
-            GaugePath(-self.X1.values, "algebra", ctx),
-            GaugePath(self.X0.values, "algebra", ctx),
-            GaugePath(-self.X3.values, "algebra", ctx),
-            GaugePath(self.X2.values, "algebra", ctx))
+        """Action of the first complex structure I: multiplication by i on
+        (T0 + i T1, T2 + i T3), i.e. (T0,T1,T2,T3) -> (-T1,T0,-T3,T2)."""
+        ctx = self.context
+        return NahmConfiguration(
+            GaugePath(-self.T1.values, "algebra", ctx),
+            GaugePath(self.T0.values, "algebra", ctx),
+            GaugePath(-self.T3.values, "algebra", ctx),
+            GaugePath(self.T2.values, "algebra", ctx))
 
 
 def _commutator_paths(A, B):
@@ -254,13 +215,6 @@ def gauge_transform(g, config):
         GaugePath(conj(config.T1.values), "algebra", ctx),
         GaugePath(conj(config.T2.values), "algebra", ctx),
         GaugePath(conj(config.T3.values), "algebra", ctx))
-
-
-def compose_gauges(g, h):
-    """Pointwise product path (gh)(t) = g(t) h(t)."""
-    _same_grid(g, h)
-    kind = "complex-group" if "complex-group" in (g.kind, h.kind) else "group"
-    return GaugePath(np.einsum("nij,njk->nik", g.values, h.values), kind, g.context)
 
 
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -423,10 +377,13 @@ def _trapezoid(node_values, N):
 
 
 def l2_metric(X, Y):
-    """Flat path-space metric: integral of the summed pointwise pairings."""
+    """Flat path-space metric: integral of the summed pointwise pairings.
+
+    The configuration space is affine, so X and Y are configurations used as
+    tangent vectors."""
     _same_grid(*X.paths(), *Y.paths())
-    ctx = X.X0.context
-    N = X.X0.grid_size
+    ctx = X.context
+    N = X.grid_size
     total = np.zeros(N + 1)
     for P, Q in zip(X.paths(), Y.paths()):
         total += ctx.pair_coeff_paths(P.coefficients(), Q.coefficients())
@@ -435,10 +392,11 @@ def l2_metric(X, Y):
 
 def omega_I(X, Y):
     """Symplectic pairing of the first complex structure:
-    integral of <X0,Y1> - <X1,Y0> + <X2,Y3> - <X3,Y2>."""
+    integral of <X0,Y1> - <X1,Y0> + <X2,Y3> - <X3,Y2> for configurations
+    X, Y used as tangent vectors."""
     _same_grid(*X.paths(), *Y.paths())
-    ctx = X.X0.context
-    N = X.X0.grid_size
+    ctx = X.context
+    N = X.grid_size
     c = [p.coefficients() for p in X.paths()]
     d = [p.coefficients() for p in Y.paths()]
     total = (ctx.pair_coeff_paths(c[0], d[1]) - ctx.pair_coeff_paths(c[1], d[0])
@@ -476,13 +434,11 @@ def potential_two_form(config, X, Y, step=1e-3):
                                    for P, D in zip(cfg.paths(), direction.paths())))
 
     def lam(cfg, Z):
-        # df at cfg applied to I^-1 Z; I^-1 (Z0,Z1,Z2,Z3) = (Z1,-Z0,Z3,-Z2)
-        W = PathTangent(Z.X1,
-                        GaugePath(-Z.X0.values, "algebra", Z.X0.context),
-                        Z.X3,
-                        GaugePath(-Z.X2.values, "algebra", Z.X2.context))
-        return (kahler_potential(shift(cfg, W, step))
-                - kahler_potential(shift(cfg, W, -step))) / (2.0 * step)
+        # df at cfg applied to I^-1 Z = -I Z: the centered difference along
+        # I Z with its two sides exchanged
+        W = Z.complex_rotated()
+        return (kahler_potential(shift(cfg, W, -step))
+                - kahler_potential(shift(cfg, W, step))) / (2.0 * step)
 
     d_x_ly = (lam(shift(config, X, step), Y) - lam(shift(config, X, -step), Y)) \
         / (2.0 * step)
@@ -579,7 +535,8 @@ def smooth_gauge(context, rng, grid_size, amplitude=0.5, endpoints="free"):
 
 
 def smooth_tangent(context, rng, grid_size, amplitude=1.0):
-    """Random analytic tangent direction (trig profiles per slot)."""
+    """Random analytic configuration (trig profiles per slot), used as a
+    point or as a tangent direction."""
     ts = np.linspace(0.0, 1.0, grid_size + 1)
     paths = []
     for _ in range(4):
@@ -590,68 +547,4 @@ def smooth_tangent(context, rng, grid_size, amplitude=1.0):
         prof2 = np.sin(np.pi * ts)
         vals = prof1[:, None, None] * c1 + prof2[:, None, None] * c2
         paths.append(GaugePath(vals, "algebra", context))
-    return PathTangent(*paths)
-
-
-# -- path serialization ---------------------------------------------------
-
-def path_to_csv(path):
-    """CSV dump: t plus interleaved re/im of the row-major matrix entries."""
-    m = path.context.matrix_size
-    header = ["t"]
-    for i in range(m):
-        for j in range(m):
-            header += [f"m{i}{j}_re", f"m{i}{j}_im"]
-    lines = [",".join(header)]
-    for t, val in zip(path.times, path.values):
-        cells = [repr(float(t))]
-        for i in range(m):
-            for j in range(m):
-                cells += [repr(float(val[i, j].real)), repr(float(val[i, j].imag))]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def path_from_csv(text, context, kind="algebra"):
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    m = context.matrix_size
-    vals = []
-    for ln in lines[1:]:
-        cells = [float(tok) for tok in ln.split(",")]
-        entries = np.array(cells[1:]).reshape(m * m, 2)
-        vals.append((entries[:, 0] + 1j * entries[:, 1]).reshape(m, m))
-    return GaugePath(np.array(vals), kind, context)
-
-
-def save_configuration(config, directory, name="nahm"):
-    """Write four CSV files plus a JSON manifest; returns the manifest path."""
-    import json
-    import os
-    os.makedirs(directory, exist_ok=True)
-    files = {}
-    for label, path in zip(("T0", "T1", "T2", "T3"), config.paths()):
-        fname = f"{name}_{label}.csv"
-        with open(os.path.join(directory, fname), "w") as fh:
-            fh.write(path_to_csv(path))
-        files[label] = fname
-    manifest = {"kind": "nahm_configuration", "context": config.context.name,
-                "grid_size": config.grid_size, "files": files}
-    mpath = os.path.join(directory, f"{name}_manifest.json")
-    with open(mpath, "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-    return mpath
-
-
-def load_configuration(manifest_path, context):
-    import json
-    import os
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    if manifest.get("kind") != "nahm_configuration":
-        raise MalformedInput("not a configuration manifest")
-    base = os.path.dirname(manifest_path)
-    paths = []
-    for label in ("T0", "T1", "T2", "T3"):
-        with open(os.path.join(base, manifest["files"][label])) as fh:
-            paths.append(path_from_csv(fh.read(), context))
     return NahmConfiguration(*paths)

@@ -233,9 +233,10 @@ def hyperkahler_identities(ctx, rng, N):
     and configuration T at grid N, and the seeded circle angle theta."""
     X = nahm.smooth_tangent(ctx, rng, N)
     Y = nahm.smooth_tangent(ctx, rng, N)
-    T = nahm.NahmConfiguration(*(nahm.smooth_tangent(ctx, rng, N).paths()))
+    T = nahm.smooth_tangent(ctx, rng, N)
     theta = 2 * np.pi * rng.uniform()
-    omega, Xr, Yr = nahm.omega_I, X.rotated(theta), Y.rotated(theta)
+    omega = nahm.omega_I
+    Xr, Yr = nahm.circle_action(theta, X), nahm.circle_action(theta, Y)
     return {
         "omega-antisymmetry": _worst([abs(omega(X, X)),
                                       abs(omega(X, Y) + omega(Y, X))]),
@@ -255,8 +256,8 @@ def two_form_order(ctx, seeds, ref_grid, grids=(50, 100, 200)):
     tangent = lambda seed, n: nahm.smooth_tangent(ctx, np.random.default_rng(seed), n)
     ref = nahm.omega_I(tangent(seed_X, ref_grid), tangent(seed_Y, ref_grid))
     errs = [abs(nahm.potential_two_form(
-        nahm.NahmConfiguration(*tangent(seed_T, n).paths()),
-        tangent(seed_X, n), tangent(seed_Y, n)) - ref) for n in grids]
+        tangent(seed_T, n), tangent(seed_X, n), tangent(seed_Y, n)) - ref)
+        for n in grids]
     return float(-np.polyfit(np.log(grids), np.log(np.maximum(errs, 1e-300)), 1)[0])
 
 
@@ -273,10 +274,9 @@ def embedded_potential(ctx, rng, N, count):
         v = ctx.random_element(rng, 1.5)
         f1 = potential(*nahm.embed_tangent(a, v, N))
         w = ctx.random_element(rng, 0.6)
-        L = liealg.group_log(a)
-        hv = np.array([scipy.linalg.expm((1 - t) * L)
-                       @ scipy.linalg.expm(np.sin(np.pi * t) * w)
-                       for t in np.linspace(0, 1, N + 1)])
+        ts = np.linspace(0, 1, N + 1)[:, None, None]
+        hv = (nahm._expm_stack((1 - ts) * liealg.group_log(a))
+              @ nahm._expm_stack(np.sin(np.pi * ts) * w))
         f2 = potential(*nahm.embed_tangent(
             a, v, N, h_path=nahm.GaugePath(hv, "group", ctx)))
         half = 0.5 * ctx.pair(v, v)

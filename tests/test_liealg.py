@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubegeom import liealg as la
 from tubegeom.errors import (ClosureViolation, ContextMismatch,
@@ -197,3 +200,64 @@ def test_builtin_context_lookup():
     assert la.builtin_context("su2_u1").name == "su2>u1"
     with pytest.raises(MalformedInput):
         la.builtin_context("e8")
+
+
+# -- the polar split, over every built-in context ---------------------------
+
+CONTEXTS = {name: la.builtin_context(name) for name in sorted(la.BUILTIN_CONTEXTS)}
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def members(draw, count):
+    """A built-in context and ``count`` triples (a, v, a exp(iv)) of it,
+    with |log a| <= 1.2 and |v| <= 1."""
+    ctx = CONTEXTS[draw(st.sampled_from(sorted(CONTEXTS)))]
+
+    def element(radius):
+        c = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=ctx.dim,
+                                   max_size=ctx.dim)))
+        return ctx.reconstruct(c * radius / max(1.0, np.linalg.norm(c)))
+
+    points = []
+    for _ in range(count):
+        a = scipy.linalg.expm(element(1.2))
+        v = element(1.0)
+        points.append((a, v, a @ scipy.linalg.expm(1j * v)))
+    return ctx, points
+
+
+@SETTINGS
+@given(members(1))
+def test_polar_split_recovers_base_and_vector(drawn):
+    _, [(a, v, m)] = drawn
+    u, w = la.polar_split(m[None])
+    assert np.linalg.norm(u[0] - a) <= 1e-10
+    assert np.linalg.norm(w[0] - v) <= 1e-10
+
+
+@SETTINGS
+@given(members(2))
+def test_membership_defect_vanishes_on_products_of_members(drawn):
+    ctx, [(*_, m1), (*_, m2)] = drawn
+    stack = np.array([m1, m2, m1 @ m2, m2 @ m1])
+    assert la.membership_defect(ctx, stack) <= 1e-10
+
+
+@SETTINGS
+@given(members(1))
+def test_membership_defect_detects_matrices_off_the_group(drawn):
+    ctx, [(*_, m)] = drawn
+    # det 2 leaves SL(n, C) and SO(n, C); the 0.5 leaves the diagonal torus
+    off = np.eye(ctx.matrix_size)
+    off[0, 0], off[0, 1] = 2.0, 0.5
+    assert la.membership_defect(ctx, (m @ off)[None]) > 1e-3
+
+
+def test_polar_split_rejects_singular_and_non_finite_matrices():
+    with pytest.raises(LogBranchFailure):
+        la.polar_split(np.array([[[0.0, 1.0], [0.0, 0.0]]]))
+    ctx = CONTEXTS["su2"]
+    assert la.membership_defect(ctx, np.zeros((1, 2, 2))) == float("inf")
+    assert np.isnan(la.membership_defect(ctx, np.full((1, 2, 2), np.nan)))

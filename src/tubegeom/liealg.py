@@ -106,9 +106,9 @@ class LieAlgebraContext:
 
     def pair_coeff_paths(self, ca, cb):
         """Pointwise inner products for (nodes, dim) coefficient arrays."""
-        if self._ip_is_identity:
-            return np.einsum("na,na->n", ca, cb)
-        return np.einsum("na,ab,nb->n", ca, self.inner_product, cb)
+        if not self._ip_is_identity:
+            ca = ca @ self.inner_product
+        return (ca * cb) @ np.ones(self.dim)  # row sums as one mat-vec
 
     def path_coefficients(self, values):
         """Vectorized expansion of a (nodes, m, m) stack of algebra values."""
@@ -117,7 +117,8 @@ class LieAlgebraContext:
 
     def path_reconstruct(self, coeffs):
         """Vectorized inverse of ``path_coefficients``: (nodes, dim) -> stack."""
-        return np.einsum("nd,dij->nij", coeffs, self.basis)
+        flat = np.asarray(coeffs) @ self.basis.reshape(self.dim, -1)
+        return flat.reshape(-1, self.matrix_size, self.matrix_size)
 
     # -- split ---------------------------------------------------------
 
@@ -229,20 +230,29 @@ def group_exp(context, X, complexified=None):
 def group_log(a, tol=1e-8):
     """Principal matrix logarithm of a group element, back into the algebra.
 
-    The logarithm of a real group element is projected onto the basis span
-    (ClosureViolation beyond ``tol``).  Raises LogBranchFailure when an
-    eigenvalue sits on the closed negative real axis, where the principal
-    branch is undefined.
+    A real group element is unitary, hence normal: one complex Schur form
+    a = Z T Z* has T diagonal, and the logarithm is Z diag(log t) Z*,
+    projected onto the basis span (ClosureViolation beyond ``tol``).  Raises
+    MalformedInput when T is not diagonal to 1e-10 (a real element that is
+    not normal).  Complexified elements and raw arrays go through
+    scipy.linalg.logm.  Raises LogBranchFailure when an eigenvalue sits on
+    the closed negative real axis, where the principal branch is undefined.
     """
+    real = isinstance(a, GroupElement) and not a.complexified
     m = a.matrix if isinstance(a, GroupElement) else np.asarray(a, dtype=complex)
-    eigs = np.linalg.eigvals(m)
+    if real:
+        tri, Z = scipy.linalg.schur(m, output="complex")
+        eigs = np.diag(tri)
+    else:
+        eigs = np.linalg.eigvals(m)
     if np.any((eigs.real <= 0.0) & (np.abs(eigs.imag) < 1e-12)):
         raise LogBranchFailure("eigenvalue on the negative real axis")
-    L = scipy.linalg.logm(m)
-    if isinstance(a, GroupElement) and not a.complexified:
-        coeffs = a.context.coefficients(L, tol)
-        L = a.context.reconstruct(coeffs)
-    return L
+    if not real:
+        return scipy.linalg.logm(m)
+    if np.linalg.norm(tri - np.diag(eigs)) > 1e-10 * max(1.0, np.linalg.norm(m)):
+        raise MalformedInput("real group element is not a normal matrix")
+    L = (Z * np.log(eigs)) @ Z.conj().T
+    return a.context.reconstruct(a.context.coefficients(L, tol))
 
 
 def adjoint(g, X):
@@ -292,7 +302,7 @@ def polar_split(matrices):
     (m singular) or a non-finite one.
     """
     m = np.asarray(matrices, dtype=complex)
-    mu, Q = np.linalg.eigh(np.einsum("nji,njk->nik", m.conj(), m))
+    mu, Q = np.linalg.eigh(m.conj().transpose(0, 2, 1) @ m)
     if not np.all(mu > 1e-14):
         raise LogBranchFailure("polar factor is singular")
     Qh = Q.conj().transpose(0, 2, 1)

@@ -17,12 +17,15 @@ vectors.  The machinery here provides
 * the flat L^2 metric, the first complex structure I and its symplectic
   pairing, the quadratic potential, the endpoint moment map for a
   subgroup split, the circle action rotating (T2, T3), and a RK4
-  integrator for the flow itself.
+  integrator for the flow itself, whose stages act on the stacked
+  (T1, T2, T3) state with four batched products each.
 
 Derivatives on the grid use 4th-order stencils (one-sided at the ends) so
 that residual magnitudes track the integrator's order on analytic data.
 Matrix exponentials along a path are taken for the whole (nodes, m, m)
-stack in one call (``_expm_stack``), never node by node.
+stack in one call (``_expm_stack``), never node by node, and so are
+commutators, conjugations and inverses: every pointwise product of paths
+is one batched ``@`` on the stacks.
 """
 
 from __future__ import annotations
@@ -171,7 +174,7 @@ class NahmConfiguration:
 
 
 def _commutator_paths(A, B):
-    return np.einsum("nij,njk->nik", A, B) - np.einsum("nij,njk->nik", B, A)
+    return A @ B - B @ A
 
 
 def nahm_residual(config):
@@ -207,9 +210,9 @@ def gauge_transform(g, config):
     gv = g.values
     ginv = np.linalg.inv(gv)
     dg = path_derivative(gv, 1.0 / g.grid_size)
-    conj = lambda A: np.einsum("nij,njk,nkl->nil", gv, A, ginv)
+    conj = lambda A: gv @ A @ ginv
     ctx = config.context
-    T0 = conj(config.T0.values) - np.einsum("nij,njk->nik", dg, ginv)
+    T0 = conj(config.T0.values) - dg @ ginv
     return NahmConfiguration(
         GaugePath(T0, "algebra", ctx),
         GaugePath(conj(config.T1.values), "algebra", ctx),
@@ -350,8 +353,8 @@ def embed_tangent(a, v, grid_size, h_path=None):
         raise MalformedInput("h_path must start at the base point")
     dh = path_derivative(hv, 1.0 / grid_size)
     hinv = np.linalg.inv(hv)
-    T0 = GaugePath(-np.einsum("nij,njk->nik", dh, hinv), "algebra", ctx)
-    T1 = GaugePath(np.einsum("nij,jk,nkl->nil", hv, v, hinv), "algebra", ctx)
+    T0 = GaugePath(-(dh @ hinv), "algebra", ctx)
+    T1 = GaugePath(hv @ v @ hinv, "algebra", ctx)
     return T0, T1
 
 
@@ -464,12 +467,20 @@ def circle_action(theta, config):
         GaugePath(s * config.T2.values + c * config.T3.values, "algebra", ctx))
 
 
+# the cyclic views (B, C) = (Y[[1, 2, 0]], Y[[2, 0, 1]]) of a stacked state
+_CYCLIC = np.array([1, 2, 0, 2, 0, 1])
+
+
 def integrate_nahm(context, initial, T0, norm_bound=1e6):
     """RK4 evolution of the three cyclic equations with prescribed T0.
 
     ``initial`` supplies (T1, T2, T3) at t = 0; T0 is connection data, not
-    evolved.  Raises BlowupDetected when any evolved norm leaves the bound
-    (the flow genuinely blows up in finite time for some data).
+    evolved.  Each stage acts on the stacked (3, m, m) state Y at once: with
+    the cyclic views B = Y[[1, 2, 0]] and C = Y[[2, 0, 1]] the right-hand
+    side -[a, Y] - [B, C] is Y a - a Y + C B - B C, four batched products.
+    Raises BlowupDetected after the first step at which some evolved norm
+    leaves the bound or is not finite (the flow genuinely blows up in
+    finite time for some data).
     """
     if T0.kind != "algebra":
         raise MalformedInput("T0 must be an algebra-valued path")
@@ -480,14 +491,12 @@ def integrate_nahm(context, initial, T0, norm_bound=1e6):
     Y = np.array([np.asarray(M, dtype=complex) for M in initial])
     if Y.shape != (3, m, m):
         raise MalformedInput("initial data must be three algebra matrices")
+    bound_sq = norm_bound * norm_bound
 
-    def rhs(y, t0val):
-        c = lambda A, B: A @ B - B @ A
-        return np.array([
-            -c(t0val, y[0]) - c(y[1], y[2]),
-            -c(t0val, y[1]) - c(y[2], y[0]),
-            -c(t0val, y[2]) - c(y[0], y[1]),
-        ])
+    def rhs(y, a):
+        BC = y.take(_CYCLIC, axis=0)
+        B, C = BC[:3], BC[3:]
+        return y @ a - a @ y + C @ B - B @ C
 
     out = np.empty((N + 1, 3, m, m), dtype=complex)
     out[0] = Y
@@ -498,8 +507,9 @@ def integrate_nahm(context, initial, T0, norm_bound=1e6):
         k3 = rhs(Y + 0.5 * h * k2, a_mid)
         k4 = rhs(Y + h * k3, a_right)
         Y = Y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if np.max(np.linalg.norm(Y, axis=(1, 2))) > norm_bound:
-            raise BlowupDetected(f"flow norm exceeded {norm_bound:.1e} at step {k + 1}")
+        if not (np.abs(Y) ** 2).sum(axis=(1, 2)).max() <= bound_sq:
+            raise BlowupDetected(f"flow norm exceeded {norm_bound:.1e} or is not "
+                                 f"finite at step {k + 1}")
         out[k + 1] = Y
 
     return NahmConfiguration(

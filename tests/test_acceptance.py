@@ -97,7 +97,7 @@ def test_criterion_6_gauge_and_moment_map():
     ctx = liealg.builtin_context("su2_u1")
     rng = np.random.default_rng(1006)
     T0, sol, base = registry.nahm_solution(ctx, 2000)
-    worst_ratio = registry.gauge_ratio(ctx, rng, sol, base, 20)
+    worst_ratio, _ = registry.gauge_ratio(ctx, rng, sol, base, 20)
     constancy = registry.gauged_constancy(ctx, rng, 2000)
     phi_norm, phi_gap = registry.moment_map_gaps(ctx, rng, T0)
     ok = (worst_ratio <= 10.0 and constancy <= 1e-6

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -44,6 +45,36 @@ def test_report_determinism(tmp_path):
                          "--out", str(d), "--sweep.tensors=3"])
         assert code == 0
     assert (d1 / "report.json").read_bytes() == (d2 / "report.json").read_bytes()
+
+
+def test_outputs_replace_old_files_instead_of_rewriting_them(tmp_path):
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    reused.mkdir()
+    names = ("report.json", "report.csv", "kahler_planes.csv")
+    stale = "stale " * 2000
+    for name in names:
+        (reused / name).write_text(stale)
+        os.link(reused / name, tmp_path / f"old-{name}")
+    for d in (reused, fresh):
+        assert cli.main(["--suite", "kahler-curvature", "--format", "csv",
+                         "--out", str(d)]) == 0
+    for name in names:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+        # the old file was unlinked, not truncated: its other link keeps it
+        assert (tmp_path / f"old-{name}").read_text() == stale
+
+
+def test_gauge_ratio_note_shows_its_divisor(tmp_path):
+    assert cli.main(["--suite", "nahm-gauge", "--context", "su2_u1",
+                     "--out", str(tmp_path)]) == 0
+    rec = next(r for r in json.loads((tmp_path / "report.json").read_text())
+               if r["case"] == "gauge-invariance-ratio")
+    ctx = liealg.builtin_context("su2_u1")
+    _, sol, base = registry.nahm_solution(ctx, 2000)
+    assert f"(ungauged residual {base:.3e}, worst gauge " in rec["note"]
+    # the suite's generator (seed 42) is first drawn from by this case
+    _, worst = registry.gauge_ratio(ctx, np.random.default_rng(42), sol, base, 20)
+    assert rec["note"].endswith(f"worst gauge {worst})")
 
 
 def test_failing_tolerance_gives_exit_one(tmp_path):

@@ -121,6 +121,26 @@ def test_group_log_branch_failure(su2_split):
         la.group_log(la.GroupElement(-np.eye(2), su2_split))
 
 
+@pytest.mark.parametrize("name", sorted(la.BUILTIN_CONTEXTS))
+def test_group_log_of_real_elements_agrees_with_logm(name):
+    ctx = la.builtin_context(name)
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        a = la.group_exp(ctx, ctx.random_element(rng, 2.0))
+        assert not a.complexified
+        want = scipy.linalg.logm(a.matrix)
+        assert np.linalg.norm(la.group_log(a) - want) <= 1e-12
+
+
+def test_group_log_rejects_real_elements_that_are_not_normal(su2_split):
+    shear = la.GroupElement(np.array([[1.0, 0.5], [0.0, 1.0]]), su2_split)
+    with pytest.raises(MalformedInput):
+        la.group_log(shear)
+    # normal but not unitary: the logarithm leaves the algebra span
+    with pytest.raises(ClosureViolation):
+        la.group_log(la.GroupElement(np.diag([2.0, 0.5]), su2_split))
+
+
 def test_adjoint_properties(su2_split):
     rng = np.random.default_rng(4)
     X = su2_split.random_element(rng)

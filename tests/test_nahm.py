@@ -120,6 +120,50 @@ def test_gauge_invariance_of_nahm_residual(ctx):
         assert nahm.nahm_residual_sup(gauged) <= 10.0 * base
 
 
+def _complex_gauge_and_config(rng, N):
+    """A complex-group gauge path and a configuration on su3_u2."""
+    su3 = la.su3(h_split=True)
+    ts = np.linspace(0.0, 1.0, N + 1)[:, None, None]
+    X, Y = su3.random_element(rng, 0.8), su3.random_element(rng, 0.6)
+    g = nahm.GaugePath(nahm._expm_stack(np.sin(2 * ts) * X + 1j * ts * Y),
+                       "complex-group", su3)
+    return g, nahm.smooth_tangent(su3, rng, N)
+
+
+def _relative_gap(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def test_batched_gauge_transform_matches_a_per_node_loop():
+    N = 120
+    g, cfg = _complex_gauge_and_config(_rng(), N)
+    dg = nahm.path_derivative(g.values, 1.0 / N)
+    gauged = nahm.gauge_transform(g, cfg)
+    for slot, (P, Q) in enumerate(zip(cfg.paths(), gauged.paths())):
+        want = np.empty_like(P.values)
+        for n in range(N + 1):
+            ginv = np.linalg.inv(g.values[n])
+            want[n] = g.values[n] @ P.values[n] @ ginv
+            if slot == 0:
+                want[n] -= dg[n] @ ginv
+        assert _relative_gap(Q.values, want) < 1e-12
+
+
+def test_batched_nahm_residual_matches_a_per_node_loop():
+    N = 120
+    g, cfg = _complex_gauge_and_config(_rng(), N)
+    cfg = nahm.gauge_transform(g, cfg)  # complex values in every slot
+    T0, T1, T2, T3 = (P.values for P in cfg.paths())
+    derivs = [nahm.path_derivative(T, 1.0 / N) for T in (T1, T2, T3)]
+    got = nahm.nahm_residual(cfg)
+    for k, (A, B, C) in enumerate(((T1, T2, T3), (T2, T3, T1), (T3, T1, T2))):
+        want = np.empty_like(A)
+        for n in range(N + 1):
+            want[n] = (derivs[k][n] + T0[n] @ A[n] - A[n] @ T0[n]
+                       + B[n] @ C[n] - C[n] @ B[n])
+        assert _relative_gap(got[k].values, want) < 1e-12
+
+
 def test_gauge_composition_law(ctx):
     rng = _rng()
     N = 300
@@ -518,6 +562,61 @@ def test_integrator_blowup_detection(ctx):
     init = [-2.0 * ctx.basis[0], -2.0 * ctx.basis[1], -2.0 * ctx.basis[2]]
     with pytest.raises(BlowupDetected):
         nahm.integrate_nahm(ctx, init, _zero(ctx, 2000), norm_bound=1e4)
+
+
+def _rk4_per_commutator(T0, initial):
+    """RK4 with the right-hand side built from twelve separate commutators,
+    one matrix at a time: the reference for the stacked stage."""
+    N = T0.grid_size
+    h = 1.0 / N
+    mids = nahm._midpoints(T0.values)
+    c = lambda A, B: A @ B - B @ A
+
+    def rhs(y, a):
+        return np.array([-c(a, y[0]) - c(y[1], y[2]),
+                         -c(a, y[1]) - c(y[2], y[0]),
+                         -c(a, y[2]) - c(y[0], y[1])])
+
+    Y = np.array(initial, dtype=complex)
+    out = [Y]
+    for k in range(N):
+        k1 = rhs(Y, T0.values[k])
+        k2 = rhs(Y + 0.5 * h * k1, mids[k])
+        k3 = rhs(Y + 0.5 * h * k2, mids[k])
+        k4 = rhs(Y + h * k3, T0.values[k + 1])
+        Y = Y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(Y)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", ["su2", "su3_u2"])
+def test_stacked_rk4_stage_matches_per_commutator_rk4(name):
+    c = la.builtin_context(name)
+    N = 300
+    T0 = nahm.sampled_path(
+        c, lambda t: 0.6 * np.sin(1.3 * t) * c.basis[0] + 0.4 * t * c.basis[2], N)
+    # unequal weights on distinct elements, so every cyclic slot differs
+    init = [0.5 * c.basis[0] + 0.3 * c.basis[1], 0.8 * c.basis[1],
+            1.0 * c.basis[2] - 0.2 * c.basis[0]]
+    sol = nahm.integrate_nahm(c, init, T0)
+    want = _rk4_per_commutator(T0, init)
+    got = np.stack([sol.T1.values, sol.T2.values, sol.T3.values], axis=1)
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_integrator_rejects_nan_initial_data(ctx):
+    init = [np.full((2, 2), np.nan), 0.7 * ctx.basis[1], ctx.basis[2]]
+    with np.errstate(invalid="ignore"), pytest.raises(BlowupDetected):
+        nahm.integrate_nahm(ctx, init, _zero(ctx, 64))
+
+
+def test_integrator_rejects_an_infinite_connection(ctx):
+    values = np.zeros((65, 2, 2), dtype=complex)
+    values[10, 0, 1] = np.inf
+    T0 = nahm.GaugePath(values, "algebra", ctx)
+    init = [0.4 * ctx.basis[0], 0.7 * ctx.basis[1], 1.1 * ctx.basis[2]]
+    with np.errstate(invalid="ignore"), pytest.raises(BlowupDetected):
+        nahm.integrate_nahm(ctx, init, T0)
 
 
 def test_integrator_requires_algebra_connection(ctx):

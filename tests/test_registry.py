@@ -28,3 +28,16 @@ def test_case_ids_are_unique_and_keys_declared():
     assert set(registry.SUITE_NAMES) == {c.suite for c in registry.CHECKS}
     assert all(c.tol_key is None or registry.TOLERANCES[c.tol_key] == c.tol
                for c in registry.CHECKS)
+
+
+def test_gauge_ratio_names_its_worst_gauge():
+    ctx = liealg.builtin_context("su2_u1")
+    _, sol, base = registry.nahm_solution(ctx, 400)
+    worst, index = registry.gauge_ratio(ctx, np.random.default_rng(5), sol, base, 6)
+    rng = np.random.default_rng(5)
+    ratios = [nahm.nahm_residual_sup(nahm.gauge_transform(
+        nahm.smooth_gauge(ctx, rng, 400, amplitude=0.5), sol)) / base
+        for _ in range(6)]
+    assert worst == max(ratios)
+    assert index == ratios.index(worst)
+    assert registry.gauge_ratio(ctx, rng, sol, base, 0) == (0.0, None)

@@ -227,32 +227,49 @@ def group_exp(context, X, complexified=None):
     return GroupElement(scipy.linalg.expm(X), context, complexified)
 
 
+def _check_branch(eigs):
+    if np.any((eigs.real <= 0.0) & (np.abs(eigs.imag) < 1e-12)):
+        raise LogBranchFailure("eigenvalue on the negative real axis")
+
+
+def _normal_log(a, tol=1e-8):
+    """Principal logarithm of a normal group element from one Schur form.
+
+    The complex Schur form a = Z T Z* has T diagonal when a is normal, so
+    with lam = log diag(T) the logarithm is L = Z diag(lam) Z*.  Returns
+    (L, Z, lam); for a real element L is projected onto the basis span
+    (ClosureViolation beyond ``tol``).  Raises LogBranchFailure when an
+    eigenvalue sits on the closed negative real axis and MalformedInput
+    when T is not diagonal to 1e-10.
+    """
+    m = a.matrix
+    tri, Z = scipy.linalg.schur(m, output="complex")
+    eigs = np.diag(tri)
+    _check_branch(eigs)
+    if np.linalg.norm(tri - np.diag(eigs)) > 1e-10 * max(1.0, np.linalg.norm(m)):
+        raise MalformedInput("group element is not a normal matrix")
+    lam = np.log(eigs)
+    L = (Z * lam) @ Z.conj().T
+    if not a.complexified:
+        L = a.context.reconstruct(a.context.coefficients(L, tol))
+    return L, Z, lam
+
+
 def group_log(a, tol=1e-8):
     """Principal matrix logarithm of a group element, back into the algebra.
 
-    A real group element is unitary, hence normal: one complex Schur form
-    a = Z T Z* has T diagonal, and the logarithm is Z diag(log t) Z*,
-    projected onto the basis span (ClosureViolation beyond ``tol``).  Raises
-    MalformedInput when T is not diagonal to 1e-10 (a real element that is
-    not normal).  Complexified elements and raw arrays go through
+    A real group element is unitary, hence normal, and its logarithm comes
+    from one complex Schur form (``_normal_log``), projected onto the basis
+    span (ClosureViolation beyond ``tol``); MalformedInput when the element
+    is not normal.  Complexified elements and raw arrays go through
     scipy.linalg.logm.  Raises LogBranchFailure when an eigenvalue sits on
     the closed negative real axis, where the principal branch is undefined.
     """
-    real = isinstance(a, GroupElement) and not a.complexified
+    if isinstance(a, GroupElement) and not a.complexified:
+        return _normal_log(a, tol)[0]
     m = a.matrix if isinstance(a, GroupElement) else np.asarray(a, dtype=complex)
-    if real:
-        tri, Z = scipy.linalg.schur(m, output="complex")
-        eigs = np.diag(tri)
-    else:
-        eigs = np.linalg.eigvals(m)
-    if np.any((eigs.real <= 0.0) & (np.abs(eigs.imag) < 1e-12)):
-        raise LogBranchFailure("eigenvalue on the negative real axis")
-    if not real:
-        return scipy.linalg.logm(m)
-    if np.linalg.norm(tri - np.diag(eigs)) > 1e-10 * max(1.0, np.linalg.norm(m)):
-        raise MalformedInput("real group element is not a normal matrix")
-    L = (Z * np.log(eigs)) @ Z.conj().T
-    return a.context.reconstruct(a.context.coefficients(L, tol))
+    _check_branch(np.linalg.eigvals(m))
+    return scipy.linalg.logm(m)
 
 
 def adjoint(g, X):

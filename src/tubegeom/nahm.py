@@ -12,8 +12,8 @@ vectors.  The machinery here provides
 * the gauge-fixing linear ODE  dg/dt = g A(t), g(1) = id,  solved for the
   whole path at once by the 4th-order Magnus method: one stacked matrix
   exponential of the per-interval Magnus exponents, then suffix products
-  by doubling.  Each factor is an exponential of an algebra element, so
-  the solution stays in the group without reprojection,
+  by an odd-even scan.  Each factor is an exponential of an algebra
+  element, so the solution stays in the group without reprojection,
 * the flat L^2 metric, the first complex structure I and its symplectic
   pairing, the quadratic potential, the endpoint moment map for a
   subgroup split, the circle action rotating (T2, T3), and a RK4
@@ -33,11 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (BlowupDetected, ContextMismatch, GridMismatch,
                      MalformedInput)
-from .liealg import (GroupElement, LieAlgebraContext, group_log,
+from .liealg import (GroupElement, LieAlgebraContext, _normal_log,
                      membership_defect)
 
 PATH_KINDS = ("group", "algebra", "complex-group", "complex-algebra")
@@ -270,6 +269,32 @@ def _expm_stack(X):
     return out
 
 
+def _suffix_products(E, out):
+    """Write out[k] = E[K-1] ... E[k+1] E[k] for a (K, m, m) stack E.
+
+    Odd-even scan (Blelloch 1990): the pair products P_j = E[2j+1] E[2j]
+    (with an unpaired last factor carried over) are scanned recursively into
+    the even slots, and each odd slot is one more product, out[2j+1] =
+    out[2j+2] E[2j+1].  About 2K products in 2 ceil(log2 K) batched calls.
+    out[0] associates as a balanced tree of blocks aligned at 0.
+    """
+    K = E.shape[0]
+    if K == 1:
+        out[0] = E[0]
+        return
+    half = K // 2
+    pairs = np.empty((K - half,) + E.shape[1:], dtype=E.dtype)
+    np.matmul(E[1::2], E[0:2 * half:2], out=pairs[:half])
+    if K % 2:
+        pairs[half] = E[K - 1]
+    _suffix_products(pairs, out[0::2])
+    del pairs
+    odd = (K - 1) // 2  # odd slots below the last even one
+    np.matmul(out[2::2], E[1:2 * odd:2], out=out[1:2 * odd:2])
+    if K % 2 == 0:
+        out[K - 1] = E[K - 1]
+
+
 def solve_gauge_ode(A):
     """Solve dg/dt = g A(t) backward from g(1) = id by 4th-order Magnus.
 
@@ -281,10 +306,11 @@ def solve_gauge_ode(A):
     whose commutator sign is the one for right multiplication integrated
     backward (the opposite sign drops the method to order 2).  Midpoint
     samples come from 4th-order interpolation.  All exponentials are one
-    stacked call, and g_k = E_N-1 ... E_k are suffix products formed by
-    doubling (log2 N batched products).  Each factor is the exponential of
-    an element of the (complexified) algebra, so the path stays in the
-    group by construction; on an abelian algebra the step is exact.
+    stacked call, and g_k = E_N-1 ... E_k are suffix products formed by an
+    odd-even scan (``_suffix_products``: about 2N products in
+    2 ceil(log2 N) batched calls).  Each factor is the exponential of an
+    element of the (complexified) algebra, so the path stays in the group
+    by construction; on an abelian algebra the step is exact.
     """
     if A.kind not in ("algebra", "complex-algebra"):
         raise MalformedInput("gauge ODE input must be algebra-valued")
@@ -303,16 +329,10 @@ def solve_gauge_ode(A):
     omega += comm
     del comm
     np.negative(omega, out=omega)
-    prod = _expm_stack(omega)
-    spare = omega  # free once the exponentials exist
-    step = 1
-    while step < N:
-        np.matmul(prod[step:], prod[:-step], out=spare[:-step])
-        spare[-step:] = prod[-step:]
-        prod, spare = spare, prod
-        step *= 2
+    factors = _expm_stack(omega)
+    del omega
     g = np.empty((N + 1, m, m), dtype=complex)
-    g[:N] = prod
+    _suffix_products(factors, g[:N])
     g[N] = np.eye(m)
     kind = "complex-group" if A.kind == "complex-algebra" else "group"
     return GaugePath(g, kind, A.context)
@@ -327,19 +347,16 @@ def embed_tangent(a, v, grid_size, h_path=None):
     the subgroup) at t = 1.  The pair satisfies the reduced flow equation
     and T1(1) = v for the default path.
 
-    The default path factors L = log a once by a complex Schur form
-    L = Z diag(lam) Z* (Z unitary), so that T1(t) = Z (exp((1 - t)(lam_i -
-    lam_j)) * Z* v Z) Z*.  Raises MalformedInput when L is not normal,
-    which no compact algebra produces.
+    The default path reads L = log a = Z diag(lam) Z* (Z unitary) off the
+    one complex Schur form of a that the logarithm takes
+    (``liealg._normal_log``), so that T1(t) = Z (exp((1 - t)(lam_i -
+    lam_j)) * Z* v Z) Z*.  Raises MalformedInput when a is not normal,
+    which no compact group produces.
     """
     ctx = a.context
     v = np.asarray(v, dtype=complex)
     if h_path is None:
-        L = group_log(a)  # LogBranchFailure propagates
-        tri, Z = scipy.linalg.schur(L, output="complex")
-        lam = np.diag(tri)
-        if np.linalg.norm(tri - np.diag(lam)) > 1e-10 * max(1.0, np.linalg.norm(L)):
-            raise MalformedInput("log of the base point is not a normal matrix")
+        L, Z, lam = _normal_log(a)  # LogBranchFailure propagates
         ts = np.linspace(0.0, 1.0, grid_size + 1)
         Zh = Z.conj().T
         phases = np.exp((1.0 - ts)[:, None, None] * (lam[:, None] - lam[None, :]))

@@ -96,14 +96,14 @@ def test_criterion_6_gauge_and_moment_map():
     t0 = time.perf_counter()
     ctx = liealg.builtin_context("su2_u1")
     rng = np.random.default_rng(1006)
-    T0, sol, base = registry.nahm_solution(ctx, 2000)
-    worst_ratio, _ = registry.gauge_ratio(ctx, rng, sol, base, 20)
+    T0, _, _ = registry.nahm_solution(ctx, 2000)
+    order, _, _, _ = registry.gauge_residual_order(ctx, rng, 20)
     constancy = registry.gauged_constancy(ctx, rng, 2000)
     phi_norm, phi_gap = registry.moment_map_gaps(ctx, rng, T0)
-    ok = (worst_ratio <= 10.0 and constancy <= 1e-6
+    ok = (abs(order - 4.0) <= 0.2 and constancy <= 1e-6
           and phi_norm <= 1e-12 and phi_gap <= 1e-12)
     _report(6, "gauge and moment map", ok,
-            f"ratio {worst_ratio:.2f} (<=10), constancy {constancy:.2e} "
+            f"gauged residual order {order:.2f} (3.8..4.2), constancy {constancy:.2e} "
             f"(tol 1e-6), moment {phi_norm:.2e}/{phi_gap:.2e} (tol 1e-12)",
             t0, 30.0)
 

@@ -64,17 +64,19 @@ def test_outputs_replace_old_files_instead_of_rewriting_them(tmp_path):
         assert (tmp_path / f"old-{name}").read_text() == stale
 
 
-def test_gauge_ratio_note_shows_its_divisor(tmp_path):
+def test_gauge_order_note_shows_the_residuals_and_worst_gauge(tmp_path):
     assert cli.main(["--suite", "nahm-gauge", "--context", "su2_u1",
                      "--out", str(tmp_path)]) == 0
     rec = next(r for r in json.loads((tmp_path / "report.json").read_text())
-               if r["case"] == "gauge-invariance-ratio")
+               if r["case"] == "gauge-invariance-order")
     ctx = liealg.builtin_context("su2_u1")
-    _, sol, base = registry.nahm_solution(ctx, 2000)
-    assert f"(ungauged residual {base:.3e}, worst gauge " in rec["note"]
     # the suite's generator (seed 42) is first drawn from by this case
-    _, worst = registry.gauge_ratio(ctx, np.random.default_rng(42), sol, base, 20)
-    assert rec["note"].endswith(f"worst gauge {worst})")
+    order, worst, gauged, base = registry.gauge_residual_order(
+        ctx, np.random.default_rng(42), 20)
+    assert rec["metric"] == abs(order - 4.0)
+    assert rec["note"].startswith(f"median observed order {order:.3f} (target 4)")
+    assert rec["note"].endswith(f"(at N = 400: gauged {gauged:.3e}, ungauged "
+                                f"residual {base:.3e}, worst gauge {worst})")
 
 
 def test_failing_tolerance_gives_exit_one(tmp_path):
@@ -146,7 +148,7 @@ def test_nahm_gauge_skips_triple_cases_on_a_two_dimensional_algebra(tmp_path):
                      "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     status = {rec["case"]: rec["status"] for rec in report}
-    assert status == {"solution-residual": "skip", "gauge-invariance-ratio": "skip",
+    assert status == {"solution-residual": "skip", "gauge-invariance-order": "skip",
                       "connection-gauged-constancy": "pass",
                       "moment-map-zero": "skip", "moment-map-loop-gauge": "skip"}
 
@@ -157,7 +159,7 @@ def test_split_context_keeps_every_record_of_the_guarded_suites(tmp_path):
                           {"leaf-cr-order-group", "leaf-cr-order-coset",
                            "coset-well-defined", "polar-inverse"}),
                          ("nahm-gauge",
-                          {"solution-residual", "gauge-invariance-ratio",
+                          {"solution-residual", "gauge-invariance-order",
                            "connection-gauged-constancy", "moment-map-zero",
                            "moment-map-loop-gauge"})):
         assert cli.main(["--suite", suite, "--context", "su2_u1",
@@ -183,7 +185,7 @@ def test_abelian_context_passes_every_suite(tmp_path):
 @pytest.mark.parametrize("context", ["su2_u1", "su3_u2"])
 def test_path_space_suites_keep_case_ids_and_statuses(context, tmp_path):
     expected = {
-        ("nahm-gauge", "solution-residual"), ("nahm-gauge", "gauge-invariance-ratio"),
+        ("nahm-gauge", "solution-residual"), ("nahm-gauge", "gauge-invariance-order"),
         ("nahm-gauge", "connection-gauged-constancy"),
         ("nahm-gauge", "moment-map-zero"), ("nahm-gauge", "moment-map-loop-gauge"),
         ("nahm-roundtrip", "roundtrip-error"), ("nahm-roundtrip", "roundtrip-order"),

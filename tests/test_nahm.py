@@ -682,6 +682,49 @@ def test_expm_stack_zero_and_non_finite():
     assert np.all(np.isnan(nahm._expm_stack(X)))
 
 
+def _sequential_suffix_products(E):
+    """out[k] = E[K-1] ... E[k], one product per factor, last factor first."""
+    out = np.empty_like(E)
+    acc = np.eye(E.shape[-1], dtype=E.dtype)
+    for k in range(len(E) - 1, -1, -1):
+        acc = acc @ E[k]
+        out[k] = acc
+    return out
+
+
+def _max_relative_gap(got, want):
+    gap = np.linalg.norm(got - want, axis=(1, 2))
+    return np.max(gap / np.linalg.norm(want, axis=(1, 2)))
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 7, 8, 2000, 2001])
+def test_suffix_products_match_a_sequential_loop(K):
+    rng = np.random.default_rng(K)
+    X = rng.standard_normal((K, 3, 3)) + 1j * rng.standard_normal((K, 3, 3))
+    E = scipy.linalg.expm(X * (2.0 / max(K, 8)))  # complex, not unitary
+    out = np.full_like(E, np.nan)
+    nahm._suffix_products(E, out)
+    assert _max_relative_gap(out, _sequential_suffix_products(E)) < 1e-13
+
+
+def test_gauge_ode_matches_a_sequential_product_of_its_factors():
+    ctx3 = la.builtin_context("su3_u2")
+    rng = _rng()
+    C1, C2 = ctx3.random_element(rng, 1.0), ctx3.random_element(rng, 1.0)
+    N = 2000
+    ts = np.linspace(0.0, 1.0, N + 1)[:, None, None]
+    A = nahm.GaugePath(np.sin(1.7 * ts) * C1 + 1j * ts * ts * C2,
+                       "complex-algebra", ctx3)
+    g = nahm.solve_gauge_ode(A)
+    vals, h = A.values, 1.0 / N
+    omega = (h / 6.0 * (vals[:-1] + 4.0 * nahm._midpoints(vals) + vals[1:])
+             + h * h / 12.0 * (vals[:-1] @ vals[1:] - vals[1:] @ vals[:-1]))
+    want = _sequential_suffix_products(scipy.linalg.expm(-omega))
+    assert g.kind == "complex-group"
+    assert _max_relative_gap(g.values[:N], want) < 1e-13
+    assert np.array_equal(g.values[N], np.eye(3))
+
+
 @pytest.mark.parametrize("name", ["su3_u2", "so4"])
 def test_gauge_ode_order_four_higher_rank(name):
     ctx_n = la.builtin_context(name)

@@ -30,14 +30,53 @@ def test_case_ids_are_unique_and_keys_declared():
                for c in registry.CHECKS)
 
 
-def test_gauge_ratio_names_its_worst_gauge():
+def test_gauge_residual_order_names_its_worst_gauge():
     ctx = liealg.builtin_context("su2_u1")
-    _, sol, base = registry.nahm_solution(ctx, 400)
-    worst, index = registry.gauge_ratio(ctx, np.random.default_rng(5), sol, base, 6)
+    grids = (50, 100)
+    order, index, gauged, base = registry.gauge_residual_order(
+        ctx, np.random.default_rng(5), 4, grids)
+    # each gauge is replayed on every grid from one state of the generator
     rng = np.random.default_rng(5)
-    ratios = [nahm.nahm_residual_sup(nahm.gauge_transform(
-        nahm.smooth_gauge(ctx, rng, 400, amplitude=0.5), sol)) / base
-        for _ in range(6)]
-    assert worst == max(ratios)
-    assert index == ratios.index(worst)
-    assert registry.gauge_ratio(ctx, rng, sol, base, 0) == (0.0, None)
+    states = []
+    for _ in range(4):
+        states.append(rng.bit_generator.state)
+        nahm.smooth_gauge(ctx, rng, 8)
+    solutions = [registry.nahm_solution(ctx, N)[1] for N in grids]
+    residuals = np.empty((4, 2))
+    for k, state in enumerate(states):
+        for j, (N, sol) in enumerate(zip(grids, solutions)):
+            gen = np.random.default_rng()
+            gen.bit_generator.state = state
+            residuals[k, j] = nahm.nahm_residual_sup(nahm.gauge_transform(
+                nahm.smooth_gauge(ctx, gen, N, amplitude=0.5), sol))
+    worst = residuals.max(axis=0)
+    assert order == np.log2(worst[0] / worst[1])
+    assert index == int(np.argmax(residuals[:, -1]))
+    assert gauged == worst[-1]
+    assert base == registry.nahm_solution(ctx, 100)[2]
+
+
+def test_gauge_residual_order_draws_one_gauge_per_sample():
+    ctx = liealg.builtin_context("su2_u1")
+    rng = np.random.default_rng(9)
+    registry.gauge_residual_order(ctx, rng, 3, (40, 80))
+    ref = np.random.default_rng(9)
+    for _ in range(3):
+        nahm.smooth_gauge(ctx, ref, 8)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_gauge_residual_order_without_gauges_is_nan():
+    ctx = liealg.builtin_context("su2_u1")
+    order, index, _, _ = registry.gauge_residual_order(
+        ctx, np.random.default_rng(0), 0, (40, 80))
+    assert np.isnan(order)
+    assert index is None
+
+
+def test_broadcast_nahm_data_matches_a_per_node_loop():
+    ctx = liealg.builtin_context("su3_u2")
+    T0 = registry.nahm_solution(ctx, 64)[0]
+    loop = nahm.sampled_path(ctx, lambda t: 0.6 * np.sin(1.3 * t) * ctx.basis[0]
+                             + 0.4 * t * ctx.basis[2], 64)
+    assert np.array_equal(T0.values, loop.values)

@@ -10,12 +10,16 @@ Storage is one coefficient array per jet, indexed by the graded monomial
 table of ``(num_vars, max_degree)``: monomials are listed degree by degree,
 lexicographically within a degree, so truncating to degree ``d`` is a prefix
 slice.  The tables (exponent matrix, product index maps per pair of degrees,
-one index map per partial derivative, and the parent table used by
-``evaluate``) are built once with vectorised NumPy and cached.  Products
-scatter the outer product of two homogeneous parts into their target degree
-with ``np.bincount`` and skip degrees whose coefficients are all zero.  This
-is truncated Taylor arithmetic (Griewank and Walther, *Evaluating
-Derivatives*, ch. 13).
+one index map per partial derivative) are built once with vectorised NumPy
+and cached.  Products scatter the outer product of two homogeneous parts
+into their target degree with ``np.bincount`` and skip degrees whose
+coefficients are all zero.  This is truncated Taylor arithmetic (Griewank
+and Walther, *Evaluating Derivatives*, ch. 13).
+
+``evaluate`` builds monomial values by contiguous runs: in the graded lex
+order the degree-d monomials that share a first variable form one run, and
+so do their quotients by that variable in degree d-1, so each run is one
+slice-times-variable product with no gathered indices.
 
 The tube-potential work uses the variable layout ``(x_1..x_n, y_1..y_n)``:
 variable ``i`` is ``x_{i+1}`` and variable ``n+i`` is ``y_{i+1}``.  The
@@ -26,13 +30,14 @@ agnostic.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 
 import numpy as np
 
 from .errors import MalformedInput, SingularSystem
 
-_EVAL_CHUNK = 1 << 16  # monomial values held at once by ``evaluate``
+_EVAL_CHUNK = 1 << 18  # monomial values (2 MB) held at once by ``evaluate``
 
 
 # -- cached monomial tables ---------------------------------------------
@@ -87,11 +92,27 @@ class _Layout:
         codes = _encode(self.exponents, self.base)
         self._order = np.argsort(codes)
         self._sorted_codes = codes[self._order]
-        # evaluate: monomial m = monomial parent[m] times variable var[m]
-        self.var = np.argmax(self.exponents > 0, axis=1)
-        lowered = self.exponents.copy()
-        lowered[np.arange(1, self.size), self.var[1:]] -= 1
-        self.parent = self.index(lowered)
+        self.runs = self._parent_runs()
+
+    def _parent_runs(self):
+        """Runs (dst_start, dst_stop, src_start, src_stop, var) for ``evaluate``.
+
+        Within degree d the monomials whose first nonzero variable is ``var``
+        are contiguous, and dividing them by x_var maps them in order onto the
+        degree d-1 monomials free of the variables before ``var``: a prefix
+        of block d-1 of the same length.  Each run is then one slice product.
+        """
+        runs = []
+        for d in range(1, len(self._blocks)):
+            block = self.block(d)
+            first = np.argmax(self.exponents[block] > 0, axis=1)
+            starts = np.flatnonzero(np.diff(first, prepend=-1))
+            stops = np.append(starts[1:], len(first))
+            src = int(self.offsets[d - 1])
+            for a, b in zip(starts.tolist(), stops.tolist()):
+                runs.append((block.start + a, block.start + b,
+                             src, src + b - a, int(first[a])))
+        return tuple(runs)
 
     def block(self, d):
         """Slice of the monomials of total degree ``d``."""
@@ -122,6 +143,26 @@ def _partial_map(num_vars, max_degree, var_index):
     weight = lowered[:, var_index].copy()
     lowered[:, var_index] -= 1
     return _readonly(src), _readonly(layout.index(lowered)), _readonly(weight)
+
+
+@functools.lru_cache(maxsize=None)
+def _derivative_table(num_vars, order):
+    """(position, weight) arrays of shape (num_vars,) * order.
+
+    For the index tuple (i_1, ..., i_order) with multiplicities a, the
+    derivative d^order / dx_i_1 ... dx_i_order at the origin is the
+    coefficient of x^a, at ``position``, times ``weight`` = prod a_v!.
+    Positions hold in every layout with max_degree >= order, since the
+    graded blocks of degree <= order form the same prefix in all of them.
+    """
+    tuples = np.array(list(itertools.product(range(num_vars), repeat=order)),
+                      dtype=np.int64)
+    powers = np.eye(num_vars, dtype=np.int64)[tuples].sum(axis=1)
+    factorials = np.cumprod([1] + list(range(1, order + 1)))
+    weight = factorials[powers].prod(axis=1).astype(float)
+    position = _layout(num_vars, order).index(powers)
+    shape = (num_vars,) * order
+    return _readonly(position.reshape(shape)), _readonly(weight.reshape(shape))
 
 
 def _scatter(index, values, length):
@@ -331,6 +372,15 @@ class JetPolynomial:
 
     __rmul__ = __mul__
 
+    def derivatives_at_origin(self, order):
+        """Tensor of the order-``order`` partial derivatives at the origin,
+        shape (num_vars,) * order, read from the degree-``order`` block."""
+        if not 0 <= order <= self.max_degree:
+            raise MalformedInput(f"jet of degree {self.max_degree} has no "
+                                 f"order-{order} derivatives")
+        position, weight = _derivative_table(self.num_vars, order)
+        return self._c[position] * weight
+
     def partial(self, var_index):
         """Partial derivative with respect to one variable.
 
@@ -345,9 +395,10 @@ class JetPolynomial:
     def evaluate(self, points):
         """Evaluate at one point (1-d array) or many points ((P, num_vars)).
 
-        Monomial values are built degree by degree from their parents, in
-        chunks of points, up to the jet's degree; one mat-vec per chunk
-        finishes the sum.
+        Monomial values are built degree by degree, in chunks of points, up
+        to the jet's degree: each contiguous run of monomials sharing a first
+        variable is one slice of lower-degree values times that variable.
+        One mat-vec per chunk finishes the sum.
         """
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
@@ -356,8 +407,8 @@ class JetPolynomial:
         if pts.ndim != 2 or pts.shape[1] != self.num_vars:
             raise MalformedInput("point dimension does not match variable count")
         layout = self._layout
-        top = self.degree()
-        size = layout.block(top).stop
+        size = layout.block(self.degree()).stop
+        runs = [r for r in layout.runs if r[1] <= size]
         coeffs = self._c[:size]
         vals = np.empty(pts.shape[0], dtype=coeffs.dtype)
         chunk = max(1, _EVAL_CHUNK // size)
@@ -365,10 +416,8 @@ class JetPolynomial:
             xt = pts[start:start + chunk].T
             mono = np.empty((size, xt.shape[1]))  # one row per monomial
             mono[0] = 1.0
-            for d in range(1, top + 1):
-                block = layout.block(d)
-                np.multiply(mono[layout.parent[block]], xt[layout.var[block]],
-                            out=mono[block])
+            for a, b, pa, pb, var in runs:
+                np.multiply(mono[pa:pb], xt[var], out=mono[a:b])
             if np.iscomplexobj(coeffs):
                 vals[start:start + chunk] = coeffs.real @ mono + 1j * (coeffs.imag @ mono)
             else:
@@ -451,10 +500,6 @@ def matrix_multiply(A, B):
     return _unstack(nv_a, bound, _graded_matmul(SA, SB, nv_a, bound))
 
 
-def matrix_constant_part(A):
-    return np.array([[complex(entry._c[0]) for entry in row] for row in A])
-
-
 def matrix_inverse(A, cond_limit=1e12):
     """Jet-matrix inverse by a degree-truncated Neumann series.
 
@@ -464,6 +509,12 @@ def matrix_inverse(A, cond_limit=1e12):
     level: A @ inverse == identity through max_degree.
     """
     num_vars, bound, S = _stack(A)
+    return _unstack(num_vars, bound,
+                    _stacked_inverse(S, num_vars, bound, cond_limit))
+
+
+def _stacked_inverse(S, num_vars, bound, cond_limit=1e12):
+    """``matrix_inverse`` on a stacked (size, size, monomials) array."""
     A0 = S[:, :, 0]
     if not np.all(np.isfinite(A0)) or np.linalg.cond(A0) > cond_limit:
         raise SingularSystem("constant part of the jet matrix is singular")
@@ -477,7 +528,7 @@ def matrix_inverse(A, cond_limit=1e12):
     # Neumann sum I - E + E^2 - ... ; E has valuation >= 1 so powers beyond
     # the degree bound vanish identically.
     series = np.zeros_like(E)
-    series[:, :, 0] = np.eye(len(A))
+    series[:, :, 0] = np.eye(len(S))
     power = E
     for k in range(1, bound + 1):
         if k > 1:
@@ -487,4 +538,4 @@ def matrix_inverse(A, cond_limit=1e12):
         series += power if k % 2 == 0 else -power
 
     # inverse = series @ A0^-1
-    return _unstack(num_vars, bound, np.einsum("ikm,kj->ijm", series, A0inv))
+    return np.einsum("ikm,kj->ijm", series, A0inv)

@@ -6,7 +6,10 @@ Two independent routes are provided and cross-checked:
   straight from the base curvature tensor, and
 * exact Wirtinger differentiation of a potential jet,
   ``K = rho_{i jbar k lbar} - sum rho^{nu mubar} rho_{i k mubar}
-  rho_{jbar lbar nu}`` evaluated at the origin.
+  rho_{jbar lbar nu}`` evaluated at the origin.  The derivatives at 0 are
+  read from the jet's degree-2, -3 and -4 coefficient blocks through cached
+  position/weight tables and contracted with the Wirtinger weights; no
+  intermediate derivative jets are formed.
 
 Plane sectional curvatures are assembled from the K components, never from
 a separate real curvature computation.  Frames: the potential is normalized
@@ -17,14 +20,12 @@ denominators are 1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EqualIndices, IndexOutOfRange, MalformedInput
-from .jets import matrix_constant_part, wirtinger_z, wirtinger_zbar
-from .majet import complex_hessian, require_positive_hessian
+from .majet import require_positive_hessian
 
 PLANE_KINDS = ("xy", "xx", "yy", "holomorphic")
 
@@ -63,44 +64,44 @@ def kahler_curvature_at_zero(tensor):
     return KahlerCurvatureAtZero(K.astype(complex), source=tensor)
 
 
-def kahler_curvature_from_jet(rho, hessian_tol=1e-8):
-    """K components at the origin by exact jet differentiation.
+def _wirtinger_contract(D, *weights):
+    """Contract slot k of the real derivative tensor ``D`` with weights[k]."""
+    for w in weights:
+        D = np.tensordot(D, w, axes=(0, 1))  # the new slot goes last
+    return D
 
-    Requires a degree >= 4 jet with nondegenerate quadratic part.  The
-    correction term uses the third derivatives, which vanish for potentials
-    with no cubic terms but are computed regardless.
+
+def kahler_curvature_from_jet(rho, hessian_tol=1e-8):
+    """K components at the origin, read from the jet's coefficient blocks.
+
+    The real derivative tensors D2, D3 and D4 of rho at 0 come straight
+    from its degree-2, -3 and -4 blocks.  With the Wirtinger weights
+    Wz = [I, -iI] / 2 (rows d/dz_a) and Wzbar = conj(Wz), the Hessian is
+    H0 = Wz D2 Wzbar^T and K is the (Wz, Wzbar, Wz, Wzbar) contraction of
+    D4 minus the third-derivative correction.  Requires a degree >= 4 jet
+    with nondegenerate quadratic part.  The correction term uses the third
+    derivatives, which vanish for potentials with no cubic terms but are
+    computed regardless.
     """
     if rho.max_degree < 4:
         raise MalformedInput("potential jet must carry degree >= 4")
     n = rho.num_vars // 2
     if rho.num_vars != 2 * n:
         raise MalformedInput("potential jets use 2n variables")
-    rho = rho.truncated(4)  # derivatives of order <= 4 at 0 see nothing higher
+    Wz = 0.5 * np.hstack([np.eye(n), -1j * np.eye(n)])
+    Wzbar = Wz.conj()
 
-    H0 = matrix_constant_part(complex_hessian(rho))
+    H0 = _wirtinger_contract(rho.derivatives_at_origin(2), Wz, Wzbar)
     require_positive_hessian(H0, hessian_tol)
-    H0inv = np.linalg.inv(H0)
     # raised convention: rho^{nu mubar} = (H^-1)[mu, nu]
-    raised = H0inv.T
+    raised = np.linalg.inv(H0).T
 
-    origin = (0,) * rho.num_vars
-    dz = [wirtinger_z(rho, a, n) for a in range(n)]
-    dzbar = [wirtinger_zbar(rho, a, n) for a in range(n)]
-    dz2 = [[wirtinger_z(dz[a], b, n) for b in range(n)] for a in range(n)]
-    dzbar2 = [[wirtinger_zbar(dzbar[a], b, n) for b in range(n)] for a in range(n)]
-    # rho_{i k mubar}, whose values at 0 also enter the correction term
-    dz2zbar = [[[wirtinger_zbar(dz2[i][k], mu, n) for mu in range(n)]
-                for k in range(n)] for i in range(n)]
-    # third derivatives at 0, both slot patterns of the correction term
-    d3a = np.array([[[complex(dz2zbar[i][k][mu].coefficient(origin))
-                      for mu in range(n)] for k in range(n)] for i in range(n)])
-    d3b = np.array([[[complex(wirtinger_z(dzbar2[j][l], nu, n).coefficient(origin))
-                      for nu in range(n)] for l in range(n)] for j in range(n)])
+    # rho_{i k mubar} and rho_{jbar lbar nu}, the correction term's factors
+    D3 = rho.derivatives_at_origin(3)
+    d3a = _wirtinger_contract(D3, Wz, Wz, Wzbar)
+    d3b = _wirtinger_contract(D3, Wzbar, Wzbar, Wz)
 
-    K = np.zeros((n, n, n, n), dtype=complex)
-    for i, j, k, l in itertools.product(range(n), repeat=4):
-        K[i, j, k, l] = complex(
-            wirtinger_zbar(dz2zbar[i][k][j], l, n).coefficient(origin))
+    K = _wirtinger_contract(rho.derivatives_at_origin(4), Wz, Wzbar, Wz, Wzbar)
     K -= np.einsum("nm,ikm,jln->ijkl", raised, d3a, d3b)
     return KahlerCurvatureAtZero(K)
 

@@ -13,9 +13,11 @@ any potential jet satisfies the degenerate Monge-Ampere identity
     sum_a rho^a rho_a - 2 rho = 0,   rho^a = sum_b rho^{a bbar} rho_bbar,
 
 computed with exact Wirtinger calculus on jets and a Neumann-series Hessian
-inverse.  ``solve_quartic_coefficients`` recovers the free quartic
-coefficients of the ansatz directly from the residual, independently of the
-closed form, by matching pure-y degree-4 terms at x = 0.
+inverse; the contraction is two stacked jet-matrix products, first the
+raised index, then its pairing with d rho / dz.
+``solve_quartic_coefficients`` recovers the free quartic coefficients of the
+ansatz directly from the residual, independently of the closed form, by
+matching pure-y degree-4 terms at x = 0.
 
 Normalization: the fiber quadratic carries coefficient ``FIBER_SCALE = 1``
 (so ``rho = |y|^2`` on the fiber over the base point).  The alternative
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import (DegenerateHessian, MalformedInput, SingularSystem,
                      UnorderedIndices)
-from .jets import (JetPolynomial, matrix_constant_part, matrix_inverse,
+from .jets import (JetPolynomial, _graded_matmul, _stack, _stacked_inverse,
                    wirtinger_z, wirtinger_zbar)
 
 FIBER_SCALE = 1.0
@@ -72,11 +74,17 @@ def _fiber_dimension(rho):
     return rho.num_vars // 2
 
 
+def _hessian_and_gradient(rho):
+    """(H, dz): the complex Hessian and the n first derivatives
+    dz[a] = d rho / dz_a it is built from, each computed once."""
+    n = _fiber_dimension(rho)
+    dz = [wirtinger_z(rho, a, n) for a in range(n)]
+    return [[wirtinger_zbar(dz[a], b, n) for b in range(n)] for a in range(n)], dz
+
+
 def complex_hessian(rho):
     """Matrix of jets H[a][b] = d^2 rho / dz_a dzbar_b."""
-    n = _fiber_dimension(rho)
-    return [[wirtinger_zbar(wirtinger_z(rho, a, n), b, n) for b in range(n)]
-            for a in range(n)]
+    return _hessian_and_gradient(rho)[0]
 
 
 def require_positive_hessian(H0, hessian_tol):
@@ -96,23 +104,21 @@ def ma_residual(rho, hessian_tol=1e-8):
     complex Hessian is not positive-definite.
     """
     n = _fiber_dimension(rho)
-    H = complex_hessian(rho)
-    require_positive_hessian(matrix_constant_part(H), hessian_tol)
+    H, dz = _hessian_and_gradient(rho)
+    num_vars, bound, H = _stack(H)
+    require_positive_hessian(H[:, :, 0], hessian_tol)
     try:
-        N = matrix_inverse(H)
+        N = _stacked_inverse(H, num_vars, bound)
     except SingularSystem as exc:  # pragma: no cover - guarded by eig check
         raise DegenerateHessian(str(exc)) from exc
 
-    dz = [wirtinger_z(rho, a, n) for a in range(n)]
-    dzbar = [wirtinger_zbar(rho, b, n) for b in range(n)]
-
-    residual = (-2.0) * rho
-    for a in range(n):
-        raised = JetPolynomial.zero(rho.num_vars, rho.max_degree)
-        for b in range(n):
-            raised = raised + N[b][a] * dzbar[b]
-        residual = residual + raised * dz[a]
-    return residual
+    # column stacks (n, 1, monomials) of the first derivatives
+    dz = _stack([[d] for d in dz])[2]
+    dzbar = _stack([[wirtinger_zbar(rho, b, n)] for b in range(n)])[2]
+    # raised[a] = sum_b N[b][a] dzbar[b], then sum_a raised[a] dz[a]
+    raised = _graded_matmul(N.transpose(1, 0, 2), dzbar, num_vars, bound)
+    contracted = _graded_matmul(raised.transpose(1, 0, 2), dz, num_vars, bound)
+    return (-2.0) * rho + JetPolynomial._from_array(num_vars, bound, contracted[0, 0])
 
 
 @dataclass(frozen=True)

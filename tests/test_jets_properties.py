@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tubegeom import jets
 from tubegeom.jets import (JetPolynomial, matrix_identity, matrix_inverse,
                            matrix_multiply, wirtinger_z, wirtinger_zbar)
 
@@ -81,6 +82,66 @@ def test_partial_matches_analytic_derivative(data):
     assert set(got.coeffs) == {p for p, c in want.items() if c != 0.0}
     for p, c in want.items():
         assert got.coefficient(p) == c  # one product per term: exact
+
+
+def oracle_values(terms, points):
+    """``oracle_value`` at each row of ``points``, one term at a time."""
+    out = np.zeros(len(points), dtype=complex)
+    for p, c in terms.items():
+        out += c * np.prod(points ** np.array(p), axis=1)
+    return out
+
+
+def dense_terms(rng, num_vars, top, complex_coeffs):
+    """Every monomial of degree <= top with a random coefficient."""
+    exps = [e for e in np.ndindex(*(top + 1,) * num_vars) if sum(e) <= top]
+    values = rng.uniform(-1.0, 1.0, len(exps))
+    if complex_coeffs:
+        values = values + 1j * rng.uniform(-1.0, 1.0, len(exps))
+    return dict(zip(exps, values.tolist()))
+
+
+@pytest.mark.parametrize("complex_coeffs", [False, True])
+@pytest.mark.parametrize("num_vars, max_degree, top, count", [
+    (1, 5, 5, 7), (3, 6, 4, 50), (5, 4, 2, 30),
+    (8, 6, 6, None),  # count None: one chunk of points plus 5
+])
+def test_evaluate_matches_term_by_term_oracle(num_vars, max_degree, top, count,
+                                              complex_coeffs):
+    rng = np.random.default_rng([num_vars, top])
+    terms = dense_terms(rng, num_vars, top, complex_coeffs)
+    jet = JetPolynomial(num_vars, max_degree, terms)
+    assert jet.degree() == top
+    if count is None:
+        count = jets._EVAL_CHUNK // len(terms) + 5
+        assert count < 2 * (jets._EVAL_CHUNK // len(terms))
+    points = rng.uniform(-1.0, 1.0, size=(count, num_vars))
+    want = oracle_values(terms, points)
+    got = jet.evaluate(points)
+    assert got.shape == (count,)
+    assert np.iscomplexobj(got) == complex_coeffs
+    assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+    single = jet.evaluate(points[-1])
+    assert np.ndim(single) == 0
+    assert abs(single - want[-1]) < 1e-12 * max(1.0, abs(want[-1]))
+
+
+@SETTINGS
+@given(st.data())
+def test_derivatives_at_origin_match_repeated_partials(data):
+    num_vars = data.draw(st.integers(1, 4))
+    max_degree = data.draw(st.integers(0, 5))
+    order = data.draw(st.integers(0, max_degree))
+    terms = data.draw(polynomial(num_vars, max_degree))
+    got = JetPolynomial(num_vars, max_degree, terms).derivatives_at_origin(order)
+    assert got.shape == (num_vars,) * order
+    for index in np.ndindex(*got.shape):
+        want = terms
+        for var in index:
+            want = oracle_partial(want, var)
+        # the partials multiply by one exponent at a time, the table by prod a!
+        assert got[index] == pytest.approx(want.get((0,) * num_vars, 0.0),
+                                           rel=1e-15, abs=0.0)
 
 
 @st.composite

@@ -5,7 +5,7 @@ from tubegeom import curvature as cv
 from tubegeom import kahler, majet
 from tubegeom.errors import (DegenerateHessian, EqualIndices, IndexOutOfRange,
                              MalformedInput)
-from tubegeom.jets import JetPolynomial
+from tubegeom.jets import JetPolynomial, wirtinger_z, wirtinger_zbar
 
 
 def test_flat_tensor_gives_zero_curvature():
@@ -72,6 +72,46 @@ def test_jet_oracle_third_derivative_correction_frozen_value():
     K = kahler.kahler_curvature_from_jet(rho)
     assert K.components[0, 0, 0, 0].real == pytest.approx(-4 * c * c, abs=1e-13)
     assert K.components[0, 0, 0, 0].imag == pytest.approx(0.0, abs=1e-13)
+
+
+def wirtinger_chain_curvature(rho):
+    """Reference K: differentiate the jet with the Wirtinger operators one
+    slot at a time and read each derivative jet at the origin."""
+    n = rho.num_vars // 2
+    at0 = lambda jet: complex(jet.coefficient((0,) * rho.num_vars))
+    dz = [wirtinger_z(rho, a, n) for a in range(n)]
+    dzbar = [wirtinger_zbar(rho, a, n) for a in range(n)]
+    H0 = np.array([[at0(wirtinger_zbar(dz[a], b, n)) for b in range(n)]
+                   for a in range(n)])
+    raised = np.linalg.inv(H0).T
+    dz2zbar = [[[wirtinger_zbar(wirtinger_z(dz[i], k, n), m, n) for m in range(n)]
+                for k in range(n)] for i in range(n)]
+    d3a = np.array([[[at0(e) for e in row] for row in plane] for plane in dz2zbar])
+    d3b = np.array([[[at0(wirtinger_z(wirtinger_zbar(dzbar[j], l, n), m, n))
+                      for m in range(n)] for l in range(n)] for j in range(n)])
+    K = np.zeros((n, n, n, n), dtype=complex)
+    for i, j, k, l in np.ndindex(K.shape):
+        K[i, j, k, l] = at0(wirtinger_zbar(dz2zbar[i][k][j], l, n))
+    return K - np.einsum("nm,ikm,jln->ijkl", raised, d3a, d3b)
+
+
+def test_jet_oracle_matches_the_wirtinger_chain_with_cubic_terms():
+    rng = np.random.default_rng(7)
+    for n in (2, 3):
+        for _ in range(3):
+            rho = majet.potential_expansion(cv.random_admissible(n, rng))
+            terms = {}
+            for d in (3, 4):
+                for _ in range(12):
+                    powers = np.bincount(rng.integers(0, 2 * n, d), minlength=2 * n)
+                    terms[tuple(powers.tolist())] = rng.uniform(-0.5, 0.5)
+            rho = rho + JetPolynomial(2 * n, rho.max_degree, terms)
+            want = wirtinger_chain_curvature(rho)
+            got = kahler.kahler_curvature_from_jet(rho).components
+            assert np.max(np.abs(got - want)) < 1e-14
+            # the cubic terms make the correction term matter
+            no_cubic = wirtinger_chain_curvature(rho - rho.terms_of_degree(3))
+            assert np.max(np.abs(no_cubic - want)) > 1e-3
 
 
 def test_plane_sectionals_sphere():

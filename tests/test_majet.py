@@ -6,7 +6,7 @@ from tubegeom import majet
 from tubegeom.errors import (DegenerateHessian, SingularSystem,
                              UnorderedIndices)
 from tubegeom.jets import (JetPolynomial, matrix_identity, matrix_inverse,
-                           matrix_multiply)
+                           matrix_multiply, wirtinger_z, wirtinger_zbar)
 
 
 def test_flat_expansion_is_fiber_quadratic():
@@ -137,6 +137,26 @@ def test_ma_residual_pointwise_against_direct_numerics():
         jet_val = float(np.real(residual.evaluate(pt)))
         num_val = numeric_residual(pt)
         assert jet_val == pytest.approx(num_val, abs=5e-6)
+
+
+def test_ma_residual_matches_a_per_entry_contraction():
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 4):
+        rho = majet.potential_expansion(cv.random_admissible(n, rng))
+        terms = {}
+        for d in (3, 4, 5):
+            for _ in range(10):
+                powers = np.bincount(rng.integers(0, 2 * n, d), minlength=2 * n)
+                terms[tuple(powers.tolist())] = rng.uniform(-0.3, 0.3)
+        rho = rho + JetPolynomial(2 * n, rho.max_degree, terms)
+        N = matrix_inverse(majet.complex_hessian(rho))
+        want = (-2.0) * rho
+        for a in range(n):
+            for b in range(n):
+                want = want + N[b][a] * wirtinger_zbar(rho, b, n) * wirtinger_z(rho, a, n)
+        got = majet.ma_residual(rho)
+        assert got.max_degree == rho.max_degree
+        assert (got - want).max_abs_coeff() < 1e-13
 
 
 def test_degenerate_hessian_raises():

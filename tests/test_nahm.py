@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from tubegeom import liealg as la
-from tubegeom import nahm
+from tubegeom import nahm, registry
 from tubegeom.errors import (BlowupDetected, GridMismatch, MalformedInput)
 
 
@@ -106,18 +106,13 @@ def test_constant_gauge_is_pointwise_adjoint(ctx):
 
 
 def test_gauge_invariance_of_nahm_residual(ctx):
-    # at this grid both residuals sit near the same rounding-dominated
-    # floor, so the gauged/ungauged ratio stays well under 10
-    rng = _rng()
-    N = 2000
-    T0 = nahm.sampled_path(ctx, lambda t: 0.5 * np.sin(t) * ctx.basis[0], N)
-    init = [0.4 * ctx.basis[0], 0.7 * ctx.basis[1], 0.9 * ctx.basis[2]]
-    sol = nahm.integrate_nahm(ctx, init, T0)
-    base = nahm.nahm_residual_sup(sol)
-    for _ in range(3):
-        g = nahm.smooth_gauge(ctx, rng, N, amplitude=0.5)
-        gauged = nahm.gauge_transform(g, sol)
-        assert nahm.nahm_residual_sup(gauged) <= 10.0 * base
+    # the CLI's gate: the worst gauged residual keeps the scheme's fourth
+    # order; a ratio to the ungauged residual at a fine grid divides
+    # round-off by round-off and fails for some seeds (3 and 13 among them)
+    for seed in (17, 3, 13):
+        order, _, _, _ = registry.gauge_residual_order(
+            ctx, np.random.default_rng(seed), registry.SWEEPS["gauges"])
+        assert abs(order - 4.0) <= registry.TOLERANCES["order_window"]
 
 
 def _complex_gauge_and_config(rng, N):

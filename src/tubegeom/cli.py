@@ -33,6 +33,9 @@ from .errors import ConfigParseError, TubeGeomError, UnknownSuite
 
 SUITE_NAMES = registry.SUITE_NAMES
 
+# deprecated sweep keys, still read for one release: old name -> new name
+SWEEP_ALIASES = {"equivariance": "well_defined"}
+
 
 @dataclass
 class SuiteConfig:
@@ -66,7 +69,9 @@ def _run_checks(checks, config, ctx):
     """Records and tables of ``checks``, run in order on one generator.
 
     An order check records its shortfall below the minimum (0 when met),
-    keeping the fail-iff-metric-exceeds-tolerance invariant.
+    keeping the fail-iff-metric-exceeds-tolerance invariant.  A library
+    error inside a case fails that case alone, with a NaN metric and the
+    error in its note; the remaining cases still run.
     """
     rng = np.random.default_rng(config.seed)
     run = registry.SuiteRun(config.grid, config.steps, config.seed, config.sweeps)
@@ -77,17 +82,25 @@ def _run_checks(checks, config, ctx):
             records.append(ReportRecord(check.suite, check.case, "skip", 0.0, 0.0,
                                         0, reason))
             continue
-        t0 = time.perf_counter()
-        value, note = check.compute(ctx, rng, run)
-        ms = int((time.perf_counter() - t0) * 1000) if config.timings else 0
-        value = float(value)
         if check.order_min is None:
             tol = float(config.tolerances.get(check.tol_key, check.tol))
         else:
+            tol = 0.0
+        t0 = time.perf_counter()
+        try:
+            value, note = check.compute(ctx, rng, run)
+        except TubeGeomError as exc:
+            value, note = None, f"error: {type(exc).__name__}: {exc}"
+        ms = int((time.perf_counter() - t0) * 1000) if config.timings else 0
+        if value is None:
+            records.append(ReportRecord(check.suite, check.case, "fail",
+                                        float("nan"), tol, ms, note))
+            continue
+        value = float(value)
+        if check.order_min is not None:
             note = f"{note} [observed {value:.3f}, needs >= {check.order_min}]"
             # NaN stays NaN
             value = 0.0 if value >= check.order_min else check.order_min - value
-            tol = 0.0
         status = "pass" if np.isfinite(value) and value <= tol else "fail"
         records.append(ReportRecord(check.suite, check.case, status, value, tol,
                                     ms, note))
@@ -173,6 +186,10 @@ def _apply_setting(config, key, value):
             config.tolerances[key[4:]] = float(value)
         elif key.startswith("sweep.") and key[6:] in registry.SWEEPS:
             config.sweeps[key[6:]] = int(value)
+        elif key.startswith("sweep.") and key[6:] in SWEEP_ALIASES:
+            new = SWEEP_ALIASES[key[6:]]
+            config.sweeps[new] = int(value)
+            print(f"warning: {key} is deprecated, use sweep.{new}", file=sys.stderr)
         else:
             raise ConfigParseError(f"unknown configuration key {key!r}")
     except ValueError as exc:
@@ -210,10 +227,16 @@ def parse_args(argv):
                         help="record wall-clock times (breaks byte determinism)")
     args = parser.parse_args(rest)
 
+    settings = _load_config_file(args.config, args.suite) if args.config else {}
+    given = set(settings) | {key for key, _ in overrides}
+    for old, new in SWEEP_ALIASES.items():
+        if {f"sweep.{old}", f"sweep.{new}"} <= given:
+            raise ConfigParseError(f"sweep.{old} and sweep.{new} name the same "
+                                   f"sweep; give only sweep.{new}")
+
     config = SuiteConfig(suite=args.suite)
-    if args.config:
-        for key, value in _load_config_file(args.config, args.suite).items():
-            _apply_setting(config, key, value)
+    for key, value in settings.items():
+        _apply_setting(config, key, value)
     for attr in ("context", "grid", "steps", "seed", "out", "fmt"):
         value = getattr(args, attr)
         if value is not None:

@@ -19,7 +19,8 @@ and Walther, *Evaluating Derivatives*, ch. 13).
 ``evaluate`` builds monomial values by contiguous runs: in the graded lex
 order the degree-d monomials that share a first variable form one run, and
 so do their quotients by that variable in degree d-1, so each run is one
-slice-times-variable product with no gathered indices.
+slice-times-variable product with no gathered indices.  The top degree is
+folded into run-wise mat-vecs and never materialised.
 
 The tube-potential work uses the variable layout ``(x_1..x_n, y_1..y_n)``:
 variable ``i`` is ``x_{i+1}`` and variable ``n+i`` is ``y_{i+1}``.  The
@@ -95,23 +96,24 @@ class _Layout:
         self.runs = self._parent_runs()
 
     def _parent_runs(self):
-        """Runs (dst_start, dst_stop, src_start, src_stop, var) for ``evaluate``.
+        """Runs (dst_start, dst_stop, src_start, src_stop, var) of ``evaluate``,
+        one tuple of runs per degree (none at degree 0).
 
         Within degree d the monomials whose first nonzero variable is ``var``
         are contiguous, and dividing them by x_var maps them in order onto the
         degree d-1 monomials free of the variables before ``var``: a prefix
         of block d-1 of the same length.  Each run is then one slice product.
         """
-        runs = []
+        runs = [()]
         for d in range(1, len(self._blocks)):
             block = self.block(d)
             first = np.argmax(self.exponents[block] > 0, axis=1)
             starts = np.flatnonzero(np.diff(first, prepend=-1))
             stops = np.append(starts[1:], len(first))
             src = int(self.offsets[d - 1])
-            for a, b in zip(starts.tolist(), stops.tolist()):
-                runs.append((block.start + a, block.start + b,
-                             src, src + b - a, int(first[a])))
+            runs.append(tuple((block.start + a, block.start + b,
+                               src, src + b - a, int(first[a]))
+                              for a, b in zip(starts.tolist(), stops.tolist())))
         return tuple(runs)
 
     def block(self, d):
@@ -396,9 +398,12 @@ class JetPolynomial:
         """Evaluate at one point (1-d array) or many points ((P, num_vars)).
 
         Monomial values are built degree by degree, in chunks of points, up
-        to the jet's degree: each contiguous run of monomials sharing a first
-        variable is one slice of lower-degree values times that variable.
-        One mat-vec per chunk finishes the sum.
+        to one below the jet's top degree: each contiguous run of monomials
+        sharing a first variable is one slice of lower-degree values times
+        that variable.  The top degree is never materialised: each of its
+        runs is folded into the sum as a mat-vec of its coefficients with
+        the parent rows, times the run's variable.  The real and imaginary
+        parts of the coefficients share each mat-vec.
         """
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
@@ -407,23 +412,30 @@ class JetPolynomial:
         if pts.ndim != 2 or pts.shape[1] != self.num_vars:
             raise MalformedInput("point dimension does not match variable count")
         layout = self._layout
-        size = layout.block(self.degree()).stop
-        runs = [r for r in layout.runs if r[1] <= size]
-        coeffs = self._c[:size]
-        vals = np.empty(pts.shape[0], dtype=coeffs.dtype)
-        chunk = max(1, _EVAL_CHUNK // size)
+        top = self.degree()
+        coeffs = self._c[:layout.block(top).stop]
+        if np.iscomplexobj(coeffs):
+            coeffs = np.stack([coeffs.real, coeffs.imag])
+        else:
+            coeffs = coeffs[None]
+        # rows built: every degree below the top one (degree 0 alone if top 0)
+        base = int(layout.offsets[max(top, 1)])
+        built = [r for runs in layout.runs[1:top] for r in runs]
+        folded = layout.runs[top]
+        sums = np.empty((len(coeffs), pts.shape[0]))
+        chunk = max(1, min(pts.shape[0], _EVAL_CHUNK // base))
+        buffer = np.empty((base, chunk))  # one row per monomial, reused
+        buffer[0] = 1.0
         for start in range(0, pts.shape[0], chunk):
-            xt = pts[start:start + chunk].T
-            mono = np.empty((size, xt.shape[1]))  # one row per monomial
-            mono[0] = 1.0
-            for a, b, pa, pb, var in runs:
+            xt = np.ascontiguousarray(pts[start:start + chunk].T)
+            mono = buffer[:, :xt.shape[1]]
+            for a, b, pa, pb, var in built:
                 np.multiply(mono[pa:pb], xt[var], out=mono[a:b])
-            if np.iscomplexobj(coeffs):
-                vals[start:start + chunk] = coeffs.real @ mono + 1j * (coeffs.imag @ mono)
-            else:
-                vals[start:start + chunk] = coeffs @ mono
-        if self.is_real():
-            vals = vals.real
+            acc = coeffs[:, :base] @ mono
+            for a, b, pa, pb, var in folded:
+                acc += (coeffs[:, a:b] @ mono[pa:pb]) * xt[var]
+            sums[:, start:start + chunk] = acc
+        vals = sums[0] if self.is_real() else sums[0] + 1j * sums[1]
         return vals[0] if single else vals
 
     def __repr__(self):
@@ -519,23 +531,31 @@ def _stacked_inverse(S, num_vars, bound, cond_limit=1e12):
     if not np.all(np.isfinite(A0)) or np.linalg.cond(A0) > cond_limit:
         raise SingularSystem("constant part of the jet matrix is singular")
     A0inv = np.linalg.inv(A0)
+    size, monomials = len(S), S.shape[2]
 
-    # E = A0^-1 dA, a jet matrix with zero constant part
-    dA = S.copy()
-    dA[:, :, 0] = 0.0
-    E = np.einsum("ik,kjm->ijm", A0inv, dA)
+    # E = A0^-1 dA = A0^-1 S with its constant column zeroed (A0^-1 A0 = I
+    # there): a jet matrix with zero constant part
+    E = (A0inv @ S.reshape(size, -1)).reshape(S.shape)
+    E[:, :, 0] = 0.0
 
     # Neumann sum I - E + E^2 - ... ; E has valuation >= 1 so powers beyond
     # the degree bound vanish identically.
     series = np.zeros_like(E)
-    series[:, :, 0] = np.eye(len(S))
+    series[:, :, 0] = np.eye(size)
     power = E
     for k in range(1, bound + 1):
         if k > 1:
             power = _graded_matmul(power, E, num_vars, bound)
         if not power.any():
             break
-        series += power if k % 2 == 0 else -power
+        if k % 2:
+            series -= power
+        else:
+            series += power
+    del power, E
 
-    # inverse = series @ A0^-1
-    return np.einsum("ikm,kj->ijm", series, A0inv)
+    # inverse = series @ A0^-1, one matmul over (row, monomial) pairs
+    rows = series.transpose(0, 2, 1).reshape(-1, size)
+    del series
+    out = (rows @ A0inv).reshape(size, monomials, size)
+    return np.ascontiguousarray(out.transpose(0, 2, 1))

@@ -25,7 +25,7 @@ from . import curvature as cv
 from . import kahler, liealg, majet, nahm
 
 # default sample counts, overridable per run with --sweep.KEY=VALUE
-SWEEPS = {"tensors": 10, "leaves": 10, "equivariance": 25, "gauges": 20,
+SWEEPS = {"tensors": 10, "leaves": 10, "well_defined": 25, "gauges": 20,
           "pairs": 25, "two_form_ref": 25600}
 
 # every error of an order sweep at or below this is round-off: the method is
@@ -473,8 +473,8 @@ CHECKS = (
               "coset-model directions (complement vectors)")),
     Check("complexify-holomorphy", "coset-well-defined", needs=(needs_split,),
           compute=lambda ctx, rng, run: (
-              coset_shift_failures(ctx, rng, run.count("equivariance")),
-              f"failed well-definedness checks out of {run.count('equivariance')}")),
+              coset_shift_failures(ctx, rng, run.count("well_defined")),
+              f"failed well-definedness checks out of {run.count('well_defined')}")),
     Check("complexify-holomorphy", "polar-inverse", tol_key="inverse", tol=1e-9,
           compute=lambda ctx, rng, run: (
               polar_inverse_gap(ctx, rng, run.count("leaves")),

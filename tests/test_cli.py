@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 from tubegeom import cli, liealg, nahm, registry
 from tubegeom import complexify as cx
-from tubegeom.errors import ConfigParseError, UnknownSuite
+from tubegeom.errors import ConfigParseError, DegenerateHessian, UnknownSuite
 
 
 def test_unknown_suite_raises():
@@ -308,3 +310,62 @@ def test_coset_case_fails_for_shifts_outside_the_subgroup(monkeypatch):
     case = next(rec for rec in records if rec.case == "coset-well-defined")
     assert case.status == "fail"
     assert case.metric == 25.0
+
+
+def test_a_library_error_fails_its_case_and_the_others_still_run(monkeypatch, tmp_path,
+                                                                  capsys):
+    def degenerate(ctx, rng, run):
+        raise DegenerateHessian("planted")
+
+    checks = tuple(dataclasses.replace(c, compute=degenerate)
+                   if (c.suite, c.case) == ("kahler-curvature", "oracle-reality") else c
+                   for c in registry.CHECKS)
+    monkeypatch.setattr(registry, "CHECKS", checks)
+    assert cli.main(["--suite", "kahler-curvature", "--out", str(tmp_path)]) == 1
+    assert "error: DegenerateHessian" in capsys.readouterr().out
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert {rec["case"] for rec in report} == {
+        c.case for c in registry.CHECKS if c.suite == "kahler-curvature"}
+    for rec in report:
+        if rec["case"] == "oracle-reality":
+            assert rec["status"] == "fail"
+            assert math.isnan(rec["metric"])
+            assert rec["tol"] == 1e-12
+            assert rec["note"] == "error: DegenerateHessian: planted"
+        else:
+            assert rec["status"] == "pass", rec
+
+
+def test_well_defined_sweep_key_sizes_the_coset_case(capsys):
+    config = cli.parse_args(["--suite", "complexify-holomorphy",
+                             "--sweep.well_defined=3"])
+    assert config.sweeps == {"well_defined": 3}
+    assert capsys.readouterr().err == ""
+    records = cli.run_suite(config)
+    case = next(rec for rec in records if rec.case == "coset-well-defined")
+    assert case.status == "pass"
+    assert case.note == "failed well-definedness checks out of 3"
+
+
+def test_deprecated_equivariance_key_is_an_alias(tmp_path, capsys):
+    config = cli.parse_args(["--suite", "complexify-holomorphy",
+                             "--sweep.equivariance=3"])
+    assert config.sweeps == {"well_defined": 3}
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "sweep.equivariance is deprecated" in err[0]
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("[all]\nsweep.equivariance = 4\n")
+    config = cli.parse_args(["--suite", "complexify-holomorphy", "--config", str(cfg)])
+    assert config.sweeps == {"well_defined": 4}
+    assert "deprecated" in capsys.readouterr().err
+
+
+def test_both_well_defined_keys_are_rejected(tmp_path):
+    both = ["--sweep.equivariance=3", "--sweep.well_defined=3"]
+    with pytest.raises(ConfigParseError):
+        cli.parse_args(["--suite", "complexify-holomorphy"] + both)
+    assert cli.main(["--suite", "complexify-holomorphy"] + both) == 2
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("[all]\nsweep.equivariance = 3\n")
+    assert cli.main(["--suite", "complexify-holomorphy", "--config", str(cfg),
+                     "--sweep.well_defined=3"]) == 2

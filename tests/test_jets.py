@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from tubegeom import curvature as cv
+from tubegeom import jets, majet
 from tubegeom.errors import MalformedInput, SingularSystem
 from tubegeom.jets import (JetPolynomial, matrix_identity, matrix_inverse,
                            matrix_multiply, wirtinger_z, wirtinger_zbar)
@@ -102,6 +104,43 @@ def test_matrix_inverse_rejects_singular_constant_part():
     A[1][1] = JetPolynomial.variable(0, 2, 2)  # zero constant part
     with pytest.raises(SingularSystem):
         matrix_inverse(A)
+
+
+def einsum_inverse(S, num_vars, bound):
+    """The Neumann-series inverse with its two constant-matrix products
+    written as einsums on a copy of the stack with the constant part zeroed."""
+    A0inv = np.linalg.inv(S[:, :, 0])
+    dA = S.copy()
+    dA[:, :, 0] = 0.0
+    E = np.einsum("ik,kjm->ijm", A0inv, dA)
+    series = np.zeros_like(E)
+    series[:, :, 0] = np.eye(len(S))
+    power = E
+    for k in range(1, bound + 1):
+        if k > 1:
+            power = jets._graded_matmul(power, E, num_vars, bound)
+        series += power if k % 2 == 0 else -power
+    return np.einsum("ikm,kj->ijm", series, A0inv)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_inverse_equals_the_einsum_formula(n):
+    rng = np.random.default_rng(n)
+    R = cv.random_admissible(n, rng)
+    hessian, _ = majet._hessian_and_gradient(majet.potential_expansion(R))
+    num_vars, bound, S = jets._stack(hessian)
+    got = jets._stacked_inverse(S, num_vars, bound)
+    assert got.flags.c_contiguous
+    assert got.dtype == S.dtype and got.shape == S.shape
+    # the MA Hessian's constant part is I/2: every product is exact
+    np.testing.assert_array_equal(got, einsum_inverse(S, num_vars, bound))
+    # a constant part that is not a multiple of the identity shows A0^-1 on
+    # the wrong side; the summation order may differ, so only at round-off
+    S = np.einsum("ik,kjm->ijm", np.eye(n) + 0.3 * rng.standard_normal((n, n)), S)
+    got = jets._stacked_inverse(S, num_vars, bound)
+    want = einsum_inverse(S, num_vars, bound)
+    assert got.flags.c_contiguous
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_evaluate_shape_checks():

@@ -101,20 +101,45 @@ def dense_terms(rng, num_vars, top, complex_coeffs):
     return dict(zip(exps, values.tolist()))
 
 
+def first_variable(exponents):
+    return next(i for i, e in enumerate(exponents) if e)
+
+
+def evaluate_case(num_vars, max_degree, top, count, live="all"):
+    """A case of the evaluate test.  ``live`` keeps all terms of degree <=
+    top ("all"), only the top degree ("top", the shape of an MA residual), or
+    all terms except the top-degree runs whose first variable is even
+    ("holes")."""
+    name = f"{num_vars}-{max_degree}-{top}-{count}"
+    return pytest.param(num_vars, max_degree, top, count, live,
+                        id=name if live == "all" else f"{name}-{live}")
+
+
 @pytest.mark.parametrize("complex_coeffs", [False, True])
-@pytest.mark.parametrize("num_vars, max_degree, top, count", [
-    (1, 5, 5, 7), (3, 6, 4, 50), (5, 4, 2, 30),
-    (8, 6, 6, None),  # count None: one chunk of points plus 5
+@pytest.mark.parametrize("num_vars, max_degree, top, count, live", [
+    evaluate_case(1, 5, 5, 7), evaluate_case(3, 6, 4, 50), evaluate_case(5, 4, 2, 30),
+    evaluate_case(2, 0, 0, 5), evaluate_case(3, 4, 0, 20), evaluate_case(4, 3, 1, 20),
+    evaluate_case(4, 6, 6, 40, "top"), evaluate_case(3, 5, 5, 40, "holes"),
+    evaluate_case(4, 6, 3, 40, "holes"),
+    evaluate_case(8, 6, 6, None),  # count None: one chunk of points plus 5
 ])
-def test_evaluate_matches_term_by_term_oracle(num_vars, max_degree, top, count,
+def test_evaluate_matches_term_by_term_oracle(num_vars, max_degree, top, count, live,
                                               complex_coeffs):
     rng = np.random.default_rng([num_vars, top])
     terms = dense_terms(rng, num_vars, top, complex_coeffs)
+    if live == "top":
+        terms = {p: c for p, c in terms.items() if sum(p) == top}
+    elif live == "holes":
+        terms = {p: c for p, c in terms.items()
+                 if sum(p) < top or first_variable(p) % 2}
     jet = JetPolynomial(num_vars, max_degree, terms)
     assert jet.degree() == top
     if count is None:
-        count = jets._EVAL_CHUNK // len(terms) + 5
-        assert count < 2 * (jets._EVAL_CHUNK // len(terms))
+        # evaluate builds the rows of the degrees below the top one and
+        # sizes its point chunks by them
+        rows = sum(1 for p in terms if sum(p) < top)
+        count = jets._EVAL_CHUNK // rows + 5
+        assert count < 2 * (jets._EVAL_CHUNK // rows)
     points = rng.uniform(-1.0, 1.0, size=(count, num_vars))
     want = oracle_values(terms, points)
     got = jet.evaluate(points)

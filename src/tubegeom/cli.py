@@ -33,9 +33,6 @@ from .errors import ConfigParseError, TubeGeomError, UnknownSuite
 
 SUITE_NAMES = registry.SUITE_NAMES
 
-# deprecated sweep keys, still read for one release: old name -> new name
-SWEEP_ALIASES = {"equivariance": "well_defined"}
-
 
 @dataclass
 class SuiteConfig:
@@ -186,10 +183,6 @@ def _apply_setting(config, key, value):
             config.tolerances[key[4:]] = float(value)
         elif key.startswith("sweep.") and key[6:] in registry.SWEEPS:
             config.sweeps[key[6:]] = int(value)
-        elif key.startswith("sweep.") and key[6:] in SWEEP_ALIASES:
-            new = SWEEP_ALIASES[key[6:]]
-            config.sweeps[new] = int(value)
-            print(f"warning: {key} is deprecated, use sweep.{new}", file=sys.stderr)
         else:
             raise ConfigParseError(f"unknown configuration key {key!r}")
     except ValueError as exc:
@@ -228,12 +221,6 @@ def parse_args(argv):
     args = parser.parse_args(rest)
 
     settings = _load_config_file(args.config, args.suite) if args.config else {}
-    given = set(settings) | {key for key, _ in overrides}
-    for old, new in SWEEP_ALIASES.items():
-        if {f"sweep.{old}", f"sweep.{new}"} <= given:
-            raise ConfigParseError(f"sweep.{old} and sweep.{new} name the same "
-                                   f"sweep; give only sweep.{new}")
-
     config = SuiteConfig(suite=args.suite)
     for key, value in settings.items():
         _apply_setting(config, key, value)
@@ -246,6 +233,9 @@ def parse_args(argv):
         _apply_setting(config, key, value)
     if config.grid < 8 or config.steps < 8:
         raise ConfigParseError("grid and steps must be at least 8")
+    if config.context not in liealg.BUILTIN_CONTEXTS:
+        raise ConfigParseError(f"unknown context {config.context!r}; "
+                               f"choices: {sorted(liealg.BUILTIN_CONTEXTS)}")
     return config
 
 

@@ -13,8 +13,10 @@ slice.  The tables (exponent matrix, product index maps per pair of degrees,
 one index map per partial derivative) are built once with vectorised NumPy
 and cached.  Products scatter the outer product of two homogeneous parts
 into their target degree with ``np.bincount`` and skip degrees whose
-coefficients are all zero.  This is truncated Taylor arithmetic (Griewank
-and Walther, *Evaluating Derivatives*, ch. 13).
+coefficients are all zero.  A jet-matrix system A X = B is solved degree
+by degree by back-substitution on the same block products.  This is
+truncated Taylor arithmetic (Griewank and Walther, *Evaluating
+Derivatives*, ch. 13).
 
 ``evaluate`` builds monomial values by contiguous runs: in the graded lex
 order the degree-d monomials that share a first variable form one run, and
@@ -180,15 +182,24 @@ def _scatter(index, values, length):
     return out.reshape(rows, length)
 
 
+def _add_block_product(out, A1, B2, index):
+    """out[i, j] += sum_k A1[i, k] * B2[k, j] for the degree-d1 parts A1
+    (p, q, N1) and degree-d2 parts B2 (q, r, N2), each outer product
+    scattered by ``index`` (``_product_block`` of (d1, d2)) into ``out``, the
+    degree d1 + d2 block.  Rows are formed one at a time, which bounds the
+    temporaries by one row of outer products."""
+    Bt = B2.transpose(1, 0, 2)  # (r, q, N2)
+    for i, row in enumerate(A1):  # row: (q, N1)
+        outer = (row.T @ Bt).reshape(len(Bt), -1)  # (r, N1 * N2)
+        out[i] += _scatter(index, outer, out.shape[2])
+
+
 def _graded_matmul(A, B, num_vars, bound):
     """C[i, j] = sum_k A[i, k] * B[k, j] for stacked coefficient arrays.
 
     ``A`` has shape (p, q, >= size) and ``B`` shape (q, r, >= size), where
     size is the monomial count of ``(num_vars, bound)``.  Each pair of live
-    degrees (d1, d2) contributes the outer products of the degree-d1 parts
-    of A with the degree-d2 parts of B, summed over k and scattered into
-    degree d1 + d2.  Rows of C are formed one at a time, which bounds the
-    temporaries by one row of outer products.
+    degrees (d1, d2) adds one block product into degree d1 + d2.
     """
     layout = _layout(num_vars, bound)
     A = A[..., :layout.size]
@@ -197,16 +208,41 @@ def _graded_matmul(A, B, num_vars, bound):
     live_b = layout.live_degrees(B)
     for d1 in layout.live_degrees(A):
         for d2 in live_b:
-            d = d1 + d2
-            if d > bound:
+            if d1 + d2 > bound:
                 break
-            target = layout.block(d)
-            index = _product_block(num_vars, d1, d2)
-            Bt = B[:, :, layout.block(d2)].transpose(1, 0, 2)  # (r, q, N2)
-            for i, row in enumerate(A[:, :, layout.block(d1)]):  # row: (q, N1)
-                outer = (row.T @ Bt).reshape(len(Bt), -1)  # (r, N1 * N2)
-                C[i, :, target] += _scatter(index, outer, target.stop - target.start)
+            _add_block_product(C[:, :, layout.block(d1 + d2)],
+                               A[:, :, layout.block(d1)], B[:, :, layout.block(d2)],
+                               _product_block(num_vars, d1, d2))
     return C
+
+
+def _graded_solve(A, B, num_vars, bound, cond_limit=1e12):
+    """X with A X = B through degree ``bound``, for stacked coefficient arrays.
+
+    ``A`` has shape (s, s, >= size) and ``B`` shape (s, r, >= size).  The
+    degree-d part of A X = B is A0 X_d + sum_{k >= 1} A_k X_{d-k} = B_d, so
+    back-substitution gives X_d = A0^-1 (B_d - sum_k A_k X_{d-k}) degree by
+    degree, skipping the degrees at which A or X is zero.  Raises
+    SingularSystem unless A0 is finite with cond(A0) <= ``cond_limit``.
+    """
+    layout = _layout(num_vars, bound)
+    A0 = A[:, :, 0]
+    if not np.all(np.isfinite(A0)) or np.linalg.cond(A0) > cond_limit:
+        raise SingularSystem("constant part of the jet matrix is singular")
+    A0inv = np.linalg.inv(A0)
+    X = np.zeros((len(A), B.shape[1], layout.size), dtype=np.result_type(A, B))
+    live_a = [k for k in layout.live_degrees(A[..., :layout.size]) if k > 0]
+    for d in range(bound + 1):
+        target = layout.block(d)
+        lower = np.zeros(X[:, :, target].shape, dtype=X.dtype)
+        for k in live_a:
+            if k <= d and X[:, :, layout.block(d - k)].any():
+                _add_block_product(lower, A[:, :, layout.block(k)],
+                                   X[:, :, layout.block(d - k)],
+                                   _product_block(num_vars, k, d - k))
+        rhs = (B[:, :, target] - lower).reshape(len(A), -1)
+        X[:, :, target] = (A0inv @ rhs).reshape(lower.shape)
+    return X
 
 
 # -- jets ----------------------------------------------------------------
@@ -513,49 +549,13 @@ def matrix_multiply(A, B):
 
 
 def matrix_inverse(A, cond_limit=1e12):
-    """Jet-matrix inverse by a degree-truncated Neumann series.
+    """Jet-matrix inverse: the graded solve of A X = I.
 
-    Writes A = A0 + dA with A0 the constant part, requires A0 invertible,
-    and expands (I + A0^-1 dA)^-1 A0^-1.  Since dA has no constant term the
-    series terminates at the degree bound, so the result is exact at jet
+    Requires the constant part A0 invertible.  The result is exact at jet
     level: A @ inverse == identity through max_degree.
     """
     num_vars, bound, S = _stack(A)
+    identity = np.zeros((len(S), len(S), S.shape[2]))
+    identity[:, :, 0] = np.eye(len(S))
     return _unstack(num_vars, bound,
-                    _stacked_inverse(S, num_vars, bound, cond_limit))
-
-
-def _stacked_inverse(S, num_vars, bound, cond_limit=1e12):
-    """``matrix_inverse`` on a stacked (size, size, monomials) array."""
-    A0 = S[:, :, 0]
-    if not np.all(np.isfinite(A0)) or np.linalg.cond(A0) > cond_limit:
-        raise SingularSystem("constant part of the jet matrix is singular")
-    A0inv = np.linalg.inv(A0)
-    size, monomials = len(S), S.shape[2]
-
-    # E = A0^-1 dA = A0^-1 S with its constant column zeroed (A0^-1 A0 = I
-    # there): a jet matrix with zero constant part
-    E = (A0inv @ S.reshape(size, -1)).reshape(S.shape)
-    E[:, :, 0] = 0.0
-
-    # Neumann sum I - E + E^2 - ... ; E has valuation >= 1 so powers beyond
-    # the degree bound vanish identically.
-    series = np.zeros_like(E)
-    series[:, :, 0] = np.eye(size)
-    power = E
-    for k in range(1, bound + 1):
-        if k > 1:
-            power = _graded_matmul(power, E, num_vars, bound)
-        if not power.any():
-            break
-        if k % 2:
-            series -= power
-        else:
-            series += power
-    del power, E
-
-    # inverse = series @ A0^-1, one matmul over (row, monomial) pairs
-    rows = series.transpose(0, 2, 1).reshape(-1, size)
-    del series
-    out = (rows @ A0inv).reshape(size, monomials, size)
-    return np.ascontiguousarray(out.transpose(0, 2, 1))
+                    _graded_solve(S, identity, num_vars, bound, cond_limit))

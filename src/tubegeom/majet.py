@@ -12,9 +12,10 @@ any potential jet satisfies the degenerate Monge-Ampere identity
 
     sum_a rho^a rho_a - 2 rho = 0,   rho^a = sum_b rho^{a bbar} rho_bbar,
 
-computed with exact Wirtinger calculus on jets and a Neumann-series Hessian
-inverse; the contraction is two stacked jet-matrix products, first the
-raised index, then its pairing with d rho / dz.
+computed with exact Wirtinger calculus on jets.  The raised index is one
+graded solve against the transposed complex Hessian, degree by degree, with
+no inverse formed; one stacked jet-matrix product then pairs it with
+d rho / dz.
 ``solve_quartic_coefficients`` recovers the free quartic coefficients of the
 ansatz directly from the residual, independently of the closed form, by
 matching pure-y degree-4 terms at x = 0.
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import (DegenerateHessian, MalformedInput, SingularSystem,
                      UnorderedIndices)
-from .jets import (JetPolynomial, _graded_matmul, _stack, _stacked_inverse,
+from .jets import (JetPolynomial, _graded_matmul, _graded_solve, _stack,
                    wirtinger_z, wirtinger_zbar)
 
 FIBER_SCALE = 1.0
@@ -107,16 +108,15 @@ def ma_residual(rho, hessian_tol=1e-8):
     H, dz = _hessian_and_gradient(rho)
     num_vars, bound, H = _stack(H)
     require_positive_hessian(H[:, :, 0], hessian_tol)
-    try:
-        N = _stacked_inverse(H, num_vars, bound)
-    except SingularSystem as exc:  # pragma: no cover - guarded by eig check
-        raise DegenerateHessian(str(exc)) from exc
-
     # column stacks (n, 1, monomials) of the first derivatives
     dz = _stack([[d] for d in dz])[2]
     dzbar = _stack([[wirtinger_zbar(rho, b, n)] for b in range(n)])[2]
-    # raised[a] = sum_b N[b][a] dzbar[b], then sum_a raised[a] dz[a]
-    raised = _graded_matmul(N.transpose(1, 0, 2), dzbar, num_vars, bound)
+    # raised[a] = sum_b (H^-1)[b][a] dzbar[b]: solve H^T raised = dzbar,
+    # then sum_a raised[a] dz[a]
+    try:
+        raised = _graded_solve(H.transpose(1, 0, 2), dzbar, num_vars, bound)
+    except SingularSystem as exc:  # pragma: no cover - guarded by eig check
+        raise DegenerateHessian(str(exc)) from exc
     contracted = _graded_matmul(raised.transpose(1, 0, 2), dz, num_vars, bound)
     return (-2.0) * rho + JetPolynomial._from_array(num_vars, bound, contracted[0, 0])
 

@@ -347,25 +347,26 @@ def test_well_defined_sweep_key_sizes_the_coset_case(capsys):
     assert case.note == "failed well-definedness checks out of 3"
 
 
-def test_deprecated_equivariance_key_is_an_alias(tmp_path, capsys):
-    config = cli.parse_args(["--suite", "complexify-holomorphy",
-                             "--sweep.equivariance=3"])
-    assert config.sweeps == {"well_defined": 3}
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "sweep.equivariance is deprecated" in err[0]
-    cfg = tmp_path / "suite.cfg"
-    cfg.write_text("[all]\nsweep.equivariance = 4\n")
-    config = cli.parse_args(["--suite", "complexify-holomorphy", "--config", str(cfg)])
-    assert config.sweeps == {"well_defined": 4}
-    assert "deprecated" in capsys.readouterr().err
-
-
-def test_both_well_defined_keys_are_rejected(tmp_path):
-    both = ["--sweep.equivariance=3", "--sweep.well_defined=3"]
+def test_removed_equivariance_key_is_unknown(tmp_path, capsys):
+    argv = ["--suite", "complexify-holomorphy", "--sweep.equivariance=3"]
     with pytest.raises(ConfigParseError):
-        cli.parse_args(["--suite", "complexify-holomorphy"] + both)
-    assert cli.main(["--suite", "complexify-holomorphy"] + both) == 2
+        cli.parse_args(argv)
+    assert cli.main(argv) == 2
     cfg = tmp_path / "suite.cfg"
     cfg.write_text("[all]\nsweep.equivariance = 3\n")
-    assert cli.main(["--suite", "complexify-holomorphy", "--config", str(cfg),
-                     "--sweep.well_defined=3"]) == 2
+    assert cli.main(["--suite", "complexify-holomorphy", "--config", str(cfg)]) == 2
+    assert "unknown configuration key 'sweep.equivariance'" in capsys.readouterr().err
+
+
+def test_unknown_context_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(ConfigParseError, match="choices: .*su2_u1"):
+        cli.parse_args(["--suite", "s1-isometry", "--context", "nope"])
+    assert cli.main(["--suite", "s1-isometry", "--context", "nope"]) == 2
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("[all]\ncontext = nope\n")
+    assert cli.main(["--suite", "s1-isometry", "--config", str(cfg)]) == 2
+    assert "unknown context 'nope'" in capsys.readouterr().err
+    # the flag overrides the file's context, so a valid flag wins
+    parsed = cli.parse_args(["--suite", "s1-isometry", "--config", str(cfg),
+                             "--context", "so3"])
+    assert parsed.context == "so3"

@@ -7,6 +7,8 @@ from tubegeom.errors import MalformedInput, SingularSystem
 from tubegeom.jets import (JetPolynomial, matrix_identity, matrix_inverse,
                            matrix_multiply, wirtinger_z, wirtinger_zbar)
 
+from jet_reference import einsum_inverse
+
 
 def _random_jet(rng, num_vars=4, max_degree=4, terms=12):
     coeffs = {}
@@ -106,41 +108,49 @@ def test_matrix_inverse_rejects_singular_constant_part():
         matrix_inverse(A)
 
 
-def einsum_inverse(S, num_vars, bound):
-    """The Neumann-series inverse with its two constant-matrix products
-    written as einsums on a copy of the stack with the constant part zeroed."""
-    A0inv = np.linalg.inv(S[:, :, 0])
-    dA = S.copy()
-    dA[:, :, 0] = 0.0
-    E = np.einsum("ik,kjm->ijm", A0inv, dA)
-    series = np.zeros_like(E)
-    series[:, :, 0] = np.eye(len(S))
-    power = E
-    for k in range(1, bound + 1):
-        if k > 1:
-            power = jets._graded_matmul(power, E, num_vars, bound)
-        series += power if k % 2 == 0 else -power
-    return np.einsum("ikm,kj->ijm", series, A0inv)
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_stacked_inverse_equals_the_einsum_formula(n):
     rng = np.random.default_rng(n)
     R = cv.random_admissible(n, rng)
     hessian, _ = majet._hessian_and_gradient(majet.potential_expansion(R))
     num_vars, bound, S = jets._stack(hessian)
-    got = jets._stacked_inverse(S, num_vars, bound)
-    assert got.flags.c_contiguous
-    assert got.dtype == S.dtype and got.shape == S.shape
-    # the MA Hessian's constant part is I/2: every product is exact
-    np.testing.assert_array_equal(got, einsum_inverse(S, num_vars, bound))
-    # a constant part that is not a multiple of the identity shows A0^-1 on
-    # the wrong side; the summation order may differ, so only at round-off
-    S = np.einsum("ik,kjm->ijm", np.eye(n) + 0.3 * rng.standard_normal((n, n)), S)
-    got = jets._stacked_inverse(S, num_vars, bound)
-    want = einsum_inverse(S, num_vars, bound)
-    assert got.flags.c_contiguous
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # a constant part I/2 (the MA Hessian's), then one that is not a multiple
+    # of the identity, which shows A0^-1 on the wrong side; the solve and
+    # the Neumann series sum in different orders, so only at round-off
+    A0 = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    identity = np.zeros(S.shape)
+    identity[:, :, 0] = np.eye(n)
+    for stack in (S, np.einsum("ik,kjm->ijm", A0, S)):
+        got = jets._graded_solve(stack, identity, num_vars, bound)
+        assert got.flags.c_contiguous
+        assert got.dtype == stack.dtype and got.shape == stack.shape
+        want = einsum_inverse(stack, num_vars, bound)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        inverse = matrix_inverse(jets._unstack(num_vars, bound, stack))
+        np.testing.assert_array_equal(jets._stack(inverse)[2], got)
+
+
+@pytest.mark.parametrize("cols", [1, 3])
+def test_graded_solve_with_general_right_hand_sides(cols):
+    rng = np.random.default_rng(cols)
+    size, num_vars, bound = 3, 3, 6
+    layout = jets._layout(num_vars, bound)
+    A = np.zeros((size, size, layout.size), dtype=complex)
+    A[:, :, 0] = np.eye(size) + 0.3 * rng.standard_normal((size, size))
+    for d in (1, 3, 4):  # odd degrees, and degree 2 all zero
+        block = layout.block(d)
+        shape = (size, size, block.stop - block.start)
+        A[:, :, block] = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    assert layout.live_degrees(A) == [0, 1, 3, 4]
+    B = rng.standard_normal((size, cols, layout.size))
+    X = jets._graded_solve(A, B, num_vars, bound)
+    assert X.shape == B.shape
+    gap = jets._graded_matmul(A, X, num_vars, bound) - B
+    assert np.max(np.abs(gap)) <= 1e-13
+    for bad in (np.diag([1.0, 1.0, 0.0]), np.full((size, size), np.nan)):
+        A[:, :, 0] = bad
+        with pytest.raises(SingularSystem):
+            jets._graded_solve(A, B, num_vars, bound)
 
 
 def test_evaluate_shape_checks():

@@ -333,14 +333,6 @@ class JetPolynomial:
         nz = np.flatnonzero(self._c)
         return int(self._layout.degrees[nz[-1]]) if nz.size else 0
 
-    def terms_of_degree(self, d):
-        """Sub-jet keeping only terms of total degree exactly ``d``."""
-        out = np.zeros_like(self._c)
-        if 0 <= d <= self.max_degree:
-            block = self._layout.block(d)
-            out[block] = self._c[block]
-        return JetPolynomial._from_array(self.num_vars, self.max_degree, out)
-
     def truncated(self, new_max_degree):
         if new_max_degree < 0:
             raise MalformedInput("max_degree must be >= 0")
@@ -532,20 +524,6 @@ def _stack(A):
 def _unstack(num_vars, bound, stacked):
     return [[JetPolynomial._from_array(num_vars, bound, entry) for entry in row]
             for row in stacked]
-
-
-def matrix_identity(size, num_vars, max_degree):
-    return [[JetPolynomial.constant(1.0 if i == j else 0.0, num_vars, max_degree)
-             for j in range(size)] for i in range(size)]
-
-
-def matrix_multiply(A, B):
-    nv_a, bound_a, SA = _stack(A)
-    nv_b, bound_b, SB = _stack(B)
-    if nv_a != nv_b:
-        raise MalformedInput("jets have different variable counts")
-    bound = min(bound_a, bound_b)
-    return _unstack(nv_a, bound, _graded_matmul(SA, SB, nv_a, bound))
 
 
 def matrix_inverse(A, cond_limit=1e12):

@@ -16,9 +16,11 @@ computed with exact Wirtinger calculus on jets.  The raised index is one
 graded solve against the transposed complex Hessian, degree by degree, with
 no inverse formed; one stacked jet-matrix product then pairs it with
 d rho / dz.
-``solve_quartic_coefficients`` recovers the free quartic coefficients of the
-ansatz directly from the residual, independently of the closed form, by
-matching pure-y degree-4 terms at x = 0.
+``solve_quartic_coefficients`` recovers the free pure-y quartic
+coefficients of the ansatz directly from the identity, independently of the
+closed form: the identity linearized at |y|^2 multiplies a pure-y degree-d
+block by -(d-1)(d-2), so matching the pure-y degree-4 terms at x = 0 reads
+the coefficients off one residual block, divided by 6.
 
 Normalization: the fiber quadratic carries coefficient ``FIBER_SCALE = 1``
 (so ``rho = |y|^2`` on the fiber over the base point).  The alternative
@@ -28,7 +30,6 @@ formula here assumes the value below.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -42,6 +43,14 @@ from .jets import (JetPolynomial, _graded_matmul, _graded_solve, _stack,
 FIBER_SCALE = 1.0
 
 DEFAULT_DEGREE = 6  # exposes the first surviving residual order above four
+
+# The identity linearized at rho = |y|^2 is
+#     dMA(P) = 2 (y . grad_y) P - y^T (grad_x^2 + grad_y^2) P y - 2 P.
+# On a pure-y P homogeneous of degree d, Euler's identity gives
+# (y . grad_y) P = d P and y^T grad_y^2 P y = d (d - 1) P, and grad_x^2 P = 0,
+# so dMA(P) = (2 d - d (d - 1) - 2) P = -(d - 1)(d - 2) P: the gain on the
+# pure-y quartic block (d = 4) is -6.
+PURE_Y_QUARTIC_GAIN = 6.0
 
 
 def potential_expansion(tensor, max_degree=DEFAULT_DEGREE):
@@ -115,7 +124,7 @@ def ma_residual(rho, hessian_tol=1e-8):
     # then sum_a raised[a] dz[a]
     try:
         raised = _graded_solve(H.transpose(1, 0, 2), dzbar, num_vars, bound)
-    except SingularSystem as exc:  # pragma: no cover - guarded by eig check
+    except SingularSystem as exc:
         raise DegenerateHessian(str(exc)) from exc
     contracted = _graded_matmul(raised.transpose(1, 0, 2), dz, num_vars, bound)
     return (-2.0) * rho + JetPolynomial._from_array(num_vars, bound, contracted[0, 0])
@@ -180,73 +189,22 @@ def permutation_identity_deviation(quartic, i, j, k, l):
     return total + 2.0 * quartic.coefficient(i, j, k, l)
 
 
-def _quartic_ansatz(tensor, quartic_values, max_degree=4):
-    """Potential ansatz: expansion from R plus free pure-y quartic terms."""
-    n = tensor.dimension
-    rho = potential_expansion(tensor, max_degree)
-    extra = {}
-    for (i, j, k, l), v in quartic_values.items():
-        powers = [0] * (2 * n)
-        for idx in (i, j, k, l):
-            powers[n + idx] += 1
-        key = tuple(powers)
-        extra[key] = extra.get(key, 0.0) + v
-    return rho + JetPolynomial(2 * n, max_degree, extra)
-
-
-def _pure_y_quartic_vector(residual, n, quads):
-    out = np.zeros(len(quads))
-    for idx, (i, j, k, l) in enumerate(quads):
-        powers = [0] * (2 * n)
-        for m in (i, j, k, l):
-            powers[n + m] += 1
-        out[idx] = float(np.real(residual.coefficient(tuple(powers))))
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _quartic_probe_matrix(n):
-    """Read-only matrix of the quartic matching system in dimension ``n``.
-
-    Column q is the change of the pure-y quartic residual vector when the
-    flat ansatz gains a unit coefficient at quadruple q.
-    """
-    from .curvature import CurvatureTensor
-
-    quads = ordered_quadruples(n)
-    flat = CurvatureTensor(np.zeros((n, n, n, n)))
-    base = _pure_y_quartic_vector(
-        ma_residual(_quartic_ansatz(flat, {}, 4)), n, quads)
-    columns = []
-    for q in quads:
-        res = ma_residual(_quartic_ansatz(flat, {q: 1.0}, 4))
-        columns.append(_pure_y_quartic_vector(res, n, quads) - base)
-    L = np.column_stack(columns)
-    L.flags.writeable = False
-    return L
-
-
-def solve_quartic_coefficients(tensor, cond_limit=1e8):
+def solve_quartic_coefficients(tensor):
     """Solve for the free quartic coefficients directly from the identity.
 
-    Imposes the Monge-Ampere residual on the quartic ansatz and solves the
-    (exactly affine) system obtained by matching the pure-y degree-4
-    residual coefficients at x = 0.  The probe matrix depends only on the
-    dimension, not on the curvature input, so it is built once per
-    dimension; its conditioning is checked on every call.
+    The pure-y degree-4 block of the residual is affine in the free pure-y
+    quartic coefficients P, with gain -PURE_Y_QUARTIC_GAIN, so matching it
+    to zero reads P off the residual of the closed-form expansion at x = 0:
+    P = r / PURE_Y_QUARTIC_GAIN.  One residual, no linear system.
     """
     tensor.validate()
     n = tensor.dimension
     quads = ordered_quadruples(n)
-
-    L = _quartic_probe_matrix(n)
-    if np.linalg.cond(L) > cond_limit:
-        raise SingularSystem("quartic matching system is ill-conditioned")
-
-    rhs = _pure_y_quartic_vector(ma_residual(_quartic_ansatz(tensor, {}, 4)),
-                                 n, quads)
-    solution = np.linalg.solve(L, -rhs)
-    values = {q: float(v) for q, v in zip(quads, solution)}
+    residual = ma_residual(potential_expansion(tensor, 4))
+    # exponent rows (0, ..., 0, y-powers) of the monomials y_i y_j y_k y_l
+    powers = np.eye(2 * n, dtype=np.int64)[n:][quads].sum(axis=1)
+    found = np.real(residual._c[residual._layout.index(powers)])
+    values = {q: float(v) for q, v in zip(quads, found / PURE_Y_QUARTIC_GAIN)}
     return QuarticCoefficients(n, values)
 
 

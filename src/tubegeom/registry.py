@@ -155,11 +155,13 @@ def _grid_times(N):
 
 def nahm_solution(ctx, N):
     """Nahm flow from fixed data on the first three basis elements: the
-    connection path T0, the solution and its residual sup."""
+    connection path T0, the solution and its residual sup.  The data is
+    small enough that the so(n) flows stay bounded, so the residuals of the
+    ``GAUGE_GRIDS`` are already in the scheme's asymptotic range."""
     ts = _grid_times(N)
-    T0 = nahm.GaugePath(0.6 * np.sin(1.3 * ts) * ctx.basis[0]
-                        + 0.4 * ts * ctx.basis[2], "algebra", ctx)
-    init = [0.5 * ctx.basis[0], 0.8 * ctx.basis[1], 1.0 * ctx.basis[2]]
+    T0 = nahm.GaugePath(0.3 * np.sin(1.3 * ts) * ctx.basis[0]
+                        + 0.2 * ts * ctx.basis[2], "algebra", ctx)
+    init = [0.25 * ctx.basis[0], 0.4 * ctx.basis[1], 0.5 * ctx.basis[2]]
     sol = nahm.integrate_nahm(ctx, init, T0)
     return T0, sol, nahm.nahm_residual_sup(sol)
 

@@ -1,4 +1,4 @@
-"""Test-side reference for jet-matrix inverses.
+"""Test-side references for jet-matrix inverses and products.
 
 The library solves A X = B by graded back-substitution.  The reference here
 takes the other route, the degree-truncated Neumann series
@@ -7,7 +7,8 @@ takes the other route, the degree-truncated Neumann series
 
 with its two constant-matrix products written as einsums on a copy of the
 stack with the constant part zeroed.  It shares only ``_graded_matmul`` with
-the library, so the tests can check the solve against it.
+the library, so the tests can check the solve against it.  ``identity_gap``
+multiplies jet matrices with ``_graded_matmul`` on their stacks.
 """
 
 import numpy as np
@@ -29,3 +30,11 @@ def einsum_inverse(S, num_vars, bound):
             power = jets._graded_matmul(power, E, num_vars, bound)
         series += power if k % 2 == 0 else -power
     return np.einsum("ikm,kj->ijm", series, A0inv)
+
+
+def identity_gap(A, X):
+    """Largest |coefficient| of A X - I for jet matrices A and X."""
+    num_vars, bound, SA = jets._stack(A)
+    product = jets._graded_matmul(SA, jets._stack(X)[2], num_vars, bound)
+    product[:, :, 0] -= np.eye(len(product))
+    return float(np.max(np.abs(product)))

@@ -74,8 +74,8 @@ def test_normal_metric_jet_is_linear_in_curvature():
     g2 = cv.normal_metric_jet(scaled)
     for i in range(3):
         for j in range(3):
-            quad1 = g1[i][j] - g1[i][j].terms_of_degree(0)
-            quad2 = g2[i][j] - g2[i][j].terms_of_degree(0)
+            quad1 = g1[i][j] - g1[i][j].coefficient((0,) * 6)
+            quad2 = g2[i][j] - g2[i][j].coefficient((0,) * 6)
             for powers, c in quad1.coeffs.items():
                 assert quad2.coefficient(powers) == pytest.approx(lam * c)
 

@@ -4,10 +4,10 @@ import pytest
 from tubegeom import curvature as cv
 from tubegeom import jets, majet
 from tubegeom.errors import MalformedInput, SingularSystem
-from tubegeom.jets import (JetPolynomial, matrix_identity, matrix_inverse,
-                           matrix_multiply, wirtinger_z, wirtinger_zbar)
+from tubegeom.jets import (JetPolynomial, matrix_inverse, wirtinger_z,
+                           wirtinger_zbar)
 
-from jet_reference import einsum_inverse
+from jet_reference import einsum_inverse, identity_gap
 
 
 def _random_jet(rng, num_vars=4, max_degree=4, terms=12):
@@ -86,24 +86,17 @@ def test_mixed_wirtinger_derivatives_commute():
 def test_matrix_inverse_is_exact_at_jet_level():
     rng = np.random.default_rng(3)
     size, num_vars, deg = 3, 2, 4
-    A = matrix_identity(size, num_vars, deg)
-    for i in range(size):
-        for j in range(size):
-            A[i][j] = A[i][j] + _random_jet(rng, num_vars, deg, terms=4) * 0.3
+    A = [[JetPolynomial.constant(float(i == j), num_vars, deg)
+          + _random_jet(rng, num_vars, deg, terms=4) * 0.3
+          for j in range(size)] for i in range(size)]
     # make the constant part well-conditioned
     A[0][0] = A[0][0] + JetPolynomial.constant(1.0, num_vars, deg)
-    inv = matrix_inverse(A)
-    prod = matrix_multiply(A, inv)
-    for i in range(size):
-        for j in range(size):
-            want = 1.0 if i == j else 0.0
-            gap = prod[i][j] - JetPolynomial.constant(want, num_vars, deg)
-            assert gap.max_abs_coeff() < 1e-12
+    assert identity_gap(A, matrix_inverse(A)) < 1e-12
 
 
 def test_matrix_inverse_rejects_singular_constant_part():
-    A = matrix_identity(2, 2, 2)
-    A[1][1] = JetPolynomial.variable(0, 2, 2)  # zero constant part
+    A = [[JetPolynomial.constant(1.0, 2, 2), JetPolynomial.zero(2, 2)],
+         [JetPolynomial.zero(2, 2), JetPolynomial.variable(0, 2, 2)]]  # zero constant part
     with pytest.raises(SingularSystem):
         matrix_inverse(A)
 

@@ -100,17 +100,20 @@ def test_jet_oracle_matches_the_wirtinger_chain_with_cubic_terms():
     for n in (2, 3):
         for _ in range(3):
             rho = majet.potential_expansion(cv.random_admissible(n, rng))
-            terms = {}
+            extra = {}
             for d in (3, 4):
+                terms = extra[d] = {}
                 for _ in range(12):
                     powers = np.bincount(rng.integers(0, 2 * n, d), minlength=2 * n)
                     terms[tuple(powers.tolist())] = rng.uniform(-0.5, 0.5)
-            rho = rho + JetPolynomial(2 * n, rho.max_degree, terms)
-            want = wirtinger_chain_curvature(rho)
-            got = kahler.kahler_curvature_from_jet(rho).components
+            cubic, quartic = (JetPolynomial(2 * n, rho.max_degree, extra[d])
+                              for d in (3, 4))
+            full = rho + cubic + quartic
+            want = wirtinger_chain_curvature(full)
+            got = kahler.kahler_curvature_from_jet(full).components
             assert np.max(np.abs(got - want)) < 1e-14
             # the cubic terms make the correction term matter
-            no_cubic = wirtinger_chain_curvature(rho - rho.terms_of_degree(3))
+            no_cubic = wirtinger_chain_curvature(rho + quartic)
             assert np.max(np.abs(no_cubic - want)) > 1e-3
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,26 @@ from tubegeom import curvature as cv
 from tubegeom import jets, majet
 from tubegeom.errors import (DegenerateHessian, SingularSystem,
                              UnorderedIndices)
-from tubegeom.jets import (JetPolynomial, matrix_identity, matrix_inverse,
-                           matrix_multiply, wirtinger_z, wirtinger_zbar)
+from tubegeom.jets import (JetPolynomial, matrix_inverse, wirtinger_z,
+                           wirtinger_zbar)
 
-from jet_reference import einsum_inverse
+from jet_reference import einsum_inverse, identity_gap
+
+
+def _pure_y_powers(n, d):
+    """Exponent tuples (x-part zero) of the degree-d pure-y monomials."""
+    return [(0,) * n + tuple(np.bincount(m, minlength=n).tolist())
+            for m in itertools.combinations_with_replacement(range(n), d)]
+
+
+def _pure_y_block(jet, n, d):
+    """Real parts of the degree-d pure-y coefficients, read one at a time."""
+    return np.array([np.real(jet.coefficient(p)) for p in _pure_y_powers(n, d)])
+
+
+def _fiber_quadratic(n, max_degree):
+    return JetPolynomial(2 * n, max_degree, {p: 1.0 for p in _pure_y_powers(n, 2)
+                                             if max(p) == 2})
 
 
 def test_flat_expansion_is_fiber_quadratic():
@@ -170,6 +188,47 @@ def test_degenerate_hessian_raises():
         majet.ma_residual(rho)
 
 
+def test_ill_conditioned_hessian_raises_through_the_graded_solve():
+    # Hessian diag(5e4, 1.1e-8) + O(|x|^2): its smallest eigenvalue passes
+    # the 1e-8 check, but its condition number 4.5e12 fails the solve's
+    rho = JetPolynomial(4, 4, {(0, 0, 2, 0): 1e5, (0, 0, 0, 2): 2.2e-8,
+                               (0, 2, 0, 2): 1.0})
+    with pytest.raises(DegenerateHessian) as info:
+        majet.ma_residual(rho)
+    assert isinstance(info.value.__cause__, SingularSystem)
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3),
+                                  (3, 4), (3, 5), (3, 6), (4, 4)])
+def test_pure_y_block_gain_is_minus_d_minus_one_times_d_minus_two(n, d):
+    # the identity linearized at |y|^2 multiplies a pure-y degree-d block by
+    # -(d-1)(d-2); through degree d the block is exactly linear for d >= 3
+    gain = -(d - 1) * (d - 2)
+    if d == 4:
+        assert gain == -majet.PURE_Y_QUARTIC_GAIN
+    rng = np.random.default_rng(100 * n + d)
+    powers = _pure_y_powers(n, d)
+    P = dict(zip(powers, rng.uniform(-1.0, 1.0, len(powers))))
+    residual = majet.ma_residual(_fiber_quadratic(n, d) + JetPolynomial(2 * n, d, P))
+    want = gain * np.array(list(P.values()))
+    got = _pure_y_block(residual, n, d)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pure_y_quartic_probe_matrix_is_minus_six_times_identity(n):
+    # the probe of the matching system: column q is the change of the pure-y
+    # quartic residual when the flat ansatz gains a unit coefficient at q
+    powers = _pure_y_powers(n, 4)
+    base = _pure_y_block(majet.ma_residual(_fiber_quadratic(n, 4)), n, 4)
+    columns = [_pure_y_block(majet.ma_residual(
+        _fiber_quadratic(n, 4) + JetPolynomial(2 * n, 4, {p: 1.0})), n, 4) - base
+        for p in powers]
+    L = np.column_stack(columns)
+    np.testing.assert_allclose(L, -majet.PURE_Y_QUARTIC_GAIN * np.eye(len(powers)),
+                               rtol=0.0, atol=1e-12)
+
+
 def test_invert_near_identity_closed_form():
     # one variable: (1 + y^2)^-1 = 1 - y^2 + O(y^4)
     y2 = JetPolynomial(1, 3, {(2,): 1.0})
@@ -182,7 +241,8 @@ def test_invert_near_identity_closed_form():
 def test_invert_near_identity_matches_closed_form_exactly():
     rng = np.random.default_rng(1)
     size, num_vars = 3, 3
-    A = matrix_identity(size, num_vars, 3)
+    A = [[JetPolynomial.constant(float(i == j), num_vars, 3) for j in range(size)]
+         for i in range(size)]
     quad = {}
     for i in range(size):
         for j in range(size):
@@ -202,12 +262,7 @@ def test_invert_near_identity_matches_closed_form_exactly():
             gap = inv[i][j] - expected
             # coefficient equality through degree 2 (and 3, by parity)
             assert gap.max_abs_coeff(degrees={0, 1, 2, 3}) < 1e-14
-    prod = matrix_multiply(A, inv)
-    for i in range(size):
-        for j in range(size):
-            want = 1.0 if i == j else 0.0
-            gap = prod[i][j] - JetPolynomial.constant(want, num_vars, 3)
-            assert gap.max_abs_coeff(degrees={0, 1, 2, 3}) < 1e-14
+    assert identity_gap(A, inv) < 1e-14
 
 
 def test_solve_quartic_zero_for_flat():
@@ -224,10 +279,52 @@ def test_solve_quartic_vanishes_on_random_tensors():
             q = majet.solve_quartic_coefficients(R)
             assert q.max_abs() < 1e-12
             assert majet.matching_cross_check(R, q) < 1e-12
-            # the solved ansatz agrees with the closed-form expansion
-            full = majet._quartic_ansatz(R, q.values, 4)
-            gap = full - majet.potential_expansion(R, 4)
-            assert gap.max_abs_coeff() < 1e-12
+            # the solved ansatz: its pure-y quartic residual vanishes
+            quartic = {(0,) * n + tuple(np.bincount(quad, minlength=n).tolist()): v
+                       for quad, v in q.values.items()}
+            ansatz = majet.potential_expansion(R, 4) + JetPolynomial(2 * n, 4, quartic)
+            residual = majet.ma_residual(ansatz)
+            assert np.max(np.abs(_pure_y_block(residual, n, 4))) <= 1e-12
+
+
+def test_solve_quartic_reads_the_residual_block_divided_by_six():
+    rng = np.random.default_rng(21)
+    for n in (2, 3, 4):
+        R = cv.random_admissible(n, rng)
+        q = majet.solve_quartic_coefficients(R)
+        residual = majet.ma_residual(majet.potential_expansion(R, 4))
+        want = _pure_y_block(residual, n, 4) / 6.0
+        assert list(q.values) == majet.ordered_quadruples(n)
+        assert list(q.values.values()) == want.tolist()
+        assert np.any(want != 0.0)  # round-off, but it tells positions apart
+
+
+def test_solve_quartic_recovers_a_planted_pure_y_quartic(monkeypatch):
+    # an expansion carrying a pure-y quartic P solves to -P: the matching
+    # cancels it, with the gain and sign of the linearized identity
+    n = 3
+    rng = np.random.default_rng(22)
+    quads = majet.ordered_quadruples(n)
+    planted = dict(zip(quads, rng.uniform(-1.0, 1.0, len(quads))))
+    P = JetPolynomial(2 * n, 4, dict(zip(_pure_y_powers(n, 4), planted.values())))
+    expansion = majet.potential_expansion
+    monkeypatch.setattr(majet, "potential_expansion",
+                        lambda tensor, degree: expansion(tensor, degree) + P)
+    q = majet.solve_quartic_coefficients(cv.random_admissible(n, rng))
+    for quad, v in planted.items():
+        assert q.coefficient(*quad) == pytest.approx(-v, abs=1e-12)
+
+
+def test_solve_quartic_makes_one_residual_call(monkeypatch):
+    R = cv.random_admissible(2, np.random.default_rng(11))
+    first = majet.solve_quartic_coefficients(R)
+    calls = []
+    real_residual = majet.ma_residual
+    monkeypatch.setattr(majet, "ma_residual",
+                        lambda rho: calls.append(1) or real_residual(rho))
+    second = majet.solve_quartic_coefficients(R)
+    assert second.values == first.values
+    assert len(calls) == 1
 
 
 def test_permutation_identity_zero_table():
@@ -273,30 +370,6 @@ def test_scaling_csv_shape():
     lines = text.strip().splitlines()
     assert lines[0] == "eps,sup_residual"
     assert len(lines) == len(rows) + 1
-
-
-def test_quartic_probe_matrix_is_built_once_per_dimension(monkeypatch):
-    rng = np.random.default_rng(11)
-    R = cv.random_admissible(2, rng)
-    majet._quartic_probe_matrix.cache_clear()
-    first = majet.solve_quartic_coefficients(R)
-    L = majet._quartic_probe_matrix(2)
-    assert not L.flags.writeable
-    calls = []
-    real_residual = majet.ma_residual
-    monkeypatch.setattr(majet, "ma_residual",
-                        lambda rho: calls.append(1) or real_residual(rho))
-    second = majet.solve_quartic_coefficients(R)
-    assert second.values == first.values
-    assert len(calls) == 1  # the right-hand side only; L comes from the cache
-    assert majet._quartic_probe_matrix(2) is L
-
-
-def test_quartic_probe_matrix_conditioning_is_checked_every_call():
-    R = cv.random_admissible(2, np.random.default_rng(12))
-    majet.solve_quartic_coefficients(R)
-    with pytest.raises(SingularSystem):
-        majet.solve_quartic_coefficients(R, cond_limit=0.5)  # cond >= 1
 
 
 def test_quartic_max_abs_propagates_nan():

@@ -77,6 +77,6 @@ def test_gauge_residual_order_without_gauges_is_nan():
 def test_broadcast_nahm_data_matches_a_per_node_loop():
     ctx = liealg.builtin_context("su3_u2")
     T0 = registry.nahm_solution(ctx, 64)[0]
-    loop = nahm.sampled_path(ctx, lambda t: 0.6 * np.sin(1.3 * t) * ctx.basis[0]
-                             + 0.4 * t * ctx.basis[2], 64)
+    loop = nahm.sampled_path(ctx, lambda t: 0.3 * np.sin(1.3 * t) * ctx.basis[0]
+                             + 0.2 * t * ctx.basis[2], 64)
     assert np.array_equal(T0.values, loop.values)

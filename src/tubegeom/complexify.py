@@ -150,15 +150,6 @@ def cr_order_estimate(a, X, t=0.2, s=0.3, steps=(0.02, 0.01, 0.005)):
     return float(np.polyfit(np.log(steps), logs, 1)[0])
 
 
-def left_translate(g, point):
-    """Action of the group on left-trivialized tangent points: (a, v) -> (ga, v)."""
-    if g.context is not point.context:
-        raise ContextMismatch("group element and point from different contexts")
-    return TangentPoint(GroupElement(g.matrix @ point.base.matrix, point.context,
-                                     g.complexified or point.base.complexified),
-                        point.vector)
-
-
 def bundle_shift(point, h):
     """Equivalent presentation of a coset tangent point: (a h, Ad_{h^-1} v).
 

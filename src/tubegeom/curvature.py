@@ -1,4 +1,4 @@
-"""Riemannian curvature tensors, normal-coordinate metric jets, and a
+"""Riemannian curvature tensors, the normal-coordinate metric jet, and a
 finite-difference curvature oracle.
 
 Convention lock
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (EqualIndices, IndexOutOfRange, MalformedInput,
                      SingularMetric, SymmetryViolation)
-from .jets import JetPolynomial
+from .jets import _layout, _scatter, _unstack
 
 
 @dataclass(frozen=True)
@@ -163,37 +163,22 @@ def sectional(tensor, i, j):
 
 
 def normal_metric_jet(tensor, max_degree=2):
-    """Degree-2 jet of the metric in geodesic normal coordinates.
-
-    Returns the matrix of jets ``g_ij(x) = delta_ij - (1/3) sum_pq
-    R[i,p,j,q] x_p x_q`` in the 2n-variable layout (the y variables are
-    unused, which keeps the result directly consumable by the potential
-    machinery).
+    """Matrix of jets ``g_ij(x) = delta_ij - (1/3) sum_pq R[i,p,j,q] x_p x_q``,
+    the metric in geodesic normal coordinates (Gray 1973), in the 2n-variable
+    layout with the y variables unused.  The one place where curvature
+    enters a jet: one scatter of the weights -R[i,p,j,q] / 3 onto x_p x_q.
     """
     tensor.validate()
+    if max_degree < 2:
+        raise MalformedInput("the normal metric jet needs max_degree >= 2")
     n = tensor.dimension
-    R = tensor.components
-    num_vars = 2 * n
-    jet = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            coeffs = {}
-            zero = [0] * num_vars
-            if i == j:
-                coeffs[tuple(zero)] = 1.0
-            for p in range(n):
-                for q in range(n):
-                    if R[i, p, j, q] == 0.0:
-                        continue
-                    powers = zero.copy()
-                    powers[p] += 1
-                    powers[q] += 1
-                    key = tuple(powers)
-                    coeffs[key] = coeffs.get(key, 0.0) - R[i, p, j, q] / 3.0
-            row.append(JetPolynomial(num_vars, max_degree, coeffs))
-        jet.append(row)
-    return jet
+    layout = _layout(2 * n, max_degree)
+    x = np.eye(2 * n, dtype=np.int64)[:n]
+    positions = layout.index((x[:, None] + x[None, :]).reshape(n * n, 2 * n))
+    weights = -tensor.components.transpose(0, 2, 1, 3).reshape(n * n, n * n) / 3.0
+    stack = _scatter(positions, weights, layout.size)
+    stack[::n + 1, 0] += 1.0
+    return _unstack(2 * n, max_degree, stack.reshape(n, n, -1))
 
 
 @dataclass

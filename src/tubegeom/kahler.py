@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EqualIndices, IndexOutOfRange, MalformedInput
-from .majet import require_positive_hessian
+from .majet import potential_expansion, require_positive_hessian
 
 PLANE_KINDS = ("xy", "xx", "yy", "holomorphic")
 
@@ -49,11 +49,6 @@ class KahlerCurvatureAtZero:
 
     def max_imag(self):
         return float(np.max(np.abs(self.components.imag)))
-
-    def hermitian_defect(self):
-        """Max |K[i,j,k,l] - conj K[j,i,l,k]| over all components."""
-        K = self.components
-        return float(np.max(np.abs(K - K.transpose(1, 0, 3, 2).conj())))
 
 
 def kahler_curvature_at_zero(tensor):
@@ -176,18 +171,12 @@ def negative_plane_witness(tensor):
     return NegativePlaneWitness(i, j, -s / 3.0)
 
 
-def plane_report_rows(tensor, rho=None):
-    """Comparison table rows: closed form vs jet oracle for every plane.
-
-    Returns (i, j, kind, closed_form, oracle, abs_error) tuples; ``rho``
-    defaults to the degree-4 expansion built from the tensor.
-    """
-    from .majet import potential_expansion
-
-    if rho is None:
-        rho = potential_expansion(tensor)
+def plane_report_rows(tensor):
+    """Comparison table rows: closed form vs the jet oracle on the tensor's
+    potential expansion, for every plane, as (i, j, kind, closed_form,
+    oracle, abs_error) tuples."""
     K_closed = kahler_curvature_at_zero(tensor)
-    K_jet = kahler_curvature_from_jet(rho)
+    K_jet = kahler_curvature_from_jet(potential_expansion(tensor))
     n = tensor.dimension
     rows = []
     for i in range(n):

@@ -194,10 +194,6 @@ class GroupElement:
         return self.matrix @ other
 
 
-def identity_element(context, complexified=False):
-    return GroupElement(np.eye(context.matrix_size), context, complexified)
-
-
 # -- core operations ----------------------------------------------------
 
 def bracket(context, X, Y, tol=None):
@@ -470,7 +466,9 @@ def _fmt_complex(z):
 
 
 def load_context(path):
-    """Read the plain-text structure file written by ``save_context``."""
+    """Read the plain-text structure file written by ``save_context``;
+    MalformedInput unless its inner product is Ad-invariant and its split,
+    if any, is reductive."""
     with open(path) as fh:
         tokens = []
         for line in fh:
@@ -503,5 +501,9 @@ def load_context(path):
     mask = None
     if "h_mask" in fields:
         mask = np.array([tok == "1" for tok in fields["h_mask"]])
-    return LieAlgebraContext(fields["name"][0], fields["basis"],
-                             inner_product=fields["inner_product"], h_mask=mask)
+    context = LieAlgebraContext(fields["name"][0], fields["basis"],
+                                inner_product=fields["inner_product"], h_mask=mask)
+    check_ad_invariance(context)
+    if mask is not None:
+        check_reductive(context)
+    return context

@@ -3,11 +3,14 @@
 The strictly plurisubharmonic potential of the tube complexification over a
 Riemannian manifold restricts, in geodesic normal coordinates, to
 
-    rho(x + iy) = sum_i y_i^2
+    rho(x + iy) = sum_ij g_ij(x) y_i y_j + higher
+                = sum_i y_i^2
                   - (1/3) sum_{ipjq} R[i,p,j,q] x_p x_q y_i y_j  + higher,
 
-with no cubic, pure-x, or pure-quartic-y terms.  ``potential_expansion``
-builds this jet from a curvature tensor; ``ma_residual`` measures how well
+with g the metric in normal coordinates, and no cubic, pure-x, or
+pure-quartic-y terms.  ``potential_expansion`` builds this jet as
+FIBER_SCALE * y^T g(x) y from ``curvature.normal_metric_jet``, the one place
+where the curvature contraction is written; ``ma_residual`` measures how well
 any potential jet satisfies the degenerate Monge-Ampere identity
 
     sum_a rho^a rho_a - 2 rho = 0,   rho^a = sum_b rho^{a bbar} rho_bbar,
@@ -22,10 +25,11 @@ closed form: the identity linearized at |y|^2 multiplies a pure-y degree-d
 block by -(d-1)(d-2), so matching the pure-y degree-4 terms at x = 0 reads
 the coefficients off one residual block, divided by 6.
 
-Normalization: the fiber quadratic carries coefficient ``FIBER_SCALE = 1``
-(so ``rho = |y|^2`` on the fiber over the base point).  The alternative
-convention ``rho = |v|^2 / 2`` seen elsewhere corresponds to 0.5; every
-formula here assumes the value below.
+Normalization: the whole potential carries the factor ``FIBER_SCALE = 1``
+(so ``rho = |y|^2`` on the fiber over the base point); the identity is
+homogeneous of degree one in rho.  The alternative convention
+``rho = |v|^2 / 2`` seen elsewhere corresponds to 0.5; every formula here
+assumes the value below.
 """
 
 from __future__ import annotations
@@ -35,10 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curvature import normal_metric_jet
 from .errors import (DegenerateHessian, MalformedInput, SingularSystem,
                      UnorderedIndices)
-from .jets import (JetPolynomial, _graded_matmul, _graded_solve, _stack,
-                   wirtinger_z, wirtinger_zbar)
+from .jets import (JetPolynomial, _graded_matmul, _graded_solve, _layout,
+                   _stack, wirtinger_z, wirtinger_zbar)
 
 FIBER_SCALE = 1.0
 
@@ -54,28 +59,18 @@ PURE_Y_QUARTIC_GAIN = 6.0
 
 
 def potential_expansion(tensor, max_degree=DEFAULT_DEGREE):
-    """Degree-4 jet of the tube potential in normal coordinates."""
-    tensor.validate()
-    n = tensor.dimension
-    R = tensor.components
-    num_vars = 2 * n
-    coeffs = {}
-    for i in range(n):
-        powers = [0] * num_vars
-        powers[n + i] = 2
-        coeffs[tuple(powers)] = FIBER_SCALE
-    for i, p, j, q in itertools.product(range(n), repeat=4):
-        v = R[i, p, j, q]
-        if v == 0.0:
-            continue
-        powers = [0] * num_vars
-        powers[p] += 1
-        powers[q] += 1
-        powers[n + i] += 1
-        powers[n + j] += 1
-        key = tuple(powers)
-        coeffs[key] = coeffs.get(key, 0.0) - v / 3.0
-    return JetPolynomial(num_vars, max_degree, coeffs)
+    """Degree-4 jet of the tube potential, FIBER_SCALE * y^T g(x) y: one
+    graded product of the (1, n^2) stack of the normal-coordinate metric
+    jet of ``tensor`` with the (n^2, 1) stack of the monomials y_i y_j."""
+    metric = _stack(normal_metric_jet(tensor, max_degree))[2]
+    n = len(metric)
+    layout = _layout(2 * n, max_degree)
+    y = np.eye(2 * n, dtype=np.int64)[n:]
+    fiber = np.zeros((n * n, 1, layout.size))
+    fiber[np.arange(n * n), 0,
+          layout.index((y[:, None] + y[None, :]).reshape(n * n, 2 * n))] = FIBER_SCALE
+    rho = _graded_matmul(metric.reshape(1, n * n, -1), fiber, 2 * n, max_degree)
+    return JetPolynomial._from_array(2 * n, max_degree, rho[0, 0])
 
 
 def _fiber_dimension(rho):
@@ -189,6 +184,15 @@ def permutation_identity_deviation(quartic, i, j, k, l):
     return total + 2.0 * quartic.coefficient(i, j, k, l)
 
 
+def _pure_y_quartic_read(residual, n):
+    """The pure-y quartic block of a residual jet, in ``ordered_quadruples``
+    order, divided by PURE_Y_QUARTIC_GAIN: the pure-y quartic that matching
+    the block to zero asks the potential to gain."""
+    # exponent rows (0, ..., 0, y-powers) of the monomials y_i y_j y_k y_l
+    powers = np.eye(2 * n, dtype=np.int64)[n:][ordered_quadruples(n)].sum(axis=1)
+    return np.real(residual._c[residual._layout.index(powers)]) / PURE_Y_QUARTIC_GAIN
+
+
 def solve_quartic_coefficients(tensor):
     """Solve for the free quartic coefficients directly from the identity.
 
@@ -197,15 +201,10 @@ def solve_quartic_coefficients(tensor):
     to zero reads P off the residual of the closed-form expansion at x = 0:
     P = r / PURE_Y_QUARTIC_GAIN.  One residual, no linear system.
     """
-    tensor.validate()
     n = tensor.dimension
-    quads = ordered_quadruples(n)
-    residual = ma_residual(potential_expansion(tensor, 4))
-    # exponent rows (0, ..., 0, y-powers) of the monomials y_i y_j y_k y_l
-    powers = np.eye(2 * n, dtype=np.int64)[n:][quads].sum(axis=1)
-    found = np.real(residual._c[residual._layout.index(powers)])
-    values = {q: float(v) for q, v in zip(quads, found / PURE_Y_QUARTIC_GAIN)}
-    return QuarticCoefficients(n, values)
+    found = _pure_y_quartic_read(ma_residual(potential_expansion(tensor, 4)), n)
+    return QuarticCoefficients(n, {q: float(v) for q, v in
+                                   zip(ordered_quadruples(n), found)})
 
 
 def matching_cross_check(tensor, quartic):

@@ -23,6 +23,7 @@ import scipy.linalg
 from . import complexify as cx
 from . import curvature as cv
 from . import kahler, liealg, majet, nahm
+from .jets import JetPolynomial
 
 # default sample counts, overridable per run with --sweep.KEY=VALUE
 SWEEPS = {"tensors": 10, "leaves": 10, "well_defined": 25, "gauges": 20,
@@ -53,6 +54,23 @@ def quartic_sweep(rng, count):
             sizes.append(q.max_abs())
             gaps.append(majet.matching_cross_check(R, q))
     return _worst(sizes), _worst(gaps)
+
+
+def planted_quartic_gap(rng):
+    """Worst |read + P| over n = 2, 3, where a seeded pure-y quartic P is
+    added to the degree-4 expansion of a seeded admissible tensor and read
+    is the solve's pure-y quartic read of its residual: the matching must
+    cancel the plant, with the gain and at the positions of the solve."""
+    gaps = []
+    for n in (2, 3):
+        R = cv.random_admissible(n, rng)
+        quads = majet.ordered_quadruples(n)
+        P = rng.standard_normal(len(quads))
+        powers = np.eye(2 * n, dtype=np.int64)[n:][quads].sum(axis=1)
+        planted = JetPolynomial(2 * n, 4, dict(zip(map(tuple, powers.tolist()), P)))
+        residual = majet.ma_residual(majet.potential_expansion(R, 4) + planted)
+        gaps.append(np.max(np.abs(majet._pure_y_quartic_read(residual, n) + P)))
+    return _worst(gaps)
 
 
 def sphere_potential():
@@ -388,6 +406,11 @@ def _permutation(ctx, rng, run):
                     for t in quads]), "exhaustive ordered quadruples, n=3")
 
 
+def _planted_quartic(ctx, rng, run):
+    return (planted_quartic_gap(np.random.default_rng(run.seed + 2)),
+            "|read + P| of a planted pure-y quartic P, n=2,3")
+
+
 def _sphere_special(case):
     def compute(ctx, rng, run):
         gap, want = run.once(sphere_special_gaps)[case]
@@ -449,6 +472,8 @@ CHECKS = (
           compute=_scaling_slope),
     Check("ma-expansion", "permutation-identity", tol_key="permutation", tol=1e-12,
           compute=_permutation),
+    Check("ma-expansion", "planted-quartic-read", tol_key="quartic", tol=1e-9,
+          compute=_planted_quartic),
 
     Check("kahler-curvature", "oracle-vs-closed-form", tol_key="components", tol=1e-10,
           compute=lambda ctx, rng, run: (

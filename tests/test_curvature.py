@@ -5,6 +5,8 @@ from tubegeom import curvature as cv
 from tubegeom.errors import (EqualIndices, IndexOutOfRange, MalformedInput,
                              SingularMetric, SymmetryViolation)
 
+from jet_reference import loop_normal_metric_jet
+
 
 def _euclidean_chart(n):
     return cv.MetricChart(n, lambda x: np.eye(n), name="euclidean")
@@ -85,6 +87,24 @@ def test_flat_jet_gives_identity_metric():
     g = cv.normal_metric_jet(R)
     assert len(g[0][0].coeffs) == 1
     assert len(g[0][1].coeffs) == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_normal_metric_jet_matches_the_loop_reference(n):
+    rng = np.random.default_rng(30 + n)
+    for degree in (4, 6, 8):
+        R = cv.random_admissible(n, rng)
+        got = cv.normal_metric_jet(R, degree)
+        want = loop_normal_metric_jet(R, degree)
+        for i in range(n):
+            for j in range(n):
+                assert got[i][j].max_degree == degree
+                assert (got[i][j] - want[i][j]).max_abs_coeff() <= 2e-16
+
+
+def test_normal_metric_jet_needs_its_quadratic_term():
+    with pytest.raises(MalformedInput):
+        cv.normal_metric_jet(cv.constant_curvature(2, 1.0), 1)
 
 
 def test_curvature_from_chart_euclidean():

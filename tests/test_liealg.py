@@ -98,7 +98,7 @@ def test_group_exp_diagonal_frozen(su2_split):
 
 def test_group_log_inverts_exp(su2_split):
     assert np.linalg.norm(
-        la.group_log(la.identity_element(su2_split))) == 0.0
+        la.group_log(la.GroupElement(np.eye(su2_split.matrix_size), su2_split))) == 0.0
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(1000):
@@ -145,7 +145,7 @@ def test_adjoint_properties(su2_split):
     rng = np.random.default_rng(4)
     X = su2_split.random_element(rng)
     Y = su2_split.random_element(rng)
-    e = la.identity_element(su2_split)
+    e = la.GroupElement(np.eye(su2_split.matrix_size), su2_split)
     assert np.linalg.norm(la.adjoint(e, X) - X) == 0.0
     for _ in range(10):
         g = la.group_exp(su2_split, su2_split.random_element(rng, 1.5))
@@ -213,6 +213,36 @@ def test_structure_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("dimension 2\nunknown_field 1\n")
     with pytest.raises(MalformedInput):
+        la.load_context(path)
+
+
+@pytest.mark.parametrize("name", sorted(la.BUILTIN_CONTEXTS))
+def test_every_builtin_context_survives_the_file_validation(tmp_path, name):
+    ctx = la.builtin_context(name)
+    la.save_context(ctx, tmp_path / "ctx.txt")
+    assert la.load_context(tmp_path / "ctx.txt").dim == ctx.dim
+
+
+def test_structure_file_rejects_a_non_invariant_inner_product(tmp_path):
+    base = la.su2()
+    bad = la.LieAlgebraContext("skewed", base.basis,
+                               inner_product=np.diag([1.0, 2.0, 1.0]))
+    path = tmp_path / "skewed.txt"
+    la.save_context(bad, path)
+    with pytest.raises(MalformedInput, match="Ad-invariant"):
+        la.load_context(path)
+
+
+def test_structure_file_rejects_a_non_reductive_split(tmp_path):
+    # h = span(basis 0, basis 2) of su(3): [basis 0, basis 1] has a part in h
+    base = la.su3()
+    mask = np.zeros(base.dim, dtype=bool)
+    mask[[0, 2]] = True
+    bad = la.LieAlgebraContext("su3-bad-split", base.basis,
+                               inner_product=base.inner_product, h_mask=mask)
+    path = tmp_path / "bad-split.txt"
+    la.save_context(bad, path)
+    with pytest.raises(MalformedInput, match="not reductive"):
         la.load_context(path)
 
 

@@ -10,7 +10,8 @@ from tubegeom.errors import (DegenerateHessian, SingularSystem,
 from tubegeom.jets import (JetPolynomial, matrix_inverse, wirtinger_z,
                            wirtinger_zbar)
 
-from jet_reference import einsum_inverse, identity_gap
+from jet_reference import (einsum_inverse, identity_gap,
+                           loop_potential_expansion)
 
 
 def _pure_y_powers(n, d):
@@ -67,6 +68,47 @@ def test_mixed_quartic_coefficient_symmetrization():
         want = -(C[i, p, j, q] + C[i, q, j, p]
                  + C[j, p, i, q] + C[j, q, i, p]) / 3.0
         assert rho.coefficient(tuple(powers)) == pytest.approx(want, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_potential_expansion_matches_the_loop_reference(n):
+    rng = np.random.default_rng(40 + n)
+    for degree in (4, 6, 8):
+        R = cv.random_admissible(n, rng)
+        got = majet.potential_expansion(R, degree)
+        want = loop_potential_expansion(R, degree, majet.FIBER_SCALE)
+        assert got.max_degree == degree
+        assert (got - want).max_abs_coeff() <= 2e-16
+
+
+def test_the_whole_potential_scales_with_the_fiber_scale(monkeypatch):
+    R = cv.random_admissible(3, np.random.default_rng(7))
+    base = majet.potential_expansion(R, 6)
+    monkeypatch.setattr(majet, "FIBER_SCALE", 0.5)
+    half = majet.potential_expansion(R, 6)
+    assert (half - 0.5 * base).max_abs_coeff() == 0.0
+    # the identity is homogeneous of degree one in rho
+    gap = majet.ma_residual(half) - 0.5 * majet.ma_residual(base)
+    assert gap.max_abs_coeff() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_fd_curvature_of_the_potentials_fiber_metric_recovers_the_tensor(n):
+    # the chart x -> (1/2) d^2 rho / dy_i dy_j at (x, 0) is read from the
+    # potential alone; the finite-difference oracle recovers R from it
+    R = cv.random_admissible(n, np.random.default_rng(50 + n))
+    rho = majet.potential_expansion(R, 4)
+    hessian = [[rho.partial(n + i).partial(n + j) for j in range(n)]
+               for i in range(n)]
+    scale = 0.5 / majet.FIBER_SCALE
+
+    def metric(x):
+        point = np.concatenate([x, np.zeros(n)])
+        return scale * np.array([[np.real(h.evaluate(point)) for h in row]
+                                 for row in hessian])
+
+    got = cv.curvature_from_chart(cv.MetricChart(n, metric, name="fiber-hessian"))
+    assert np.max(np.abs(got.components - R.components)) <= 1e-6
 
 
 def test_flat_residual_vanishes_identically():

@@ -1,6 +1,9 @@
+import re
+from pathlib import Path
+
 import numpy as np
 
-from tubegeom import liealg, nahm, registry
+from tubegeom import liealg, majet, nahm, registry
 
 
 def test_one_nan_sample_makes_the_sweep_nan(monkeypatch):
@@ -28,6 +31,25 @@ def test_case_ids_are_unique_and_keys_declared():
     assert set(registry.SUITE_NAMES) == {c.suite for c in registry.CHECKS}
     assert all(c.tol_key is None or registry.TOLERANCES[c.tol_key] == c.tol
                for c in registry.CHECKS)
+
+
+def test_readme_override_table_lists_the_registry_keys_and_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `((?:tol|sweep)\.\w+)` \| ([^|]+) \|", readme, re.M)
+    table = {key: float(default) for key, default in rows}
+    assert len(table) == len(rows)  # no key listed twice
+    assert table == {**{f"tol.{k}": v for k, v in registry.TOLERANCES.items()},
+                     **{f"sweep.{k}": v for k, v in registry.SWEEPS.items()}}
+
+
+def test_planted_quartic_read_fails_where_the_vanishing_read_cannot(monkeypatch):
+    # a wrong gain leaves the vanishing block at round-off, but the plant
+    # reads back as -P * 6 / 4
+    assert registry.planted_quartic_gap(np.random.default_rng(44)) <= 1e-12
+    monkeypatch.setattr(majet, "PURE_Y_QUARTIC_GAIN", 4.0)
+    worst_a, worst_match = registry.quartic_sweep(np.random.default_rng(43), 2)
+    assert worst_a <= 1e-9 and worst_match <= 1e-9
+    assert registry.planted_quartic_gap(np.random.default_rng(44)) > 0.1
 
 
 def test_gauge_residual_order_names_its_worst_gauge():

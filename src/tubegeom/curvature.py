@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (EqualIndices, IndexOutOfRange, MalformedInput,
                      SingularMetric, SymmetryViolation)
-from .jets import _layout, _scatter, _unstack
+from .jets import JetPolynomial, _layout, _scatter
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def sectional(tensor, i, j):
 
 
 def normal_metric_jet(tensor, max_degree=2):
-    """Matrix of jets ``g_ij(x) = delta_ij - (1/3) sum_pq R[i,p,j,q] x_p x_q``,
+    """(n, n) jet ``g_ij(x) = delta_ij - (1/3) sum_pq R[i,p,j,q] x_p x_q``,
     the metric in geodesic normal coordinates (Gray 1973), in the 2n-variable
     layout with the y variables unused.  The one place where curvature
     enters a jet: one scatter of the weights -R[i,p,j,q] / 3 onto x_p x_q.
@@ -178,7 +178,7 @@ def normal_metric_jet(tensor, max_degree=2):
     weights = -tensor.components.transpose(0, 2, 1, 3).reshape(n * n, n * n) / 3.0
     stack = _scatter(positions, weights, layout.size)
     stack[::n + 1, 0] += 1.0
-    return _unstack(2 * n, max_degree, stack.reshape(n, n, -1))
+    return JetPolynomial._from_array(2 * n, max_degree, stack.reshape(n, n, -1))
 
 
 @dataclass
@@ -196,16 +196,10 @@ class MetricChart:
         return g
 
 
-def chart_from_metric_jet(jet_matrix):
-    """Wrap a matrix of (2n-variable) metric jets as a chart in x alone."""
-    n = len(jet_matrix)
-
-    def evaluator(x):
-        point = np.concatenate([x, np.zeros(n)])
-        return np.array([[float(np.real(jet_matrix[i][j].evaluate(point)))
-                          for j in range(n)] for i in range(n)])
-
-    return MetricChart(n, evaluator, name="metric-jet")
+def chart_from_metric_jet(metric):
+    """Wrap an (n, n) metric jet in 2n variables as a chart in x alone, at y = 0."""
+    n = len(metric)
+    return MetricChart(n, lambda x: metric.evaluate(np.pad(x, (0, n))), "metric-jet")
 
 
 def sphere_chart(n, kappa=1.0):

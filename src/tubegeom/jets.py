@@ -6,8 +6,9 @@ of two jets is the exact degree-``max_degree`` part of the product of the
 underlying polynomials.  Coefficients may be real or complex; a jet stays
 float64 until a complex operand (typically a Wirtinger derivative) enters.
 
-Storage is one coefficient array per jet, indexed by the graded monomial
-table of ``(num_vars, max_degree)``: monomials are listed degree by degree,
+Storage is one coefficient array per jet, whose last axis is indexed by the
+graded monomial table of ``(num_vars, max_degree)``; leading axes make a
+vector or matrix of jets one jet.  Monomials are listed degree by degree,
 lexicographically within a degree, so truncating to degree ``d`` is a prefix
 slice.  The tables (exponent matrix, product index maps per pair of degrees,
 one index map per partial derivative) are built once with vectorised NumPy
@@ -41,6 +42,7 @@ import numpy as np
 from .errors import MalformedInput, SingularSystem
 
 _EVAL_CHUNK = 1 << 18  # monomial values (2 MB) held at once by ``evaluate``
+COND_LIMIT = 1e12  # largest condition number of a solve's constant matrix
 
 
 # -- cached monomial tables ---------------------------------------------
@@ -89,8 +91,6 @@ class _Layout:
         self.size = int(self.offsets[-1])
         self._blocks = [slice(int(a), int(b))
                         for a, b in zip(self.offsets[:-1], self.offsets[1:])]
-        self.degrees = _readonly(np.repeat(np.arange(max_degree + 1),
-                                           [len(b) for b in blocks]))
         self.base = max_degree + 1
         codes = _encode(self.exponents, self.base)
         self._order = np.argsort(codes)
@@ -140,13 +140,13 @@ def _layout(num_vars, max_degree):
 
 @functools.lru_cache(maxsize=None)
 def _partial_map(num_vars, max_degree, var_index):
-    """(src, dst, weight): d/dx_var sends coefficient src to dst times weight."""
+    """(src, weight): d/dx_var puts coefficient src[t] times weight[t] at
+    each position t below the top degree, which is a prefix; the top
+    degree block of a derivative is zero."""
     layout = _layout(num_vars, max_degree)
-    src = np.flatnonzero(layout.exponents[:, var_index] > 0)
-    lowered = layout.exponents[src].copy()
-    weight = lowered[:, var_index].copy()
-    lowered[:, var_index] -= 1
-    return _readonly(src), _readonly(layout.index(lowered)), _readonly(weight)
+    raised = layout.exponents[:layout.offsets[-2]].copy()
+    raised[:, var_index] += 1
+    return _readonly(layout.index(raised)), _readonly(raised[:, var_index])
 
 
 @functools.lru_cache(maxsize=None)
@@ -216,18 +216,18 @@ def _graded_matmul(A, B, num_vars, bound):
     return C
 
 
-def _graded_solve(A, B, num_vars, bound, cond_limit=1e12):
+def _graded_solve(A, B, num_vars, bound):
     """X with A X = B through degree ``bound``, for stacked coefficient arrays.
 
     ``A`` has shape (s, s, >= size) and ``B`` shape (s, r, >= size).  The
     degree-d part of A X = B is A0 X_d + sum_{k >= 1} A_k X_{d-k} = B_d, so
     back-substitution gives X_d = A0^-1 (B_d - sum_k A_k X_{d-k}) degree by
     degree, skipping the degrees at which A or X is zero.  Raises
-    SingularSystem unless A0 is finite with cond(A0) <= ``cond_limit``.
+    SingularSystem unless A0 is finite with cond(A0) <= COND_LIMIT.
     """
     layout = _layout(num_vars, bound)
     A0 = A[:, :, 0]
-    if not np.all(np.isfinite(A0)) or np.linalg.cond(A0) > cond_limit:
+    if not np.all(np.isfinite(A0)) or np.linalg.cond(A0) > COND_LIMIT:
         raise SingularSystem("constant part of the jet matrix is singular")
     A0inv = np.linalg.inv(A0)
     X = np.zeros((len(A), B.shape[1], layout.size), dtype=np.result_type(A, B))
@@ -247,13 +247,21 @@ def _graded_solve(A, B, num_vars, bound, cond_limit=1e12):
 
 # -- jets ----------------------------------------------------------------
 
+def _scalar_only(what, *jets):
+    if any(jet.shape for jet in jets):
+        raise MalformedInput(f"{what} takes scalar jets, not jets with leading axes")
+
+
 class JetPolynomial:
     """Polynomial truncated at a total degree bound, stored densely.
 
     Construct from a dict mapping exponent tuples (one exponent per
     variable) to scalar coefficients; terms above the degree bound are
-    dropped.  Instances are treated as immutable; all operations return new
-    jets.
+    dropped.  Coefficients have shape ``(*shape, monomials)``, so a jet
+    matrix is one jet with entries ``A[i, j] == A[i][j]``.  Arithmetic,
+    ``partial`` and ``evaluate`` act entry-wise; the dict constructor,
+    ``coeffs``, ``coefficient``, ``to_json`` and jet products take scalar
+    jets only.  Instances are immutable; operations return new jets.
     """
 
     __slots__ = ("num_vars", "max_degree", "_c")
@@ -277,6 +285,8 @@ class JetPolynomial:
         if np.any(rows < 0):
             raise MalformedInput("exponents must be non-negative")
         values = np.asarray(list(coeffs.values()))
+        if values.ndim != 1:
+            raise MalformedInput("dict coefficients must be scalars")
         keep = rows.sum(axis=1) <= self.max_degree
         self._c = np.zeros(layout.size,
                            dtype=complex if np.iscomplexobj(values) else float)
@@ -313,14 +323,32 @@ class JetPolynomial:
     # -- structure ----------------------------------------------------
 
     @property
+    def shape(self):
+        """Leading axes: () for a scalar jet, (n, n) for a jet matrix."""
+        return self._c.shape[:-1]
+
+    def __len__(self):
+        return len(self._c[..., 0])  # TypeError for a scalar jet
+
+    def __getitem__(self, index):
+        """Sub-jet of the leading axes, indexed as NumPy indexes an array."""
+        index = (index if isinstance(index, tuple) else (index,)) + (slice(None),)
+        return JetPolynomial._from_array(self.num_vars, self.max_degree, self._c[index])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @property
     def coeffs(self):
         """Dict of the nonzero terms, exponent tuple -> coefficient (a copy)."""
+        _scalar_only("coeffs", self)
         nz = np.flatnonzero(self._c)
         rows = self._layout.exponents[nz].tolist()
         return dict(zip(map(tuple, rows), self._c[nz].tolist()))
 
     def coefficient(self, powers):
         """Coefficient of the monomial with the given exponent tuple."""
+        _scalar_only("coefficient", self)
         powers = tuple(int(p) for p in powers)
         if len(powers) != self.num_vars:
             raise MalformedInput("exponent tuple does not match variable count")
@@ -329,32 +357,28 @@ class JetPolynomial:
         return self._c[self._layout.index(powers)].item()
 
     def degree(self):
-        """Largest total degree with a stored term (0 for the zero jet)."""
-        nz = np.flatnonzero(self._c)
-        return int(self._layout.degrees[nz[-1]]) if nz.size else 0
+        """Largest total degree with a stored term in any entry (0 for zero)."""
+        live = self._layout.live_degrees(self._c)
+        return live[-1] if live else 0
 
     def truncated(self, new_max_degree):
         if new_max_degree < 0:
             raise MalformedInput("max_degree must be >= 0")
         size = _layout(self.num_vars, int(new_max_degree)).size
-        out = np.zeros(size, dtype=self._c.dtype)
-        kept = min(size, self._c.size)
-        out[:kept] = self._c[:kept]
+        out = np.zeros(self.shape + (size,), dtype=self._c.dtype)
+        kept = min(size, self._c.shape[-1])
+        out[..., :kept] = self._c[..., :kept]
         return JetPolynomial._from_array(self.num_vars, int(new_max_degree), out)
 
-    def is_real(self, tol=0.0):
-        return (not np.iscomplexobj(self._c)
-                or bool(np.all(np.abs(self._c.imag) <= tol)))
-
     def max_abs_coeff(self, degrees=None):
-        """Largest |coefficient|, optionally restricted to a set of total
-        degrees; NaN when any of those coefficients is NaN."""
+        """Largest |coefficient| over all entries, optionally restricted to
+        a set of total degrees; NaN when any of those coefficients is NaN."""
         values = self._c
         if degrees is not None:
             layout = self._layout
             values = np.concatenate(
-                [values[layout.block(d)] for d in sorted(degrees)
-                 if 0 <= d <= self.max_degree] or [values[:0]])
+                [values[..., layout.block(d)] for d in sorted(degrees)
+                 if 0 <= d <= self.max_degree] or [values[..., :0]], axis=-1)
         return float(np.max(np.abs(values))) if values.size else 0.0
 
     # -- arithmetic ---------------------------------------------------
@@ -368,12 +392,12 @@ class JetPolynomial:
         bound = min(self.max_degree, other.max_degree)
         size = _layout(self.num_vars, bound).size
         return JetPolynomial._from_array(self.num_vars, bound,
-                                         op(self._c[:size], other._c[:size]))
+                                         op(self._c[..., :size], other._c[..., :size]))
 
     def __add__(self, other):
         if np.isscalar(other):
             out = self._c.astype(np.result_type(self._c, other))
-            out[0] += other
+            out[..., 0] += other
             return JetPolynomial._from_array(self.num_vars, self.max_degree, out)
         return self._binary(other, np.add)
 
@@ -394,6 +418,7 @@ class JetPolynomial:
         if np.isscalar(other):
             return JetPolynomial._from_array(self.num_vars, self.max_degree,
                                              self._c * other)
+        _scalar_only("a jet product", self, other)
         self._check_compatible(other)
         bound = min(self.max_degree, other.max_degree)
         product = _graded_matmul(self._c[None, None], other._c[None, None],
@@ -404,34 +429,38 @@ class JetPolynomial:
 
     def derivatives_at_origin(self, order):
         """Tensor of the order-``order`` partial derivatives at the origin,
-        shape (num_vars,) * order, read from the degree-``order`` block."""
+        shape (*shape) + (num_vars,) * order, read from one degree block."""
         if not 0 <= order <= self.max_degree:
             raise MalformedInput(f"jet of degree {self.max_degree} has no "
                                  f"order-{order} derivatives")
         position, weight = _derivative_table(self.num_vars, order)
-        return self._c[position] * weight
+        return self._c[..., position] * weight
 
     def partial(self, var_index):
-        """Partial derivative with respect to one variable.
-
-        The result of differentiating a degree-d jet is complete through
-        degree d-1, so the degree bound is kept as is.
+        """Partial derivative by one variable; an array ``v`` of variables
+        stacks them on new leading axes, ``partial(v)[k] == partial(v[k])``.
+        Differentiating a degree-d jet is complete through degree d-1, so
+        the degree bound is kept as is.
         """
-        src, dst, weight = _partial_map(self.num_vars, self.max_degree, var_index)
-        out = np.zeros_like(self._c)
-        out[dst] = weight * self._c[src]
-        return JetPolynomial._from_array(self.num_vars, self.max_degree, out)
+        variables = np.asarray(var_index)
+        out = np.zeros((variables.size,) + self._c.shape, dtype=self._c.dtype)
+        for k, var in enumerate(variables.ravel().tolist()):
+            src, weight = _partial_map(self.num_vars, self.max_degree, var)
+            np.multiply(weight, self._c.take(src, axis=-1), out=out[k][..., :len(src)])
+        return JetPolynomial._from_array(self.num_vars, self.max_degree,
+                                         out.reshape(variables.shape + self._c.shape))
 
     def evaluate(self, points):
-        """Evaluate at one point (1-d array) or many points ((P, num_vars)).
+        """Evaluate at one point (1-d array) or many points ((P, num_vars));
+        values have shape ``(*shape)`` or ``(*shape, P)``.
 
         Monomial values are built degree by degree, in chunks of points, up
         to one below the jet's top degree: each contiguous run of monomials
         sharing a first variable is one slice of lower-degree values times
         that variable.  The top degree is never materialised: each of its
-        runs is folded into the sum as a mat-vec of its coefficients with
-        the parent rows, times the run's variable.  The real and imaginary
-        parts of the coefficients share each mat-vec.
+        runs is folded into the sum as a mat-vec of the coefficients of all
+        entries with the parent rows, times the run's variable.  The real
+        and imaginary parts of the coefficients share each mat-vec.
         """
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
@@ -441,11 +470,10 @@ class JetPolynomial:
             raise MalformedInput("point dimension does not match variable count")
         layout = self._layout
         top = self.degree()
-        coeffs = self._c[:layout.block(top).stop]
+        coeffs = self._c.reshape(-1, layout.size)[:, :layout.block(top).stop]
+        entries = len(coeffs)
         if np.iscomplexobj(coeffs):
-            coeffs = np.stack([coeffs.real, coeffs.imag])
-        else:
-            coeffs = coeffs[None]
+            coeffs = np.concatenate([coeffs.real, coeffs.imag])
         # rows built: every degree below the top one (degree 0 alone if top 0)
         base = int(layout.offsets[max(top, 1)])
         built = [r for runs in layout.runs[1:top] for r in runs]
@@ -463,12 +491,14 @@ class JetPolynomial:
             for a, b, pa, pb, var in folded:
                 acc += (coeffs[:, a:b] @ mono[pa:pb]) * xt[var]
             sums[:, start:start + chunk] = acc
-        vals = sums[0] if self.is_real() else sums[0] + 1j * sums[1]
-        return vals[0] if single else vals
+        vals = sums[:entries]
+        if np.iscomplexobj(self._c) and self._c.imag.any():
+            vals = vals + 1j * sums[entries:]
+        return vals.reshape(self.shape + (() if single else (-1,)))[()]  # 0-d: scalar
 
     def __repr__(self):
         return (f"JetPolynomial(num_vars={self.num_vars}, "
-                f"max_degree={self.max_degree}, "
+                f"max_degree={self.max_degree}, shape={self.shape}, "
                 f"terms={np.count_nonzero(self._c)})")
 
     # -- serialization ------------------------------------------------
@@ -494,46 +524,24 @@ class JetPolynomial:
 # -- Wirtinger derivatives on the (x_1..x_n, y_1..y_n) layout ----------
 
 def wirtinger_z(jet, alpha, n):
-    """d/dz_alpha = (d/dx_alpha - i d/dy_alpha) / 2 for the 2n-variable layout."""
+    """d/dz_alpha = (d/dx_alpha - i d/dy_alpha) / 2; an array ``alpha`` stacks."""
+    alpha = np.asarray(alpha)
     return 0.5 * (jet.partial(alpha) - 1j * jet.partial(n + alpha))
 
 
 def wirtinger_zbar(jet, alpha, n):
     """d/dzbar_alpha = (d/dx_alpha + i d/dy_alpha) / 2."""
+    alpha = np.asarray(alpha)
     return 0.5 * (jet.partial(alpha) + 1j * jet.partial(n + alpha))
 
 
-# -- matrix jets -------------------------------------------------------
-
-def _stack(A):
-    """(num_vars, bound, array of shape (rows, cols, size)) of a jet matrix."""
-    entries = [e for row in A for e in row]
-    num_vars = entries[0].num_vars
-    for e in entries:
-        e._check_compatible(entries[0])
-    bound = min(e.max_degree for e in entries)
-    size = _layout(num_vars, bound).size
-    out = np.empty((len(A), len(A[0]), size),
-                   dtype=np.result_type(*(e._c for e in entries)))
-    for i, row in enumerate(A):
-        for j, e in enumerate(row):
-            out[i, j] = e._c[:size]
-    return num_vars, bound, out
-
-
-def _unstack(num_vars, bound, stacked):
-    return [[JetPolynomial._from_array(num_vars, bound, entry) for entry in row]
-            for row in stacked]
-
-
-def matrix_inverse(A, cond_limit=1e12):
-    """Jet-matrix inverse: the graded solve of A X = I.
-
-    Requires the constant part A0 invertible.  The result is exact at jet
-    level: A @ inverse == identity through max_degree.
-    """
-    num_vars, bound, S = _stack(A)
-    identity = np.zeros((len(S), len(S), S.shape[2]))
-    identity[:, :, 0] = np.eye(len(S))
-    return _unstack(num_vars, bound,
-                    _graded_solve(S, identity, num_vars, bound, cond_limit))
+def matrix_inverse(A):
+    """Inverse of an (s, s) jet, exact through max_degree: the graded solve
+    of A X = I.  Requires the constant part A0 invertible."""
+    if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
+        raise MalformedInput(f"matrix_inverse needs an (s, s) jet, not {A.shape}")
+    identity = np.zeros(A._c.shape)
+    identity[:, :, 0] = np.eye(len(A))
+    return JetPolynomial._from_array(
+        A.num_vars, A.max_degree,
+        _graded_solve(A._c, identity, A.num_vars, A.max_degree))

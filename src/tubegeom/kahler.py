@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EqualIndices, IndexOutOfRange, MalformedInput
-from .majet import potential_expansion, require_positive_hessian
+from .majet import _fiber_dimension, potential_expansion, require_positive_hessian
 
 PLANE_KINDS = ("xy", "xx", "yy", "holomorphic")
 
@@ -66,28 +66,25 @@ def _wirtinger_contract(D, *weights):
     return D
 
 
-def kahler_curvature_from_jet(rho, hessian_tol=1e-8):
+def kahler_curvature_from_jet(rho):
     """K components at the origin, read from the jet's coefficient blocks.
 
     The real derivative tensors D2, D3 and D4 of rho at 0 come straight
     from its degree-2, -3 and -4 blocks.  With the Wirtinger weights
     Wz = [I, -iI] / 2 (rows d/dz_a) and Wzbar = conj(Wz), the Hessian is
     H0 = Wz D2 Wzbar^T and K is the (Wz, Wzbar, Wz, Wzbar) contraction of
-    D4 minus the third-derivative correction.  Requires a degree >= 4 jet
-    with nondegenerate quadratic part.  The correction term uses the third
-    derivatives, which vanish for potentials with no cubic terms but are
-    computed regardless.
+    D4 minus the third-derivative correction, which is nonzero once rho has
+    cubic terms.  Requires a degree >= 4 jet with nondegenerate quadratic
+    part.
     """
     if rho.max_degree < 4:
         raise MalformedInput("potential jet must carry degree >= 4")
-    n = rho.num_vars // 2
-    if rho.num_vars != 2 * n:
-        raise MalformedInput("potential jets use 2n variables")
+    n = _fiber_dimension(rho)
     Wz = 0.5 * np.hstack([np.eye(n), -1j * np.eye(n)])
     Wzbar = Wz.conj()
 
     H0 = _wirtinger_contract(rho.derivatives_at_origin(2), Wz, Wzbar)
-    require_positive_hessian(H0, hessian_tol)
+    require_positive_hessian(H0)
     # raised convention: rho^{nu mubar} = (H^-1)[mu, nu]
     raised = np.linalg.inv(H0).T
 

@@ -15,10 +15,9 @@ any potential jet satisfies the degenerate Monge-Ampere identity
 
     sum_a rho^a rho_a - 2 rho = 0,   rho^a = sum_b rho^{a bbar} rho_bbar,
 
-computed with exact Wirtinger calculus on jets.  The raised index is one
-graded solve against the transposed complex Hessian, degree by degree, with
-no inverse formed; one stacked jet-matrix product then pairs it with
-d rho / dz.
+computed with exact Wirtinger calculus on jets: the raised index is one graded
+solve against the transposed complex Hessian, with no inverse formed, and one
+jet-matrix product pairs it with d rho / dz.
 ``solve_quartic_coefficients`` recovers the free pure-y quartic
 coefficients of the ansatz directly from the identity, independently of the
 closed form: the identity linearized at |y|^2 multiplies a pure-y degree-d
@@ -43,11 +42,12 @@ from .curvature import normal_metric_jet
 from .errors import (DegenerateHessian, MalformedInput, SingularSystem,
                      UnorderedIndices)
 from .jets import (JetPolynomial, _graded_matmul, _graded_solve, _layout,
-                   _stack, wirtinger_z, wirtinger_zbar)
+                   wirtinger_z, wirtinger_zbar)
 
 FIBER_SCALE = 1.0
 
 DEFAULT_DEGREE = 6  # exposes the first surviving residual order above four
+HESSIAN_TOL = 1e-8  # smallest eigenvalue a constant complex Hessian may have
 
 # The identity linearized at rho = |y|^2 is
 #     dMA(P) = 2 (y . grad_y) P - y^T (grad_x^2 + grad_y^2) P y - 2 P.
@@ -60,9 +60,9 @@ PURE_Y_QUARTIC_GAIN = 6.0
 
 def potential_expansion(tensor, max_degree=DEFAULT_DEGREE):
     """Degree-4 jet of the tube potential, FIBER_SCALE * y^T g(x) y: one
-    graded product of the (1, n^2) stack of the normal-coordinate metric
-    jet of ``tensor`` with the (n^2, 1) stack of the monomials y_i y_j."""
-    metric = _stack(normal_metric_jet(tensor, max_degree))[2]
+    graded product of the (n, n) normal-coordinate metric jet of ``tensor``,
+    as a (1, n^2) stack, with the (n^2, 1) stack of the monomials y_i y_j."""
+    metric = normal_metric_jet(tensor, max_degree)._c
     n = len(metric)
     layout = _layout(2 * n, max_degree)
     y = np.eye(2 * n, dtype=np.int64)[n:]
@@ -74,34 +74,27 @@ def potential_expansion(tensor, max_degree=DEFAULT_DEGREE):
 
 
 def _fiber_dimension(rho):
-    if rho.num_vars % 2:
-        raise MalformedInput("potential jets use 2n variables (x then y)")
+    if rho.num_vars % 2 or rho.shape:
+        raise MalformedInput("potential jets are scalar jets in 2n variables (x then y)")
     return rho.num_vars // 2
 
 
-def _hessian_and_gradient(rho):
-    """(H, dz): the complex Hessian and the n first derivatives
-    dz[a] = d rho / dz_a it is built from, each computed once."""
-    n = _fiber_dimension(rho)
-    dz = [wirtinger_z(rho, a, n) for a in range(n)]
-    return [[wirtinger_zbar(dz[a], b, n) for b in range(n)] for a in range(n)], dz
-
-
 def complex_hessian(rho):
-    """Matrix of jets H[a][b] = d^2 rho / dz_a dzbar_b."""
-    return _hessian_and_gradient(rho)[0]
+    """(n, n) jet H[a, b] = d^2 rho / dz_a dzbar_b."""
+    n = _fiber_dimension(rho)
+    return wirtinger_z(wirtinger_zbar(rho, np.arange(n), n), np.arange(n), n)
 
 
-def require_positive_hessian(H0, hessian_tol):
+def require_positive_hessian(H0):
     """Raise DegenerateHessian unless the constant complex Hessian ``H0`` is
-    positive-definite with smallest eigenvalue at least ``hessian_tol``."""
+    positive-definite with smallest eigenvalue at least HESSIAN_TOL."""
     smallest = np.min(np.linalg.eigvalsh(0.5 * (H0 + H0.conj().T)))
-    if not smallest >= hessian_tol:
+    if not smallest >= HESSIAN_TOL:
         raise DegenerateHessian(
             f"quadratic part not positive-definite (min eigenvalue {smallest:.3e})")
 
 
-def ma_residual(rho, hessian_tol=1e-8):
+def ma_residual(rho):
     """Jet of sum_a rho^a rho_a - 2 rho.
 
     The raised index follows the convention sum_b rho^{a bbar} rho_{c bbar}
@@ -109,19 +102,20 @@ def ma_residual(rho, hessian_tol=1e-8):
     complex Hessian is not positive-definite.
     """
     n = _fiber_dimension(rho)
-    H, dz = _hessian_and_gradient(rho)
-    num_vars, bound, H = _stack(H)
-    require_positive_hessian(H[:, :, 0], hessian_tol)
-    # column stacks (n, 1, monomials) of the first derivatives
-    dz = _stack([[d] for d in dz])[2]
-    dzbar = _stack([[wirtinger_zbar(rho, b, n)] for b in range(n)])[2]
+    num_vars, bound, axis = rho.num_vars, rho.max_degree, np.arange(n)
+    dz = wirtinger_z(rho, axis, n)  # dz[a] = d rho / dz_a
+    # the transposed complex Hessian, HT[b, a] = d^2 rho / dz_a dzbar_b
+    HT = wirtinger_zbar(dz, axis, n)._c
+    require_positive_hessian(HT[:, :, 0].T)
+    dzbar = wirtinger_zbar(rho, axis, n)._c[:, None]
     # raised[a] = sum_b (H^-1)[b][a] dzbar[b]: solve H^T raised = dzbar,
     # then sum_a raised[a] dz[a]
     try:
-        raised = _graded_solve(H.transpose(1, 0, 2), dzbar, num_vars, bound)
+        raised = _graded_solve(HT, dzbar, num_vars, bound)
     except SingularSystem as exc:
         raise DegenerateHessian(str(exc)) from exc
-    contracted = _graded_matmul(raised.transpose(1, 0, 2), dz, num_vars, bound)
+    contracted = _graded_matmul(raised.transpose(1, 0, 2), dz._c[:, None],
+                                num_vars, bound)
     return (-2.0) * rho + JetPolynomial._from_array(num_vars, bound, contracted[0, 0])
 
 
@@ -184,13 +178,17 @@ def permutation_identity_deviation(quartic, i, j, k, l):
     return total + 2.0 * quartic.coefficient(i, j, k, l)
 
 
+def _pure_y_quartic_powers(n):
+    """Exponent rows of the monomials y_i y_j y_k y_l, ``ordered_quadruples`` order."""
+    return np.eye(2 * n, dtype=np.int64)[n:][ordered_quadruples(n)].sum(axis=1)
+
+
 def _pure_y_quartic_read(residual, n):
     """The pure-y quartic block of a residual jet, in ``ordered_quadruples``
     order, divided by PURE_Y_QUARTIC_GAIN: the pure-y quartic that matching
     the block to zero asks the potential to gain."""
-    # exponent rows (0, ..., 0, y-powers) of the monomials y_i y_j y_k y_l
-    powers = np.eye(2 * n, dtype=np.int64)[n:][ordered_quadruples(n)].sum(axis=1)
-    return np.real(residual._c[residual._layout.index(powers)]) / PURE_Y_QUARTIC_GAIN
+    positions = residual._layout.index(_pure_y_quartic_powers(n))
+    return np.real(residual._c[positions]) / PURE_Y_QUARTIC_GAIN
 
 
 def solve_quartic_coefficients(tensor):

@@ -64,13 +64,34 @@ def planted_quartic_gap(rng):
     gaps = []
     for n in (2, 3):
         R = cv.random_admissible(n, rng)
-        quads = majet.ordered_quadruples(n)
-        P = rng.standard_normal(len(quads))
-        powers = np.eye(2 * n, dtype=np.int64)[n:][quads].sum(axis=1)
+        powers = majet._pure_y_quartic_powers(n)
+        P = rng.standard_normal(len(powers))
         planted = JetPolynomial(2 * n, 4, dict(zip(map(tuple, powers.tolist()), P)))
         residual = majet.ma_residual(majet.potential_expansion(R, 4) + planted)
         gaps.append(np.max(np.abs(majet._pure_y_quartic_read(residual, n) + P)))
     return _worst(gaps)
+
+
+def holomorphic_change_pairs(rng):
+    """Pairs (rho, rho') for n = 2, 3: the degree-4 expansion rho of a seeded
+    admissible tensor, and rho' = rho o Phi through degree 4 for the
+    holomorphic change Phi(z) = z + Q(z, z) with a seeded complex Q.  As
+    rho's quadratic part is |y|^2 and dPhi(0) = I, rho' = rho
+    + 2 sum_i y_i Im Q_i(z) + sum_i (Im Q_i(z))^2; it has cubic terms, and
+    it must keep K at the origin and a vanishing residual through degree 4."""
+    pairs = []
+    for n in (2, 3):
+        rho = majet.potential_expansion(cv.random_admissible(n, rng), 4)
+        Q = 0.3 * (rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n)))
+        y = [JetPolynomial.variable(n + k, 2 * n, 4) for k in range(n)]
+        z = [JetPolynomial.variable(k, 2 * n, 4) + 1j * y[k] for k in range(n)]
+        changed = rho
+        for i in range(n):
+            Qz = sum(z[j] * sum(Q[i, j, k] * z[k] for k in range(n)) for j in range(n))
+            imQ = JetPolynomial(2 * n, 4, {p: np.imag(c) for p, c in Qz.coeffs.items()})
+            changed = changed + 2.0 * y[i] * imQ + imQ * imQ
+        pairs.append((rho, changed))
+    return pairs
 
 
 def sphere_potential():
@@ -411,6 +432,13 @@ def _planted_quartic(ctx, rng, run):
             "|read + P| of a planted pure-y quartic P, n=2,3")
 
 
+def _holomorphic_change(metric, note):
+    def compute(ctx, rng, run):
+        pairs = holomorphic_change_pairs(np.random.default_rng(run.seed + 3))
+        return _worst([metric(*pair) for pair in pairs]), note
+    return compute
+
+
 def _sphere_special(case):
     def compute(ctx, rng, run):
         gap, want = run.once(sphere_special_gaps)[case]
@@ -474,6 +502,10 @@ CHECKS = (
           compute=_permutation),
     Check("ma-expansion", "planted-quartic-read", tol_key="quartic", tol=1e-9,
           compute=_planted_quartic),
+    Check("ma-expansion", "holomorphic-change-residual", tol_key="low_order", tol=1e-12,
+          compute=_holomorphic_change(
+              lambda rho, changed: majet.ma_residual(changed).max_abs_coeff(),
+              "degree <= 4 residual of rho o (z + Q(z, z)), n=2,3")),
 
     Check("kahler-curvature", "oracle-vs-closed-form", tol_key="components", tol=1e-10,
           compute=lambda ctx, rng, run: (
@@ -489,6 +521,12 @@ CHECKS = (
                    "sphere-xx-plane", "sphere-holomorphic")),
     Check("kahler-curvature", "negative-plane-witness", tol_key="components", tol=1e-10,
           compute=_witness),
+    Check("kahler-curvature", "holomorphic-change-invariance", tol_key="components",
+          tol=1e-10, compute=_holomorphic_change(
+              lambda rho, changed: np.max(np.abs(
+                  kahler.kahler_curvature_from_jet(changed).components
+                  - kahler.kahler_curvature_from_jet(rho).components)),
+              "max |K(rho o (z + Q(z, z))) - K(rho)|, n=2,3")),
 
     Check("complexify-holomorphy", "leaf-cr-order-group", tol_key="order_slack", tol=0.1,
           compute=lambda ctx, rng, run: (

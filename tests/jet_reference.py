@@ -9,7 +9,9 @@ takes the other route, the degree-truncated Neumann series
 with its two constant-matrix products written as einsums on a copy of the
 stack with the constant part zeroed.  It shares only ``_graded_matmul`` with
 the library, so the tests can check the solve against it.  ``identity_gap``
-multiplies jet matrices with ``_graded_matmul`` on their stacks.
+multiplies the coefficient stacks of two (s, s) jets with ``_graded_matmul``,
+and ``stack_jets`` builds one (rows, cols) jet from a list of lists of
+scalar jets, as test inputs are easiest to write entry by entry.
 
 ``loop_normal_metric_jet`` and ``loop_potential_expansion`` write the
 curvature contraction -(1/3) R[i,p,j,q] x_p x_q (y_i y_j) term by term into
@@ -40,10 +42,19 @@ def einsum_inverse(S, num_vars, bound):
     return np.einsum("ikm,kj->ijm", series, A0inv)
 
 
+def stack_jets(rows):
+    """One (rows, cols) jet from a list of lists of scalar jets, truncated
+    to the lowest degree bound among them."""
+    entries = [e for row in rows for e in row]
+    bound = min(e.max_degree for e in entries)
+    coeffs = np.array([[e.truncated(bound)._c for e in row] for row in rows])
+    return JetPolynomial._from_array(entries[0].num_vars, bound, coeffs)
+
+
 def identity_gap(A, X):
-    """Largest |coefficient| of A X - I for jet matrices A and X."""
-    num_vars, bound, SA = jets._stack(A)
-    product = jets._graded_matmul(SA, jets._stack(X)[2], num_vars, bound)
+    """Largest |coefficient| of A X - I for (s, s) jets A and X."""
+    bound = min(A.max_degree, X.max_degree)
+    product = jets._graded_matmul(A._c, X._c, A.num_vars, bound)
     product[:, :, 0] -= np.eye(len(product))
     return float(np.max(np.abs(product)))
 

@@ -7,7 +7,7 @@ from tubegeom.errors import MalformedInput, SingularSystem
 from tubegeom.jets import (JetPolynomial, matrix_inverse, wirtinger_z,
                            wirtinger_zbar)
 
-from jet_reference import einsum_inverse, identity_gap
+from jet_reference import einsum_inverse, identity_gap, stack_jets
 
 
 def _random_jet(rng, num_vars=4, max_degree=4, terms=12):
@@ -86,18 +86,19 @@ def test_mixed_wirtinger_derivatives_commute():
 def test_matrix_inverse_is_exact_at_jet_level():
     rng = np.random.default_rng(3)
     size, num_vars, deg = 3, 2, 4
-    A = [[JetPolynomial.constant(float(i == j), num_vars, deg)
-          + _random_jet(rng, num_vars, deg, terms=4) * 0.3
-          for j in range(size)] for i in range(size)]
+    rows = [[JetPolynomial.constant(float(i == j), num_vars, deg)
+             + _random_jet(rng, num_vars, deg, terms=4) * 0.3
+             for j in range(size)] for i in range(size)]
     # make the constant part well-conditioned
-    A[0][0] = A[0][0] + JetPolynomial.constant(1.0, num_vars, deg)
+    rows[0][0] = rows[0][0] + JetPolynomial.constant(1.0, num_vars, deg)
+    A = stack_jets(rows)
     assert identity_gap(A, matrix_inverse(A)) < 1e-12
 
 
 def test_matrix_inverse_rejects_singular_constant_part():
-    A = [[JetPolynomial.constant(1.0, 2, 2), JetPolynomial.zero(2, 2)],
-         [JetPolynomial.zero(2, 2), JetPolynomial.variable(0, 2, 2)]]  # zero constant part
-    with pytest.raises(SingularSystem):
+    A = stack_jets([[JetPolynomial.constant(1.0, 2, 2), JetPolynomial.zero(2, 2)],
+                    [JetPolynomial.zero(2, 2), JetPolynomial.variable(0, 2, 2)]])
+    with pytest.raises(SingularSystem):  # zero constant part
         matrix_inverse(A)
 
 
@@ -105,8 +106,8 @@ def test_matrix_inverse_rejects_singular_constant_part():
 def test_stacked_inverse_equals_the_einsum_formula(n):
     rng = np.random.default_rng(n)
     R = cv.random_admissible(n, rng)
-    hessian, _ = majet._hessian_and_gradient(majet.potential_expansion(R))
-    num_vars, bound, S = jets._stack(hessian)
+    hessian = majet.complex_hessian(majet.potential_expansion(R))
+    num_vars, bound, S = hessian.num_vars, hessian.max_degree, hessian._c
     # a constant part I/2 (the MA Hessian's), then one that is not a multiple
     # of the identity, which shows A0^-1 on the wrong side; the solve and
     # the Neumann series sum in different orders, so only at round-off
@@ -119,8 +120,110 @@ def test_stacked_inverse_equals_the_einsum_formula(n):
         assert got.dtype == stack.dtype and got.shape == stack.shape
         want = einsum_inverse(stack, num_vars, bound)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-        inverse = matrix_inverse(jets._unstack(num_vars, bound, stack))
-        np.testing.assert_array_equal(jets._stack(inverse)[2], got)
+        inverse = matrix_inverse(JetPolynomial._from_array(num_vars, bound, stack))
+        np.testing.assert_array_equal(inverse._c, got)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_jet_ma_layer_chain_on_the_complex_hessian(n):
+    # the calls that perfbench's jet-ma layer probe times: the inverse of the
+    # complex Hessian, one entry of it times a Wirtinger derivative, and one
+    # more Wirtinger derivative
+    R = cv.random_admissible(n, np.random.default_rng(60 + n))
+    rho = majet.potential_expansion(R)
+    hessian = majet.complex_hessian(rho)
+    inverse = jets.matrix_inverse(hessian)
+    assert inverse.shape == (n, n) and inverse.max_degree == rho.max_degree
+    np.testing.assert_allclose(inverse._c[:, :, 0], 2.0 * np.eye(n), rtol=0, atol=1e-15)
+    assert identity_gap(hessian, inverse) < 1e-13
+    dzbar = jets.wirtinger_zbar(rho, 0, n)
+    product = inverse[0][0] * dzbar
+    assert product.shape == () and product.max_degree == rho.max_degree
+    points = np.random.default_rng(n).uniform(-0.01, 0.01, size=(20, 2 * n))
+    np.testing.assert_allclose(product.evaluate(points),
+                               inverse[0][0].evaluate(points) * dzbar.evaluate(points),
+                               rtol=0, atol=1e-13)
+    dz = jets.wirtinger_z(rho, 0, n)
+    np.testing.assert_array_equal(dz._c, jets.wirtinger_z(rho, np.arange(n), n)[0]._c)
+
+
+def _random_jet_matrix(rng, n=3, num_vars=4, max_degree=4, complex_=False):
+    rows = [[_random_jet(rng, num_vars, max_degree) for _ in range(n)] for _ in range(n)]
+    if complex_:
+        rows = [[e + 1j * _random_jet(rng, num_vars, max_degree) for e in row]
+                for row in rows]
+    return rows, stack_jets(rows)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_evaluate_of_a_jet_matrix_is_entry_wise(complex_):
+    rng = np.random.default_rng(70 + complex_)
+    rows, A = _random_jet_matrix(rng, complex_=complex_)
+    points = rng.uniform(-0.5, 0.5, size=(7, 4))
+    want = np.array([[e.evaluate(points) for e in row] for row in rows])
+    assert A.evaluate(points).shape == (3, 3, 7)
+    np.testing.assert_allclose(A.evaluate(points), want, rtol=1e-14, atol=1e-14)
+    single = A.evaluate(points[2])
+    assert single.shape == (3, 3)
+    np.testing.assert_allclose(single, want[:, :, 2], rtol=1e-14, atol=1e-14)
+
+
+def test_partial_over_an_array_of_variables_stacks_the_single_partials():
+    rng = np.random.default_rng(72)
+    rows, A = _random_jet_matrix(rng, complex_=True)
+    variables = np.array([3, 0, 2])
+    got = A.partial(variables)
+    assert got.shape == (3, 3, 3)
+    for k, var in enumerate(variables):
+        np.testing.assert_array_equal(got[k]._c, A.partial(var)._c)
+        for i, row in enumerate(rows):
+            for j, e in enumerate(row):
+                np.testing.assert_array_equal(got[k, i, j]._c, e.partial(var)._c)
+    # the transposed complex Hessian in one pass equals the per-entry one
+    n = 2
+    rho = _random_jet(rng, num_vars=2 * n, max_degree=5, terms=20)
+    HT = wirtinger_zbar(wirtinger_z(rho, np.arange(n), n), np.arange(n), n)
+    for a in range(n):
+        for b in range(n):
+            np.testing.assert_array_equal(
+                HT[b, a]._c, wirtinger_zbar(wirtinger_z(rho, a, n), b, n)._c)
+
+
+def test_chained_and_tuple_indexing_give_the_same_entry():
+    rows, A = _random_jet_matrix(np.random.default_rng(73))
+    assert len(A) == 3 and len(A[1]) == 3 and A[1].shape == (3,)
+    for i in range(3):
+        for j in range(3):
+            np.testing.assert_array_equal(A[i][j]._c, A[i, j]._c)
+            np.testing.assert_array_equal(A[i, j]._c, rows[i][j]._c)
+            assert A[i, j].coeffs == rows[i][j].coeffs
+    assert [row.shape for row in A] == [(3,)] * 3
+    with pytest.raises(IndexError):
+        A[0, 0, 0]  # the monomial axis is not an index
+    np.testing.assert_array_equal(A[..., 1]._c, A[:, 1]._c)  # leading axes only
+    with pytest.raises(TypeError):
+        len(A[0, 0])
+
+
+def test_scalar_only_operations_reject_jets_with_leading_axes():
+    _, A = _random_jet_matrix(np.random.default_rng(74))
+    with pytest.raises(MalformedInput):
+        JetPolynomial(4, 4, {(0, 0, 0, 0): np.ones(3)})
+    with pytest.raises(MalformedInput):
+        A.coeffs
+    with pytest.raises(MalformedInput):
+        A.coefficient((0, 0, 0, 0))
+    with pytest.raises(MalformedInput):
+        A.to_json()
+    with pytest.raises(MalformedInput):
+        A * A[0, 0]
+    with pytest.raises(MalformedInput):
+        A[0, 0] * A[0]
+    with pytest.raises(MalformedInput):
+        jets.matrix_inverse(A[0])
+    # sums and scalar products stay entry-wise
+    np.testing.assert_array_equal((2.0 * A - A[0, 0])[1, 2]._c,
+                                  (2.0 * A[1, 2] - A[0, 0])._c)
 
 
 @pytest.mark.parametrize("cols", [1, 3])

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from tubegeom import curvature as cv
-from tubegeom import jets, majet
+from tubegeom import majet
 from tubegeom.errors import (DegenerateHessian, SingularSystem,
                              UnorderedIndices)
 from tubegeom.jets import (JetPolynomial, matrix_inverse, wirtinger_z,
                            wirtinger_zbar)
 
 from jet_reference import (einsum_inverse, identity_gap,
-                           loop_potential_expansion)
+                           loop_potential_expansion, stack_jets)
 
 
 def _pure_y_powers(n, d):
@@ -212,8 +212,9 @@ def test_ma_residual_matches_a_per_entry_contraction():
                 terms[tuple(powers.tolist())] = rng.uniform(-0.3, 0.3)
         rho = rho + JetPolynomial(2 * n, rho.max_degree, terms)
         # the Neumann-series inverse, independent of the library's solve
-        num_vars, bound, S = jets._stack(majet.complex_hessian(rho))
-        N = jets._unstack(num_vars, bound, einsum_inverse(S, num_vars, bound))
+        H = majet.complex_hessian(rho)
+        N = JetPolynomial._from_array(H.num_vars, H.max_degree,
+                                      einsum_inverse(H._c, H.num_vars, H.max_degree))
         want = (-2.0) * rho
         for a in range(n):
             for b in range(n):
@@ -275,7 +276,7 @@ def test_invert_near_identity_closed_form():
     # one variable: (1 + y^2)^-1 = 1 - y^2 + O(y^4)
     y2 = JetPolynomial(1, 3, {(2,): 1.0})
     one = JetPolynomial.constant(1.0, 1, 3)
-    inv = matrix_inverse([[one + y2]])
+    inv = matrix_inverse(stack_jets([[one + y2]]))
     assert inv[0][0].coefficient((0,)) == pytest.approx(1.0)
     assert inv[0][0].coefficient((2,)) == pytest.approx(-1.0)
 
@@ -295,7 +296,7 @@ def test_invert_near_identity_matches_closed_form_exactly():
             quad[(i, j)] = JetPolynomial(num_vars, 3,
                                          {tuple(key): float(rng.standard_normal())})
             A[i][j] = A[i][j] + quad[(i, j)]
-    inv = matrix_inverse(A)
+    inv = matrix_inverse(stack_jets(A))
     for i in range(size):
         for j in range(size):
             expected = -quad[(i, j)]
@@ -304,7 +305,7 @@ def test_invert_near_identity_matches_closed_form_exactly():
             gap = inv[i][j] - expected
             # coefficient equality through degree 2 (and 3, by parity)
             assert gap.max_abs_coeff(degrees={0, 1, 2, 3}) < 1e-14
-    assert identity_gap(A, inv) < 1e-14
+    assert identity_gap(stack_jets(A), inv) < 1e-14
 
 
 def test_solve_quartic_zero_for_flat():

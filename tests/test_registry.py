@@ -3,7 +3,8 @@ from pathlib import Path
 
 import numpy as np
 
-from tubegeom import liealg, majet, nahm, registry
+from tubegeom import curvature as cv
+from tubegeom import kahler, liealg, majet, nahm, registry
 
 
 def test_one_nan_sample_makes_the_sweep_nan(monkeypatch):
@@ -50,6 +51,44 @@ def test_planted_quartic_read_fails_where_the_vanishing_read_cannot(monkeypatch)
     worst_a, worst_match = registry.quartic_sweep(np.random.default_rng(43), 2)
     assert worst_a <= 1e-9 and worst_match <= 1e-9
     assert registry.planted_quartic_gap(np.random.default_rng(44)) > 0.1
+
+
+def test_holomorphic_change_is_the_quartic_jet_of_the_pulled_back_potential():
+    # rho' matches rho at Phi(z) = z + Q(z, z) up to O(|p|^5); the tensor and
+    # Q are replayed from a generator in the same state
+    replay = np.random.default_rng(45)
+    for rho, changed in registry.holomorphic_change_pairs(np.random.default_rng(45)):
+        n = rho.num_vars // 2
+        cv.random_admissible(n, replay)
+        Q = 0.3 * (replay.standard_normal((n, n, n))
+                   + 1j * replay.standard_normal((n, n, n)))
+        p = np.random.default_rng(n).uniform(-1.0, 1.0, size=(20, 2 * n))
+        gaps = []
+        for eps in (0.02, 0.01):
+            z = eps * (p[:, :n] + 1j * p[:, n:])
+            w = z + np.einsum("ijk,pj,pk->pi", Q, z, z)
+            gaps.append(np.max(np.abs(rho.evaluate(np.hstack([w.real, w.imag]))
+                                      - changed.evaluate(eps * p))))
+        assert np.log2(gaps[0] / gaps[1]) >= 4.5
+
+
+def test_holomorphic_change_sees_a_transposed_solve_and_the_correction(monkeypatch):
+    pairs = registry.holomorphic_change_pairs(np.random.default_rng(45))
+    K = lambda rho: kahler.kahler_curvature_from_jet(rho).components
+    for rho, changed in pairs:
+        n = rho.num_vars // 2
+        assert changed.max_abs_coeff(degrees={3}) > 0.5
+        assert majet.ma_residual(changed).max_abs_coeff() <= 1e-13
+        assert np.max(np.abs(K(changed) - K(rho))) <= 1e-14
+        # without the third-derivative correction K(rho') is far from K(rho)
+        Wz = 0.5 * np.hstack([np.eye(n), -1j * np.eye(n)])
+        plain = kahler._wirtinger_contract(changed.derivatives_at_origin(4),
+                                           Wz, Wz.conj(), Wz, Wz.conj())
+        assert np.max(np.abs(plain - K(rho))) > 0.1
+    solve = majet._graded_solve
+    monkeypatch.setattr(majet, "_graded_solve",
+                        lambda A, B, *rest: solve(A.transpose(1, 0, 2), B, *rest))
+    assert max(majet.ma_residual(changed).max_abs_coeff() for _, changed in pairs) > 1.0
 
 
 def test_gauge_residual_order_names_its_worst_gauge():

@@ -443,8 +443,13 @@ class JetPolynomial:
         the degree bound is kept as is.
         """
         variables = np.asarray(var_index)
+        flat = variables.ravel().tolist()
+        if variables.dtype.kind not in "iu" or not all(0 <= v < self.num_vars
+                                                       for v in flat):
+            raise MalformedInput(f"variable index {var_index!r} is not an integer "
+                                 f"in [0, {self.num_vars})")
         out = np.zeros((variables.size,) + self._c.shape, dtype=self._c.dtype)
-        for k, var in enumerate(variables.ravel().tolist()):
+        for k, var in enumerate(flat):
             src, weight = _partial_map(self.num_vars, self.max_degree, var)
             np.multiply(weight, self._c.take(src, axis=-1), out=out[k][..., :len(src)])
         return JetPolynomial._from_array(self.num_vars, self.max_degree,

@@ -2,9 +2,11 @@
 flat hyperkahler structure on paths.
 
 Configurations are quadruples (T0, T1, T2, T3) of algebra-valued paths on a
-uniform grid over [0, 1].  The space of configurations is affine, so one
+uniform grid over [0, 1], stored as one complex (4, N+1, m, m) stack whose
+slots are the four paths.  The space of configurations is affine, so one
 type, ``NahmConfiguration``, serves both for its points and for its tangent
-vectors.  The machinery here provides
+vectors, and every configuration-level operation is one array expression
+on the stack.  The machinery here provides
 
 * residuals of the Nahm system  dT1/dt + [T0,T1] + [T2,T3] = 0  (cyclic in
   1,2,3) and of its reduced two-path form  dT1/dt + [T0,T1] = 0,
@@ -74,9 +76,6 @@ class GaugePath:
     def sup_norm(self):
         return float(np.max(np.linalg.norm(self.values, axis=(1, 2))))
 
-    def coefficients(self):
-        return self.context.path_coefficients(self.values)
-
     def group_defect(self):
         """Worst per-node group-membership defect for group-kind paths.
 
@@ -137,39 +136,48 @@ def _midpoints(values):
     return mids
 
 
-@dataclass(frozen=True)
+# signs of the slots of I X = (-X1, X0, -X3, X2)
+_I_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0])[:, None, None, None]
+
+
+def _slot_view(k):
+    return property(lambda self: GaugePath(self.values[k], "algebra", self.context),
+                    doc=f"Slot {k} as an algebra path viewing the stack.")
+
+
 class NahmConfiguration:
     """Quadruple of algebra-valued paths on a shared grid: a point of the
-    flat configuration space, or a tangent vector to it."""
+    flat configuration space, or a tangent vector to it.
 
-    T0: GaugePath
-    T1: GaugePath
-    T2: GaugePath
-    T3: GaugePath
+    ``values`` is the complex (4, N+1, m, m) stack of the four paths; the
+    slots ``T0``..``T3`` are ``GaugePath`` views of it.
+    """
 
-    def __post_init__(self):
-        _same_grid(self.T0, self.T1, self.T2, self.T3)
+    __slots__ = ("values", "context")
 
-    @property
-    def context(self):
-        return self.T0.context
+    def __init__(self, T0, T1, T2, T3):
+        _same_grid(T0, T1, T2, T3)
+        self.values = np.stack([T0.values, T1.values, T2.values, T3.values])
+        self.context = T0.context
+
+    @classmethod
+    def _from_stack(cls, values, context):
+        cfg = object.__new__(cls)
+        cfg.values, cfg.context = values, context
+        return cfg
+
+    T0, T1, T2, T3 = (_slot_view(k) for k in range(4))
 
     @property
     def grid_size(self):
-        return self.T0.grid_size
-
-    def paths(self):
-        return (self.T0, self.T1, self.T2, self.T3)
+        return self.values.shape[1] - 1
 
     def complex_rotated(self):
         """Action of the first complex structure I: multiplication by i on
         (T0 + i T1, T2 + i T3), i.e. (T0,T1,T2,T3) -> (-T1,T0,-T3,T2)."""
-        ctx = self.context
-        return NahmConfiguration(
-            GaugePath(-self.T1.values, "algebra", ctx),
-            GaugePath(self.T0.values, "algebra", ctx),
-            GaugePath(-self.T3.values, "algebra", ctx),
-            GaugePath(self.T2.values, "algebra", ctx))
+        rotated = self.values[[1, 0, 3, 2]]
+        rotated *= _I_SIGNS
+        return NahmConfiguration._from_stack(rotated, self.context)
 
 
 def _commutator_paths(A, B):
@@ -178,7 +186,7 @@ def _commutator_paths(A, B):
 
 def nahm_residual(config):
     """Residual paths of the three cyclic equations, as GaugePaths."""
-    T0, T1, T2, T3 = (p.values for p in config.paths())
+    T0, T1, T2, T3 = config.values
     dt = 1.0 / config.grid_size
     ctx = config.context
     out = []
@@ -203,20 +211,15 @@ def baby_nahm_residual(T0, T1):
 
 def gauge_transform(g, config):
     """Gauge action: T0 conjugates with a connection shift, Tj conjugate."""
-    _same_grid(g, config.T0)
+    _same_grid(g, config)
     if g.kind not in ("group", "complex-group"):
         raise MalformedInput("gauge paths must be group-valued")
     gv = g.values
     ginv = np.linalg.inv(gv)
     dg = path_derivative(gv, 1.0 / g.grid_size)
-    conj = lambda A: gv @ A @ ginv
-    ctx = config.context
-    T0 = conj(config.T0.values) - dg @ ginv
-    return NahmConfiguration(
-        GaugePath(T0, "algebra", ctx),
-        GaugePath(conj(config.T1.values), "algebra", ctx),
-        GaugePath(conj(config.T2.values), "algebra", ctx),
-        GaugePath(conj(config.T3.values), "algebra", ctx))
+    values = gv @ config.values @ ginv
+    values[0] -= dg @ ginv
+    return NahmConfiguration._from_stack(values, config.context)
 
 
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -396,45 +399,42 @@ def _trapezoid(node_values, N):
     return float(np.dot(w, node_values))
 
 
+def _slot_pairing(X, Y, weights, order):
+    """Trapezoid integral of sum_k w_k <X_k, Y_order[k]>.
+
+    Each slot is expanded on its own: ``path_coefficients`` returns the real
+    view of a complex product, which keeps the whole complex array alive,
+    so expanding all slots at once would hold eight of them.
+    """
+    _same_grid(X, Y)
+    ctx = X.context
+    N = X.grid_size
+    total = np.zeros(N + 1)
+    for k, (w, j) in enumerate(zip(weights, order)):
+        if w:
+            total += w * ctx.pair_coeff_paths(ctx.path_coefficients(X.values[k]),
+                                              ctx.path_coefficients(Y.values[j]))
+    return _trapezoid(total, N)
+
+
 def l2_metric(X, Y):
     """Flat path-space metric: integral of the summed pointwise pairings.
 
     The configuration space is affine, so X and Y are configurations used as
     tangent vectors."""
-    _same_grid(*X.paths(), *Y.paths())
-    ctx = X.context
-    N = X.grid_size
-    total = np.zeros(N + 1)
-    for P, Q in zip(X.paths(), Y.paths()):
-        total += ctx.pair_coeff_paths(P.coefficients(), Q.coefficients())
-    return _trapezoid(total, N)
+    return _slot_pairing(X, Y, (1.0, 1.0, 1.0, 1.0), (0, 1, 2, 3))
 
 
 def omega_I(X, Y):
     """Symplectic pairing of the first complex structure:
     integral of <X0,Y1> - <X1,Y0> + <X2,Y3> - <X3,Y2> for configurations
     X, Y used as tangent vectors."""
-    _same_grid(*X.paths(), *Y.paths())
-    ctx = X.context
-    N = X.grid_size
-    c = [p.coefficients() for p in X.paths()]
-    d = [p.coefficients() for p in Y.paths()]
-    total = (ctx.pair_coeff_paths(c[0], d[1]) - ctx.pair_coeff_paths(c[1], d[0])
-             + ctx.pair_coeff_paths(c[2], d[3]) - ctx.pair_coeff_paths(c[3], d[2]))
-    return _trapezoid(total, N)
+    return _slot_pairing(X, Y, (1.0, -1.0, 1.0, -1.0), (1, 0, 3, 2))
 
 
 def kahler_potential(config):
     """Quadratic potential (1/2)|T1|^2 + (1/4)|T2|^2 + (1/4)|T3|^2 in L^2."""
-    ctx = config.context
-    N = config.grid_size
-    weights = (0.0, 0.5, 0.25, 0.25)
-    total = np.zeros(N + 1)
-    for w, P in zip(weights, config.paths()):
-        if w:
-            cp = P.coefficients()
-            total += w * ctx.pair_coeff_paths(cp, cp)
-    return _trapezoid(total, N)
+    return _slot_pairing(config, config, (0.0, 0.5, 0.25, 0.25), (0, 1, 2, 3))
 
 
 def potential_two_form(config, X, Y, step=1e-3):
@@ -446,12 +446,11 @@ def potential_two_form(config, X, Y, step=1e-3):
     This equals omega_I exactly at the discrete level (the potential is
     quadratic), and matches the continuum pairing at the quadrature order.
     """
+    _same_grid(config, X, Y)
 
     def shift(cfg, direction, eps):
-        ctx = cfg.context
-        return NahmConfiguration(*(GaugePath(P.values + eps * D.values,
-                                             "algebra", ctx)
-                                   for P, D in zip(cfg.paths(), direction.paths())))
+        return NahmConfiguration._from_stack(cfg.values + eps * direction.values,
+                                             cfg.context)
 
     def lam(cfg, Z):
         # df at cfg applied to I^-1 Z = -I Z: the centered difference along
@@ -470,18 +469,17 @@ def potential_two_form(config, X, Y, step=1e-3):
 def moment_map(config):
     """Endpoint moment map for the subgroup action: subalgebra parts of
     T1(1), T2(1), T3(1)."""
-    ctx = config.context
-    return tuple(ctx.project_h(P.end) for P in (config.T1, config.T2, config.T3))
+    return tuple(config.context.project_h(M) for M in config.values[1:, -1])
 
 
 def circle_action(theta, config):
     """Rotate the (T2, T3) pair by theta; fixes (T0, T1)."""
     c, s = np.cos(theta), np.sin(theta)
-    ctx = config.context
-    return NahmConfiguration(
-        config.T0, config.T1,
-        GaugePath(c * config.T2.values - s * config.T3.values, "algebra", ctx),
-        GaugePath(s * config.T2.values + c * config.T3.values, "algebra", ctx))
+    v = config.values
+    values = v.copy()
+    values[2] = c * v[2] - s * v[3]
+    values[3] = s * v[2] + c * v[3]
+    return NahmConfiguration._from_stack(values, config.context)
 
 
 # the cyclic views (B, C) = (Y[[1, 2, 0]], Y[[2, 0, 1]]) of a stacked state
@@ -501,6 +499,8 @@ def integrate_nahm(context, initial, T0, norm_bound=1e6):
     """
     if T0.kind != "algebra":
         raise MalformedInput("T0 must be an algebra-valued path")
+    if T0.context is not context:
+        raise ContextMismatch("T0 is from a different context")
     N = T0.grid_size
     h = 1.0 / N
     t0_mids = _midpoints(T0.values)
@@ -515,8 +515,9 @@ def integrate_nahm(context, initial, T0, norm_bound=1e6):
         B, C = BC[:3], BC[3:]
         return y @ a - a @ y + C @ B - B @ C
 
-    out = np.empty((N + 1, 3, m, m), dtype=complex)
-    out[0] = Y
+    values = np.empty((4, N + 1, m, m), dtype=complex)
+    values[0] = T0.values
+    values[1:, 0] = Y
     for k in range(N):
         a_left, a_mid, a_right = T0.values[k], t0_mids[k], T0.values[k + 1]
         k1 = rhs(Y, a_left)
@@ -527,13 +528,9 @@ def integrate_nahm(context, initial, T0, norm_bound=1e6):
         if not (np.abs(Y) ** 2).sum(axis=(1, 2)).max() <= bound_sq:
             raise BlowupDetected(f"flow norm exceeded {norm_bound:.1e} or is not "
                                  f"finite at step {k + 1}")
-        out[k + 1] = Y
+        values[1:, k + 1] = Y
 
-    return NahmConfiguration(
-        T0,
-        GaugePath(out[:, 0], "algebra", context),
-        GaugePath(out[:, 1], "algebra", context),
-        GaugePath(out[:, 2], "algebra", context))
+    return NahmConfiguration._from_stack(values, context)
 
 
 # -- smooth random data helpers ------------------------------------------
@@ -565,13 +562,12 @@ def smooth_tangent(context, rng, grid_size, amplitude=1.0):
     """Random analytic configuration (trig profiles per slot), used as a
     point or as a tangent direction."""
     ts = np.linspace(0.0, 1.0, grid_size + 1)
-    paths = []
-    for _ in range(4):
+    prof2 = np.sin(np.pi * ts)[:, None, None]
+    m = context.matrix_size
+    values = np.empty((4, grid_size + 1, m, m), dtype=complex)
+    for slot in values:
         c1 = context.random_element(rng, amplitude)
         c2 = context.random_element(rng, amplitude)
         freq = rng.integers(1, 4)
-        prof1 = np.cos(np.pi * freq * ts)
-        prof2 = np.sin(np.pi * ts)
-        vals = prof1[:, None, None] * c1 + prof2[:, None, None] * c2
-        paths.append(GaugePath(vals, "algebra", context))
-    return NahmConfiguration(*paths)
+        slot[...] = np.cos(np.pi * freq * ts)[:, None, None] * c1 + prof2 * c2
+    return NahmConfiguration._from_stack(values, context)

@@ -57,6 +57,24 @@ def test_partial_derivative():
     assert jet.partial(1).coefficient((2, 0)) == 1.0
 
 
+@pytest.mark.parametrize("var", [-1, 2, [0, 2], np.array([-1, 1]), 0.0])
+def test_partial_rejects_a_variable_outside_the_jet(var):
+    # -1 used to differentiate by the last variable, 2 to raise IndexError
+    jet = JetPolynomial(2, 3, {(0, 2): 1.0})
+    with pytest.raises(MalformedInput):
+        jet.partial(var)
+
+
+def test_wirtinger_index_must_name_a_complex_coordinate():
+    n = 2
+    rho = JetPolynomial(2 * n, 3, {(1, 0, 0, 2): 1.0})
+    with pytest.raises(MalformedInput):
+        wirtinger_z(rho, n, n)  # reads d/dy_n, the (2n)-th variable
+    with pytest.raises(MalformedInput):
+        wirtinger_zbar(rho, np.arange(n + 1), n)
+    assert wirtinger_z(rho, n - 1, n).shape == ()
+
+
 def test_wirtinger_combinations_recover_real_partials():
     # dz + dzbar = d/dx and i (dz - dzbar) = d/dy, exactly on coefficients
     rng = np.random.default_rng(1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -87,8 +89,7 @@ def test_gauge_identity_fixes_configuration(ctx):
     cfg = nahm.smooth_tangent(ctx, rng, N)
     e = nahm.constant_path(ctx, np.eye(2), N, kind="group")
     gauged = nahm.gauge_transform(e, cfg)
-    for a, b in zip(cfg.paths(), gauged.paths()):
-        assert np.max(np.abs(a.values - b.values)) < 1e-14
+    assert np.max(np.abs(cfg.values - gauged.values)) < 1e-14
 
 
 def test_constant_gauge_is_pointwise_adjoint(ctx):
@@ -134,21 +135,21 @@ def test_batched_gauge_transform_matches_a_per_node_loop():
     g, cfg = _complex_gauge_and_config(_rng(), N)
     dg = nahm.path_derivative(g.values, 1.0 / N)
     gauged = nahm.gauge_transform(g, cfg)
-    for slot, (P, Q) in enumerate(zip(cfg.paths(), gauged.paths())):
-        want = np.empty_like(P.values)
+    for slot, (P, Q) in enumerate(zip(cfg.values, gauged.values)):
+        want = np.empty_like(P)
         for n in range(N + 1):
             ginv = np.linalg.inv(g.values[n])
-            want[n] = g.values[n] @ P.values[n] @ ginv
+            want[n] = g.values[n] @ P[n] @ ginv
             if slot == 0:
                 want[n] -= dg[n] @ ginv
-        assert _relative_gap(Q.values, want) < 1e-12
+        assert _relative_gap(Q, want) < 1e-12
 
 
 def test_batched_nahm_residual_matches_a_per_node_loop():
     N = 120
     g, cfg = _complex_gauge_and_config(_rng(), N)
     cfg = nahm.gauge_transform(g, cfg)  # complex values in every slot
-    T0, T1, T2, T3 = (P.values for P in cfg.paths())
+    T0, T1, T2, T3 = cfg.values
     derivs = [nahm.path_derivative(T, 1.0 / N) for T in (T1, T2, T3)]
     got = nahm.nahm_residual(cfg)
     for k, (A, B, C) in enumerate(((T1, T2, T3), (T2, T3, T1), (T3, T1, T2))):
@@ -169,8 +170,7 @@ def test_gauge_composition_law(ctx):
     lhs = nahm.gauge_transform(gh, cfg)
     rhs = nahm.gauge_transform(g, nahm.gauge_transform(h, cfg))
     # the connection slot differs by finite-difference product-rule error
-    for a, b in zip(lhs.paths(), rhs.paths()):
-        assert np.max(np.abs(a.values - b.values)) < 1e-7
+    assert np.max(np.abs(lhs.values - rhs.values)) < 1e-7
 
 
 # -- gauge-fixing ODE ------------------------------------------------------
@@ -362,6 +362,23 @@ def test_omega_and_l2_invariant_under_complex_rotation(ctx):
         pytest.approx(nahm.l2_metric(X, Y), abs=1e-14)
 
 
+def test_omega_expands_one_slot_at_a_time():
+    # each slot's coefficient expansion is the real view of a complex
+    # (N+1, dim) product; holding all eight of them at once took 27 MiB here
+    su3 = la.builtin_context("su3_u2")
+    rng = np.random.default_rng(5)
+    X = nahm.smooth_tangent(su3, rng, 25600)
+    Y = nahm.smooth_tangent(su3, rng, 25600)
+    nahm.omega_I(X, Y)  # warm any lazily built context tables
+    tracemalloc.start()
+    try:
+        nahm.omega_I(X, Y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2 ** 20
+
+
 def test_potential_values(ctx):
     N = 100
     zero = _zero(ctx, N)
@@ -464,8 +481,7 @@ def test_circle_action_values(ctx):
     N = 80
     cfg = nahm.smooth_tangent(ctx, rng, N)
     same = nahm.circle_action(0.0, cfg)
-    for a, b in zip(cfg.paths(), same.paths()):
-        assert np.max(np.abs(a.values - b.values)) == 0.0
+    assert np.max(np.abs(cfg.values - same.values)) == 0.0
     quarter = nahm.circle_action(np.pi / 2.0, cfg)
     assert np.max(np.abs(quarter.T2.values + cfg.T3.values)) < 1e-15
     assert np.max(np.abs(quarter.T3.values - cfg.T2.values)) < 1e-15
@@ -494,8 +510,7 @@ def test_circle_action_commutes_with_gauge(ctx):
     theta = 1.3
     lhs = nahm.circle_action(theta, nahm.gauge_transform(g, cfg))
     rhs = nahm.gauge_transform(g, nahm.circle_action(theta, cfg))
-    for a, b in zip(lhs.paths(), rhs.paths()):
-        assert np.max(np.abs(a.values - b.values)) < 1e-13
+    assert np.max(np.abs(lhs.values - rhs.values)) < 1e-13
 
 
 def test_circle_action_preserves_nahm_solutions(ctx):

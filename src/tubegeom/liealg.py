@@ -120,6 +120,29 @@ class LieAlgebraContext:
         flat = np.asarray(coeffs) @ self.basis.reshape(self.dim, -1)
         return flat.reshape(-1, self.matrix_size, self.matrix_size)
 
+    def _span_path_coefficients(self, values):
+        """``path_coefficients`` with the check of ``coefficients``: raises
+        ClosureViolation when some node lies outside the real span beyond
+        DEFAULT_EXPAND_TOL relative to max(1, |X|).  Non-finite nodes are not
+        flagged."""
+        values = np.asarray(values, dtype=complex)
+        coeffs = self.path_coefficients(values)
+        resid = np.linalg.norm(values - self.path_reconstruct(coeffs), axis=(1, 2))
+        scale = np.maximum(1.0, np.linalg.norm(values, axis=(1, 2)))
+        outside = resid > DEFAULT_EXPAND_TOL * scale
+        if np.any(outside):
+            raise ClosureViolation(
+                f"{np.count_nonzero(outside)} of {len(values)} matrices are not in "
+                f"the span of {self.name} (residual {np.max(resid[outside]):.3e})")
+        return coeffs
+
+    def structure_constants(self):
+        """Real (dim, dim, dim) array f with [e_j, e_k] = sum_l f[j, k, l] e_l;
+        ClosureViolation when some bracket of basis elements leaves the span."""
+        B, d, m = self.basis, self.dim, self.matrix_size
+        comm = (B[:, None] @ B[None] - B[None] @ B[:, None]).reshape(d * d, m, m)
+        return self._span_path_coefficients(comm).reshape(d, d, d)
+
     # -- split ---------------------------------------------------------
 
     def _require_split(self):

@@ -19,8 +19,9 @@ on the stack.  The machinery here provides
 * the flat L^2 metric, the first complex structure I and its symplectic
   pairing, the quadratic potential, the endpoint moment map for a
   subgroup split, the circle action rotating (T2, T3), and a RK4
-  integrator for the flow itself, whose stages act on the stacked
-  (T1, T2, T3) state with four batched products each.
+  integrator for the flow itself, which runs on the real coefficient
+  vector (T0, T1, T2, T3) in R^{4d}: each stage is one outer product and
+  one product with a constant bilinear table of the structure constants.
 
 Derivatives on the grid use 4th-order stencils (one-sided at the ends) so
 that residual magnitudes track the integrator's order on analytic data.
@@ -36,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BlowupDetected, ContextMismatch, GridMismatch,
-                     MalformedInput)
+from .errors import (BlowupDetected, ClosureViolation, ContextMismatch,
+                     GridMismatch, MalformedInput)
 from .liealg import (GroupElement, LieAlgebraContext, _normal_log,
                      membership_defect)
 
@@ -150,12 +151,15 @@ class NahmConfiguration:
     flat configuration space, or a tangent vector to it.
 
     ``values`` is the complex (4, N+1, m, m) stack of the four paths; the
-    slots ``T0``..``T3`` are ``GaugePath`` views of it.
+    slots ``T0``..``T3`` are ``GaugePath`` views of it.  The constructor
+    takes four algebra-kind paths and raises MalformedInput on any other.
     """
 
     __slots__ = ("values", "context")
 
     def __init__(self, T0, T1, T2, T3):
+        if any(p.kind != "algebra" for p in (T0, T1, T2, T3)):
+            raise MalformedInput("configuration slots must be algebra-valued paths")
         _same_grid(T0, T1, T2, T3)
         self.values = np.stack([T0.values, T1.values, T2.values, T3.values])
         self.context = T0.context
@@ -482,20 +486,50 @@ def circle_action(theta, config):
     return NahmConfiguration._from_stack(values, config.context)
 
 
-# the cyclic views (B, C) = (Y[[1, 2, 0]], Y[[2, 0, 1]]) of a stacked state
-_CYCLIC = np.array([1, 2, 0, 2, 0, 1])
+# slots (C, B) of the bracket [C_i, B_i] in the right-hand side for Y_i,
+# i = 1, 2, 3, of the stage vector z = (a, Y1, Y2, Y3)
+_CYCLIC_SLOTS = ((3, 2), (1, 3), (2, 1))
+
+
+def _nahm_table(context):
+    """(16 d^2, 3 d) bilinear table W of the Nahm right-hand side.
+
+    For the real coefficient vector z = (a, Y1, Y2, Y3) in R^{4d} of a
+    connection value and a state, (z ⊗ z).ravel() @ W is the coefficient
+    vector of (rhs_1, rhs_2, rhs_3), rhs_i = [Y_i, a] + [C_i, B_i] with
+    (B_i, C_i) the cyclic successors of Y_i, read off the context's
+    structure constants.
+    """
+    f = context.structure_constants()
+    d = context.dim
+    W = np.zeros((4, d, 4, d, 3, d))
+    for i, (c, b) in enumerate(_CYCLIC_SLOTS):
+        W[i + 1, :, 0, :, i] = f
+        W[c, :, b, :, i] = f
+    return W.reshape(16 * d * d, 3 * d)
+
+
+def _span_coefficients(context, values, what):
+    try:
+        return context._span_path_coefficients(values)
+    except ClosureViolation as err:
+        raise MalformedInput(f"{what} must lie in the real span: {err}") from None
 
 
 def integrate_nahm(context, initial, T0, norm_bound=1e6):
     """RK4 evolution of the three cyclic equations with prescribed T0.
 
     ``initial`` supplies (T1, T2, T3) at t = 0; T0 is connection data, not
-    evolved.  Each stage acts on the stacked (3, m, m) state Y at once: with
-    the cyclic views B = Y[[1, 2, 0]] and C = Y[[2, 0, 1]] the right-hand
-    side -[a, Y] - [B, C] is Y a - a Y + C B - B C, four batched products.
-    Raises BlowupDetected after the first step at which some evolved norm
-    leaves the bound or is not finite (the flow genuinely blows up in
-    finite time for some data).
+    evolved.  The flow runs on real coefficients: T0, its midpoints and the
+    initial data are expanded once, and with z = (a, Y1, Y2, Y3) in R^{4d}
+    the right-hand side is bilinear in z, so each stage is one outer
+    product z ⊗ z and one product with a constant (16 d^2, 3 d) table built
+    from the structure constants (``_nahm_table``) and scaled by the
+    stage's step.  The (4, N+1, m, m) stack is reconstructed once at the
+    end.  Raises MalformedInput when T0 or the initial data leave the real
+    span, and BlowupDetected naming the first step after which some evolved
+    norm leaves the bound or is not finite (the flow genuinely blows up in
+    finite time for some data); the norms are read off the finished stack.
     """
     if T0.kind != "algebra":
         raise MalformedInput("T0 must be an algebra-valued path")
@@ -503,33 +537,59 @@ def integrate_nahm(context, initial, T0, norm_bound=1e6):
         raise ContextMismatch("T0 is from a different context")
     N = T0.grid_size
     h = 1.0 / N
-    t0_mids = _midpoints(T0.values)
-    m = context.matrix_size
-    Y = np.array([np.asarray(M, dtype=complex) for M in initial])
-    if Y.shape != (3, m, m):
+    d, m = context.dim, context.matrix_size
+    Y0 = np.array([np.asarray(M, dtype=complex) for M in initial])
+    if Y0.shape != (3, m, m):
         raise MalformedInput("initial data must be three algebra matrices")
-    bound_sq = norm_bound * norm_bound
-
-    def rhs(y, a):
-        BC = y.take(_CYCLIC, axis=0)
-        B, C = BC[:3], BC[3:]
-        return y @ a - a @ y + C @ B - B @ C
-
-    values = np.empty((4, N + 1, m, m), dtype=complex)
-    values[0] = T0.values
-    values[1:, 0] = Y
-    for k in range(N):
-        a_left, a_mid, a_right = T0.values[k], t0_mids[k], T0.values[k + 1]
-        k1 = rhs(Y, a_left)
-        k2 = rhs(Y + 0.5 * h * k1, a_mid)
-        k3 = rhs(Y + 0.5 * h * k2, a_mid)
-        k4 = rhs(Y + h * k3, a_right)
-        Y = Y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not (np.abs(Y) ** 2).sum(axis=(1, 2)).max() <= bound_sq:
-            raise BlowupDetected(f"flow norm exceeded {norm_bound:.1e} or is not "
-                                 f"finite at step {k + 1}")
-        values[1:, k + 1] = Y
-
+    W = _nahm_table(context)
+    # a state that blows up runs on as inf and NaN; the guard reads it below
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = _span_coefficients(context, T0.values, "T0")
+        mids = _midpoints(a)
+        stage_a = np.stack([a[:-1], mids, mids, a[1:]], axis=1)  # (N, 4, d)
+        coeffs = np.empty((N + 1, 3 * d))
+        coeffs[0] = _span_coefficients(context, Y0, "initial data").reshape(-1)
+        # with the tables scaled by h/2, h/2, h, h/2 the stages k_s are
+        # increments, and the step is (k1 + 2 k2 + k3 + k4) / 3
+        half, full = (0.5 * h) * W, h * W
+        weights = np.array([1.0, 2.0, 1.0, 1.0]) / 3.0
+        z = np.empty((4, 4 * d))  # one stage vector (a, Y1, Y2, Y3) per row
+        z_a = z[:, :d]
+        z1, z2, z3, z4 = z
+        y1, y2, y3, y4 = z[:, d:]
+        c1, c2, c3, c4 = z[:, :, None]
+        k = np.empty((4, 3 * d))
+        k1, k2, k3, k4 = k
+        outer = np.empty((4 * d, 4 * d))
+        flat = outer.reshape(-1)
+        # the loop is bound by call overhead: local names and out= buffers
+        mul, dot, add, copyto = np.multiply, np.dot, np.add, np.copyto
+        for Y, Y_next, a_stages in zip(coeffs[:-1], coeffs[1:], stage_a):
+            copyto(z_a, a_stages)
+            copyto(y1, Y)
+            mul(c1, z1, out=outer)
+            dot(flat, half, out=k1)
+            add(Y, k1, out=y2)
+            mul(c2, z2, out=outer)
+            dot(flat, half, out=k2)
+            add(Y, k2, out=y3)
+            mul(c3, z3, out=outer)
+            dot(flat, full, out=k3)
+            add(Y, k3, out=y4)
+            mul(c4, z4, out=outer)
+            dot(flat, half, out=k4)
+            dot(weights, k, out=Y_next)
+            add(Y_next, Y, out=Y_next)
+        states = context.path_reconstruct(
+            coeffs.reshape(N + 1, 3, d).transpose(1, 0, 2).reshape(-1, d))
+        values = np.empty((4, N + 1, m, m), dtype=complex)
+        values[0] = T0.values
+        values[1:] = states.reshape(3, N + 1, m, m)
+        norms_sq = (np.abs(values[1:, 1:]) ** 2).sum(axis=(2, 3)).max(axis=0)
+    exceeded = np.flatnonzero(~(norms_sq <= norm_bound * norm_bound))
+    if exceeded.size:
+        raise BlowupDetected(f"flow norm exceeded {norm_bound:.1e} or is not "
+                             f"finite at step {exceeded[0] + 1}")
     return NahmConfiguration._from_stack(values, context)
 
 

@@ -46,6 +46,29 @@ def test_bracket_closure_violation():
         la.bracket(partial, partial.basis[0], partial.basis[1])
 
 
+@pytest.mark.parametrize("name", sorted(la.BUILTIN_CONTEXTS))
+def test_structure_constants_expand_every_basis_bracket(name):
+    ctx = la.builtin_context(name)
+    f = ctx.structure_constants()
+    assert f.shape == (ctx.dim,) * 3 and f.dtype == float
+    for j, X in enumerate(ctx.basis):
+        for k, Y in enumerate(ctx.basis):
+            want = ctx.coefficients(X @ Y - Y @ X)
+            assert np.max(np.abs(f[j, k] - want)) < 1e-15
+    assert np.max(np.abs(f + f.transpose(1, 0, 2))) == 0.0
+
+
+def test_structure_constants_of_the_su2_and_so3_triples():
+    assert la.su2().structure_constants()[0, 1, 2] == pytest.approx(1.0, abs=1e-15)
+    assert la.so(3).structure_constants()[0, 1, 2] == pytest.approx(-1.0, abs=1e-15)
+
+
+def test_structure_constants_reject_a_basis_that_does_not_close():
+    partial = la.LieAlgebraContext("partial", la.su2().basis[:2], trace_scale=2.0)
+    with pytest.raises(ClosureViolation):
+        partial.structure_constants()
+
+
 def test_bracket_context_mismatch(su2_split):
     with pytest.raises(ContextMismatch):
         la.bracket(su2_split, np.eye(3), np.eye(3))

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 from tubegeom import liealg as la
 from tubegeom import nahm, registry
@@ -44,6 +45,15 @@ def test_residual_constant_commuting_is_zero(ctx):
         nahm.constant_path(ctx, 0.7 * ctx.basis[2], N),
         _zero(ctx, N), _zero(ctx, N))
     assert nahm.nahm_residual_sup(cfg) < 1e-13
+
+
+def test_configuration_rejects_group_valued_slots(ctx):
+    N = 50
+    g = nahm.smooth_gauge(ctx, _rng(), N)
+    with pytest.raises(MalformedInput):
+        nahm.NahmConfiguration(g, g, g, g)
+    with pytest.raises(MalformedInput):
+        nahm.NahmConfiguration(_zero(ctx, N), _zero(ctx, N), g, _zero(ctx, N))
 
 
 def test_residual_conjugation_closed_form(ctx):
@@ -599,40 +609,117 @@ def _rk4_per_commutator(T0, initial):
     return np.array(out)
 
 
-@pytest.mark.parametrize("name", ["su2", "su3_u2"])
+@pytest.mark.parametrize("name", ["su2", "su3_u2", "so4", "torus2"])
 def test_stacked_rk4_stage_matches_per_commutator_rk4(name):
     c = la.builtin_context(name)
+    e = lambda k: c.basis[k % c.dim]  # torus2 has two basis elements
     N = 300
-    T0 = nahm.sampled_path(
-        c, lambda t: 0.6 * np.sin(1.3 * t) * c.basis[0] + 0.4 * t * c.basis[2], N)
+    T0 = nahm.sampled_path(c, lambda t: 0.6 * np.sin(1.3 * t) * e(0) + 0.4 * t * e(2), N)
     # unequal weights on distinct elements, so every cyclic slot differs
-    init = [0.5 * c.basis[0] + 0.3 * c.basis[1], 0.8 * c.basis[1],
-            1.0 * c.basis[2] - 0.2 * c.basis[0]]
+    init = [0.5 * e(0) + 0.3 * e(1), 0.8 * e(1), 1.0 * e(2) - 0.2 * e(0)]
     sol = nahm.integrate_nahm(c, init, T0)
     want = _rk4_per_commutator(T0, init)
     got = np.stack([sol.T1.values, sol.T2.values, sol.T3.values], axis=1)
     assert np.max(np.abs(got - want)) < 1e-13
+    if name == "torus2":  # abelian: every bracket vanishes, the flow is constant
+        assert np.max(np.abs(got - np.array(init))) < 1e-15
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_blowup_guard_names_the_first_node_past_the_bound(ctx):
+    N, bound = 400, 1e4
+    init = [-2.0 * ctx.basis[0], -2.0 * ctx.basis[1], -2.0 * ctx.basis[2]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _rk4_per_commutator(_zero(ctx, N), init)
+        norms_sq = (np.abs(want) ** 2).sum(axis=(2, 3)).max(axis=1)
+    first = int(np.flatnonzero(~(norms_sq[1:] <= bound * bound))[0]) + 1
+    assert 1 < first < N
+    with pytest.raises(BlowupDetected, match=rf"at step {first}$"):
+        nahm.integrate_nahm(ctx, init, _zero(ctx, N), norm_bound=bound)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_integrator_rejects_nan_initial_data(ctx):
     init = [np.full((2, 2), np.nan), 0.7 * ctx.basis[1], ctx.basis[2]]
-    with np.errstate(invalid="ignore"), pytest.raises(BlowupDetected):
+    with pytest.raises(BlowupDetected, match="at step 1$"):
         nahm.integrate_nahm(ctx, init, _zero(ctx, 64))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_integrator_rejects_an_infinite_connection(ctx):
     values = np.zeros((65, 2, 2), dtype=complex)
     values[10, 0, 1] = np.inf
     T0 = nahm.GaugePath(values, "algebra", ctx)
     init = [0.4 * ctx.basis[0], 0.7 * ctx.basis[1], 1.1 * ctx.basis[2]]
-    with np.errstate(invalid="ignore"), pytest.raises(BlowupDetected):
+    with pytest.raises(BlowupDetected):
         nahm.integrate_nahm(ctx, init, T0)
+
+
+@pytest.mark.parametrize("outside", [1j * la.su2().basis[0], np.eye(2)],
+                         ids=["imaginary", "identity"])
+def test_integrator_rejects_data_outside_the_real_span(ctx, outside):
+    init = [0.4 * ctx.basis[0], 0.7 * ctx.basis[1], 1.1 * ctx.basis[2]]
+    with pytest.raises(MalformedInput, match="initial data"):
+        nahm.integrate_nahm(ctx, [init[0], outside, init[2]], _zero(ctx, 64))
+    values = np.zeros((65, 2, 2), dtype=complex)
+    values[10] = outside
+    with pytest.raises(MalformedInput, match="T0"):
+        nahm.integrate_nahm(ctx, init, nahm.GaugePath(values, "algebra", ctx))
 
 
 def test_integrator_requires_algebra_connection(ctx):
     g = nahm.constant_path(ctx, np.eye(2), 64, kind="group")
     with pytest.raises(MalformedInput):
         nahm.integrate_nahm(ctx, [np.zeros((2, 2))] * 3, g)
+
+
+# -- exact flows -------------------------------------------------------------
+
+# Euler's top f' = (f2 f3, f3 f1, f1 f2) is solved by f = -D (cn/sn, dn/sn,
+# 1/sn)(D (t + t0)) with parameter k^2; the poles of sn at D (t + t0) = 0
+# and 2 K(k^2) = 3.9 stay outside D (t + t0) in [0.77, 1.87]
+EULER_D, EULER_K2, EULER_T0 = 1.1, 0.6, 0.7
+ORACLE_GRIDS = (25, 50, 100, 200, 400)
+
+
+def _euler_top(ctx, triple, c, N):
+    """Exact Nahm flow T0 = 0, T_i = -(f_i / c) e_i on a triple with
+    [e_i, e_j] = c e_k (cyclic), from Jacobi elliptic functions (Hitchin,
+    Comm. Math. Phys. 1983): dT1/dt = -(f2 f3 / c) e1 = -[T2, T3]."""
+    ts = np.linspace(0.0, 1.0, N + 1)
+    sn, cn, dn, _ = scipy.special.ellipj(EULER_D * (ts + EULER_T0), EULER_K2)
+    f = -EULER_D * np.array([cn / sn, dn / sn, 1.0 / sn])
+    slots = [np.zeros((N + 1,) + ctx.basis.shape[1:], dtype=complex)]
+    slots += [-(f_i / c)[:, None, None] * ctx.basis[e] for f_i, e in zip(f, triple)]
+    return nahm.NahmConfiguration(*(nahm.GaugePath(v, "algebra", ctx) for v in slots))
+
+
+@pytest.mark.parametrize("gauged, bound", [(False, 1e-11), (True, 5e-11)],
+                         ids=["ungauged", "gauged"])
+@pytest.mark.parametrize("name, triple, c", [
+    ("su2", (0, 1, 2), 1.0), ("su3_u2", (0, 1, 2), 1.0),
+    ("so3", (0, 1, 2), -1.0), ("so4", (0, 1, 3), -1.0)])
+def test_integrator_reproduces_the_exact_euler_top_flow(name, triple, c, gauged, bound):
+    ctx = la.builtin_context(name)
+    E = ctx.basis[list(triple)]
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        assert np.max(np.abs(E[i] @ E[j] - E[j] @ E[i] - c * E[k])) < 1e-15
+    errs = []
+    for N in ORACLE_GRIDS:
+        exact = _euler_top(ctx, triple, c, N)
+        T0 = exact.T0
+        if gauged:
+            g = nahm.smooth_gauge(ctx, np.random.default_rng(7), N)
+            exact = nahm.gauge_transform(g, exact)
+            # -dg g^-1 comes from a difference stencil and leaves the real
+            # span by O(h^4); the integrator takes real-span data only
+            T0 = nahm.GaugePath(ctx.path_reconstruct(
+                ctx.path_coefficients(exact.T0.values)), "algebra", ctx)
+        sol = nahm.integrate_nahm(ctx, exact.values[1:, 0], T0)
+        errs.append(np.max(np.abs(sol.values[1:] - exact.values[1:])))
+    orders = np.log2(np.array(errs[:-1]) / errs[1:])
+    assert np.min(orders) >= 3.5, orders
+    assert errs[-1] < bound, errs
 
 
 # -- membership, higher rank ------------------------------

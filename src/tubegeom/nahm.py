@@ -27,12 +27,19 @@ Derivatives on the grid use 4th-order stencils (one-sided at the ends) so
 that residual magnitudes track the integrator's order on analytic data.
 Matrix exponentials along a path are taken for the whole (nodes, m, m)
 stack in one call (``_expm_stack``), never node by node, and so are
-commutators, conjugations and inverses: every pointwise product of paths
-is one batched ``@`` on the stacks.
+commutators, conjugations and inverses.  Every pointwise product of paths
+goes through one small-matrix kernel, ``_entry_products``, on entry-major
+copies of the stacks: C = A B is summed as m rank-one updates, each one
+NumPy multiply over all (i, j) entries and all nodes, so a product costs
+2m - 1 vector calls instead of one small matrix product per node.
+``_matmul_paths`` and ``_commutator_paths`` are its faces on (..., m, m)
+stacks; the exponential and the suffix scan stay in entry-major layout
+from their first product to their last.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,7 +126,12 @@ def path_derivative(values, dt):
     if N < 4:
         raise MalformedInput("need at least 5 nodes for 4th-order derivatives")
     d = np.empty_like(v)
-    d[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * dt)
+    inner = d[2:-2]  # in place: the stack may be large
+    np.subtract(v[3:-1], v[1:-3], out=inner)
+    inner *= 8.0
+    inner += v[:-4]
+    inner -= v[4:]
+    inner /= 12 * dt
     d[0] = (-25 * v[0] + 48 * v[1] - 36 * v[2] + 16 * v[3] - 3 * v[4]) / (12 * dt)
     d[1] = (-3 * v[0] - 10 * v[1] + 18 * v[2] - 6 * v[3] + v[4]) / (12 * dt)
     d[-2] = (-v[-5] + 6 * v[-4] - 18 * v[-3] + 10 * v[-2] + 3 * v[-1]) / (12 * dt)
@@ -131,10 +143,107 @@ def _midpoints(values):
     """4th-order midpoint interpolation per grid interval."""
     v = np.asarray(values)
     mids = np.empty((v.shape[0] - 1,) + v.shape[1:], dtype=v.dtype)
-    mids[1:-1] = (-v[:-3] + 9 * v[1:-2] + 9 * v[2:-1] - v[3:]) / 16.0
+    inner = mids[1:-1]
+    np.add(v[1:-2], v[2:-1], out=inner)
+    inner *= 9.0
+    inner -= v[:-3]
+    inner -= v[3:]
+    inner /= 16.0
     mids[0] = (5 * v[0] + 15 * v[1] - 5 * v[2] + v[3]) / 16.0
     mids[-1] = (v[-4] - 5 * v[-3] + 15 * v[-2] + 5 * v[-1]) / 16.0
     return mids
+
+
+# -- products of small-matrix stacks --------------------------------------
+#
+# A stacked ``@`` on (nodes, m, m) arrays pays a fixed cost per node (about
+# 0.3 us per 2x2 or 3x3 complex product), so a path of 2000 nodes costs more
+# in dispatch than in arithmetic.  Here a stack is copied once into entry-major
+# layout (m, m, *nodes), where entry (i, k) is one contiguous node vector, and
+# C = A B is summed as m rank-one updates C += A[:, k] B[k, :], each one
+# vectorized multiply over all m^2 (i, j) terms and all nodes.  Every one of
+# the m^3 entry terms is a node-vector product; the grouping only keeps the
+# number of NumPy calls at 2m - 1 per product, whatever the stack size.
+# One-off products walk the nodes in blocks of about 128 KB per operand:
+# with whole-stack temporaries, a product over 4 x 2001 nodes at m = 4 spent
+# more time on fresh pages and cache misses than on arithmetic.
+
+_BLOCK_BYTES = 1 << 17  # entries of one operand per block of ``_blockwise_product``
+
+
+def _entry_major(A, lead_ndim):
+    """Contiguous (m, m, *nodes) copy of a (..., m, m) stack, its node axes
+    padded in front with ones to ``lead_ndim`` so that stacks broadcast."""
+    A = np.asarray(A)
+    A = A.reshape((1,) * (lead_ndim + 2 - A.ndim) + A.shape)
+    return A.transpose((lead_ndim, lead_ndim + 1) + tuple(range(lead_ndim))).copy()
+
+
+def _entry_products(a, b, out, spare):
+    """out[i, j] = sum_k a[i, k] b[k, j] on entry-major stacks (m, m, *nodes).
+
+    ``spare`` has the shape of ``out``; neither may overlap ``a`` or ``b``.
+    """
+    m = a.shape[0]
+    np.multiply(a[:, :1], b[None, 0], out=out)
+    for k in range(1, m):
+        np.multiply(a[:, k:k + 1], b[None, k], out=spare)
+        out += spare
+    return out
+
+
+def _node_major(c, out=None):
+    """The (*nodes, m, m) stack of an entry-major one, written into ``out``."""
+    view = c.transpose(tuple(range(2, c.ndim)) + (0, 1))
+    if out is None:
+        return view.copy()
+    np.copyto(out, view)
+    return out
+
+
+def _matmul_paths(A, B, out=None):
+    """C_k = A_k B_k over (..., m, m) stacks, broadcast over the node axes.
+
+    A single (m, m) matrix on either side multiplies every node, and an
+    (N+1, m, m) path multiplies each slot of a (4, N+1, m, m) stack; at
+    least one side must be a stack.  ``out`` must not overlap A or B.
+    Non-finite entries propagate as in a sum of entry products.
+    """
+    return _blockwise_product(A, B, out, bracket=False)
+
+
+def _commutator_paths(A, B):
+    """[A_k, B_k] over (..., m, m) stacks, broadcast as in ``_matmul_paths``."""
+    return _blockwise_product(A, B, None, bracket=True)
+
+
+def _blockwise_product(A, B, out, bracket):
+    """A B, or A B - B A when ``bracket``, into ``out`` (new if None).
+
+    The last node axis is walked in blocks that hold about ``_BLOCK_BYTES``
+    of complex entries of one operand; each block of A and B is copied to
+    entry-major layout once and multiplied by ``_entry_products``, so the
+    temporaries stay small and in cache.
+    """
+    A, B = np.asarray(A), np.asarray(B)
+    nodes = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    m = A.shape[-1]
+    if out is None:
+        out = np.empty(nodes + (m, m), dtype=np.result_type(A, B))
+    width = max(1, _BLOCK_BYTES // (16 * m * m * math.prod(nodes[:-1])))
+    for start in range(0, nodes[-1], width):
+        block = slice(start, start + width)
+        # a single matrix, or a stack that broadcasts along that axis, is whole
+        a, b = (_entry_major(X[..., block, :, :] if X.ndim > 2 and X.shape[-3] > 1
+                             else X, len(nodes)) for X in (A, B))
+        c = np.empty((m, m) + np.broadcast_shapes(a.shape[2:], b.shape[2:]),
+                     dtype=out.dtype)
+        spare = np.empty_like(c)
+        _entry_products(a, b, c, spare)
+        if bracket:
+            c -= _entry_products(b, a, np.empty_like(c), spare)
+        _node_major(c, out[..., block, :, :])
+    return out
 
 
 # signs of the slots of I X = (-X1, X0, -X3, X2)
@@ -184,21 +293,19 @@ class NahmConfiguration:
         return NahmConfiguration._from_stack(rotated, self.context)
 
 
-def _commutator_paths(A, B):
-    return A @ B - B @ A
-
-
 def nahm_residual(config):
-    """Residual paths of the three cyclic equations, as GaugePaths."""
-    T0, T1, T2, T3 = config.values
-    dt = 1.0 / config.grid_size
-    ctx = config.context
-    out = []
-    for A, B, C in ((T1, T2, T3), (T2, T3, T1), (T3, T1, T2)):
-        resid = (path_derivative(A, dt) + _commutator_paths(T0, A)
-                 + _commutator_paths(B, C))
-        out.append(GaugePath(resid, "algebra", ctx))
-    return tuple(out)
+    """Residual paths of the three cyclic equations, as GaugePaths.
+
+    For the slots Y = (T1, T2, T3) and their cyclic successors
+    (B, C) = ((T2, T3, T1), (T3, T1, T2)) the residual is
+    dY/dt + [T0, Y] + [B, C], taken on the (3, N+1, m, m) stack at once.
+    """
+    v = config.values
+    Y = v[1:]
+    resid = path_derivative(Y.swapaxes(0, 1), 1.0 / config.grid_size).swapaxes(0, 1)
+    resid += _commutator_paths(v[0], Y)
+    resid += _commutator_paths(v[[2, 3, 1]], v[[3, 1, 2]])
+    return tuple(GaugePath(r, "algebra", config.context) for r in resid)
 
 
 def nahm_residual_sup(config):
@@ -221,8 +328,8 @@ def gauge_transform(g, config):
     gv = g.values
     ginv = np.linalg.inv(gv)
     dg = path_derivative(gv, 1.0 / g.grid_size)
-    values = gv @ config.values @ ginv
-    values[0] -= dg @ ginv
+    values = _matmul_paths(_matmul_paths(gv, config.values), ginv)
+    values[0] -= _matmul_paths(dg, ginv)
     return NahmConfiguration._from_stack(values, config.context)
 
 
@@ -252,54 +359,73 @@ def _expm_stack(X):
     Horner evaluation of one Taylor polynomial followed by repeated
     squaring, with the degree and the number of squarings chosen once from
     the largest 1-norm in the stack (``_taylor_plan``).  The 2**-s scaling
-    is folded into the Horner divisors, and all products go through two
-    ping-pong buffers.  A non-finite entry makes the whole result NaN.
+    is folded into the Horner divisors.  X is copied to entry-major layout
+    once, every product is an ``_entry_products`` call between two
+    ping-pong buffers, and the result is copied back once.  A non-finite
+    entry makes the whole result NaN.
     """
     X = np.asarray(X, dtype=complex)
-    K, m = X.shape[0], X.shape[-1]
+    m = X.shape[-1]
     norm = float(np.max(np.abs(X).sum(axis=1), initial=0.0))
     if not np.isfinite(norm):
         return np.full(X.shape, np.nan, dtype=complex)
     degree, squarings = _taylor_plan(norm)
     scale = 2.0 ** -squarings
-    out = np.multiply(X, scale / degree)
-    spare = np.empty_like(out)
-    out.reshape(K, m * m)[:, ::m + 1] += 1.0
+    x = _entry_major(X, X.ndim - 2)
+    out = np.multiply(x, scale / degree)
+    spare, work = np.empty_like(out), np.empty_like(out)
+    out.reshape(m * m, -1)[::m + 1] += 1.0
     for k in range(degree - 1, 0, -1):
-        np.matmul(X, out, out=spare)
+        _entry_products(x, out, spare, work)
         spare *= scale / k
-        spare.reshape(K, m * m)[:, ::m + 1] += 1.0
+        spare.reshape(m * m, -1)[::m + 1] += 1.0
         out, spare = spare, out
     for _ in range(squarings):
-        np.matmul(out, out, out=spare)
+        _entry_products(out, out, spare, work)
         out, spare = spare, out
-    return out
+    del x, spare, work
+    return _node_major(out)
 
 
 def _suffix_products(E, out):
     """Write out[k] = E[K-1] ... E[k+1] E[k] for a (K, m, m) stack E.
 
-    Odd-even scan (Blelloch 1990): the pair products P_j = E[2j+1] E[2j]
-    (with an unpaired last factor carried over) are scanned recursively into
-    the even slots, and each odd slot is one more product, out[2j+1] =
-    out[2j+2] E[2j+1].  About 2K products in 2 ceil(log2 K) batched calls.
-    out[0] associates as a balanced tree of blocks aligned at 0.
+    Odd-even scan (Blelloch 1990, ``_suffix_scan``) on an entry-major copy
+    of E, written back to ``out`` once.  About 2K products in
+    2 ceil(log2 K) calls of ``_entry_products``.  out[0] associates as a
+    balanced tree of blocks aligned at 0.
     """
-    K = E.shape[0]
+    e = _entry_major(E, 1)
+    scan = np.empty_like(e)
+    _suffix_scan(e, scan, np.empty_like(e[..., :E.shape[0] // 2]))
+    _node_major(scan, out)
+
+
+def _suffix_scan(e, out, spare):
+    """The scan of ``_suffix_products`` on entry-major (m, m, K) stacks.
+
+    The pair products P_j = e[2j+1] e[2j] (with an unpaired last factor
+    carried over) are scanned recursively into the even slots, and each
+    odd slot is one more product, out[2j+1] = out[2j+2] e[2j+1].  ``spare``
+    holds at least K // 2 nodes of scratch.
+    """
+    K = e.shape[-1]
     if K == 1:
-        out[0] = E[0]
+        out[..., 0] = e[..., 0]
         return
     half = K // 2
-    pairs = np.empty((K - half,) + E.shape[1:], dtype=E.dtype)
-    np.matmul(E[1::2], E[0:2 * half:2], out=pairs[:half])
+    pairs = np.empty(e.shape[:2] + (K - half,), dtype=e.dtype)
+    _entry_products(e[..., 1::2], e[..., 0:2 * half:2], pairs[..., :half],
+                    spare[..., :half])
     if K % 2:
-        pairs[half] = E[K - 1]
-    _suffix_products(pairs, out[0::2])
+        pairs[..., half] = e[..., K - 1]
+    _suffix_scan(pairs, out[..., 0::2], spare)
     del pairs
     odd = (K - 1) // 2  # odd slots below the last even one
-    np.matmul(out[2::2], E[1:2 * odd:2], out=out[1:2 * odd:2])
+    _entry_products(out[..., 2::2], e[..., 1:2 * odd:2], out[..., 1:2 * odd:2],
+                    spare[..., :odd])
     if K % 2 == 0:
-        out[K - 1] = E[K - 1]
+        out[..., K - 1] = e[..., K - 1]
 
 
 def solve_gauge_ode(A):
@@ -330,8 +456,7 @@ def solve_gauge_ode(A):
     omega += vals[:-1]
     omega += vals[1:]
     omega *= h / 6.0
-    comm = np.matmul(vals[:-1], vals[1:])
-    comm -= np.matmul(vals[1:], vals[:-1])
+    comm = _commutator_paths(vals[:-1], vals[1:])
     comm *= h * h / 12.0
     omega += comm
     del comm
@@ -368,7 +493,7 @@ def embed_tangent(a, v, grid_size, h_path=None):
         Zh = Z.conj().T
         phases = np.exp((1.0 - ts)[:, None, None] * (lam[:, None] - lam[None, :]))
         phases *= Zh @ v @ Z
-        T1 = GaugePath(Z @ phases @ Zh, "algebra", ctx)
+        T1 = GaugePath(_matmul_paths(_matmul_paths(Z, phases), Zh), "algebra", ctx)
         return constant_path(ctx, L, grid_size), T1
     if h_path.grid_size != grid_size:
         raise GridMismatch("h_path grid does not match the requested grid")
@@ -377,8 +502,8 @@ def embed_tangent(a, v, grid_size, h_path=None):
         raise MalformedInput("h_path must start at the base point")
     dh = path_derivative(hv, 1.0 / grid_size)
     hinv = np.linalg.inv(hv)
-    T0 = GaugePath(-(dh @ hinv), "algebra", ctx)
-    T1 = GaugePath(hv @ v @ hinv, "algebra", ctx)
+    T0 = GaugePath(-_matmul_paths(dh, hinv), "algebra", ctx)
+    T1 = GaugePath(_matmul_paths(_matmul_paths(hv, v), hinv), "algebra", ctx)
     return T0, T1
 
 

@@ -345,8 +345,8 @@ def embedded_potential(ctx, rng, N, count):
         f1 = potential(*nahm.embed_tangent(a, v, N))
         w = ctx.random_element(rng, 0.6)
         ts = _grid_times(N)
-        hv = (nahm._expm_stack((1 - ts) * liealg.group_log(a))
-              @ nahm._expm_stack(np.sin(np.pi * ts) * w))
+        hv = nahm._matmul_paths(nahm._expm_stack((1 - ts) * liealg.group_log(a)),
+                                nahm._expm_stack(np.sin(np.pi * ts) * w))
         f2 = potential(*nahm.embed_tangent(
             a, v, N, h_path=nahm.GaugePath(hv, "group", ctx)))
         half = 0.5 * ctx.pair(v, v)

@@ -126,14 +126,18 @@ def test_gauge_invariance_of_nahm_residual(ctx):
         assert abs(order - 4.0) <= registry.TOLERANCES["order_window"]
 
 
-def _complex_gauge_and_config(rng, N):
-    """A complex-group gauge path and a configuration on su3_u2."""
-    su3 = la.su3(h_split=True)
+# m = 3 and m = 4, over more nodes than one block of the product kernel
+LOOP_CONTEXTS, LOOP_GRID = ("su3_u2", "so4"), 250
+
+
+def _complex_gauge_and_config(name, rng, N):
+    """A complex-group gauge path and a configuration on a built-in context."""
+    c = la.builtin_context(name)
     ts = np.linspace(0.0, 1.0, N + 1)[:, None, None]
-    X, Y = su3.random_element(rng, 0.8), su3.random_element(rng, 0.6)
+    X, Y = c.random_element(rng, 0.8), c.random_element(rng, 0.6)
     g = nahm.GaugePath(nahm._expm_stack(np.sin(2 * ts) * X + 1j * ts * Y),
-                       "complex-group", su3)
-    return g, nahm.smooth_tangent(su3, rng, N)
+                       "complex-group", c)
+    return g, nahm.smooth_tangent(c, rng, N)
 
 
 def _relative_gap(got, want):
@@ -141,33 +145,35 @@ def _relative_gap(got, want):
 
 
 def test_batched_gauge_transform_matches_a_per_node_loop():
-    N = 120
-    g, cfg = _complex_gauge_and_config(_rng(), N)
-    dg = nahm.path_derivative(g.values, 1.0 / N)
-    gauged = nahm.gauge_transform(g, cfg)
-    for slot, (P, Q) in enumerate(zip(cfg.values, gauged.values)):
-        want = np.empty_like(P)
-        for n in range(N + 1):
-            ginv = np.linalg.inv(g.values[n])
-            want[n] = g.values[n] @ P[n] @ ginv
-            if slot == 0:
-                want[n] -= dg[n] @ ginv
-        assert _relative_gap(Q, want) < 1e-12
+    N = LOOP_GRID
+    for name in LOOP_CONTEXTS:
+        g, cfg = _complex_gauge_and_config(name, _rng(), N)
+        dg = nahm.path_derivative(g.values, 1.0 / N)
+        gauged = nahm.gauge_transform(g, cfg)
+        for slot, (P, Q) in enumerate(zip(cfg.values, gauged.values)):
+            want = np.empty_like(P)
+            for n in range(N + 1):
+                ginv = np.linalg.inv(g.values[n])
+                want[n] = g.values[n] @ P[n] @ ginv
+                if slot == 0:
+                    want[n] -= dg[n] @ ginv
+            assert _relative_gap(Q, want) < 1e-12, (name, slot)
 
 
 def test_batched_nahm_residual_matches_a_per_node_loop():
-    N = 120
-    g, cfg = _complex_gauge_and_config(_rng(), N)
-    cfg = nahm.gauge_transform(g, cfg)  # complex values in every slot
-    T0, T1, T2, T3 = cfg.values
-    derivs = [nahm.path_derivative(T, 1.0 / N) for T in (T1, T2, T3)]
-    got = nahm.nahm_residual(cfg)
-    for k, (A, B, C) in enumerate(((T1, T2, T3), (T2, T3, T1), (T3, T1, T2))):
-        want = np.empty_like(A)
-        for n in range(N + 1):
-            want[n] = (derivs[k][n] + T0[n] @ A[n] - A[n] @ T0[n]
-                       + B[n] @ C[n] - C[n] @ B[n])
-        assert _relative_gap(got[k].values, want) < 1e-12
+    N = LOOP_GRID
+    for name in LOOP_CONTEXTS:
+        g, cfg = _complex_gauge_and_config(name, _rng(), N)
+        cfg = nahm.gauge_transform(g, cfg)  # complex values in every slot
+        T0, T1, T2, T3 = cfg.values
+        derivs = [nahm.path_derivative(T, 1.0 / N) for T in (T1, T2, T3)]
+        got = nahm.nahm_residual(cfg)
+        for k, (A, B, C) in enumerate(((T1, T2, T3), (T2, T3, T1), (T3, T1, T2))):
+            want = np.empty_like(A)
+            for n in range(N + 1):
+                want[n] = (derivs[k][n] + T0[n] @ A[n] - A[n] @ T0[n]
+                           + B[n] @ C[n] - C[n] @ B[n])
+            assert _relative_gap(got[k].values, want) < 1e-12, (name, k)
 
 
 def test_gauge_composition_law(ctx):
@@ -777,6 +783,68 @@ def test_expm_stack_zero_and_non_finite():
     X = np.zeros((4, 2, 2), dtype=complex)
     X[2, 0, 1] = np.nan
     assert np.all(np.isnan(nahm._expm_stack(X)))
+
+
+def _random_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _product_gap(got, A, B):
+    """Worst per-node gap to np.matmul, relative to |A_k| |B_k|."""
+    want = np.matmul(A, B)
+    scale = np.linalg.norm(A, axis=(-2, -1)) * np.linalg.norm(B, axis=(-2, -1))
+    return np.max(np.linalg.norm(got - want, axis=(-2, -1)) / scale)
+
+
+# 2001 nodes at m = 4 span several blocks of the kernel; (4, 2001) more
+@pytest.mark.parametrize("nodes", [(1,), (7,), (2001,), (4, 7), (4, 2001)])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_matmul_paths_matches_matmul(m, nodes):
+    rng = np.random.default_rng(m)
+    A, B = _random_stack(rng, nodes + (m, m)), _random_stack(rng, nodes + (m, m))
+    M = _random_stack(rng, (m, m))
+    assert _product_gap(nahm._matmul_paths(A, B), A, B) <= 1e-14
+    assert _product_gap(nahm._matmul_paths(M, B), M, B) <= 1e-14  # matrix on the left
+    assert _product_gap(nahm._matmul_paths(A, M), A, M) <= 1e-14  # and on the right
+    if len(nodes) == 2:  # one path against every slot of a stack, on either side
+        assert _product_gap(nahm._matmul_paths(A[0], B), A[0], B) <= 1e-14
+        assert _product_gap(nahm._matmul_paths(A, B[1]), A, B[1]) <= 1e-14
+    got = nahm._commutator_paths(A, B)
+    assert np.max(np.abs(got - (A @ B - B @ A))) <= 1e-14 * np.max(np.abs(A @ B))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_matmul_paths_strided_inputs_and_out(m):
+    rng = np.random.default_rng(10 + m)
+    E = _random_stack(rng, (2001, m, m))
+    got = nahm._matmul_paths(E[1::2], E[0:2000:2])
+    assert _product_gap(got, E[1::2], E[0:2000:2]) <= 1e-14
+    # into the odd slots of a buffer whose even slots are an input
+    buf = _random_stack(rng, (2001, m, m))
+    evens = buf[2::2].copy()
+    odd = buf[1:2000:2]
+    assert nahm._matmul_paths(buf[2::2], E[1:2000:2], out=odd) is odd
+    assert _product_gap(buf[1:2000:2], evens, E[1:2000:2]) <= 1e-14
+    assert np.array_equal(buf[2::2], evens)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_matmul_paths_propagates_non_finite_entries_like_matmul(m):
+    rng = np.random.default_rng(20 + m)
+    A, B = _random_stack(rng, (9, m, m)), _random_stack(rng, (9, m, m))
+    A[1, 0, m - 1] = np.nan
+    A[3, m - 1, 0] = np.inf
+    B[5, 0, 0] = -np.inf
+    B[7, m - 1, m - 1] = complex(np.nan, 1.0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = nahm._matmul_paths(A, B), np.matmul(A, B)
+    # the same entries are not finite; which of inf and NaN a complex
+    # infinity turns into differs between BLAS and a sum of products
+    assert np.array_equal(np.isfinite(got), np.isfinite(want))
+    finite = np.isfinite(want)
+    assert np.max(np.abs(got[finite] - want[finite])) <= 1e-14 * np.max(np.abs(want[finite]))
+    for node in (0, 2, 4, 6, 8):  # the untouched nodes are all finite
+        assert np.all(np.isfinite(got[node]))
 
 
 def _sequential_suffix_products(E):

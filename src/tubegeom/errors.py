@@ -54,10 +54,6 @@ class SingularSystem(TubeGeomError):
     """An internal linear system that must be solvable turned out singular."""
 
 
-class UnorderedIndices(TubeGeomError):
-    """A quadruple that must be non-decreasing is not."""
-
-
 class NotTangent(TubeGeomError):
     """A matrix is not tangent to the group at the given base point."""
 

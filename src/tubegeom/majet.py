@@ -18,11 +18,9 @@ any potential jet satisfies the degenerate Monge-Ampere identity
 computed with exact Wirtinger calculus on jets: the raised index is one graded
 solve against the transposed complex Hessian, with no inverse formed, and one
 jet-matrix product pairs it with d rho / dz.
-``solve_quartic_coefficients`` recovers the free pure-y quartic
-coefficients of the ansatz directly from the identity, independently of the
-closed form: the identity linearized at |y|^2 multiplies a pure-y degree-d
-block by -(d-1)(d-2), so matching the pure-y degree-4 terms at x = 0 reads
-the coefficients off one residual block, divided by 6.
+``solve_quartic_coefficients`` is the one quartic read: the identity
+linearized at |y|^2 multiplies a pure-y degree-d block by -(d-1)(d-2), so the
+free pure-y quartic coefficients are one residual block, divided by 6.
 
 Normalization: the whole potential carries the factor ``FIBER_SCALE = 1``
 (so ``rho = |y|^2`` on the fiber over the base point); the identity is
@@ -39,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import normal_metric_jet
-from .errors import (DegenerateHessian, MalformedInput, SingularSystem,
-                     UnorderedIndices)
+from .errors import DegenerateHessian, MalformedInput, SingularSystem
 from .jets import (JetPolynomial, _graded_matmul, _graded_solve, _layout,
                    wirtinger_z, wirtinger_zbar)
 
@@ -125,8 +122,6 @@ class QuarticCoefficients:
 
     ``values`` maps non-decreasing quadruples (i <= j <= k <= l) to the
     coefficient of y_i y_j y_k y_l; any other arrangement counts as zero.
-    The derived single-shift and double-shift sums used by the matching
-    combinatorics are exposed as methods.
     """
 
     dimension: int
@@ -134,16 +129,6 @@ class QuarticCoefficients:
 
     def coefficient(self, i, j, k, l):
         return self.values.get((i, j, k, l), 0.0)
-
-    def shift_sum(self, a, i, j, k):
-        """Coefficient sum with ``a`` inserted in each of the 4 slots."""
-        return (self.coefficient(a, i, j, k) + self.coefficient(i, a, j, k)
-                + self.coefficient(i, j, a, k) + self.coefficient(i, j, k, a))
-
-    def double_shift_sum(self, a, b, k, l):
-        """Second-layer sum: shift_sum with ``a`` walked through (b, k, l)."""
-        return (self.shift_sum(b, a, k, l) + self.shift_sum(b, k, a, l)
-                + self.shift_sum(b, k, l, a))
 
     def max_abs(self):
         """Largest |coefficient|; NaN when any coefficient is NaN."""
@@ -153,29 +138,6 @@ class QuarticCoefficients:
 
 def ordered_quadruples(n):
     return list(itertools.combinations_with_replacement(range(n), 4))
-
-
-def permutation_identity_deviation(quartic, i, j, k, l):
-    """Deviation of the permutation identity tying the shifted sums back to
-    the coefficient itself.
-
-    Over the distinct arrangements (a, b, c, d) of the multiset {i, j, k, l},
-
-        sum [ shift(a; b, c, d) - double_shift(d, c, a, b) / 2 ]
-            = -2 * coefficient(i, j, k, l),
-
-    so the returned value (the left side plus twice the coefficient) must
-    vanish for any coefficient table respecting the ordering convention.
-    Summing with multiplicity instead of over distinct arrangements breaks
-    the identity for repeated indices.
-    """
-    if not (i <= j <= k <= l):
-        raise UnorderedIndices("quadruple must be non-decreasing")
-    total = 0.0
-    for a, b, c, d in sorted(set(itertools.permutations((i, j, k, l)))):
-        total += quartic.shift_sum(a, b, c, d)
-        total -= 0.5 * quartic.double_shift_sum(d, c, a, b)
-    return total + 2.0 * quartic.coefficient(i, j, k, l)
 
 
 def _pure_y_quartic_powers(n):
@@ -203,25 +165,6 @@ def solve_quartic_coefficients(tensor):
     found = _pure_y_quartic_read(ma_residual(potential_expansion(tensor, 4)), n)
     return QuarticCoefficients(n, {q: float(v) for q, v in
                                    zip(ordered_quadruples(n), found)})
-
-
-def matching_cross_check(tensor, quartic):
-    """Largest deviation of 3*A = (1/6) * permutation curvature sum.
-
-    The degree-4 matching step equates three times each quartic coefficient
-    with one sixth of the curvature sum over distinct arrangements
-    (a, b, c, d) of the index multiset of R[a,d,b,c] + R[a,c,b,d]; both
-    sides vanish identically, and this returns the worst numerical gap.
-    """
-    R = tensor.components
-    worst = 0.0
-    for (i, j, k, l) in ordered_quadruples(tensor.dimension):
-        total = 0.0
-        for a, b, c, d in sorted(set(itertools.permutations((i, j, k, l)))):
-            total += R[a, d, b, c] + R[a, c, b, d]
-        gap = abs(3.0 * quartic.coefficient(i, j, k, l) - total / 6.0)
-        worst = max(worst, gap)
-    return worst
 
 
 # -- residual scaling study --------------------------------------------

@@ -43,17 +43,14 @@ def _worst(values):
 
 
 def quartic_sweep(rng, count):
-    """Worst |A| of the solved quartic coefficients and worst deviation of the
-    degree-4 matching identity, over ``count`` random admissible curvature
-    tensors per dimension n = 2, 3."""
-    sizes, gaps = [], []
+    """Worst |A| of the solved quartic coefficients over ``count`` random
+    admissible curvature tensors per dimension n = 2, 3."""
+    sizes = []
     for n in (2, 3):
         for _ in range(count):
             R = cv.random_admissible(n, rng)
-            q = majet.solve_quartic_coefficients(R)
-            sizes.append(q.max_abs())
-            gaps.append(majet.matching_cross_check(R, q))
-    return _worst(sizes), _worst(gaps)
+            sizes.append(majet.solve_quartic_coefficients(R).max_abs())
+    return _worst(sizes)
 
 
 def planted_quartic_gap(rng):
@@ -419,14 +416,6 @@ def _scaling_slope(ctx, rng, run):
     return slope, "log-log slope of sup residual over scaled polydisks"
 
 
-def _permutation(ctx, rng, run):
-    rng2 = np.random.default_rng(run.seed + 1)
-    quads = majet.ordered_quadruples(3)
-    quartic = majet.QuarticCoefficients(3, {t: rng2.standard_normal() for t in quads})
-    return (_worst([abs(majet.permutation_identity_deviation(quartic, *t))
-                    for t in quads]), "exhaustive ordered quadruples, n=3")
-
-
 def _planted_quartic(ctx, rng, run):
     return (planted_quartic_gap(np.random.default_rng(run.seed + 2)),
             "|read + P| of a planted pure-y quartic P, n=2,3")
@@ -485,21 +474,15 @@ def _identity(case, note):
 CHECKS = (
     Check("ma-expansion", "quartic-vanishing", tol_key="quartic", tol=1e-9,
           compute=lambda ctx, rng, run: (
-              run.once(quartic_sweep, rng, run.count("tensors"))[0],
+              run.once(quartic_sweep, rng, run.count("tensors")),
               f"max |A| over {run.count('tensors')} tensors per dim, n=2,3")),
-    Check("ma-expansion", "matching-cross-check", tol_key="quartic", tol=1e-9,
-          compute=lambda ctx, rng, run: (
-              run.once(quartic_sweep, rng, run.count("tensors"))[1],
-              "deviation of the degree-4 matching identity")),
     Check("ma-expansion", "low-order-residual", tol_key="low_order", tol=1e-12,
           compute=lambda ctx, rng, run: (
               majet.ma_residual(run.once(sphere_potential))
               .max_abs_coeff(degrees=range(5)),
               "residual coefficients of degree <= 4 for the sphere jet")),
-    Check("ma-expansion", "residual-scaling-slope", order_min=4.5,
+    Check("ma-expansion", "residual-scaling-slope", order_min=5.5,
           compute=_scaling_slope),
-    Check("ma-expansion", "permutation-identity", tol_key="permutation", tol=1e-12,
-          compute=_permutation),
     Check("ma-expansion", "planted-quartic-read", tol_key="quartic", tol=1e-9,
           compute=_planted_quartic),
     Check("ma-expansion", "holomorphic-change-residual", tol_key="low_order", tol=1e-12,

@@ -26,11 +26,10 @@ def _report(number, name, ok, detail, t0, budget):
 
 def test_criterion_1_quartic_vanishing_oracle():
     t0 = time.perf_counter()
-    worst_a, worst_match = registry.quartic_sweep(np.random.default_rng(1001), 25)
-    ok = worst_a <= 1e-9 and worst_match <= 1e-9
-    _report(1, "quartic vanishing", ok,
-            f"max |A| {worst_a:.2e}, matching gap {worst_match:.2e} (tol 1e-9)",
-            t0, 30.0)
+    worst_a = registry.quartic_sweep(np.random.default_rng(1001), 25)
+    # the degree-4 matching equates 3 A with a curvature sum that vanishes
+    _report(1, "quartic vanishing", 3.0 * worst_a <= 1e-9,
+            f"3 max |A| {3.0 * worst_a:.2e} (tol 1e-9)", t0, 30.0)
 
 
 def test_criterion_2_residual_scaling():
@@ -41,8 +40,8 @@ def test_criterion_2_residual_scaling():
     assert rho.coefficient((2, 0, 0, 2)) == pytest.approx(-1.0 / 3.0)
     slope, _ = registry.residual_scaling(
         rho, seed=2024, eps_values=np.geomspace(1e-2, 1e-1, 7))
-    _report(2, "residual scaling", slope >= 4.5,
-            f"log-log slope {slope:.3f} (needs >= 4.5)", t0, 5.0)
+    _report(2, "residual scaling", slope >= 5.5,
+            f"log-log slope {slope:.3f} (needs >= 5.5)", t0, 5.0)
 
 
 def test_criterion_3_kahler_closed_forms():

@@ -348,14 +348,16 @@ def test_well_defined_sweep_key_sizes_the_coset_case(capsys):
 
 
 def test_removed_equivariance_key_is_unknown(tmp_path, capsys):
-    argv = ["--suite", "complexify-holomorphy", "--sweep.equivariance=3"]
-    with pytest.raises(ConfigParseError):
-        cli.parse_args(argv)
-    assert cli.main(argv) == 2
-    cfg = tmp_path / "suite.cfg"
-    cfg.write_text("[all]\nsweep.equivariance = 3\n")
-    assert cli.main(["--suite", "complexify-holomorphy", "--config", str(cfg)]) == 2
-    assert "unknown configuration key 'sweep.equivariance'" in capsys.readouterr().err
+    for suite, key, value in (("complexify-holomorphy", "sweep.equivariance", "3"),
+                              ("ma-expansion", "tol.permutation", "1e-12")):
+        argv = ["--suite", suite, f"--{key}={value}"]
+        with pytest.raises(ConfigParseError):
+            cli.parse_args(argv)
+        assert cli.main(argv) == 2
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(f"[all]\n{key} = {value}\n")
+        assert cli.main(["--suite", suite, "--config", str(cfg)]) == 2
+        assert f"unknown configuration key {key!r}" in capsys.readouterr().err
 
 
 def test_unknown_context_is_a_usage_error(tmp_path, capsys):

@@ -2,9 +2,11 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from tubegeom import cli, kahler, liealg, majet, nahm, registry
 from tubegeom import curvature as cv
-from tubegeom import kahler, liealg, majet, nahm, registry
+from tubegeom.jets import JetPolynomial
 
 
 def test_one_nan_sample_makes_the_sweep_nan(monkeypatch):
@@ -41,6 +43,10 @@ def test_readme_override_table_lists_the_registry_keys_and_defaults():
     assert len(table) == len(rows)  # no key listed twice
     assert table == {**{f"tol.{k}": v for k, v in registry.TOLERANCES.items()},
                      **{f"sweep.{k}": v for k, v in registry.SWEEPS.items()}}
+    sentence = re.search(r"The order cases \(([^)]*)\)", " ".join(readme.split()))
+    minimums = re.findall(r"`([\w-]+)` >= ([\d.]+)", sentence.group(1))
+    assert {case: float(v) for case, v in minimums} == {
+        c.case: c.order_min for c in registry.CHECKS if c.order_min is not None}
 
 
 def test_planted_quartic_read_fails_where_the_vanishing_read_cannot(monkeypatch):
@@ -48,9 +54,45 @@ def test_planted_quartic_read_fails_where_the_vanishing_read_cannot(monkeypatch)
     # reads back as -P * 6 / 4
     assert registry.planted_quartic_gap(np.random.default_rng(44)) <= 1e-12
     monkeypatch.setattr(majet, "PURE_Y_QUARTIC_GAIN", 4.0)
-    worst_a, worst_match = registry.quartic_sweep(np.random.default_rng(43), 2)
-    assert worst_a <= 1e-9 and worst_match <= 1e-9
+    assert registry.quartic_sweep(np.random.default_rng(43), 2) <= 1e-9
     assert registry.planted_quartic_gap(np.random.default_rng(44)) > 0.1
+
+
+def _plus_monomial(build, powers):
+    """``build`` with 0.3 times the monomial of exponents ``powers`` of
+    (x0, x1, y0, y1) added to the jet it returns."""
+    def planted(*args):
+        rho = build(*args)
+        return rho + JetPolynomial(rho.num_vars, rho.max_degree,
+                                   {(*powers, *[0] * (rho.num_vars - 4)): 0.3})
+    return planted
+
+
+@pytest.mark.parametrize("module, name, powers, red", [
+    (None, None, None, None),
+    (majet, "potential_expansion", (0, 0, 4, 0), "quartic-vanishing"),
+    (registry, "sphere_potential", (0, 0, 4, 0), "low-order-residual"),
+    (registry, "sphere_potential", (2, 0, 3, 0), "residual-scaling-slope"),
+], ids=["clean", "y0^4-in-expansion", "y0^4-in-sphere", "x0^2y0^3-in-sphere"])
+def test_ma_expansion_plants_turn_their_case_red(monkeypatch, module, name,
+                                                 powers, red):
+    # y0^4 in the expansion is a pure-y quartic the solve must report; in the
+    # sphere jet it leaves a degree-4 residual; x0^2 y0^3 leaves a degree-5
+    # residual, which only the slope of the scaled sup sees (about 5.0)
+    if module is not None:
+        monkeypatch.setattr(module, name,
+                            _plus_monomial(getattr(module, name), powers))
+    checks = [c for c in registry.CHECKS if c.suite == "ma-expansion"]
+    records, _ = cli._run_checks(checks, cli.SuiteConfig(),
+                                 liealg.builtin_context("su2_u1"))
+    status = {rec.case: rec.status for rec in records}
+    assert list(status) == [
+        "quartic-vanishing", "low-order-residual", "residual-scaling-slope",
+        "planted-quartic-read", "holomorphic-change-residual"]
+    if red is None:
+        assert set(status.values()) == {"pass"}
+    else:
+        assert status[red] == "fail"
 
 
 def test_holomorphic_change_is_the_quartic_jet_of_the_pulled_back_potential():

@@ -14,8 +14,9 @@ on the stack.  The machinery here provides
 * the gauge-fixing linear ODE  dg/dt = g A(t), g(1) = id,  solved for the
   whole path at once by the 4th-order Magnus method: one stacked matrix
   exponential of the per-interval Magnus exponents, then suffix products
-  by an odd-even scan.  Each factor is an exponential of an algebra
-  element, so the solution stays in the group without reprojection,
+  by an odd-even scan; the roundtrip reads g(0) alone, by a tree of pair
+  products.  Each factor is an exponential of an algebra element, so the
+  solution stays in the group without reprojection,
 * the flat L^2 metric, the first complex structure I and its symplectic
   pairing, the quadratic potential, the endpoint moment map for a
   subgroup split, the circle action rotating (T2, T3), and a RK4
@@ -33,8 +34,8 @@ copies of the stacks: C = A B is summed as m rank-one updates, each one
 NumPy multiply over all (i, j) entries and all nodes, so a product costs
 2m - 1 vector calls instead of one small matrix product per node.
 ``_matmul_paths`` and ``_commutator_paths`` are its faces on (..., m, m)
-stacks; the exponential and the suffix scan stay in entry-major layout
-from their first product to their last.
+stacks; the Magnus factors stay in entry-major layout from the
+exponential's first product to the scan's or the tree's last.
 """
 
 from __future__ import annotations
@@ -304,7 +305,8 @@ def nahm_residual(config):
     Y = v[1:]
     resid = path_derivative(Y.swapaxes(0, 1), 1.0 / config.grid_size).swapaxes(0, 1)
     resid += _commutator_paths(v[0], Y)
-    resid += _commutator_paths(v[[2, 3, 1]], v[[3, 1, 2]])
+    ring = v[[2, 3, 1, 2]]
+    resid += _commutator_paths(ring[:3], ring[1:])
     return tuple(GaugePath(r, "algebra", config.context) for r in resid)
 
 
@@ -354,24 +356,27 @@ def _taylor_plan(norm):
 
 
 def _expm_stack(X):
-    """Exponential of every matrix in a (K, m, m) stack.
+    """Exponential of every matrix in a (K, m, m) stack (``_expm_entries``)."""
+    X = np.asarray(X, dtype=complex)
+    return _node_major(_expm_entries(_entry_major(X, X.ndim - 2)))
+
+
+def _expm_entries(x):
+    """Exponential of every matrix in an entry-major (m, m, *nodes) stack.
 
     Horner evaluation of one Taylor polynomial followed by repeated
     squaring, with the degree and the number of squarings chosen once from
     the largest 1-norm in the stack (``_taylor_plan``).  The 2**-s scaling
-    is folded into the Horner divisors.  X is copied to entry-major layout
-    once, every product is an ``_entry_products`` call between two
-    ping-pong buffers, and the result is copied back once.  A non-finite
-    entry makes the whole result NaN.
+    is folded into the Horner divisors, and every product is an
+    ``_entry_products`` call between two ping-pong buffers; the result is
+    entry-major too.  A non-finite entry makes the whole result NaN.
     """
-    X = np.asarray(X, dtype=complex)
-    m = X.shape[-1]
-    norm = float(np.max(np.abs(X).sum(axis=1), initial=0.0))
+    m = x.shape[0]
+    norm = float(np.max(np.abs(x).sum(axis=0), initial=0.0))
     if not np.isfinite(norm):
-        return np.full(X.shape, np.nan, dtype=complex)
+        return np.full(x.shape, np.nan, dtype=complex)
     degree, squarings = _taylor_plan(norm)
     scale = 2.0 ** -squarings
-    x = _entry_major(X, X.ndim - 2)
     out = np.multiply(x, scale / degree)
     spare, work = np.empty_like(out), np.empty_like(out)
     out.reshape(m * m, -1)[::m + 1] += 1.0
@@ -383,42 +388,48 @@ def _expm_stack(X):
     for _ in range(squarings):
         _entry_products(out, out, spare, work)
         out, spare = spare, out
-    del x, spare, work
-    return _node_major(out)
+    return out
 
 
-def _suffix_products(E, out):
-    """Write out[k] = E[K-1] ... E[k+1] E[k] for a (K, m, m) stack E.
+def _suffix_products(e, out):
+    """Write out[k] = e[K-1] ... e[k+1] e[k] for an entry-major (m, m, K)
+    stack e into the (K, m, m) stack ``out``.
 
-    Odd-even scan (Blelloch 1990, ``_suffix_scan``) on an entry-major copy
-    of E, written back to ``out`` once.  About 2K products in
-    2 ceil(log2 K) calls of ``_entry_products``.  out[0] associates as a
-    balanced tree of blocks aligned at 0.
+    Odd-even scan (Blelloch 1990, ``_suffix_scan``) written back to ``out``
+    once.  About 2K products in 2 ceil(log2 K) calls of
+    ``_entry_products``.  out[0] is ``_tree_product(e)`` bit for bit.
     """
-    e = _entry_major(E, 1)
     scan = np.empty_like(e)
-    _suffix_scan(e, scan, np.empty_like(e[..., :E.shape[0] // 2]))
+    _suffix_scan(e, scan, np.empty_like(e[..., :e.shape[-1] // 2]))
     _node_major(scan, out)
 
 
-def _suffix_scan(e, out, spare):
-    """The scan of ``_suffix_products`` on entry-major (m, m, K) stacks.
-
-    The pair products P_j = e[2j+1] e[2j] (with an unpaired last factor
-    carried over) are scanned recursively into the even slots, and each
-    odd slot is one more product, out[2j+1] = out[2j+2] e[2j+1].  ``spare``
-    holds at least K // 2 nodes of scratch.
-    """
+def _pair_products(e, spare):
+    """Pair products P_j = e[2j+1] e[2j] of an entry-major (m, m, K) stack,
+    an odd last factor carried over; ``spare`` holds K // 2 nodes."""
     K = e.shape[-1]
-    if K == 1:
-        out[..., 0] = e[..., 0]
-        return
     half = K // 2
     pairs = np.empty(e.shape[:2] + (K - half,), dtype=e.dtype)
     _entry_products(e[..., 1::2], e[..., 0:2 * half:2], pairs[..., :half],
                     spare[..., :half])
     if K % 2:
         pairs[..., half] = e[..., K - 1]
+    return pairs
+
+
+def _suffix_scan(e, out, spare):
+    """The scan of ``_suffix_products`` on entry-major (m, m, K) stacks.
+
+    The pair products (``_pair_products``) are scanned recursively into
+    the even slots, and each odd slot is one more product,
+    out[2j+1] = out[2j+2] e[2j+1].  ``spare`` holds at least K // 2 nodes
+    of scratch.
+    """
+    K = e.shape[-1]
+    if K == 1:
+        out[..., 0] = e[..., 0]
+        return
+    pairs = _pair_products(e, spare)
     _suffix_scan(pairs, out[..., 0::2], spare)
     del pairs
     odd = (K - 1) // 2  # odd slots below the last even one
@@ -426,6 +437,32 @@ def _suffix_scan(e, out, spare):
                     spare[..., :odd])
     if K % 2 == 0:
         out[..., K - 1] = e[..., K - 1]
+
+
+def _tree_product(e):
+    """The (m, m) product e[K-1] ... e[0] of an entry-major (m, m, K) stack
+    by the up-sweep of ``_suffix_scan`` alone: K - 1 products in
+    ceil(log2 K) calls, associated as, and equal to, the scan's out[0]."""
+    spare = np.empty_like(e[..., :e.shape[-1] // 2])
+    while e.shape[-1] > 1:
+        e = _pair_products(e, spare)
+    return e[..., 0]
+
+
+def _magnus_factors(A):
+    """Entry-major (m, m, N) stack of the factors E_k = exp(-Omega_k) of
+    ``solve_gauge_ode`` for the algebra path A."""
+    vals = A.values
+    h = 1.0 / A.grid_size
+    omega = _midpoints(vals)
+    omega *= 4.0
+    omega += vals[:-1]
+    omega += vals[1:]
+    omega *= -h / 6.0
+    omega -= h * h / 12.0 * _commutator_paths(vals[:-1], vals[1:])
+    x = _entry_major(omega, 1)
+    del omega
+    return _expm_entries(x)
 
 
 def solve_gauge_ode(A):
@@ -439,32 +476,19 @@ def solve_gauge_ode(A):
     whose commutator sign is the one for right multiplication integrated
     backward (the opposite sign drops the method to order 2).  Midpoint
     samples come from 4th-order interpolation.  All exponentials are one
-    stacked call, and g_k = E_N-1 ... E_k are suffix products formed by an
-    odd-even scan (``_suffix_products``: about 2N products in
-    2 ceil(log2 N) batched calls).  Each factor is the exponential of an
-    element of the (complexified) algebra, so the path stays in the group
-    by construction; on an abelian algebra the step is exact.
+    stacked call (``_magnus_factors``), and g_k = E_N-1 ... E_k are suffix
+    products formed by an odd-even scan (``_suffix_products``: about 2N
+    products in 2 ceil(log2 N) batched calls).  Each factor is the
+    exponential of an element of the (complexified) algebra, so the path
+    stays in the group by construction; on an abelian algebra the step is
+    exact.
     """
     if A.kind not in ("algebra", "complex-algebra"):
         raise MalformedInput("gauge ODE input must be algebra-valued")
-    vals = A.values
     N = A.grid_size
-    h = 1.0 / N
     m = A.context.matrix_size
-    omega = _midpoints(vals)
-    omega *= 4.0
-    omega += vals[:-1]
-    omega += vals[1:]
-    omega *= h / 6.0
-    comm = _commutator_paths(vals[:-1], vals[1:])
-    comm *= h * h / 12.0
-    omega += comm
-    del comm
-    np.negative(omega, out=omega)
-    factors = _expm_stack(omega)
-    del omega
     g = np.empty((N + 1, m, m), dtype=complex)
-    _suffix_products(factors, g[:N])
+    _suffix_products(_magnus_factors(A), g[:N])
     g[N] = np.eye(m)
     kind = "complex-group" if A.kind == "complex-algebra" else "group"
     return GaugePath(g, kind, A.context)
@@ -482,19 +506,20 @@ def embed_tangent(a, v, grid_size, h_path=None):
     The default path reads L = log a = Z diag(lam) Z* (Z unitary) off the
     one complex Schur form of a that the logarithm takes
     (``liealg._normal_log``), so that T1(t) = Z (exp((1 - t)(lam_i -
-    lam_j)) * Z* v Z) Z*.  Raises MalformedInput when a is not normal,
-    which no compact group produces.
+    lam_j)) * Z* v Z) Z*, one (N+1, m^2) by (m^2, m^2) product with
+    K[(i,j),(r,c)] = (Z* v Z)_ij Z_ri conj(Z_cj).  Raises MalformedInput
+    when a is not normal, which no compact group produces.
     """
     ctx = a.context
     v = np.asarray(v, dtype=complex)
     if h_path is None:
         L, Z, lam = _normal_log(a)  # LogBranchFailure propagates
         ts = np.linspace(0.0, 1.0, grid_size + 1)
-        Zh = Z.conj().T
-        phases = np.exp((1.0 - ts)[:, None, None] * (lam[:, None] - lam[None, :]))
-        phases *= Zh @ v @ Z
-        T1 = GaugePath(_matmul_paths(_matmul_paths(Z, phases), Zh), "algebra", ctx)
-        return constant_path(ctx, L, grid_size), T1
+        m = len(lam)
+        phases = np.exp(np.outer(1.0 - ts, lam[:, None] - lam[None, :]))
+        K = np.einsum("ij,ri,cj->ijrc", Z.conj().T @ v @ Z, Z, Z.conj())
+        T1 = (phases @ K.reshape(m * m, m * m)).reshape(grid_size + 1, m, m)
+        return constant_path(ctx, L, grid_size), GaugePath(T1, "algebra", ctx)
     if h_path.grid_size != grid_size:
         raise GridMismatch("h_path grid does not match the requested grid")
     hv = h_path.values
@@ -511,12 +536,15 @@ def adapted_roundtrip(a, v, grid_size=2000, h_path=None):
     """Recover the complexified image of (a, v) through the gauge ODE.
 
     Builds the embedded pair, gauges the complex combination to zero, and
-    returns g(0)^-1, which converges at 4th order to a exp(i v).
+    returns g(0)^-1, which converges at 4th order to a exp(i v).  Only
+    g(0) is formed, by ``_tree_product`` over the Magnus factors of
+    ``solve_gauge_ode``, equal bit for bit to the scan's g(0).
     """
     T0, T1 = embed_tangent(a, v, grid_size, h_path)
     alpha = GaugePath(T0.values + 1j * T1.values, "complex-algebra", a.context)
-    g = solve_gauge_ode(alpha)
-    return GroupElement(np.linalg.inv(g.values[0]), a.context, complexified=True)
+    del T0, T1
+    g0 = _tree_product(_magnus_factors(alpha))
+    return GroupElement(np.linalg.inv(g0), a.context, complexified=True)
 
 
 # -- flat hyperkahler structure ------------------------------------------

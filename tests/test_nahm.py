@@ -275,6 +275,64 @@ def test_embed_tangent_solves_reduced_flow(ctx):
     assert np.linalg.norm(T1.end - v) < 1e-14
     resid = nahm.baby_nahm_residual(T0, T1)
     assert resid.sup_norm() < 100.0 / N ** 4
+    _assert_T1_is_a_per_node_product(a, v, T1)
+
+
+def _assert_T1_is_a_per_node_product(a, v, T1):
+    """T1(t) = Z (P(t) * Z* v Z) Z* with P_ij(t) = exp((1-t)(lam_i - lam_j)),
+    formed with one plain matrix product per node."""
+    _, Z, lam = la._normal_log(a)
+    Zh = Z.conj().T
+    Vp = Zh @ v @ Z
+    want = np.array([Z @ (np.exp((1 - t) * (lam[:, None] - lam[None, :])) * Vp) @ Zh
+                     for t in np.linspace(0.0, 1.0, T1.grid_size + 1)])
+    assert np.max(np.abs(T1.values - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["su3_u2", "so4", "torus2"])
+def test_embed_tangent_matches_a_per_node_product(name):
+    ctx_n = la.builtin_context(name)
+    rng = _rng()
+    a = la.group_exp(ctx_n, ctx_n.random_element(rng, 1.2))
+    v = ctx_n.random_element(rng, 1.5)
+    _assert_T1_is_a_per_node_product(a, v, nahm.embed_tangent(a, v, 200)[1])
+
+
+@pytest.mark.parametrize("name", ["su2", "su3_u2", "so4", "torus2"])
+@pytest.mark.parametrize("N", [7, 64, 2000])
+def test_adapted_roundtrip_is_the_inverse_of_the_scanned_g0(name, N):
+    # the roundtrip reads g(0) by a tree product; the whole-path scan of
+    # solve_gauge_ode is the reference, and the two agree bit for bit
+    ctx_n = la.builtin_context(name)
+    rng = _rng()
+    a = la.group_exp(ctx_n, ctx_n.random_element(rng, 1.2))
+    v = ctx_n.random_element(rng, 1.5)
+    w = ctx_n.random_element(rng, 0.6)
+    ts = np.linspace(0.0, 1.0, N + 1)[:, None, None]
+    bent = nahm.GaugePath(scipy.linalg.expm((1 - ts) * la.group_log(a))
+                          @ scipy.linalg.expm(np.sin(np.pi * ts) * w), "group", ctx_n)
+    for h_path in (None, bent):
+        T0, T1 = nahm.embed_tangent(a, v, N, h_path)
+        alpha = nahm.GaugePath(T0.values + 1j * T1.values, "complex-algebra", ctx_n)
+        want = np.linalg.inv(nahm.solve_gauge_ode(alpha).values[0])
+        assert np.array_equal(nahm.adapted_roundtrip(a, v, N, h_path).matrix, want)
+
+
+def test_adapted_roundtrip_peak_memory():
+    # the roundtrip holds no whole-path scan: tree products of the Magnus
+    # factors, which are freed level by level
+    so4 = la.builtin_context("so4")
+    rng = _rng()
+    a = la.group_exp(so4, so4.random_element(rng, 1.2))
+    v = so4.random_element(rng, 1.5)
+    nahm.adapted_roundtrip(a, v, 2000)  # warm any lazily built context tables
+    tracemalloc.start()
+    try:
+        nahm.adapted_roundtrip(a, v, 2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * 2 ** 20
 
 
 def test_embed_tangent_custom_path_well_definedness(ctx):
@@ -868,8 +926,13 @@ def test_suffix_products_match_a_sequential_loop(K):
     X = rng.standard_normal((K, 3, 3)) + 1j * rng.standard_normal((K, 3, 3))
     E = scipy.linalg.expm(X * (2.0 / max(K, 8)))  # complex, not unitary
     out = np.full_like(E, np.nan)
-    nahm._suffix_products(E, out)
-    assert _max_relative_gap(out, _sequential_suffix_products(E)) < 1e-13
+    nahm._suffix_products(nahm._entry_major(E, 1), out)
+    want = _sequential_suffix_products(E)
+    assert _max_relative_gap(out, want) < 1e-13
+    # the tree product is the scan's out[0], associated the same way
+    root = nahm._tree_product(nahm._entry_major(E, 1))
+    assert np.array_equal(root, out[0])
+    assert _max_relative_gap(root[None], want[:1]) < 1e-13
 
 
 def test_gauge_ode_matches_a_sequential_product_of_its_factors():

@@ -19,11 +19,15 @@ by degree by back-substitution on the same block products.  This is
 truncated Taylor arithmetic (Griewank and Walther, *Evaluating
 Derivatives*, ch. 13).
 
-``evaluate`` builds monomial values by contiguous runs: in the graded lex
-order the degree-d monomials that share a first variable form one run, and
-so do their quotients by that variable in degree d-1, so each run is one
-slice-times-variable product with no gathered indices.  The top degree is
-folded into run-wise mat-vecs and never materialised.
+``evaluate`` splits the variables into two halves, x and y, so that every
+monomial is x^alpha y^beta, and builds the monomial values of each half by
+contiguous runs: in the graded lex order the degree-d monomials that share a
+first variable form one run, and so do their quotients by that variable in
+degree d-1, so each run is one slice-times-variable product with no gathered
+indices.  The value is then one matrix product per left degree a, of the
+coefficients of x^alpha y^beta with |alpha| = a and the right values,
+weighted by the left values of degree a.  Bi-degrees (|alpha|, |beta|) whose
+coefficients are all zero are skipped; an MA residual has only even ones.
 
 The tube-potential work uses the variable layout ``(x_1..x_n, y_1..y_n)``:
 variable ``i`` is ``x_{i+1}`` and variable ``n+i`` is ``y_{i+1}``.  The
@@ -61,8 +65,8 @@ def _encode(exponents, base):
 @functools.lru_cache(maxsize=None)
 def _monomials(num_vars, degree):
     """Exponent rows of total degree ``degree`` in lexicographic order."""
-    if degree == 0:
-        return _readonly(np.zeros((1, num_vars), dtype=np.int64))
+    if degree == 0 or num_vars == 0:  # no variables: the constant alone
+        return _readonly(np.zeros((int(degree == 0), num_vars), dtype=np.int64))
     lower = _monomials(num_vars, degree - 1)
     raised = lower[:, None, :] + np.eye(num_vars, dtype=np.int64)
     return _readonly(np.unique(raised.reshape(-1, num_vars), axis=0))
@@ -109,7 +113,9 @@ class _Layout:
         runs = [()]
         for d in range(1, len(self._blocks)):
             block = self.block(d)
-            first = np.argmax(self.exponents[block] > 0, axis=1)
+            # the count of leading zero exponents is the first variable; unlike
+            # argmax it also takes the empty blocks of a layout of no variables
+            first = np.sum(np.cumsum(self.exponents[block], axis=1) == 0, axis=1)
             starts = np.flatnonzero(np.diff(first, prepend=-1))
             stops = np.append(starts[1:], len(first))
             src = int(self.offsets[d - 1])
@@ -136,6 +142,59 @@ class _Layout:
 @functools.lru_cache(maxsize=None)
 def _layout(num_vars, max_degree):
     return _Layout(num_vars, max_degree)
+
+
+class _Split:
+    """The monomials of ``(num_vars, max_degree)`` as products x^alpha y^beta
+    of a left half x (the first num_vars // 2 variables, the x of the tube
+    layout; none for one variable) and a right half y (the rest).
+
+    ``left`` and ``right`` are the graded layouts of the halves through
+    max_degree.  Monomial m has left degree ``left_degree[m]`` = |alpha| and
+    right degree ``right_degree[m]`` = |beta|.  ``positions[a]`` has one row
+    per alpha of degree a and one column per beta of degree <= max_degree - a
+    (the right layout's prefix) and holds the position of x^alpha y^beta.
+    """
+
+    def __init__(self, num_vars, max_degree):
+        layout = _layout(num_vars, max_degree)
+        self.cut = num_vars // 2
+        self.left = _layout(self.cut, max_degree)
+        self.right = _layout(num_vars - self.cut, max_degree)
+        alpha, beta = layout.exponents[:, :self.cut], layout.exponents[:, self.cut:]
+        self.left_degree = _readonly(alpha.sum(axis=1))
+        self.right_degree = _readonly(beta.sum(axis=1))
+        rows = self.left.index(alpha) - self.left.offsets[self.left_degree]
+        cols = self.right.index(beta)
+        self.positions = []
+        for a in range(max_degree + 1):
+            block = self.left_degree == a
+            pos = np.empty((self.left.offsets[a + 1] - self.left.offsets[a],
+                            self.right.offsets[max_degree - a + 1]), dtype=np.int64)
+            pos[rows[block], cols[block]] = np.flatnonzero(block)
+            self.positions.append(_readonly(pos))
+
+    def live_blocks(self, coeffs):
+        """Boolean (a, b) table: is any stacked coefficient of a monomial of
+        left degree a and right degree b nonzero (``live_degrees`` by
+        bi-degree)."""
+        live = np.zeros((len(self.positions),) * 2, dtype=bool)
+        nonzero = np.flatnonzero(coeffs.any(axis=0))
+        live[self.left_degree[nonzero], self.right_degree[nonzero]] = True
+        return live
+
+
+@functools.lru_cache(maxsize=None)
+def _split(num_vars, max_degree):
+    return _Split(num_vars, max_degree)
+
+
+def _fill_monomials(rows, runs, xt):
+    """Monomial values of one half in ``rows`` (row 0 already holds ones):
+    each run (dst_start, dst_stop, src_start, src_stop, var) is one slice
+    of lower-degree values times variable row ``xt[var]``."""
+    for a, b, pa, pb, var in runs:
+        np.multiply(rows[pa:pb], xt[var], out=rows[a:b])
 
 
 @functools.lru_cache(maxsize=None)
@@ -459,13 +518,14 @@ class JetPolynomial:
         """Evaluate at one point (1-d array) or many points ((P, num_vars));
         values have shape ``(*shape)`` or ``(*shape, P)``.
 
-        Monomial values are built degree by degree, in chunks of points, up
-        to one below the jet's top degree: each contiguous run of monomials
-        sharing a first variable is one slice of lower-degree values times
-        that variable.  The top degree is never materialised: each of its
-        runs is folded into the sum as a mat-vec of the coefficients of all
-        entries with the parent rows, times the run's variable.  The real
-        and imaginary parts of the coefficients share each mat-vec.
+        With the variables split into halves x and y (``_Split``), the value
+        is sum_a X_a * (C_a @ Y): X_a holds the values of the left monomials
+        of degree a and Y those of the right monomials, both built by runs
+        in chunks of points; C_a gathers the coefficients of x^alpha y^beta
+        with |alpha| = a, one row per entry and alpha.  Left degrees with no
+        nonzero coefficient are skipped, and C_a spans only the right
+        degrees from the first to the last live one.  The real and
+        imaginary parts of the coefficients share each product.
         """
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
@@ -473,29 +533,40 @@ class JetPolynomial:
             pts = pts[None, :]
         if pts.ndim != 2 or pts.shape[1] != self.num_vars:
             raise MalformedInput("point dimension does not match variable count")
-        layout = self._layout
-        top = self.degree()
-        coeffs = self._c.reshape(-1, layout.size)[:, :layout.block(top).stop]
+        split = _split(self.num_vars, self.max_degree)
+        left, right = split.left, split.right
+        coeffs = self._c.reshape(-1, self._layout.size)
         entries = len(coeffs)
         if np.iscomplexobj(coeffs):
             coeffs = np.concatenate([coeffs.real, coeffs.imag])
-        # rows built: every degree below the top one (degree 0 alone if top 0)
-        base = int(layout.offsets[max(top, 1)])
-        built = [r for runs in layout.runs[1:top] for r in runs]
-        folded = layout.runs[top]
-        sums = np.empty((len(coeffs), pts.shape[0]))
-        chunk = max(1, min(pts.shape[0], _EVAL_CHUNK // base))
-        buffer = np.empty((base, chunk))  # one row per monomial, reused
-        buffer[0] = 1.0
+        products = []  # (left block a, right rows b0..b1, C_a) per live a
+        x_top = y_top = 0  # highest left and right degrees the products read
+        for a, row in enumerate(split.live_blocks(coeffs).tolist()):
+            if True in row:
+                b0, b1 = row.index(True), len(row) - 1 - row[::-1].index(True)
+                cols = slice(int(right.offsets[b0]), int(right.offsets[b1 + 1]))
+                c = coeffs[:, split.positions[a][:, cols]]  # (rows, alpha, beta)
+                products.append((left.block(a), cols, c.reshape(-1, c.shape[2])))
+                x_top, y_top = a, max(y_top, b1)
+        x_rows, y_rows = left.block(x_top).stop, right.block(y_top).stop
+        held = x_rows + y_rows + max((len(c) for *_, c in products), default=0)
+        chunk = max(1, min(pts.shape[0], _EVAL_CHUNK // held))
+        sums = np.zeros((len(coeffs), pts.shape[0]))
+        buffer = np.empty((x_rows + y_rows, chunk))  # monomial rows, reused
+        buffer[0] = buffer[x_rows] = 1.0
+        x_runs = [r for runs in left.runs[1:x_top + 1] for r in runs]
+        y_runs = [r for runs in right.runs[1:y_top + 1] for r in runs]
         for start in range(0, pts.shape[0], chunk):
             xt = np.ascontiguousarray(pts[start:start + chunk].T)
-            mono = buffer[:, :xt.shape[1]]
-            for a, b, pa, pb, var in built:
-                np.multiply(mono[pa:pb], xt[var], out=mono[a:b])
-            acc = coeffs[:, :base] @ mono
-            for a, b, pa, pb, var in folded:
-                acc += (coeffs[:, a:b] @ mono[pa:pb]) * xt[var]
-            sums[:, start:start + chunk] = acc
+            X = buffer[:x_rows, :xt.shape[1]]
+            Y = buffer[x_rows:, :xt.shape[1]]
+            _fill_monomials(X, x_runs, xt[:split.cut])
+            _fill_monomials(Y, y_runs, xt[split.cut:])
+            acc = sums[:, start:start + chunk]
+            for blk, cols, c in products:
+                term = (c @ Y[cols]).reshape(len(acc), -1, xt.shape[1])
+                term *= X[blk]
+                acc += term.sum(axis=1)
         vals = sums[:entries]
         if np.iscomplexobj(self._c) and self._c.imag.any():
             vals = vals + 1j * sums[entries:]

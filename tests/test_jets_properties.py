@@ -4,6 +4,7 @@ Polynomials are generated as plain exponent -> coefficient dicts; the
 oracles evaluate and differentiate those dicts directly, term by term.
 """
 
+import collections
 import pathlib
 
 import numpy as np
@@ -107,50 +108,86 @@ def first_variable(exponents):
     return next(i for i, e in enumerate(exponents) if e)
 
 
-def evaluate_case(num_vars, max_degree, top, count, live="all"):
-    """A case of the evaluate test.  ``live`` keeps all terms of degree <=
-    top ("all"), only the top degree ("top", the shape of an MA residual), or
-    all terms except the top-degree runs whose first variable is even
-    ("holes")."""
+def bidegree(exponents):
+    """(left, right) degrees of a monomial under the split of ``evaluate``:
+    the first num_vars // 2 variables, then the rest."""
+    cut = len(exponents) // 2
+    return sum(exponents[:cut]), sum(exponents[cut:])
+
+
+# which terms of degree <= top a case keeps
+LIVE = {
+    "all": lambda p, top: True,
+    "top": lambda p, top: sum(p) == top,
+    # all but the top-degree runs whose first variable is even
+    "holes": lambda p, top: sum(p) < top or first_variable(p) % 2,
+    # an MA residual: degrees top - 2 and top, even left and right degrees
+    "even": lambda p, top: sum(p) >= top - 2 and not any(d % 2 for d in bidegree(p)),
+    # no right degree 1: the live right degrees of a left degree skip it
+    "gap": lambda p, top: bidegree(p)[1] != 1,
+}
+
+
+def evaluate_case(num_vars, max_degree, top, count, live="all", shape=()):
+    """A case of the evaluate test: ``live`` names the terms kept (``LIVE``),
+    ``shape`` the leading axes of the jet."""
     name = f"{num_vars}-{max_degree}-{top}-{count}"
-    return pytest.param(num_vars, max_degree, top, count, live,
-                        id=name if live == "all" else f"{name}-{live}")
+    if live != "all":
+        name += f"-{live}"
+    if shape:
+        name += "-" + "x".join(map(str, shape))
+    return pytest.param(num_vars, max_degree, top, count, live, shape, id=name)
 
 
 @pytest.mark.parametrize("complex_coeffs", [False, True])
-@pytest.mark.parametrize("num_vars, max_degree, top, count, live", [
+@pytest.mark.parametrize("num_vars, max_degree, top, count, live, shape", [
     evaluate_case(1, 5, 5, 7), evaluate_case(3, 6, 4, 50), evaluate_case(5, 4, 2, 30),
     evaluate_case(2, 0, 0, 5), evaluate_case(3, 4, 0, 20), evaluate_case(4, 3, 1, 20),
     evaluate_case(4, 6, 6, 40, "top"), evaluate_case(3, 5, 5, 40, "holes"),
-    evaluate_case(4, 6, 3, 40, "holes"),
+    evaluate_case(4, 6, 3, 40, "holes"), evaluate_case(1, 4, 4, 9, "gap"),
+    evaluate_case(7, 5, 5, 30), evaluate_case(5, 6, 6, 30, "even"),
+    evaluate_case(8, 6, 6, 40, "even"), evaluate_case(6, 7, 6, 30, "gap"),
+    evaluate_case(5, 5, 4, 30, "gap"), evaluate_case(4, 4, 4, 20, shape=(2, 2)),
+    evaluate_case(3, 5, 5, 20, "holes", shape=(3,)), evaluate_case(4, 6, 6, 0),
+    evaluate_case(5, 3, 3, 0, shape=(2, 2)),
     evaluate_case(8, 6, 6, None),  # count None: one chunk of points plus 5
 ])
 def test_evaluate_matches_term_by_term_oracle(num_vars, max_degree, top, count, live,
-                                              complex_coeffs):
-    rng = np.random.default_rng([num_vars, top])
-    terms = dense_terms(rng, num_vars, top, complex_coeffs)
-    if live == "top":
-        terms = {p: c for p, c in terms.items() if sum(p) == top}
-    elif live == "holes":
-        terms = {p: c for p, c in terms.items()
-                 if sum(p) < top or first_variable(p) % 2}
-    jet = JetPolynomial(num_vars, max_degree, terms)
-    assert jet.degree() == top
+                                              shape, complex_coeffs):
+    rng = np.random.default_rng([num_vars, top, *shape])
+    # in a complex case with leading axes, the odd entries are complex and
+    # the even ones real
+    entries = [{p: c for p, c in dense_terms(rng, num_vars, top,
+                                             complex_coeffs and (k % 2 or not shape)).items()
+                if LIVE[live](p, top)}
+               for k in range(int(np.prod(shape)))]
+    coeffs = np.array([JetPolynomial(num_vars, max_degree, terms)._c for terms in entries])
+    jet = JetPolynomial._from_array(num_vars, max_degree, coeffs.reshape(shape + (-1,)))
+    assert jet.shape == shape and jet.degree() == top
     if count is None:
-        # evaluate builds the rows of the degrees below the top one and
-        # sizes its point chunks by them
-        rows = sum(1 for p in terms if sum(p) < top)
-        count = jets._EVAL_CHUNK // rows + 5
-        assert count < 2 * (jets._EVAL_CHUNK // rows)
+        # per chunk of points evaluate holds the monomial rows of both halves
+        # and its largest product: one row per coefficient part (real, and
+        # imaginary) and left monomial of one degree
+        cut = num_vars // 2
+        lefts = {p[:cut] for p in entries[0]}
+        parts = 2 if complex_coeffs else 1
+        held = (len(lefts) + len({p[cut:] for p in entries[0]})
+                + parts * max(collections.Counter(map(sum, lefts)).values()))
+        count = jets._EVAL_CHUNK // held + 5
+        assert count < 2 * (jets._EVAL_CHUNK // held)
     points = rng.uniform(-1.0, 1.0, size=(count, num_vars))
-    want = oracle_values(terms, points)
+    want = np.array([oracle_values(terms, points) for terms in entries])
+    want = want.reshape(shape + (count,))
     got = jet.evaluate(points)
-    assert got.shape == (count,)
+    assert got.shape == shape + (count,)
     assert np.iscomplexobj(got) == complex_coeffs
-    assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
-    single = jet.evaluate(points[-1])
-    assert np.ndim(single) == 0
-    assert abs(single - want[-1]) < 1e-12 * max(1.0, abs(want[-1]))
+    scale = max(1.0, np.max(np.abs(want), initial=0.0))
+    assert np.all(np.abs(got - want) < 1e-12 * scale)
+    if count:
+        single = jet.evaluate(points[-1])
+        assert np.shape(single) == shape
+        assert np.all(np.abs(single - want[..., -1])
+                      < 1e-12 * max(1.0, np.max(np.abs(want[..., -1]))))
 
 
 @SETTINGS

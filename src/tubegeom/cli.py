@@ -65,10 +65,10 @@ class ReportRecord:
 def _run_checks(checks, config, ctx):
     """Records and tables of ``checks``, run in order on one generator.
 
-    An order check records its shortfall below the minimum (0 when met),
-    keeping the fail-iff-metric-exceeds-tolerance invariant.  A library
-    error inside a case fails that case alone, with a NaN metric and the
-    error in its note; the remaining cases still run.
+    An order check records its order's distance outside the window (0
+    inside, NaN stays NaN) against tolerance 0; None (no order observed)
+    passes.  A library error inside a case fails that case alone, with a NaN
+    metric and the error in its note; the remaining cases still run.
     """
     rng = np.random.default_rng(config.seed)
     run = registry.SuiteRun(config.grid, config.steps, config.seed, config.sweeps)
@@ -79,25 +79,21 @@ def _run_checks(checks, config, ctx):
             records.append(ReportRecord(check.suite, check.case, "skip", 0.0, 0.0,
                                         0, reason))
             continue
-        if check.order_min is None:
-            tol = float(config.tolerances.get(check.tol_key, check.tol))
-        else:
-            tol = 0.0
+        tol = 0.0 if check.order else config.tolerances.get(check.tol_key, check.tol)
         t0 = time.perf_counter()
         try:
             value, note = check.compute(ctx, rng, run)
         except TubeGeomError as exc:
-            value, note = None, f"error: {type(exc).__name__}: {exc}"
+            value, note = float("nan"), f"error: {type(exc).__name__}: {exc}"
         ms = int((time.perf_counter() - t0) * 1000) if config.timings else 0
-        if value is None:
-            records.append(ReportRecord(check.suite, check.case, "fail",
-                                        float("nan"), tol, ms, note))
-            continue
+        if check.order and value is None:  # no order observed
+            value = 0.0
+        elif check.order:
+            lo, hi = check.order
+            needs = f">= {lo}" if hi == np.inf else f"{lo} to {hi}"
+            note = f"{note} [observed {value:.3f}, needs {needs}]"
+            value = 0.0 if lo <= value <= hi else max(lo - value, value - hi)
         value = float(value)
-        if check.order_min is not None:
-            note = f"{note} [observed {value:.3f}, needs >= {check.order_min}]"
-            # NaN stays NaN
-            value = 0.0 if value >= check.order_min else check.order_min - value
         status = "pass" if np.isfinite(value) and value <= tol else "fail"
         records.append(ReportRecord(check.suite, check.case, status, value, tol,
                                     ms, note))
@@ -159,6 +155,7 @@ def _write_outputs(config, records, tables):
 # -- configuration parsing -------------------------------------------------
 
 def _load_config_file(path, suite):
+    """Settings of ``[all]``, then ``[suite]``; every section is checked."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -166,11 +163,15 @@ def _load_config_file(path, suite):
         raise ConfigParseError(str(exc)) from exc
     if not read:
         raise ConfigParseError(f"cannot read config file {path}")
-    merged = {}
-    for section in ("all", suite):
-        if parser.has_section(section):
-            merged.update(dict(parser.items(section)))
-    return merged
+    for section in parser.sections():
+        if section not in SUITE_NAMES + ("all",):
+            raise ConfigParseError(f"unknown config section [{section}]")
+        if suite == "all" != section:
+            raise ConfigParseError(f"section [{section}] is for --suite {section} only")
+        for key, value in parser.items(section):
+            _apply_setting(SuiteConfig(), key, value)
+    return {key: value for section in ("all", suite) if parser.has_section(section)
+            for key, value in parser.items(section)}
 
 
 def _apply_setting(config, key, value):
@@ -183,6 +184,9 @@ def _apply_setting(config, key, value):
             config.tolerances[key[4:]] = float(value)
         elif key.startswith("sweep.") and key[6:] in registry.SWEEPS:
             config.sweeps[key[6:]] = int(value)
+            least = 8 if key == "sweep.two_form_ref" else 1
+            if config.sweeps[key[6:]] < least:
+                raise ConfigParseError(f"{key} must be at least {least}")
         else:
             raise ConfigParseError(f"unknown configuration key {key!r}")
     except ValueError as exc:
@@ -246,12 +250,9 @@ def main(argv=None):
         records = run_suite(config)
     except SystemExit as exc:  # argparse usage errors
         return int(exc.code or 0)
-    except (UnknownSuite, ConfigParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TubeGeomError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (UnknownSuite, ConfigParseError)) else 1
 
     counts = {"pass": 0, "fail": 0, "skip": 0}
     for rec in records:

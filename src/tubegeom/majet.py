@@ -95,7 +95,8 @@ def ma_residual(rho):
     """Jet of sum_a rho^a rho_a - 2 rho.
 
     The raised index follows the convention sum_b rho^{a bbar} rho_{c bbar}
-    = delta_{ac}.  Raises DegenerateHessian when the constant part of the
+    = delta_{ac}.  The residual of a real ``rho`` is real, and is returned as
+    a real jet.  Raises DegenerateHessian when the constant part of the
     complex Hessian is not positive-definite.
     """
     n = _fiber_dimension(rho)
@@ -112,8 +113,10 @@ def ma_residual(rho):
     except SingularSystem as exc:
         raise DegenerateHessian(str(exc)) from exc
     contracted = _graded_matmul(raised.transpose(1, 0, 2), dz._c[:, None],
-                                num_vars, bound)
-    return (-2.0) * rho + JetPolynomial._from_array(num_vars, bound, contracted[0, 0])
+                                num_vars, bound)[0, 0]
+    if np.isrealobj(rho._c):
+        contracted = contracted.real
+    return (-2.0) * rho + JetPolynomial._from_array(num_vars, bound, contracted)
 
 
 @dataclass(frozen=True)
@@ -150,7 +153,7 @@ def _pure_y_quartic_read(residual, n):
     order, divided by PURE_Y_QUARTIC_GAIN: the pure-y quartic that matching
     the block to zero asks the potential to gain."""
     positions = residual._layout.index(_pure_y_quartic_powers(n))
-    return np.real(residual._c[positions]) / PURE_Y_QUARTIC_GAIN
+    return residual._c[positions] / PURE_Y_QUARTIC_GAIN
 
 
 def solve_quartic_coefficients(tensor):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -75,10 +76,11 @@ def test_gauge_order_note_shows_the_residuals_and_worst_gauge(tmp_path):
     # the suite's generator (seed 42) is first drawn from by this case
     order, worst, gauged, base = registry.gauge_residual_order(
         ctx, np.random.default_rng(42), 20)
-    assert rec["metric"] == abs(order - 4.0)
-    assert rec["note"].startswith(f"median observed order {order:.3f} (target 4)")
+    assert 3.8 <= order <= 4.2
+    assert (rec["metric"], rec["tol"]) == (0.0, 0.0)
     assert rec["note"].endswith(f"(at N = 400: gauged {gauged:.3e}, ungauged "
-                                f"residual {base:.3e}, worst gauge {worst})")
+                                f"residual {base:.3e}, worst gauge {worst}) "
+                                f"[observed {order:.3f}, needs 3.8 to 4.2]")
 
 
 def test_failing_tolerance_gives_exit_one(tmp_path):
@@ -111,6 +113,51 @@ def test_config_file_errors(tmp_path):
         cli.parse_args(["--config", str(bad)])
     with pytest.raises(ConfigParseError):
         cli.parse_args(["--grid", "2"])
+
+
+def test_suite_sections_are_an_error_in_an_all_run(tmp_path):
+    # README's example: an all run would drop the section's 4000 steps
+    cfg = tmp_path / "ci.cfg"
+    cfg.write_text("[all]\nseed = 42\n[nahm-roundtrip]\nsteps = 4000\n"
+                   "sweep.pairs = 50\n")
+    with pytest.raises(ConfigParseError, match=r"\[nahm-roundtrip\] is for --suite"):
+        cli.parse_args(["--config", str(cfg), "--suite", "all"])
+    assert cli.main(["--config", str(cfg), "--suite", "all"]) == 2
+    parsed = cli.parse_args(["--config", str(cfg), "--suite", "nahm-roundtrip"])
+    assert (parsed.seed, parsed.steps, parsed.sweeps) == (42, 4000, {"pairs": 50})
+
+
+def test_misspelled_config_section_is_rejected(tmp_path):
+    cfg = tmp_path / "ci.cfg"
+    cfg.write_text("[all]\nseed = 42\n[nahm-rountrip]\nsteps = 4000\n")
+    for suite in ("nahm-roundtrip", "s1-isometry", "all"):
+        with pytest.raises(ConfigParseError, match="unknown config section"):
+            cli.parse_args(["--config", str(cfg), "--suite", suite])
+        assert cli.main(["--config", str(cfg), "--suite", suite]) == 2
+
+
+def test_other_suites_sections_are_checked(tmp_path):
+    cfg = tmp_path / "ci.cfg"
+    for section in ("sweep.pairz = 1", "steps = many", "sweep.pairs = 0"):
+        cfg.write_text(f"[all]\nseed = 42\n[nahm-roundtrip]\n{section}\n")
+        with pytest.raises(ConfigParseError):
+            cli.parse_args(["--config", str(cfg), "--suite", "s1-isometry"])
+        assert cli.main(["--config", str(cfg), "--suite", "s1-isometry"]) == 2
+
+
+def test_sweep_sizes_out_of_range_are_usage_errors(capsys):
+    # a zero count would pass its case on no samples; a zero reference grid
+    # divides by zero
+    bad = [(key, 0) for key in registry.SWEEPS] + [("pairs", -3),
+                                                   ("two_form_ref", 7)]
+    for key, value in bad:
+        argv = ["--suite", "s1-isometry", f"--sweep.{key}={value}"]
+        with pytest.raises(ConfigParseError, match="must be at least"):
+            cli.parse_args(argv)
+        assert cli.main(argv) == 2
+        assert f"sweep.{key} must be at least" in capsys.readouterr().err
+    parsed = cli.parse_args(["--sweep.pairs=1", "--sweep.two_form_ref=8"])
+    assert parsed.sweeps == {"pairs": 1, "two_form_ref": 8}
 
 
 def test_records_carry_schema_fields():
@@ -200,7 +247,9 @@ def test_path_space_suites_keep_case_ids_and_statuses(context, tmp_path):
     assert {(rec["suite"], rec["case"]): rec["status"] for rec in report} == \
         dict.fromkeys(expected, "pass")
     order = next(rec for rec in report if rec["case"] == "roundtrip-order")
-    assert order["note"].startswith("median observed order")
+    observed = re.search(r"\[observed (\S+), needs 3.8 to 4.2\]$", order["note"])
+    assert 3.8 <= float(observed.group(1)) <= 4.2
+    assert (order["metric"], order["tol"]) == (0.0, 0.0)
 
 
 def test_nan_roundtrip_sample_fails_its_case(monkeypatch):
@@ -224,15 +273,34 @@ def test_nan_roundtrip_sample_fails_its_case(monkeypatch):
 
 
 def test_nan_order_fails_order_case():
-    probes = [registry.Check("probe", "nan-order", lambda *_: (float("nan"), ""),
-                             order_min=1.9),
-              registry.Check("probe", "met-order", lambda *_: (2.5, ""), order_min=1.9),
-              registry.Check("probe", "nan-metric", lambda *_: (float("nan"), ""),
-                             tol=1.0),
-              registry.Check("probe", "inf-metric", lambda *_: (float("inf"), ""),
-                             tol=float("inf"))]
-    records, _ = cli._run_checks(probes, cli.SuiteConfig(), None)
-    assert [rec.status for rec in records] == ["fail", "pass", "fail", "fail"]
+    # every case of the registry, its compute replaced by planted values:
+    # NaN and a library error fail each gate, and so does a value just
+    # outside it; a value inside passes
+    def status(check, value, tolerances=None):
+        def compute(ctx, rng, run):
+            if isinstance(value, Exception):
+                raise value
+            return value, ""
+        probe = dataclasses.replace(check, compute=compute, needs=())
+        config = cli.SuiteConfig(tolerances=tolerances or {})
+        return cli._run_checks([probe], config, None)[0][0].status
+
+    for check in registry.CHECKS:
+        assert status(check, float("nan")) == "fail", check.case
+        assert status(check, DegenerateHessian("planted")) == "fail", check.case
+        if check.order:
+            lo, hi = check.order
+            assert status(check, lo - 1e-3) == "fail", check.case
+            assert status(check, lo) == "pass", check.case
+            if np.isfinite(hi):
+                assert status(check, hi + 1e-3) == "fail", check.case
+                assert status(check, hi) == "pass", check.case
+            assert status(check, min(lo + 1.0, (lo + hi) / 2)) == "pass", check.case
+        else:
+            assert status(check, np.nextafter(check.tol, np.inf)) == "fail", check.case
+            assert status(check, 0.0) == "pass", check.case
+            infinite = {check.tol_key: float("inf")}
+            assert status(check, float("inf"), infinite) == "fail", check.case
 
 
 def test_timings_measure_the_roundtrip_computation(tmp_path):
@@ -349,7 +417,9 @@ def test_well_defined_sweep_key_sizes_the_coset_case(capsys):
 
 def test_removed_equivariance_key_is_unknown(tmp_path, capsys):
     for suite, key, value in (("complexify-holomorphy", "sweep.equivariance", "3"),
-                              ("ma-expansion", "tol.permutation", "1e-12")):
+                              ("ma-expansion", "tol.permutation", "1e-12"),
+                              ("complexify-holomorphy", "tol.order_slack", "0.1"),
+                              ("nahm-roundtrip", "tol.order_window", "0.2")):
         argv = ["--suite", suite, f"--{key}={value}"]
         with pytest.raises(ConfigParseError):
             cli.parse_args(argv)

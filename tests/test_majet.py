@@ -223,6 +223,18 @@ def test_ma_residual_matches_a_per_entry_contraction():
         assert (got - want).max_abs_coeff() < 1e-13
 
 
+def test_residual_of_a_real_potential_is_real():
+    # the complex route's imaginary parts are round-off; a real rho drops them
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 4):
+        rho = majet.potential_expansion(cv.random_admissible(n, rng))
+        got = majet.ma_residual(rho)
+        complex_route = majet.ma_residual(rho * (1 + 0j))
+        assert got._c.dtype == np.float64
+        assert complex_route._c.dtype == np.complex128
+        assert np.array_equal(got._c, complex_route._c.real)
+
+
 def test_degenerate_hessian_raises():
     # second fiber direction carries no quadratic: Hessian diag(1/2, 0)
     rho = JetPolynomial(4, 4, {(0, 0, 2, 0): 1.0})

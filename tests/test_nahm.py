@@ -120,10 +120,12 @@ def test_gauge_invariance_of_nahm_residual(ctx):
     # the CLI's gate: the worst gauged residual keeps the scheme's fourth
     # order; a ratio to the ungauged residual at a fine grid divides
     # round-off by round-off and fails for some seeds (3 and 13 among them)
+    lo, hi = next(c.order for c in registry.CHECKS
+                  if c.case == "gauge-invariance-order")
     for seed in (17, 3, 13):
         order, _, _, _ = registry.gauge_residual_order(
             ctx, np.random.default_rng(seed), registry.SWEEPS["gauges"])
-        assert abs(order - 4.0) <= registry.TOLERANCES["order_window"]
+        assert lo <= order <= hi
 
 
 # m = 3 and m = 4, over more nodes than one block of the product kernel

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tubegeom import cli, kahler, liealg, majet, nahm, registry
+from tubegeom import complexify as cx
 from tubegeom import curvature as cv
 from tubegeom.jets import JetPolynomial
 
@@ -44,9 +45,12 @@ def test_readme_override_table_lists_the_registry_keys_and_defaults():
     assert table == {**{f"tol.{k}": v for k, v in registry.TOLERANCES.items()},
                      **{f"sweep.{k}": v for k, v in registry.SWEEPS.items()}}
     sentence = re.search(r"The order cases \(([^)]*)\)", " ".join(readme.split()))
-    minimums = re.findall(r"`([\w-]+)` >= ([\d.]+)", sentence.group(1))
-    assert {case: float(v) for case, v in minimums} == {
-        c.case: c.order_min for c in registry.CHECKS if c.order_min is not None}
+    windows = re.findall(r"`([\w-]+)` (?:>= ([\d.]+)|([\d.]+) to ([\d.]+))",
+                         sentence.group(1))
+    assert len(windows) == len(sentence.group(1).split(","))
+    assert {case: (float(lo or low), float(hi or "inf"))
+            for case, lo, low, hi in windows} == {
+        c.case: c.order for c in registry.CHECKS if c.order}
 
 
 def test_planted_quartic_read_fails_where_the_vanishing_read_cannot(monkeypatch):
@@ -175,6 +179,17 @@ def test_gauge_residual_order_without_gauges_is_nan():
         ctx, np.random.default_rng(0), 0, (40, 80))
     assert np.isnan(order)
     assert index is None
+
+
+def test_leaf_cr_order_is_uncapped_and_nan_without_leaves():
+    ctx = liealg.builtin_context("su2_u1")
+    assert np.isnan(registry.leaf_cr_order(ctx, np.random.default_rng(0), 0))
+    # seed 13's leaf reads an order above 2, which is reported as it is
+    replay = np.random.default_rng(13)
+    a = liealg.group_exp(ctx, ctx.random_element(replay, 1.2))
+    order = cx.cr_order_estimate(a, ctx.random_element(replay, 1.0))
+    assert order > 2.0
+    assert registry.leaf_cr_order(ctx, np.random.default_rng(13), 1) == order
 
 
 def test_broadcast_nahm_data_matches_a_per_node_loop():

@@ -7,7 +7,9 @@ zeroed unless explicitly requested (they would otherwise break the
 byte-identical-report contract).
 
 The cases, their gates and their preconditions come from
-``registry.CHECKS``, which the acceptance tests share.  A case whose
+``registry.CHECKS``, which the acceptance tests share.  The settings of a
+run (suite, context, grid, steps, seed, the ``sweep.`` sample counts and
+the outputs) size the work; none of them moves a gate.  A case whose
 precondition the context does not meet is written as a ``skip`` record
 with the reason in its note; skips do not count as failures.  A metric
 that is not finite fails its case.
@@ -20,11 +22,13 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
+import io
 import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -41,7 +45,6 @@ class SuiteConfig:
     grid: int = 400
     steps: int = 2000
     seed: int = 42
-    tolerances: dict = field(default_factory=dict)
     sweeps: dict = field(default_factory=dict)
     out: str | None = None
     fmt: str = "json"
@@ -79,7 +82,7 @@ def _run_checks(checks, config, ctx):
             records.append(ReportRecord(check.suite, check.case, "skip", 0.0, 0.0,
                                         0, reason))
             continue
-        tol = 0.0 if check.order else config.tolerances.get(check.tol_key, check.tol)
+        tol = 0.0 if check.order else check.tol
         t0 = time.perf_counter()
         try:
             value, note = check.compute(ctx, rng, run)
@@ -143,11 +146,12 @@ def _write_outputs(config, records, tables):
     _replace_file(os.path.join(config.out, "report.json"),
                   json.dumps(payload, indent=1, sort_keys=True) + "\n")
     if config.fmt == "csv":
-        lines = ["suite,case,status,metric,tol,ms,note"]
-        for rec in records:
-            lines.append(f"{rec.suite},{rec.case},{rec.status},{rec.metric!r},"
-                         f"{rec.tol!r},{rec.ms},{rec.note!r}")
-        _replace_file(os.path.join(config.out, "report.csv"), "\n".join(lines) + "\n")
+        text = io.StringIO()
+        writer = csv.DictWriter(text, [f.name for f in fields(ReportRecord)],
+                                lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(payload)
+        _replace_file(os.path.join(config.out, "report.csv"), text.getvalue())
     for fname, text in tables.items():
         _replace_file(os.path.join(config.out, fname), text)
 
@@ -180,8 +184,6 @@ def _apply_setting(config, key, value):
             config.context = value
         elif key in ("grid", "steps", "seed"):
             setattr(config, key, int(value))
-        elif key.startswith("tol.") and key[4:] in registry.TOLERANCES:
-            config.tolerances[key[4:]] = float(value)
         elif key.startswith("sweep.") and key[6:] in registry.SWEEPS:
             config.sweeps[key[6:]] = int(value)
             least = 8 if key == "sweep.two_form_ref" else 1
@@ -194,11 +196,11 @@ def _apply_setting(config, key, value):
 
 
 def parse_args(argv):
-    # --tol.KEY=VAL and --sweep.KEY=VAL are collected before argparse runs
+    # --sweep.KEY=VAL tokens are collected before argparse runs
     overrides = []
     rest = []
     for token in argv:
-        if token.startswith("--tol.") or token.startswith("--sweep."):
+        if token.startswith("--sweep."):
             if "=" not in token:
                 raise ConfigParseError(f"override {token!r} needs =VALUE")
             key, value = token[2:].split("=", 1)
@@ -237,6 +239,10 @@ def parse_args(argv):
         _apply_setting(config, key, value)
     if config.grid < 8 or config.steps < 8:
         raise ConfigParseError("grid and steps must be at least 8")
+    if config.seed < 0:
+        raise ConfigParseError("seed must be at least 0")
+    if config.out and os.path.exists(config.out) and not os.path.isdir(config.out):
+        raise ConfigParseError(f"--out {config.out} is a file, not a directory")
     if config.context not in liealg.BUILTIN_CONTEXTS:
         raise ConfigParseError(f"unknown context {config.context!r}; "
                                f"choices: {sorted(liealg.BUILTIN_CONTEXTS)}")

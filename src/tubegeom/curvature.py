@@ -48,8 +48,14 @@ class CurvatureTensor:
         return self.components.shape[0]
 
     def validate(self, tol=1e-10):
-        """Check all algebraic symmetries; raises SymmetryViolation."""
+        """Check all algebraic symmetries; raises SymmetryViolation.
+
+        A NaN or infinite component is rejected first: every comparison with
+        NaN is false, so the symmetry checks alone would let it through.
+        """
         R = self.components
+        if not np.all(np.isfinite(R)):
+            raise SymmetryViolation("curvature components must be finite")
         scale = max(np.max(np.abs(R)), 1.0)
         checks = {
             "antisymmetry (first pair)": R + R.transpose(1, 0, 2, 3),

@@ -1,9 +1,9 @@
 """One registry of the verification checks, and the sweeps behind them.
 
 Each ``Check`` names its suite and case, a compute function of
-``(ctx, rng, run)`` that returns ``(value, note)``, its gate (a tolerance
-key with its default, or the window of the observed order the compute
-returns) and the preconditions the context must meet.  The command line
+``(ctx, rng, run)`` that returns ``(value, note)``, its gate (a fixed
+tolerance, or the window of the observed order the compute returns) and
+the preconditions the context must meet.  The command line
 runs the checks of a suite in declaration order on one generator; the
 acceptance tests call the sweep functions below with their contract seeds,
 sample counts and grids.  Each sweep therefore exists once.
@@ -394,13 +394,12 @@ class SuiteRun:
 
 @dataclass(frozen=True)
 class Check:
-    """A case gated by ``metric <= tol`` (tolerance ``tol_key``, default
-    ``tol``) or, with ``order = (lo, hi)``, by lo <= observed order <= hi."""
+    """A case gated by ``metric <= tol`` or, with ``order = (lo, hi)``, by
+    lo <= observed order <= hi; no setting moves either gate."""
 
     suite: str
     case: str
     compute: Callable
-    tol_key: str | None = None
     tol: float = 0.0
     order: tuple | None = None
     needs: tuple = ()
@@ -470,39 +469,39 @@ def _identity(case, note):
 # Cases of a suite run in this order on one generator, so the order fixes
 # which samples each case draws.
 CHECKS = (
-    Check("ma-expansion", "quartic-vanishing", tol_key="quartic", tol=1e-9,
+    Check("ma-expansion", "quartic-vanishing", tol=1e-9,
           compute=lambda ctx, rng, run: (
               run.once(quartic_sweep, rng, run.count("tensors")),
               f"max |A| over {run.count('tensors')} tensors per dim, n=2,3")),
-    Check("ma-expansion", "low-order-residual", tol_key="low_order", tol=1e-12,
+    Check("ma-expansion", "low-order-residual", tol=1e-12,
           compute=lambda ctx, rng, run: (
               majet.ma_residual(run.once(sphere_potential))
               .max_abs_coeff(degrees=range(5)),
               "residual coefficients of degree <= 4 for the sphere jet")),
     Check("ma-expansion", "residual-scaling-slope", order=(5.5, np.inf),
           compute=_scaling_slope),
-    Check("ma-expansion", "planted-quartic-read", tol_key="quartic", tol=1e-9,
+    Check("ma-expansion", "planted-quartic-read", tol=1e-9,
           compute=_planted_quartic),
-    Check("ma-expansion", "holomorphic-change-residual", tol_key="low_order", tol=1e-12,
+    Check("ma-expansion", "holomorphic-change-residual", tol=1e-12,
           compute=_holomorphic_change(
               lambda rho, changed: majet.ma_residual(changed).max_abs_coeff(),
               "degree <= 4 residual of rho o (z + Q(z, z)), n=2,3")),
 
-    Check("kahler-curvature", "oracle-vs-closed-form", tol_key="components", tol=1e-10,
+    Check("kahler-curvature", "oracle-vs-closed-form", tol=1e-10,
           compute=lambda ctx, rng, run: (
               run.once(kahler_oracle_sweep, rng, run.count("tensors"))[0],
               f"max component gap over {run.count('tensors')} tensors per dim")),
-    Check("kahler-curvature", "oracle-reality", tol_key="imag", tol=1e-12,
+    Check("kahler-curvature", "oracle-reality", tol=1e-12,
           compute=lambda ctx, rng, run: (
               run.once(kahler_oracle_sweep, rng, run.count("tensors"))[1],
               "imaginary parts of jet-oracle components")),
-    *(Check("kahler-curvature", case, tol_key="components", tol=1e-10,
+    *(Check("kahler-curvature", case, tol=1e-10,
             compute=_sphere_special(case))
       for case in ("sphere-K-1212", "sphere-K-1221", "sphere-xy-plane",
                    "sphere-xx-plane", "sphere-holomorphic")),
-    Check("kahler-curvature", "negative-plane-witness", tol_key="components", tol=1e-10,
+    Check("kahler-curvature", "negative-plane-witness", tol=1e-10,
           compute=_witness),
-    Check("kahler-curvature", "holomorphic-change-invariance", tol_key="components",
+    Check("kahler-curvature", "holomorphic-change-invariance",
           tol=1e-10, compute=_holomorphic_change(
               lambda rho, changed: np.max(np.abs(
                   kahler.kahler_curvature_from_jet(changed).components
@@ -521,44 +520,44 @@ CHECKS = (
           compute=lambda ctx, rng, run: (
               coset_shift_failures(ctx, rng, run.count("well_defined")),
               f"failed well-definedness checks out of {run.count('well_defined')}")),
-    Check("complexify-holomorphy", "polar-inverse", tol_key="inverse", tol=1e-9,
+    Check("complexify-holomorphy", "polar-inverse", tol=1e-9,
           compute=lambda ctx, rng, run: (
               polar_inverse_gap(ctx, rng, run.count("leaves")),
               "recover (a, v) from the complexified image")),
 
-    Check("nahm-gauge", "solution-residual", tol_key="residual", tol=1e-8,
+    Check("nahm-gauge", "solution-residual", tol=1e-8,
           needs=(needs_triple,), compute=lambda ctx, rng, run: (
               run.once(nahm_solution, ctx, run.steps)[2],
               f"integrator self-consistency at grid {run.steps}")),
     Check("nahm-gauge", "gauge-invariance-order", order=(3.8, 4.2),
           needs=(needs_triple,), compute=_gauge_invariance_order),
-    Check("nahm-gauge", "connection-gauged-constancy", tol_key="constancy", tol=1e-6,
+    Check("nahm-gauge", "connection-gauged-constancy", tol=1e-6,
           compute=lambda ctx, rng, run: (
               gauged_constancy(ctx, rng, run.steps),
               "gauged T1 stays at its endpoint value")),
-    Check("nahm-gauge", "moment-map-zero", tol_key="moment", tol=1e-12,
+    Check("nahm-gauge", "moment-map-zero", tol=1e-12,
           needs=(needs_split, needs_triple), compute=lambda ctx, rng, run: (
               run.once(moment_map_gaps, ctx, rng,
                        run.once(nahm_solution, ctx, run.steps)[0])[0],
               "endpoints in the complement")),
-    Check("nahm-gauge", "moment-map-loop-gauge", tol_key="moment", tol=1e-12,
+    Check("nahm-gauge", "moment-map-loop-gauge", tol=1e-12,
           needs=(needs_split, needs_triple), compute=lambda ctx, rng, run: (
               run.once(moment_map_gaps, ctx, rng,
                        run.once(nahm_solution, ctx, run.steps)[0])[1],
               "invariance under endpoint-fixing gauges")),
 
-    Check("nahm-roundtrip", "roundtrip-error", tol_key="roundtrip", tol=1e-6,
+    Check("nahm-roundtrip", "roundtrip-error", tol=1e-6,
           compute=lambda ctx, rng, run: (
               roundtrip_error(ctx, rng, run.count("pairs"), run.steps)[0],
               f"{run.count('pairs')} seeded pairs at {run.steps} steps")),
-    Check("nahm-roundtrip", "roundtrip-zero-vector", tol_key="zero_vector", tol=1e-12,
+    Check("nahm-roundtrip", "roundtrip-zero-vector", tol=1e-12,
           compute=lambda ctx, rng, run: (
               roundtrip_zero_vector(ctx, rng, 1, run.steps),
               "v = 0 returns the base point")),
     Check("nahm-roundtrip", "roundtrip-order", order=(3.8, 4.2),
           compute=_roundtrip_order),
 
-    *(Check("s1-isometry", case, tol_key="exact", tol=1e-14,
+    *(Check("s1-isometry", case, tol=1e-14,
             compute=_identity(case, note))
       for case, note in (("omega-antisymmetry", "omega(X, X), omega(X, Y) + omega(Y, X)"),
                          ("omega-complex-invariance", "omega(IX, IY) = omega(X, Y)"),
@@ -570,11 +569,10 @@ CHECKS = (
               two_form_order(ctx, (run.seed + 7, run.seed + 5, run.seed + 6),
                              run.count("two_form_ref")),
               "trapezoid quadrature order")),
-    Check("s1-isometry", "embedded-potential", tol_key="potential", tol=1e-8,
+    Check("s1-isometry", "embedded-potential", tol=1e-8,
           compute=lambda ctx, rng, run: (
               embedded_potential(ctx, rng, run.grid, 1),
               "potential equals half the squared norm")),
 )
 
 SUITE_NAMES = tuple(dict.fromkeys(c.suite for c in CHECKS))
-TOLERANCES = {c.tol_key: c.tol for c in CHECKS if c.tol_key}

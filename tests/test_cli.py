@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -7,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from tubegeom import cli, liealg, nahm, registry
+from tubegeom import cli, kahler, liealg, nahm, registry
 from tubegeom import complexify as cx
 from tubegeom.errors import ConfigParseError, DegenerateHessian, UnknownSuite
 
@@ -23,8 +24,8 @@ def test_unknown_suite_exit_code(capsys):
 
 
 def test_bad_override_exit_code():
-    assert cli.main(["--suite", "s1-isometry", "--tol.exact=notafloat"]) == 2
-    assert cli.main(["--suite", "s1-isometry", "--tol.exact"]) == 2
+    assert cli.main(["--suite", "s1-isometry", "--sweep.pairs=notanint"]) == 2
+    assert cli.main(["--suite", "s1-isometry", "--sweep.pairs"]) == 2
 
 
 def test_single_suite_passes_and_writes_report(tmp_path, capsys):
@@ -39,6 +40,27 @@ def test_single_suite_passes_and_writes_report(tmp_path, capsys):
                for rec in report)
     assert (tmp_path / "report.csv").exists()
     assert (tmp_path / "kahler_planes.csv").exists()
+
+
+def test_csv_report_reads_back_as_the_json_records(tmp_path):
+    # s1-isometry notes hold commas, such as "omega(X, X), omega(X, Y) + ...";
+    # 8 roundtrip steps give a fail record
+    for suite, code in (("s1-isometry", 0), ("nahm-roundtrip", 1)):
+        out = tmp_path / suite
+        assert cli.main(["--suite", suite, "--grid", "64", "--steps", "8",
+                         "--sweep.pairs=1", "--format", "csv",
+                         "--out", str(out)]) == code
+        report = json.loads((out / "report.json").read_text())
+        with open(out / "report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(report)
+        for row, rec in zip(rows, report):
+            assert None not in row  # no note split into extra fields
+            assert [row[k] for k in ("suite", "case", "status", "note")] == \
+                [rec[k] for k in ("suite", "case", "status", "note")]
+            assert (float(row["metric"]), float(row["tol"]), int(row["ms"])) == \
+                (rec["metric"], rec["tol"], rec["ms"])
+        assert any("," in rec["note"] for rec in report)
 
 
 def test_report_determinism(tmp_path):
@@ -84,10 +106,15 @@ def test_gauge_order_note_shows_the_residuals_and_worst_gauge(tmp_path):
 
 
 def test_failing_tolerance_gives_exit_one(tmp_path):
-    # an impossible tolerance forces a fail record and exit code 1
-    code = cli.main(["--suite", "nahm-roundtrip", "--steps", "64",
-                     "--sweep.pairs=2", "--tol.roundtrip=1e-30"])
+    # 8 steps are too few for the fixed 1e-6 roundtrip gate: a fail record
+    # and exit code 1
+    code = cli.main(["--suite", "nahm-roundtrip", "--steps", "8",
+                     "--sweep.pairs=1", "--out", str(tmp_path)])
     assert code == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    rec = next(rec for rec in report if rec["case"] == "roundtrip-error")
+    assert rec["status"] == "fail"
+    assert rec["metric"] > rec["tol"] == 1e-6
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -276,14 +303,13 @@ def test_nan_order_fails_order_case():
     # every case of the registry, its compute replaced by planted values:
     # NaN and a library error fail each gate, and so does a value just
     # outside it; a value inside passes
-    def status(check, value, tolerances=None):
+    def status(check, value):
         def compute(ctx, rng, run):
             if isinstance(value, Exception):
                 raise value
             return value, ""
         probe = dataclasses.replace(check, compute=compute, needs=())
-        config = cli.SuiteConfig(tolerances=tolerances or {})
-        return cli._run_checks([probe], config, None)[0][0].status
+        return cli._run_checks([probe], cli.SuiteConfig(), None)[0][0].status
 
     for check in registry.CHECKS:
         assert status(check, float("nan")) == "fail", check.case
@@ -299,8 +325,8 @@ def test_nan_order_fails_order_case():
         else:
             assert status(check, np.nextafter(check.tol, np.inf)) == "fail", check.case
             assert status(check, 0.0) == "pass", check.case
-            infinite = {check.tol_key: float("inf")}
-            assert status(check, float("inf"), infinite) == "fail", check.case
+            infinite = dataclasses.replace(check, tol=float("inf"))
+            assert status(infinite, float("inf")) == "fail", check.case
 
 
 def test_timings_measure_the_roundtrip_computation(tmp_path):
@@ -322,9 +348,11 @@ def test_timings_measure_every_suite(tmp_path):
 def test_unknown_override_keys_are_rejected():
     assert cli.main(["--suite", "nahm-roundtrip", "--tol.roundtrp=1e-30"]) == 2
     assert cli.main(["--suite", "nahm-roundtrip", "--sweep.pairz=1"]) == 2
+    # no key moves a gate, not even one of another suite's cases
+    assert cli.main(["--suite", "nahm-roundtrip", "--tol.quartic=1e-8"]) == 2
     # a key of another suite is accepted: [all] sections set keys of any suite
-    parsed = cli.parse_args(["--suite", "nahm-roundtrip", "--tol.quartic=1e-8"])
-    assert parsed.tolerances == {"quartic": 1e-8}
+    parsed = cli.parse_args(["--suite", "nahm-roundtrip", "--sweep.tensors=3"])
+    assert parsed.sweeps == {"tensors": 3}
 
 
 def test_unknown_config_file_keys_are_rejected(tmp_path):
@@ -416,18 +444,63 @@ def test_well_defined_sweep_key_sizes_the_coset_case(capsys):
 
 
 def test_removed_equivariance_key_is_unknown(tmp_path, capsys):
-    for suite, key, value in (("complexify-holomorphy", "sweep.equivariance", "3"),
-                              ("ma-expansion", "tol.permutation", "1e-12"),
-                              ("complexify-holomorphy", "tol.order_slack", "0.1"),
-                              ("nahm-roundtrip", "tol.order_window", "0.2")):
+    # every tol. key is gone: as a flag it is an unrecognised argument, in a
+    # config file an unknown key; both exit 2
+    retired = [("complexify-holomorphy", "sweep.equivariance", "3"),
+               ("ma-expansion", "tol.permutation", "1e-12"),
+               ("complexify-holomorphy", "tol.order_slack", "0.1"),
+               ("nahm-roundtrip", "tol.order_window", "0.2")]
+    retired += [("kahler-curvature", f"tol.{key}", "1")
+                for key in ("quartic", "low_order", "components", "imag", "inverse",
+                            "residual", "constancy", "moment", "roundtrip",
+                            "zero_vector", "exact", "potential")]
+    for suite, key, value in retired:
         argv = ["--suite", suite, f"--{key}={value}"]
-        with pytest.raises(ConfigParseError):
+        sweep = key.startswith("sweep.")
+        with pytest.raises(ConfigParseError if sweep else SystemExit):
             cli.parse_args(argv)
         assert cli.main(argv) == 2
+        assert (f"unknown configuration key {key!r}" if sweep else
+                f"unrecognized arguments: --{key}={value}") in capsys.readouterr().err
         cfg = tmp_path / "suite.cfg"
         cfg.write_text(f"[all]\n{key} = {value}\n")
         assert cli.main(["--suite", suite, "--config", str(cfg)]) == 2
         assert f"unknown configuration key {key!r}" in capsys.readouterr().err
+
+
+def test_negative_seed_and_file_out_are_usage_errors(tmp_path, capsys):
+    # rejected before any case runs: a file --out would otherwise fail only
+    # after every case ran, and a negative seed inside numpy
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("[all]\nseed = -1\n")
+    for argv, message in ((["--seed", "-1"], "seed must be at least 0"),
+                          (["--config", str(cfg)], "seed must be at least 0"),
+                          (["--out", str(taken)], "is a file, not a directory")):
+        argv = ["--suite", "s1-isometry", *argv]
+        with pytest.raises(ConfigParseError, match=message):
+            cli.parse_args(argv)
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+    assert cli.parse_args(["--seed", "0", "--out", str(tmp_path)]).seed == 0
+
+
+def test_no_setting_passes_a_wrong_witness(monkeypatch, tmp_path):
+    # -1/4 where the paper gives -1/3 fails the witness case, and no flag or
+    # config key can loosen its gate
+    real = kahler.negative_plane_witness
+
+    def three_quarters(tensor):
+        witness = real(tensor)
+        return dataclasses.replace(witness, value=0.75 * witness.value)
+
+    monkeypatch.setattr(kahler, "negative_plane_witness", three_quarters)
+    assert cli.main(["--suite", "kahler-curvature"]) == 1
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("[all]\ntol.components = inf\n")
+    assert cli.main(["--suite", "kahler-curvature", "--tol.components=inf"]) == 2
+    assert cli.main(["--suite", "kahler-curvature", "--config", str(cfg)]) == 2
 
 
 def test_unknown_context_is_a_usage_error(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from tubegeom import curvature as cv
+from tubegeom import kahler
 from tubegeom.errors import (EqualIndices, IndexOutOfRange, MalformedInput,
                              SingularMetric, SymmetryViolation)
 
@@ -55,6 +58,22 @@ def test_validate_rejects_broken_symmetry():
     bad[0, 1, 0, 1] = 1.0  # orbit not completed
     with pytest.raises(SymmetryViolation):
         cv.CurvatureTensor(bad).validate()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_components_are_rejected(bad):
+    # every comparison with NaN is false: the symmetry checks alone pass an
+    # all-NaN tensor, and the witness would read it as flat (None)
+    one = cv.constant_curvature(2, 1.0).components.copy()
+    one[0, 1, 0, 1] = bad
+    for components in (np.full((2, 2, 2, 2), bad), one):
+        tensor = cv.CurvatureTensor(components)
+        for use in (cv.CurvatureTensor.validate, kahler.negative_plane_witness,
+                    kahler.kahler_curvature_at_zero, cv.normal_metric_jet):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # rejected before any arithmetic
+                with pytest.raises(SymmetryViolation, match="must be finite"):
+                    use(tensor)
 
 
 def test_normal_metric_jet_sphere_coefficients():

@@ -33,7 +33,8 @@ def test_case_ids_are_unique_and_keys_declared():
     ids = [(c.suite, c.case) for c in registry.CHECKS]
     assert len(ids) == len(set(ids))
     assert set(registry.SUITE_NAMES) == {c.suite for c in registry.CHECKS}
-    assert all(c.tol_key is None or registry.TOLERANCES[c.tol_key] == c.tol
+    # a tolerance is finite and not negative; an order case has none
+    assert all(0.0 <= c.tol < np.inf and not (c.order and c.tol)
                for c in registry.CHECKS)
 
 
@@ -42,9 +43,16 @@ def test_readme_override_table_lists_the_registry_keys_and_defaults():
     rows = re.findall(r"^\| `((?:tol|sweep)\.\w+)` \| ([^|]+) \|", readme, re.M)
     table = {key: float(default) for key, default in rows}
     assert len(table) == len(rows)  # no key listed twice
-    assert table == {**{f"tol.{k}": v for k, v in registry.TOLERANCES.items()},
-                     **{f"sweep.{k}": v for k, v in registry.SWEEPS.items()}}
-    sentence = re.search(r"The order cases \(([^)]*)\)", " ".join(readme.split()))
+    assert table == {f"sweep.{k}": v for k, v in registry.SWEEPS.items()}
+    text = " ".join(readme.split())
+    listed = re.search(r"fixed tolerances: (.*?\))\.", text)
+    groups = re.findall(r"([\de.-]+) \(([^)]*)\)", listed.group(1))
+    assert len(groups) == len(listed.group(1).split(";"))
+    tols = [(case, float(tol)) for tol, cases in groups
+            for case in re.findall(r"`([\w-]+)`", cases)]
+    assert len(dict(tols)) == len(tols)  # no case listed twice
+    assert dict(tols) == {c.case: c.tol for c in registry.CHECKS if not c.order}
+    sentence = re.search(r"The order cases \(([^)]*)\)", text)
     windows = re.findall(r"`([\w-]+)` (?:>= ([\d.]+)|([\d.]+) to ([\d.]+))",
                          sentence.group(1))
     assert len(windows) == len(sentence.group(1).split(","))

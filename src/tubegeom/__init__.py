@@ -24,8 +24,7 @@ from .kahler import (KahlerCurvatureAtZero, kahler_curvature_at_zero,
                      kahler_curvature_from_jet, negative_plane_witness,
                      plane_sectional)
 from .liealg import (GroupElement, LieAlgebraContext, adjoint, bracket,
-                     builtin_context, group_exp, group_log, load_context,
-                     save_context)
+                     builtin_context, group_exp, group_log)
 from .majet import (QuarticCoefficients, ma_residual, potential_expansion,
                     solve_quartic_coefficients)
 from .nahm import (GaugePath, NahmConfiguration, adapted_roundtrip,

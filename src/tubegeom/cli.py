@@ -9,19 +9,19 @@ byte-identical-report contract).
 The cases, their gates and their preconditions come from
 ``registry.CHECKS``, which the acceptance tests share.  The settings of a
 run (suite, context, grid, steps, seed, the ``sweep.`` sample counts and
-the outputs) size the work; none of them moves a gate.  A case whose
-precondition the context does not meet is written as a ``skip`` record
-with the reason in its note; skips do not count as failures.  A metric
-that is not finite fails its case.
+the outputs) size the work; none of them moves a gate.  Each setting is one
+argparse flag, checked where it is parsed, with the default of
+``SuiteConfig``.  A case whose precondition the context does not meet is
+written as a ``skip`` record with the reason in its note; skips do not
+count as failures.  A metric that is not finite fails its case.
 
-Exit codes: 0 no case failed, 1 at least one failure, 2 usage or
-configuration errors.
+Exit codes: 0 no case failed, 1 at least one failure, 2 usage errors (a
+bad flag, or an ``--out`` that cannot be made a directory).
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import io
 import json
@@ -112,6 +112,11 @@ def run_suite(config):
     else:
         raise UnknownSuite(f"unknown suite {config.suite!r}")
     ctx = liealg.builtin_context(config.context)
+    if config.out:
+        try:
+            os.makedirs(config.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigParseError(f"cannot use --out {config.out}: {exc}") from exc
     records = []
     tables = {}
     for name in names:
@@ -141,7 +146,6 @@ def _replace_file(path, text):
 
 
 def _write_outputs(config, records, tables):
-    os.makedirs(config.out, exist_ok=True)
     payload = [rec.as_dict() for rec in records]
     _replace_file(os.path.join(config.out, "report.json"),
                   json.dumps(payload, indent=1, sort_keys=True) + "\n")
@@ -156,97 +160,50 @@ def _write_outputs(config, records, tables):
         _replace_file(os.path.join(config.out, fname), text)
 
 
-# -- configuration parsing -------------------------------------------------
+# -- command line ----------------------------------------------------------
 
-def _load_config_file(path, suite):
-    """Settings of ``[all]``, then ``[suite]``; every section is checked."""
-    parser = configparser.ConfigParser()
-    try:
-        read = parser.read(path)
-    except configparser.Error as exc:
-        raise ConfigParseError(str(exc)) from exc
-    if not read:
-        raise ConfigParseError(f"cannot read config file {path}")
-    for section in parser.sections():
-        if section not in SUITE_NAMES + ("all",):
-            raise ConfigParseError(f"unknown config section [{section}]")
-        if suite == "all" != section:
-            raise ConfigParseError(f"section [{section}] is for --suite {section} only")
-        for key, value in parser.items(section):
-            _apply_setting(SuiteConfig(), key, value)
-    return {key: value for section in ("all", suite) if parser.has_section(section)
-            for key, value in parser.items(section)}
-
-
-def _apply_setting(config, key, value):
-    try:
-        if key == "context":
-            config.context = value
-        elif key in ("grid", "steps", "seed"):
-            setattr(config, key, int(value))
-        elif key.startswith("sweep.") and key[6:] in registry.SWEEPS:
-            config.sweeps[key[6:]] = int(value)
-            least = 8 if key == "sweep.two_form_ref" else 1
-            if config.sweeps[key[6:]] < least:
-                raise ConfigParseError(f"{key} must be at least {least}")
-        else:
-            raise ConfigParseError(f"unknown configuration key {key!r}")
-    except ValueError as exc:
-        raise ConfigParseError(f"bad value for {key!r}: {value!r}") from exc
+def _int_at_least(least):
+    """argparse ``type``: an int of at least ``least``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return parse
 
 
 def parse_args(argv):
-    # --sweep.KEY=VAL tokens are collected before argparse runs
-    overrides = []
-    rest = []
-    for token in argv:
-        if token.startswith("--sweep."):
-            if "=" not in token:
-                raise ConfigParseError(f"override {token!r} needs =VALUE")
-            key, value = token[2:].split("=", 1)
-            overrides.append((key, value))
-        else:
-            rest.append(token)
-
+    defaults = SuiteConfig()
     parser = argparse.ArgumentParser(
-        prog="tubegeom",
+        prog="tubegeom", allow_abbrev=False,
         description="Run numerical verification suites for the tube geometry library.")
-    parser.add_argument("--suite", default="all",
+    parser.add_argument("--suite", default=defaults.suite,
                         choices=SUITE_NAMES + ("all",), help="suite to run")
-    parser.add_argument("--context", default=None,
-                        help="Lie context name (default su2_u1)")
-    parser.add_argument("--grid", type=int, default=None, help="path grid size")
-    parser.add_argument("--steps", type=int, default=None, help="ODE step count")
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed")
-    parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument("--out", default=None, help="report output directory")
+    parser.add_argument("--context", default=defaults.context,
+                        choices=sorted(liealg.BUILTIN_CONTEXTS),
+                        help=f"Lie context (default {defaults.context})")
+    for name, least, what in (("grid", 8, "path grid size"),
+                              ("steps", 8, "ODE step count"), ("seed", 0, "RNG seed")):
+        default = getattr(defaults, name)
+        parser.add_argument(f"--{name}", type=_int_at_least(least), default=default,
+                            help=f"{what} (default {default}, at least {least})")
+    for key, count in registry.SWEEPS.items():
+        least = 8 if key == "two_form_ref" else 1
+        parser.add_argument(f"--sweep.{key}", dest=key, type=_int_at_least(least),
+                            metavar="N", help=f"size of the {key} sweep "
+                            f"(default {count}, at least {least})")
+    parser.add_argument("--out", default=defaults.out, help="report output directory")
     parser.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                        default=None, help="additional report format")
+                        default=defaults.fmt, help="additional report format")
     parser.add_argument("--timings", action="store_true",
                         help="record wall-clock times (breaks byte determinism)")
-    args = parser.parse_args(rest)
-
-    settings = _load_config_file(args.config, args.suite) if args.config else {}
-    config = SuiteConfig(suite=args.suite)
-    for key, value in settings.items():
-        _apply_setting(config, key, value)
-    for attr in ("context", "grid", "steps", "seed", "out", "fmt"):
-        value = getattr(args, attr)
-        if value is not None:
-            setattr(config, attr, value)
-    config.timings = bool(args.timings)
-    for key, value in overrides:
-        _apply_setting(config, key, value)
-    if config.grid < 8 or config.steps < 8:
-        raise ConfigParseError("grid and steps must be at least 8")
-    if config.seed < 0:
-        raise ConfigParseError("seed must be at least 0")
-    if config.out and os.path.exists(config.out) and not os.path.isdir(config.out):
-        raise ConfigParseError(f"--out {config.out} is a file, not a directory")
-    if config.context not in liealg.BUILTIN_CONTEXTS:
-        raise ConfigParseError(f"unknown context {config.context!r}; "
-                               f"choices: {sorted(liealg.BUILTIN_CONTEXTS)}")
-    return config
+    settings = vars(parser.parse_args(argv))
+    sweeps = {key: settings.pop(key) for key in registry.SWEEPS}
+    return SuiteConfig(**settings, sweeps={key: count for key, count in sweeps.items()
+                                           if count is not None})
 
 
 def main(argv=None):

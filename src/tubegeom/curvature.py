@@ -117,6 +117,12 @@ def constant_curvature(n, kappa):
     return CurvatureTensor(R).validate()
 
 
+def _check_indices(n, *indices):
+    for idx in indices:
+        if not 0 <= idx < n:
+            raise IndexOutOfRange(f"index {idx} outside [0, {n})")
+
+
 def sphere_product(n, plane_curvatures):
     """Block tensor with prescribed curvature on disjoint coordinate 2-planes.
 
@@ -127,6 +133,7 @@ def sphere_product(n, plane_curvatures):
     used = set()
     R = np.zeros((n, n, n, n))
     for (i, j), kappa in plane_curvatures.items():
+        _check_indices(n, i, j)
         if {i, j} & used:
             raise MalformedInput("product planes must use disjoint indices")
         used |= {i, j}
@@ -159,10 +166,7 @@ def random_admissible(n, rng, scale=1.0, tol=1e-10):
 
 def sectional(tensor, i, j):
     """Sectional curvature of the orthonormal coordinate plane (e_i, e_j)."""
-    n = tensor.dimension
-    for idx in (i, j):
-        if not 0 <= idx < n:
-            raise IndexOutOfRange(f"index {idx} outside [0, {n})")
+    _check_indices(tensor.dimension, i, j)
     if i == j:
         raise EqualIndices("a plane needs two distinct indices")
     return float(tensor.components[i, j, i, j])

@@ -75,4 +75,4 @@ class UnknownSuite(TubeGeomError):
 
 
 class ConfigParseError(TubeGeomError):
-    """A configuration file or override could not be parsed."""
+    """A run setting cannot be used (an ``--out`` that cannot be made a directory)."""

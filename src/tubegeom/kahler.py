@@ -99,6 +99,8 @@ def kahler_curvature_from_jet(rho):
 
 
 def _check_plane_indices(n, i, j, kind):
+    if j is None:
+        raise MalformedInput(f"{kind} plane needs two indices i and j")
     for idx in (i, j):
         if not 0 <= idx < n:
             raise IndexOutOfRange(f"index {idx} outside [0, {n})")

@@ -461,72 +461,3 @@ def builtin_context(name):
     except KeyError:
         raise MalformedInput(
             f"unknown context {name!r}; choices: {sorted(BUILTIN_CONTEXTS)}")
-
-
-# -- structure-constants file format -------------------------------------
-
-def save_context(context, path):
-    """Write a context to the plain-text interchange format."""
-    lines = [f"name {context.name}",
-             f"dimension {context.dim}",
-             f"matrix_size {context.matrix_size}",
-             "basis"]
-    for B in context.basis:
-        for row in B:
-            lines.append(" ".join(_fmt_complex(z) for z in row))
-    lines.append("inner_product")
-    for row in context.inner_product:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    if context.h_mask is not None:
-        lines.append("h_mask " + " ".join("1" if f else "0" for f in context.h_mask))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _fmt_complex(z):
-    z = complex(z)
-    return f"{z.real!r}{z.imag:+}j"
-
-
-def load_context(path):
-    """Read the plain-text structure file written by ``save_context``;
-    MalformedInput unless its inner product is Ad-invariant and its split,
-    if any, is reductive."""
-    with open(path) as fh:
-        tokens = []
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                tokens.append(line)
-    fields = {}
-    i = 0
-    while i < len(tokens):
-        head = tokens[i].split()
-        key = head[0]
-        if key in ("name", "dimension", "matrix_size", "h_mask"):
-            fields[key] = head[1:]
-            i += 1
-        elif key == "basis":
-            dim = int(fields["dimension"][0])
-            size = int(fields["matrix_size"][0])
-            rows = tokens[i + 1:i + 1 + dim * size]
-            flat = [complex(tok) for row in rows for tok in row.split()]
-            fields["basis"] = np.array(flat, dtype=complex).reshape(dim, size, size)
-            i += 1 + dim * size
-        elif key == "inner_product":
-            dim = int(fields["dimension"][0])
-            rows = tokens[i + 1:i + 1 + dim]
-            fields["inner_product"] = np.array(
-                [[float(tok) for tok in row.split()] for row in rows])
-            i += 1 + dim
-        else:
-            raise MalformedInput(f"unknown field {key!r} in context file")
-    mask = None
-    if "h_mask" in fields:
-        mask = np.array([tok == "1" for tok in fields["h_mask"]])
-    context = LieAlgebraContext(fields["name"][0], fields["basis"],
-                                inner_product=fields["inner_product"], h_mask=mask)
-    check_ad_invariance(context)
-    if mask is not None:
-        check_reductive(context)
-    return context

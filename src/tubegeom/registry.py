@@ -376,9 +376,9 @@ class SuiteRun:
     ``tables`` collects the CSV tables the run writes.
     """
 
-    grid: int = 400
-    steps: int = 2000
-    seed: int = 42
+    grid: int
+    steps: int
+    seed: int
     counts: dict = field(default_factory=dict)
     tables: dict = field(default_factory=dict)
     shared: dict = field(default_factory=dict)

@@ -13,6 +13,16 @@ from tubegeom import complexify as cx
 from tubegeom.errors import ConfigParseError, DegenerateHessian, UnknownSuite
 
 
+def _usage_error(argv, capsys):
+    """argparse's message for ``argv``, which exits 2 from ``parse_args`` and
+    from ``main``."""
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(argv)
+    assert exc.value.code == 2
+    assert cli.main(argv) == 2
+    return capsys.readouterr().err
+
+
 def test_unknown_suite_raises():
     with pytest.raises(UnknownSuite):
         cli.run_suite(cli.SuiteConfig(suite="nonsense"))
@@ -117,74 +127,17 @@ def test_failing_tolerance_gives_exit_one(tmp_path):
     assert rec["metric"] > rec["tol"] == 1e-6
 
 
-def test_config_file_and_flag_precedence(tmp_path):
-    cfg = tmp_path / "suite.cfg"
-    cfg.write_text("[all]\nseed = 9\n[nahm-roundtrip]\nsteps = 64\n"
-                   "sweep.pairs = 2\n")
-    parsed = cli.parse_args(["--suite", "nahm-roundtrip",
-                             "--config", str(cfg)])
-    assert parsed.seed == 9
-    assert parsed.steps == 64
-    assert parsed.sweeps["pairs"] == 2
-    parsed = cli.parse_args(["--suite", "nahm-roundtrip", "--config", str(cfg),
-                             "--steps", "128"])
-    assert parsed.steps == 128
-
-
-def test_config_file_errors(tmp_path):
-    with pytest.raises(ConfigParseError):
-        cli.parse_args(["--config", str(tmp_path / "missing.cfg")])
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("[all]\nwhatever = 3\n")
-    with pytest.raises(ConfigParseError):
-        cli.parse_args(["--config", str(bad)])
-    with pytest.raises(ConfigParseError):
-        cli.parse_args(["--grid", "2"])
-
-
-def test_suite_sections_are_an_error_in_an_all_run(tmp_path):
-    # README's example: an all run would drop the section's 4000 steps
-    cfg = tmp_path / "ci.cfg"
-    cfg.write_text("[all]\nseed = 42\n[nahm-roundtrip]\nsteps = 4000\n"
-                   "sweep.pairs = 50\n")
-    with pytest.raises(ConfigParseError, match=r"\[nahm-roundtrip\] is for --suite"):
-        cli.parse_args(["--config", str(cfg), "--suite", "all"])
-    assert cli.main(["--config", str(cfg), "--suite", "all"]) == 2
-    parsed = cli.parse_args(["--config", str(cfg), "--suite", "nahm-roundtrip"])
-    assert (parsed.seed, parsed.steps, parsed.sweeps) == (42, 4000, {"pairs": 50})
-
-
-def test_misspelled_config_section_is_rejected(tmp_path):
-    cfg = tmp_path / "ci.cfg"
-    cfg.write_text("[all]\nseed = 42\n[nahm-rountrip]\nsteps = 4000\n")
-    for suite in ("nahm-roundtrip", "s1-isometry", "all"):
-        with pytest.raises(ConfigParseError, match="unknown config section"):
-            cli.parse_args(["--config", str(cfg), "--suite", suite])
-        assert cli.main(["--config", str(cfg), "--suite", suite]) == 2
-
-
-def test_other_suites_sections_are_checked(tmp_path):
-    cfg = tmp_path / "ci.cfg"
-    for section in ("sweep.pairz = 1", "steps = many", "sweep.pairs = 0"):
-        cfg.write_text(f"[all]\nseed = 42\n[nahm-roundtrip]\n{section}\n")
-        with pytest.raises(ConfigParseError):
-            cli.parse_args(["--config", str(cfg), "--suite", "s1-isometry"])
-        assert cli.main(["--config", str(cfg), "--suite", "s1-isometry"]) == 2
-
-
 def test_sweep_sizes_out_of_range_are_usage_errors(capsys):
     # a zero count would pass its case on no samples; a zero reference grid
     # divides by zero
     bad = [(key, 0) for key in registry.SWEEPS] + [("pairs", -3),
                                                    ("two_form_ref", 7)]
     for key, value in bad:
-        argv = ["--suite", "s1-isometry", f"--sweep.{key}={value}"]
-        with pytest.raises(ConfigParseError, match="must be at least"):
-            cli.parse_args(argv)
-        assert cli.main(argv) == 2
-        assert f"sweep.{key} must be at least" in capsys.readouterr().err
+        err = _usage_error(["--suite", "s1-isometry", f"--sweep.{key}={value}"], capsys)
+        assert f"argument --sweep.{key}: must be at least" in err
     parsed = cli.parse_args(["--sweep.pairs=1", "--sweep.two_form_ref=8"])
     assert parsed.sweeps == {"pairs": 1, "two_form_ref": 8}
+    assert cli.parse_args(["--sweep.pairs", "3"]) == cli.parse_args(["--sweep.pairs=3"])
 
 
 def test_records_carry_schema_fields():
@@ -350,18 +303,12 @@ def test_unknown_override_keys_are_rejected():
     assert cli.main(["--suite", "nahm-roundtrip", "--sweep.pairz=1"]) == 2
     # no key moves a gate, not even one of another suite's cases
     assert cli.main(["--suite", "nahm-roundtrip", "--tol.quartic=1e-8"]) == 2
-    # a key of another suite is accepted: [all] sections set keys of any suite
+    # there is no --config flag, and no flag matches by a prefix of its name
+    for argv in (["--config", "x"], ["--sweep.pair=1"], ["--see", "1"]):
+        assert cli.main(["--suite", "nahm-roundtrip", *argv]) == 2
+    # a key of another suite is accepted, as an all run reads every key
     parsed = cli.parse_args(["--suite", "nahm-roundtrip", "--sweep.tensors=3"])
     assert parsed.sweeps == {"tensors": 3}
-
-
-def test_unknown_config_file_keys_are_rejected(tmp_path):
-    for line in ("tol.roundtrp = 1e-30", "sweep.pairz = 1"):
-        cfg = tmp_path / "suite.cfg"
-        cfg.write_text(f"[all]\n{line}\n")
-        with pytest.raises(ConfigParseError):
-            cli.parse_args(["--suite", "nahm-roundtrip", "--config", str(cfg)])
-        assert cli.main(["--suite", "nahm-roundtrip", "--config", str(cfg)]) == 2
 
 
 @pytest.mark.parametrize("context", sorted(liealg.BUILTIN_CONTEXTS))
@@ -443,9 +390,9 @@ def test_well_defined_sweep_key_sizes_the_coset_case(capsys):
     assert case.note == "failed well-definedness checks out of 3"
 
 
-def test_removed_equivariance_key_is_unknown(tmp_path, capsys):
-    # every tol. key is gone: as a flag it is an unrecognised argument, in a
-    # config file an unknown key; both exit 2
+def test_removed_equivariance_key_is_unknown(capsys):
+    # every tol. key is gone, and so is sweep.equivariance: each is an
+    # unrecognised argument and exits 2
     retired = [("complexify-holomorphy", "sweep.equivariance", "3"),
                ("ma-expansion", "tol.permutation", "1e-12"),
                ("complexify-holomorphy", "tol.order_slack", "0.1"),
@@ -455,40 +402,34 @@ def test_removed_equivariance_key_is_unknown(tmp_path, capsys):
                             "residual", "constancy", "moment", "roundtrip",
                             "zero_vector", "exact", "potential")]
     for suite, key, value in retired:
-        argv = ["--suite", suite, f"--{key}={value}"]
-        sweep = key.startswith("sweep.")
-        with pytest.raises(ConfigParseError if sweep else SystemExit):
-            cli.parse_args(argv)
-        assert cli.main(argv) == 2
-        assert (f"unknown configuration key {key!r}" if sweep else
-                f"unrecognized arguments: --{key}={value}") in capsys.readouterr().err
-        cfg = tmp_path / "suite.cfg"
-        cfg.write_text(f"[all]\n{key} = {value}\n")
-        assert cli.main(["--suite", suite, "--config", str(cfg)]) == 2
-        assert f"unknown configuration key {key!r}" in capsys.readouterr().err
+        err = _usage_error(["--suite", suite, f"--{key}={value}"], capsys)
+        assert f"unrecognized arguments: --{key}={value}" in err
 
 
-def test_negative_seed_and_file_out_are_usage_errors(tmp_path, capsys):
-    # rejected before any case runs: a file --out would otherwise fail only
-    # after every case ran, and a negative seed inside numpy
+def test_negative_seed_and_file_out_are_usage_errors(tmp_path, capsys, monkeypatch):
+    # rejected before any case runs: an --out at or below a file would
+    # otherwise fail only after every case ran, and a negative seed inside
+    # numpy
+    for argv, message in ((["--seed", "-1"], "argument --seed: must be at least 0"),
+                          (["--grid", "4"], "argument --grid: must be at least 8"),
+                          (["--steps", "2"], "argument --steps: must be at least 8")):
+        assert message in _usage_error(["--suite", "s1-isometry", *argv], capsys)
+    assert cli.parse_args(["--seed", "0", "--out", str(tmp_path)]).seed == 0
     taken = tmp_path / "taken"
     taken.write_text("")
-    cfg = tmp_path / "suite.cfg"
-    cfg.write_text("[all]\nseed = -1\n")
-    for argv, message in ((["--seed", "-1"], "seed must be at least 0"),
-                          (["--config", str(cfg)], "seed must be at least 0"),
-                          (["--out", str(taken)], "is a file, not a directory")):
-        argv = ["--suite", "s1-isometry", *argv]
-        with pytest.raises(ConfigParseError, match=message):
-            cli.parse_args(argv)
-        assert cli.main(argv) == 2
+    monkeypatch.setattr(cli, "_run_checks", lambda *args: pytest.fail("a case ran"))
+    for out in (taken, taken / "sub"):
+        message = f"cannot use --out {out}"
+        with pytest.raises(ConfigParseError, match=re.escape(message)):
+            cli.run_suite(cli.SuiteConfig(suite="s1-isometry", out=str(out)))
+        assert cli.main(["--suite", "s1-isometry", "--grid", "64",
+                         "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
-    assert cli.parse_args(["--seed", "0", "--out", str(tmp_path)]).seed == 0
 
 
-def test_no_setting_passes_a_wrong_witness(monkeypatch, tmp_path):
-    # -1/4 where the paper gives -1/3 fails the witness case, and no flag or
-    # config key can loosen its gate
+def test_no_setting_passes_a_wrong_witness(monkeypatch):
+    # -1/4 where the paper gives -1/3 fails the witness case, and no flag can
+    # loosen its gate
     real = kahler.negative_plane_witness
 
     def three_quarters(tensor):
@@ -497,21 +438,11 @@ def test_no_setting_passes_a_wrong_witness(monkeypatch, tmp_path):
 
     monkeypatch.setattr(kahler, "negative_plane_witness", three_quarters)
     assert cli.main(["--suite", "kahler-curvature"]) == 1
-    cfg = tmp_path / "suite.cfg"
-    cfg.write_text("[all]\ntol.components = inf\n")
     assert cli.main(["--suite", "kahler-curvature", "--tol.components=inf"]) == 2
-    assert cli.main(["--suite", "kahler-curvature", "--config", str(cfg)]) == 2
 
 
-def test_unknown_context_is_a_usage_error(tmp_path, capsys):
-    with pytest.raises(ConfigParseError, match="choices: .*su2_u1"):
-        cli.parse_args(["--suite", "s1-isometry", "--context", "nope"])
-    assert cli.main(["--suite", "s1-isometry", "--context", "nope"]) == 2
-    cfg = tmp_path / "suite.cfg"
-    cfg.write_text("[all]\ncontext = nope\n")
-    assert cli.main(["--suite", "s1-isometry", "--config", str(cfg)]) == 2
-    assert "unknown context 'nope'" in capsys.readouterr().err
-    # the flag overrides the file's context, so a valid flag wins
-    parsed = cli.parse_args(["--suite", "s1-isometry", "--config", str(cfg),
-                             "--context", "so3"])
-    assert parsed.context == "so3"
+def test_unknown_context_is_a_usage_error(capsys):
+    err = _usage_error(["--suite", "s1-isometry", "--context", "nope"], capsys)
+    assert "argument --context: invalid choice: 'nope'" in err
+    assert "su2_u1" in err  # the choices are listed
+    assert cli.parse_args(["--suite", "s1-isometry", "--context", "so3"]).context == "so3"

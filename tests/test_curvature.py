@@ -178,6 +178,9 @@ def test_sphere_product_is_admissible_and_nonnegative():
     R.validate(1e-12)
     assert cv.sectional(R, 0, 1) == 2.0
     assert cv.sectional(R, 0, 2) == 0.0
+    for plane in ((0, 5), (-1, 1)):
+        with pytest.raises(IndexOutOfRange, match="outside"):
+            cv.sphere_product(3, {plane: 1.0})
 
 
 def test_json_roundtrip():

@@ -152,6 +152,9 @@ def test_plane_errors():
         kahler.plane_sectional(R, "xx", 0, 4)
     with pytest.raises(MalformedInput):
         kahler.plane_sectional(R, "diagonal", 0, 1)
+    for kind in ("xy", "xx", "yy"):  # no j
+        with pytest.raises(MalformedInput, match="needs two indices"):
+            kahler.plane_sectional(R, kind, 0)
 
 
 def test_negative_plane_witness_cases():

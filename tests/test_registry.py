@@ -38,12 +38,17 @@ def test_case_ids_are_unique_and_keys_declared():
                for c in registry.CHECKS)
 
 
-def test_readme_override_table_lists_the_registry_keys_and_defaults():
+def test_readme_override_table_lists_the_registry_keys_and_defaults(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| `((?:tol|sweep)\.\w+)` \| ([^|]+) \|", readme, re.M)
     table = {key: float(default) for key, default in rows}
     assert len(table) == len(rows)  # no key listed twice
     assert table == {f"sweep.{k}": v for k, v in registry.SWEEPS.items()}
+    with pytest.raises(SystemExit):
+        cli.parse_args(["--help"])
+    usage = capsys.readouterr().out
+    assert all(f"--{key} N" in usage for key in table)  # every row is a flag
+    assert "--config" not in usage
     text = " ".join(readme.split())
     listed = re.search(r"fixed tolerances: (.*?\))\.", text)
     groups = re.findall(r"([\de.-]+) \(([^)]*)\)", listed.group(1))

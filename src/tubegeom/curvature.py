@@ -91,13 +91,28 @@ class CurvatureTensor:
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
-        if data.get("kind") != "curvature_tensor":
+        if not isinstance(data, dict) or data.get("kind") != "curvature_tensor":
             raise MalformedInput("not a curvature tensor record")
-        n = data["dimension"]
+        n = data.get("dimension")
+        if not _is_int(n) or n < 1:
+            raise MalformedInput(f"dimension must be an integer >= 1, not {n!r}")
+        rows = data.get("components")
+        if not isinstance(rows, list):
+            raise MalformedInput("a curvature tensor record lists its components")
         R = np.zeros((n, n, n, n))
-        for i, j, k, l, v in data["components"]:
+        for row in rows:
+            if not (isinstance(row, list) and len(row) == 5
+                    and all(_is_int(idx) for idx in row[:4])):
+                raise MalformedInput(f"component {row!r} is not [i, j, k, l, value] "
+                                     "with integer indices")
+            i, j, k, l, v = row
+            _check_indices(n, i, j, k, l)
             _assign_orbit(R, i, j, k, l, v)
         return cls(R).validate()
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _assign_orbit(R, i, j, k, l, v):

@@ -499,20 +499,28 @@ class JetPolynomial:
         """Partial derivative by one variable; an array ``v`` of variables
         stacks them on new leading axes, ``partial(v)[k] == partial(v[k])``.
         Differentiating a degree-d jet is complete through degree d-1, so
-        the degree bound is kept as is.
+        the degree bound is kept as is; its top block is zero.
         """
+        return self._partials(var_index, self.max_degree)
+
+    def _partials(self, var_index, bound):
+        """``partial`` on the layout of degree ``bound``, at least
+        max_degree - 1, the degree through which it is complete."""
         variables = np.asarray(var_index)
         flat = variables.ravel().tolist()
         if variables.dtype.kind not in "iu" or not all(0 <= v < self.num_vars
                                                        for v in flat):
             raise MalformedInput(f"variable index {var_index!r} is not an integer "
                                  f"in [0, {self.num_vars})")
-        out = np.zeros((variables.size,) + self._c.shape, dtype=self._c.dtype)
+        below = int(self._layout.offsets[-2])  # positions below the top degree
+        size = _layout(self.num_vars, bound).size
+        out = np.empty((variables.size,) + self.shape + (size,), dtype=self._c.dtype)
+        out[..., below:] = 0
         for k, var in enumerate(flat):
             src, weight = _partial_map(self.num_vars, self.max_degree, var)
-            np.multiply(weight, self._c.take(src, axis=-1), out=out[k][..., :len(src)])
-        return JetPolynomial._from_array(self.num_vars, self.max_degree,
-                                         out.reshape(variables.shape + self._c.shape))
+            np.multiply(weight, self._c.take(src, axis=-1), out=out[k][..., :below])
+        return JetPolynomial._from_array(self.num_vars, bound,
+                                         out.reshape(variables.shape + out.shape[1:]))
 
     def evaluate(self, points):
         """Evaluate at one point (1-d array) or many points ((P, num_vars));
@@ -609,6 +617,15 @@ def wirtinger_zbar(jet, alpha, n):
     """d/dzbar_alpha = (d/dx_alpha + i d/dy_alpha) / 2."""
     alpha = np.asarray(alpha)
     return 0.5 * (jet.partial(alpha) + 1j * jet.partial(n + alpha))
+
+
+def _wirtinger_pair(jet, n):
+    """(``wirtinger_z``, ``wirtinger_zbar``) of ``jet`` along all n complex
+    variables, each an (n,) jet on the layout of degree max_degree - 1,
+    through which first derivatives are complete."""
+    grad = jet._partials(np.arange(2 * n), max(jet.max_degree - 1, 0))
+    dx, dy = grad[:n], grad[n:]
+    return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
 
 
 def matrix_inverse(A):

@@ -39,7 +39,7 @@ import numpy as np
 from .curvature import normal_metric_jet
 from .errors import DegenerateHessian, MalformedInput, SingularSystem
 from .jets import (JetPolynomial, _graded_matmul, _graded_solve, _layout,
-                   wirtinger_z, wirtinger_zbar)
+                   _wirtinger_pair, wirtinger_z, wirtinger_zbar)
 
 FIBER_SCALE = 1.0
 
@@ -97,23 +97,30 @@ def ma_residual(rho):
     The raised index follows the convention sum_b rho^{a bbar} rho_{c bbar}
     = delta_{ac}.  The residual of a real ``rho`` is real, and is returned as
     a real jet.  Raises DegenerateHessian when the constant part of the
-    complex Hessian is not positive-definite.
+    complex Hessian is not positive-definite.  Every block is determined
+    by the jet when rho has no linear part, as for every potential here;
+    with one, the top block would also need the terms of rho above the
+    degree bound and is left without the raised index's top-degree term.
     """
     n = _fiber_dimension(rho)
-    num_vars, bound, axis = rho.num_vars, rho.max_degree, np.arange(n)
-    dz = wirtinger_z(rho, axis, n)  # dz[a] = d rho / dz_a
+    num_vars, bound = rho.num_vars, rho.max_degree
+    # dz[a] = d rho / dz_a and dzbar[b] are complete through degree bound - 1
+    # and kept there, and so are the Hessian and the solve: the product needs
+    # the solve's top block only against a constant term of dz (see above).
+    # Only the last product is padded to the bound.
+    dz, dzbar = _wirtinger_pair(rho, n)
     # the transposed complex Hessian, HT[b, a] = d^2 rho / dz_a dzbar_b
-    HT = wirtinger_zbar(dz, axis, n)._c
+    HT = wirtinger_zbar(dz, np.arange(n), n)._c
     require_positive_hessian(HT[:, :, 0].T)
-    dzbar = wirtinger_zbar(rho, axis, n)._c[:, None]
     # raised[a] = sum_b (H^-1)[b][a] dzbar[b]: solve H^T raised = dzbar,
     # then sum_a raised[a] dz[a]
     try:
-        raised = _graded_solve(HT, dzbar, num_vars, bound)
+        raised = _graded_solve(HT, dzbar._c[:, None], num_vars, dz.max_degree)
     except SingularSystem as exc:
         raise DegenerateHessian(str(exc)) from exc
-    contracted = _graded_matmul(raised.transpose(1, 0, 2), dz._c[:, None],
-                                num_vars, bound)[0, 0]
+    raised = JetPolynomial._from_array(num_vars, dz.max_degree, raised.transpose(1, 0, 2))
+    contracted = _graded_matmul(raised.truncated(bound)._c,
+                                dz.truncated(bound)._c[:, None], num_vars, bound)[0, 0]
     if np.isrealobj(rho._c):
         contracted = contracted.real
     return (-2.0) * rho + JetPolynomial._from_array(num_vars, bound, contracted)

@@ -34,13 +34,31 @@ copies of the stacks: C = A B is summed as m rank-one updates, each one
 NumPy multiply over all (i, j) entries and all nodes, so a product costs
 2m - 1 vector calls instead of one small matrix product per node.
 ``_matmul_paths`` and ``_commutator_paths`` are its faces on (..., m, m)
-stacks; the Magnus factors stay in entry-major layout from the
-exponential's first product to the scan's or the tree's last.
+stacks.
+
+The gauge ODE is one entry-major pipeline, shared by ``solve_gauge_ode``
+and ``adapted_roundtrip``.  The input path alpha is written once into an
+(m, m, N+1) stack; on the default path of the roundtrip it comes from
+L = log a and the product T1 of ``embed_tangent``, which keeps its BLAS
+layout so that both agree bit for bit, with no T0 path.  The midpoints,
+the Simpson sum, the commutator, the exponential and the scan or the tree
+then run on slices of entry-major stacks, with no node-major round trip.
+Every whole-path temporary of that pipeline is a view of one of five
+named regions ("alpha", "omega", "bracket", "swap", "spare") of a
+thread-local scratch arena (``_scratch``), which every call reuses: a
+roundtrip needs about five stacks of (N+1) m^2 entries, and once they
+exist it allocates no whole-path array, so it stops faulting fresh pages
+in on every call.  Each region grows to the largest request while the
+thread's regions hold at most ``_ARENA_CAP_BYTES`` (8 MiB) together; a
+request past the cap gets a per-call array.  Threads never share a
+region, and no result aliases one: g, g(0)^-1 and the outputs of
+``_expm_stack`` and ``smooth_gauge`` are new arrays.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,19 +158,21 @@ def path_derivative(values, dt):
     return d
 
 
-def _midpoints(values):
-    """4th-order midpoint interpolation per grid interval."""
+def _midpoints(values, out=None):
+    """4th-order midpoint interpolation per grid interval along the last
+    (node) axis, into ``out`` (new if None)."""
     v = np.asarray(values)
-    mids = np.empty((v.shape[0] - 1,) + v.shape[1:], dtype=v.dtype)
-    inner = mids[1:-1]
-    np.add(v[1:-2], v[2:-1], out=inner)
+    if out is None:
+        out = np.empty(v.shape[:-1] + (v.shape[-1] - 1,), dtype=v.dtype)
+    inner = out[..., 1:-1]
+    np.add(v[..., 1:-2], v[..., 2:-1], out=inner)
     inner *= 9.0
-    inner -= v[:-3]
-    inner -= v[3:]
+    inner -= v[..., :-3]
+    inner -= v[..., 3:]
     inner /= 16.0
-    mids[0] = (5 * v[0] + 15 * v[1] - 5 * v[2] + v[3]) / 16.0
-    mids[-1] = (v[-4] - 5 * v[-3] + 15 * v[-2] + 5 * v[-1]) / 16.0
-    return mids
+    out[..., 0] = (5 * v[..., 0] + 15 * v[..., 1] - 5 * v[..., 2] + v[..., 3]) / 16.0
+    out[..., -1] = (v[..., -4] - 5 * v[..., -3] + 15 * v[..., -2] + 5 * v[..., -1]) / 16.0
+    return out
 
 
 # -- products of small-matrix stacks --------------------------------------
@@ -335,6 +355,50 @@ def gauge_transform(g, config):
     return NahmConfiguration._from_stack(values, config.context)
 
 
+# -- scratch arena of the gauge ODE -----------------------------------------
+#
+# Fresh whole-path arrays come from the top of the heap or from mmap, and
+# glibc returns them to the system when they are freed, so a pipeline that
+# allocated its stacks on every call would fault their pages in again on
+# every call.  The regions of the module docstring, by their uses in order:
+#
+#   "alpha"    the entry-major input path; then a Taylor / squaring buffer
+#   "omega"    the Schur phases of the default path; the Magnus exponents;
+#              then the pair-product levels of the tree or the scan
+#   "bracket"  T1 of the default path; the commutator term of the exponents;
+#              then the other Taylor / squaring buffer
+#   "swap"     the second product of the commutator; the 1-norms of the
+#              exponents; then the scan's output
+#   "spare"    the spare of every ``_entry_products`` call
+
+_ARENA_CAP_BYTES = 8 << 20
+
+
+class _Arena(threading.local):
+    def __init__(self):
+        self.regions = {}  # name -> flat complex buffer
+
+
+_arena = _Arena()
+
+
+def _scratch(region, shape, dtype=complex):
+    """Uninitialised array of ``shape`` on the named region of this thread's
+    arena, or a new array when the region cannot grow to it within the cap.
+    Two requests for the same region share memory."""
+    count = math.prod(shape)
+    slots = -(-count * np.dtype(dtype).itemsize // 16)  # complex entries
+    regions = _arena.regions
+    buf = regions.get(region)
+    if buf is None or buf.size < slots:
+        others = sum(b.nbytes for name, b in regions.items() if name != region)
+        if others + 16 * slots > _ARENA_CAP_BYTES:
+            return np.empty(shape, dtype=dtype)
+        regions.pop(region, None)
+        buf = regions[region] = np.empty(slots, dtype=complex)
+    return buf[:slots].view(dtype)[:count].reshape(shape)
+
+
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
@@ -356,9 +420,13 @@ def _taylor_plan(norm):
 
 
 def _expm_stack(X):
-    """Exponential of every matrix in a (K, m, m) stack (``_expm_entries``)."""
+    """Exponential of every matrix in a (K, m, m) stack (``_expm_entries``),
+    as a new array; the entry-major copy of X sits on the "omega" region."""
     X = np.asarray(X, dtype=complex)
-    return _node_major(_expm_entries(_entry_major(X, X.ndim - 2)))
+    lead = X.ndim - 2
+    x = _scratch("omega", X.shape[lead:] + X.shape[:lead])
+    np.copyto(x, X.transpose((lead, lead + 1) + tuple(range(lead))))
+    return _node_major(_expm_entries(x))
 
 
 def _expm_entries(x):
@@ -370,15 +438,25 @@ def _expm_entries(x):
     is folded into the Horner divisors, and every product is an
     ``_entry_products`` call between two ping-pong buffers; the result is
     entry-major too.  A non-finite entry makes the whole result NaN.
+
+    The result is a view of the "alpha" or the "bracket" region; the
+    1-norms are taken on "swap" and the products' spare is "spare", so
+    ``x`` must lie on none of these four.
     """
     m = x.shape[0]
-    norm = float(np.max(np.abs(x).sum(axis=0), initial=0.0))
+    sums = _scratch("swap", (m + 1,) + x.shape[1:], float)
+    magnitudes, column_sums = sums[:m], sums[m]
+    np.abs(x, out=magnitudes)
+    np.sum(magnitudes, axis=0, out=column_sums)
+    norm = float(np.max(column_sums, initial=0.0))
+    out, spare = _scratch("alpha", x.shape), _scratch("bracket", x.shape)
     if not np.isfinite(norm):
-        return np.full(x.shape, np.nan, dtype=complex)
+        out.fill(np.nan)
+        return out
     degree, squarings = _taylor_plan(norm)
     scale = 2.0 ** -squarings
-    out = np.multiply(x, scale / degree)
-    spare, work = np.empty_like(out), np.empty_like(out)
+    work = _scratch("spare", x.shape)
+    np.multiply(x, scale / degree, out=out)
     out.reshape(m * m, -1)[::m + 1] += 1.0
     for k in range(degree - 1, 0, -1):
         _entry_products(x, out, spare, work)
@@ -391,25 +469,42 @@ def _expm_entries(x):
     return out
 
 
+def _pair_levels(e):
+    """Contiguous (m, m, n) buffers, one per level of the pair products of
+    an entry-major (m, m, K) stack (level sizes K - K // 2 down to 1),
+    carved from the "omega" region."""
+    m, K = e.shape[0], e.shape[-1]
+    sizes = []
+    while K > 1:
+        K -= K // 2
+        sizes.append(K)
+    pool = _scratch("omega", (m * m * sum(sizes),))
+    bounds = np.cumsum([0] + sizes) * (m * m)
+    return [pool[lo:hi].reshape(m, m, -1) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def _suffix_products(e, out):
     """Write out[k] = e[K-1] ... e[k+1] e[k] for an entry-major (m, m, K)
     stack e into the (K, m, m) stack ``out``.
 
-    Odd-even scan (Blelloch 1990, ``_suffix_scan``) written back to ``out``
-    once.  About 2K products in 2 ceil(log2 K) calls of
-    ``_entry_products``.  out[0] is ``_tree_product(e)`` bit for bit.
+    Odd-even scan (Blelloch 1990, ``_suffix_scan``) on the "swap" region,
+    written back to ``out`` once; the pair levels sit on "omega" and the
+    spare on "spare", so e must lie on neither.  About 2K products in
+    2 ceil(log2 K) calls of ``_entry_products``.  out[0] is
+    ``_tree_product(e)`` bit for bit.
     """
-    scan = np.empty_like(e)
-    _suffix_scan(e, scan, np.empty_like(e[..., :e.shape[-1] // 2]))
+    scan = _scratch("swap", e.shape)
+    spare = _scratch("spare", e.shape[:2] + (e.shape[-1] // 2,))
+    _suffix_scan(e, scan, spare, _pair_levels(e))
     _node_major(scan, out)
 
 
-def _pair_products(e, spare):
-    """Pair products P_j = e[2j+1] e[2j] of an entry-major (m, m, K) stack,
-    an odd last factor carried over; ``spare`` holds K // 2 nodes."""
+def _pair_products(e, pairs, spare):
+    """Pair products pairs[j] = e[2j+1] e[2j] of an entry-major (m, m, K)
+    stack into ``pairs`` (K - K // 2 nodes), an odd last factor carried
+    over; ``spare`` holds K // 2 nodes."""
     K = e.shape[-1]
     half = K // 2
-    pairs = np.empty(e.shape[:2] + (K - half,), dtype=e.dtype)
     _entry_products(e[..., 1::2], e[..., 0:2 * half:2], pairs[..., :half],
                     spare[..., :half])
     if K % 2:
@@ -417,21 +512,20 @@ def _pair_products(e, spare):
     return pairs
 
 
-def _suffix_scan(e, out, spare):
+def _suffix_scan(e, out, spare, levels):
     """The scan of ``_suffix_products`` on entry-major (m, m, K) stacks.
 
-    The pair products (``_pair_products``) are scanned recursively into
-    the even slots, and each odd slot is one more product,
-    out[2j+1] = out[2j+2] e[2j+1].  ``spare`` holds at least K // 2 nodes
-    of scratch.
+    The pair products (``_pair_products``, into ``levels[0]``) are scanned
+    recursively into the even slots, and each odd slot is one more
+    product, out[2j+1] = out[2j+2] e[2j+1].  ``spare`` holds at least
+    K // 2 nodes of scratch, and ``levels`` the buffers of ``_pair_levels``.
     """
     K = e.shape[-1]
     if K == 1:
         out[..., 0] = e[..., 0]
         return
-    pairs = _pair_products(e, spare)
-    _suffix_scan(pairs, out[..., 0::2], spare)
-    del pairs
+    pairs = _pair_products(e, levels[0], spare)
+    _suffix_scan(pairs, out[..., 0::2], spare, levels[1:])
     odd = (K - 1) // 2  # odd slots below the last even one
     _entry_products(out[..., 2::2], e[..., 1:2 * odd:2], out[..., 1:2 * odd:2],
                     spare[..., :odd])
@@ -442,27 +536,37 @@ def _suffix_scan(e, out, spare):
 def _tree_product(e):
     """The (m, m) product e[K-1] ... e[0] of an entry-major (m, m, K) stack
     by the up-sweep of ``_suffix_scan`` alone: K - 1 products in
-    ceil(log2 K) calls, associated as, and equal to, the scan's out[0]."""
-    spare = np.empty_like(e[..., :e.shape[-1] // 2])
-    while e.shape[-1] > 1:
-        e = _pair_products(e, spare)
-    return e[..., 0]
+    ceil(log2 K) calls, associated as, and equal to, the scan's out[0].
+    The levels sit on "omega" and the spare on "spare"; the product is a
+    new array."""
+    spare = _scratch("spare", e.shape[:2] + (e.shape[-1] // 2,))
+    for pairs in _pair_levels(e):
+        e = _pair_products(e, pairs, spare)
+    return e[..., 0].copy()
 
 
-def _magnus_factors(A):
+def _magnus_factors(alpha):
     """Entry-major (m, m, N) stack of the factors E_k = exp(-Omega_k) of
-    ``solve_gauge_ode`` for the algebra path A."""
-    vals = A.values
-    h = 1.0 / A.grid_size
-    omega = _midpoints(vals)
+    ``solve_gauge_ode`` for the entry-major (m, m, N+1) path ``alpha``.
+
+    Omega is formed on the "omega" region, its commutator term on
+    "bracket" (with "swap" and "spare" for the products), and alpha is
+    consumed: the exponential reuses its region.
+    """
+    m, N = alpha.shape[0], alpha.shape[-1] - 1
+    h = 1.0 / N
+    left, right = alpha[..., :-1], alpha[..., 1:]
+    omega = _midpoints(alpha, _scratch("omega", (m, m, N)))
     omega *= 4.0
-    omega += vals[:-1]
-    omega += vals[1:]
+    omega += left
+    omega += right
     omega *= -h / 6.0
-    omega -= h * h / 12.0 * _commutator_paths(vals[:-1], vals[1:])
-    x = _entry_major(omega, 1)
-    del omega
-    return _expm_entries(x)
+    bracket, spare = _scratch("bracket", (m, m, N)), _scratch("spare", (m, m, N))
+    _entry_products(left, right, bracket, spare)
+    bracket -= _entry_products(right, left, _scratch("swap", (m, m, N)), spare)
+    bracket *= h * h / 12.0
+    omega -= bracket
+    return _expm_entries(omega)
 
 
 def solve_gauge_ode(A):
@@ -487,11 +591,27 @@ def solve_gauge_ode(A):
         raise MalformedInput("gauge ODE input must be algebra-valued")
     N = A.grid_size
     m = A.context.matrix_size
+    alpha = _scratch("alpha", (m, m, N + 1))
+    np.copyto(alpha, A.values.transpose(1, 2, 0))
     g = np.empty((N + 1, m, m), dtype=complex)
-    _suffix_products(_magnus_factors(A), g[:N])
+    _suffix_products(_magnus_factors(alpha), g[:N])
     g[N] = np.eye(m)
     kind = "complex-group" if A.kind == "complex-algebra" else "group"
     return GaugePath(g, kind, A.context)
+
+
+def _transported_tangent(a, v, grid_size, phases, T1):
+    """L = log a of the default path h(t) = exp((1 - t) L), with the Schur
+    phases and T1(t) = h v h^-1 written into ``phases`` and ``T1``, both
+    node-major (N+1, m^2) (see ``embed_tangent``)."""
+    L, Z, lam = _normal_log(a)  # LogBranchFailure propagates
+    m = len(lam)
+    ts = np.linspace(0.0, 1.0, grid_size + 1)
+    np.exp(np.outer(1.0 - ts, lam[:, None] - lam[None, :], out=phases), out=phases)
+    K = np.einsum("ij,ri,cj->ijrc", Z.conj().T @ np.asarray(v, dtype=complex) @ Z,
+                  Z, Z.conj())
+    np.matmul(phases, K.reshape(m * m, m * m), out=T1)
+    return L
 
 
 def embed_tangent(a, v, grid_size, h_path=None):
@@ -513,12 +633,10 @@ def embed_tangent(a, v, grid_size, h_path=None):
     ctx = a.context
     v = np.asarray(v, dtype=complex)
     if h_path is None:
-        L, Z, lam = _normal_log(a)  # LogBranchFailure propagates
-        ts = np.linspace(0.0, 1.0, grid_size + 1)
-        m = len(lam)
-        phases = np.exp(np.outer(1.0 - ts, lam[:, None] - lam[None, :]))
-        K = np.einsum("ij,ri,cj->ijrc", Z.conj().T @ v @ Z, Z, Z.conj())
-        T1 = (phases @ K.reshape(m * m, m * m)).reshape(grid_size + 1, m, m)
+        m, nodes = ctx.matrix_size, grid_size + 1
+        T1 = np.empty((nodes, m, m), dtype=complex)
+        L = _transported_tangent(a, v, grid_size, np.empty((nodes, m * m), dtype=complex),
+                                 T1.reshape(nodes, m * m))
         return constant_path(ctx, L, grid_size), GaugePath(T1, "algebra", ctx)
     if h_path.grid_size != grid_size:
         raise GridMismatch("h_path grid does not match the requested grid")
@@ -535,16 +653,31 @@ def embed_tangent(a, v, grid_size, h_path=None):
 def adapted_roundtrip(a, v, grid_size=2000, h_path=None):
     """Recover the complexified image of (a, v) through the gauge ODE.
 
-    Builds the embedded pair, gauges the complex combination to zero, and
-    returns g(0)^-1, which converges at 4th order to a exp(i v).  Only
-    g(0) is formed, by ``_tree_product`` over the Magnus factors of
+    Builds the embedded pair, gauges the complex combination
+    alpha = T0 + i T1 to zero, and returns g(0)^-1, which converges at 4th
+    order to a exp(i v).  alpha is written once, entry-major, on the
+    "alpha" region: on the default path from L and the product T1 of
+    ``embed_tangent`` (the phases on "omega", T1 node-major on "bracket",
+    as BLAS writes it, so that T1 is ``embed_tangent``'s bit for bit), with
+    ``h_path`` from one copy of ``embed_tangent``'s paths.  Only g(0)
+    is formed, by ``_tree_product`` over the Magnus factors of
     ``solve_gauge_ode``, equal bit for bit to the scan's g(0).
     """
-    T0, T1 = embed_tangent(a, v, grid_size, h_path)
-    alpha = GaugePath(T0.values + 1j * T1.values, "complex-algebra", a.context)
-    del T0, T1
+    ctx = a.context
+    m, nodes = ctx.matrix_size, grid_size + 1
+    alpha = _scratch("alpha", (m, m, nodes))
+    if h_path is None:
+        T1 = _scratch("bracket", (nodes, m * m))
+        L = _transported_tangent(a, v, grid_size, _scratch("omega", (nodes, m * m)), T1)
+        np.multiply(T1.reshape(nodes, m, m).transpose(1, 2, 0), 1j, out=alpha)
+        alpha += L[:, :, None]
+    else:
+        T0, T1 = embed_tangent(a, v, grid_size, h_path)
+        np.multiply(T1.values.transpose(1, 2, 0), 1j, out=alpha)
+        alpha += T0.values.transpose(1, 2, 0)
+        del T0, T1
     g0 = _tree_product(_magnus_factors(alpha))
-    return GroupElement(np.linalg.inv(g0), a.context, complexified=True)
+    return GroupElement(np.linalg.inv(g0), ctx, complexified=True)
 
 
 # -- flat hyperkahler structure ------------------------------------------
@@ -698,7 +831,7 @@ def integrate_nahm(context, initial, T0, norm_bound=1e6):
     # a state that blows up runs on as inf and NaN; the guard reads it below
     with np.errstate(over="ignore", invalid="ignore"):
         a = _span_coefficients(context, T0.values, "T0")
-        mids = _midpoints(a)
+        mids = _midpoints(a.T).T
         stage_a = np.stack([a[:-1], mids, mids, a[1:]], axis=1)  # (N, 4, d)
         coeffs = np.empty((N + 1, 3 * d))
         coeffs[0] = _span_coefficients(context, Y0, "initial data").reshape(-1)

@@ -214,7 +214,7 @@ def gauge_residual_order(ctx, rng, count, grids=GAUGE_GRIDS):
     ``smooth_gauge`` call, and is replayed from that state on every grid.
     With no gauges the order is NaN.
     """
-    solutions = [nahm_solution(ctx, N)[1] for N in grids]
+    solutions, ungauged = zip(*(nahm_solution(ctx, N)[1:] for N in grids))
     gauged = np.empty((count, len(grids)))
     for k in range(count):
         start = rng.bit_generator.state
@@ -226,7 +226,7 @@ def gauge_residual_order(ctx, rng, count, grids=GAUGE_GRIDS):
     with np.errstate(divide="ignore", invalid="ignore"):
         order = halving_order(worst)
     index = int(np.argmax(gauged[:, -1])) if count else None
-    return order, index, worst[-1], nahm.nahm_residual_sup(solutions[-1])
+    return order, index, worst[-1], ungauged[-1]
 
 
 def gauged_constancy(ctx, rng, N):

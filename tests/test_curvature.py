@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -188,3 +189,29 @@ def test_json_roundtrip():
     R = cv.random_admissible(3, rng)
     back = cv.CurvatureTensor.from_json(R.to_json())
     np.testing.assert_allclose(back.components, R.components, atol=1e-15)
+
+
+def _record(dimension, *components):
+    return json.dumps({"kind": "curvature_tensor", "dimension": dimension,
+                       "components": [list(c) for c in components]})
+
+
+def test_from_json_rejects_a_negative_index():
+    # NumPy would wrap -1 to the last index and read R[0,1,0,1] = 1
+    with pytest.raises(IndexOutOfRange, match="outside"):
+        cv.CurvatureTensor.from_json(_record(2, (0, -1, 0, -1, 1.0)))
+
+
+def test_from_json_rejects_an_index_past_the_dimension():
+    with pytest.raises(IndexOutOfRange, match="outside"):
+        cv.CurvatureTensor.from_json(_record(2, (0, 5, 0, 5, 1.0)))
+
+
+def test_from_json_rejects_a_non_integer_index():
+    with pytest.raises(MalformedInput, match="integer indices"):
+        cv.CurvatureTensor.from_json(_record(2, (0, 1.5, 0, 1, 1.0)))
+
+
+def test_from_json_rejects_dimension_zero():
+    with pytest.raises(MalformedInput, match="dimension"):
+        cv.CurvatureTensor.from_json(_record(0))

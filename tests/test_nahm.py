@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -320,21 +322,98 @@ def test_adapted_roundtrip_is_the_inverse_of_the_scanned_g0(name, N):
         assert np.array_equal(nahm.adapted_roundtrip(a, v, N, h_path).matrix, want)
 
 
-def test_adapted_roundtrip_peak_memory():
-    # the roundtrip holds no whole-path scan: tree products of the Magnus
-    # factors, which are freed level by level
+def _so4_pair():
     so4 = la.builtin_context("so4")
     rng = _rng()
-    a = la.group_exp(so4, so4.random_element(rng, 1.2))
-    v = so4.random_element(rng, 1.5)
-    nahm.adapted_roundtrip(a, v, 2000)  # warm any lazily built context tables
+    return la.group_exp(so4, so4.random_element(rng, 1.2)), so4.random_element(rng, 1.5)
+
+
+def test_adapted_roundtrip_peak_memory():
+    # after the first call every whole-path stack of the roundtrip is a view
+    # of the thread's scratch arena (one stack at so4, N = 2000 is 512 KB)
+    a, v = _so4_pair()
+    nahm.adapted_roundtrip(a, v, 2000)  # warm the arena and the context tables
     tracemalloc.start()
     try:
         nahm.adapted_roundtrip(a, v, 2000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4.0 * 2 ** 20
+    assert peak <= 512 * 2 ** 10
+
+
+def _arena_regions():
+    return list(nahm._arena.regions.values())
+
+
+def test_gauge_ode_results_do_not_alias_the_arena():
+    ctx3 = la.builtin_context("su3_u2")
+    rng = _rng()
+    a = la.group_exp(ctx3, ctx3.random_element(rng, 1.2))
+    v = ctx3.random_element(rng, 1.5)
+    T0, T1 = nahm.embed_tangent(a, v, 400)
+    alpha = nahm.GaugePath(T0.values + 1j * T1.values, "complex-algebra", ctx3)
+    X = rng.standard_normal((401, 3, 3)) + 1j * rng.standard_normal((401, 3, 3))
+    calls = {
+        "adapted_roundtrip": lambda: nahm.adapted_roundtrip(a, v, 400).matrix,
+        "solve_gauge_ode": lambda: nahm.solve_gauge_ode(alpha).values,
+        "_expm_stack": lambda: nahm._expm_stack(X),
+        "smooth_gauge": lambda: nahm.smooth_gauge(ctx3, np.random.default_rng(3), 400).values,
+    }
+    for name, call in calls.items():
+        first = call()
+        kept = first.copy()
+        assert not any(np.shares_memory(first, r) for r in _arena_regions()), name
+        for other in calls.values():  # every region is written again
+            other()
+        assert np.array_equal(first, kept), name
+        assert np.array_equal(call(), kept), name
+
+
+def test_concurrent_roundtrips_equal_the_serial_ones():
+    # each thread has its own arena: a region shared between threads would
+    # mix the stacks of two roundtrips and change their results
+    pairs = []
+    for name in ("su3_u2", "so4"):
+        c = la.builtin_context(name)
+        rng = _rng()
+        pairs.append((la.group_exp(c, c.random_element(rng, 1.2)), c.random_element(rng, 1.5)))
+    serial = [nahm.adapted_roundtrip(a, v, 2000).matrix for a, v in pairs]
+    jobs = [k % len(pairs) for k in range(4)]  # more threads than cores
+    start = threading.Barrier(len(jobs))
+    got = [[] for _ in jobs]
+
+    def run(slot):
+        a, v = pairs[jobs[slot]]
+        start.wait()
+        for _ in range(5):
+            got[slot].append(nahm.adapted_roundtrip(a, v, 2000).matrix)
+
+    threads = [threading.Thread(target=run, args=(slot,)) for slot in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k, results in zip(jobs, got):
+        assert len(results) == 5
+        assert all(np.array_equal(r, serial[k]) for r in results)
+
+
+def test_arena_keeps_at_most_its_cap():
+    # five so4 stacks at N = 8000 are about 10 MB, past the cap: the
+    # requests that do not fit get per-call arrays
+    a, v = _so4_pair()
+    small = nahm.adapted_roundtrip(a, v, 2000).matrix
+    big = nahm.adapted_roundtrip(a, v, 8000).matrix
+    assert sum(r.nbytes for r in _arena_regions()) <= nahm._ARENA_CAP_BYTES
+    assert np.linalg.norm(big - small) < 1e-9 * np.linalg.norm(small)
+    assert np.array_equal(nahm.adapted_roundtrip(a, v, 2000).matrix, small)
 
 
 def test_embed_tangent_custom_path_well_definedness(ctx):
@@ -655,7 +734,7 @@ def _rk4_per_commutator(T0, initial):
     one matrix at a time: the reference for the stacked stage."""
     N = T0.grid_size
     h = 1.0 / N
-    mids = nahm._midpoints(T0.values)
+    mids = np.moveaxis(nahm._midpoints(np.moveaxis(T0.values, 0, -1)), -1, 0)
     c = lambda A, B: A @ B - B @ A
 
     def rhs(y, a):
@@ -947,7 +1026,8 @@ def test_gauge_ode_matches_a_sequential_product_of_its_factors():
                        "complex-algebra", ctx3)
     g = nahm.solve_gauge_ode(A)
     vals, h = A.values, 1.0 / N
-    omega = (h / 6.0 * (vals[:-1] + 4.0 * nahm._midpoints(vals) + vals[1:])
+    mids = np.moveaxis(nahm._midpoints(np.moveaxis(vals, 0, -1)), -1, 0)
+    omega = (h / 6.0 * (vals[:-1] + 4.0 * mids + vals[1:])
              + h * h / 12.0 * (vals[:-1] @ vals[1:] - vals[1:] @ vals[:-1]))
     want = _sequential_suffix_products(scipy.linalg.expm(-omega))
     assert g.kind == "complex-group"

@@ -85,11 +85,15 @@ class LieAlgebraContext:
         except (ClosureViolation, ContextMismatch):
             return False
 
-    def random_element(self, rng, radius=1.0):
-        """Element with coefficient vector drawn uniformly in the ball."""
+    def random_coefficients(self, rng, radius=1.0):
+        """Coefficient vector drawn uniformly in the ball of ``radius``."""
         c = rng.standard_normal(self.dim)
         c *= radius * rng.uniform(0, 1) ** (1.0 / self.dim) / np.linalg.norm(c)
-        return self.reconstruct(c)
+        return c
+
+    def random_element(self, rng, radius=1.0):
+        """Element with coefficient vector drawn uniformly in the ball."""
+        return self.reconstruct(self.random_coefficients(rng, radius))
 
     # -- metric --------------------------------------------------------
 

@@ -97,17 +97,20 @@ def ma_residual(rho):
     The raised index follows the convention sum_b rho^{a bbar} rho_{c bbar}
     = delta_{ac}.  The residual of a real ``rho`` is real, and is returned as
     a real jet.  Raises DegenerateHessian when the constant part of the
-    complex Hessian is not positive-definite.  Every block is determined
-    by the jet when rho has no linear part, as for every potential here;
-    with one, the top block would also need the terms of rho above the
-    degree bound and is left without the raised index's top-degree term.
+    complex Hessian is not positive-definite.  When rho has no linear part,
+    as every potential here, the residual has rho's degree bound.  With one,
+    the residual's block of degree d needs rho through degree d + 2: the
+    inverse Hessian's degree-d block meets the constant terms of both first
+    derivatives.  The residual then stops at ``bound - 2``, the last degree
+    the jet determines.
     """
     n = _fiber_dimension(rho)
     num_vars, bound = rho.num_vars, rho.max_degree
     # dz[a] = d rho / dz_a and dzbar[b] are complete through degree bound - 1
-    # and kept there, and so are the Hessian and the solve: the product needs
-    # the solve's top block only against a constant term of dz (see above).
-    # Only the last product is padded to the bound.
+    # and kept there, and so are the Hessian and the solve: only a linear
+    # part of rho, which gives dz and dzbar constant terms, lets the product
+    # read the Hessian's incomplete top block, and the residual is then cut
+    # to bound - 2.  Only the last product is padded to the bound.
     dz, dzbar = _wirtinger_pair(rho, n)
     # the transposed complex Hessian, HT[b, a] = d^2 rho / dz_a dzbar_b
     HT = wirtinger_zbar(dz, np.arange(n), n)._c
@@ -123,7 +126,10 @@ def ma_residual(rho):
                                 dz.truncated(bound)._c[:, None], num_vars, bound)[0, 0]
     if np.isrealobj(rho._c):
         contracted = contracted.real
-    return (-2.0) * rho + JetPolynomial._from_array(num_vars, bound, contracted)
+    residual = (-2.0) * rho + JetPolynomial._from_array(num_vars, bound, contracted)
+    if rho._c[rho._layout.block(1)].any():
+        return residual.truncated(bound - 2)
+    return residual
 
 
 @dataclass(frozen=True)

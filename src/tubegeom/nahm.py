@@ -682,11 +682,15 @@ def adapted_roundtrip(a, v, grid_size=2000, h_path=None):
 
 # -- flat hyperkahler structure ------------------------------------------
 
-def _trapezoid(node_values, N):
+def _trapezoid_weights(N):
     w = np.full(N + 1, 1.0 / N)
     w[0] *= 0.5
     w[-1] *= 0.5
-    return float(np.dot(w, node_values))
+    return w
+
+
+def _trapezoid(node_values, N):
+    return float(np.dot(_trapezoid_weights(N), node_values))
 
 
 def _slot_pairing(X, Y, weights, order):
@@ -715,11 +719,15 @@ def l2_metric(X, Y):
     return _slot_pairing(X, Y, (1.0, 1.0, 1.0, 1.0), (0, 1, 2, 3))
 
 
+# (weights, order) of omega_I: sum_k w_k <X_k, Y_order[k]>
+_OMEGA_I_PAIRING = ((1.0, -1.0, 1.0, -1.0), (1, 0, 3, 2))
+
+
 def omega_I(X, Y):
     """Symplectic pairing of the first complex structure:
     integral of <X0,Y1> - <X1,Y0> + <X2,Y3> - <X3,Y2> for configurations
     X, Y used as tangent vectors."""
-    return _slot_pairing(X, Y, (1.0, -1.0, 1.0, -1.0), (1, 0, 3, 2))
+    return _slot_pairing(X, Y, *_OMEGA_I_PAIRING)
 
 
 def kahler_potential(config):
@@ -904,6 +912,18 @@ def smooth_gauge(context, rng, grid_size, amplitude=0.5, endpoints="free"):
     return GaugePath(_expm_stack(context.path_reconstruct(coeffs)), "group", context)
 
 
+def _tangent_draws(context, rng, amplitude=1.0):
+    """The draws of ``smooth_tangent`` in its rng order: per slot the real
+    coefficients a, b of its two algebra elements and its frequency f, so
+    that the slot is cos(pi f t) A + sin(pi t) B."""
+    draws = []
+    for _ in range(4):
+        a = context.random_coefficients(rng, amplitude)
+        b = context.random_coefficients(rng, amplitude)
+        draws.append((a, b, rng.integers(1, 4)))
+    return draws
+
+
 def smooth_tangent(context, rng, grid_size, amplitude=1.0):
     """Random analytic configuration (trig profiles per slot), used as a
     point or as a tangent direction."""
@@ -911,9 +931,47 @@ def smooth_tangent(context, rng, grid_size, amplitude=1.0):
     prof2 = np.sin(np.pi * ts)[:, None, None]
     m = context.matrix_size
     values = np.empty((4, grid_size + 1, m, m), dtype=complex)
-    for slot in values:
-        c1 = context.random_element(rng, amplitude)
-        c2 = context.random_element(rng, amplitude)
-        freq = rng.integers(1, 4)
-        slot[...] = np.cos(np.pi * freq * ts)[:, None, None] * c1 + prof2 * c2
+    spare = np.empty_like(values[0])
+    for slot, (a, b, freq) in zip(values, _tangent_draws(context, rng, amplitude)):
+        np.multiply(np.cos(np.pi * freq * ts)[:, None, None],
+                    context.reconstruct(a), out=slot)
+        slot += np.multiply(prof2, context.reconstruct(b), out=spare)
     return NahmConfiguration._from_stack(values, context)
+
+
+def smooth_tangent_omega_I(context, rng_x, rng_y, grid_size, amplitude=1.0):
+    """omega_I(X, Y) for X = smooth_tangent(context, rng_x, grid_size,
+    amplitude) and Y the same from rng_y, drawn after X, without either
+    configuration.
+
+    omega_I is bilinear, and slot k of X is cos(pi f_k t) A_k + sin(pi t) B_k,
+    so its trapezoid value is a sum of pairings <A_k, C_j> of the drawn
+    coefficients under ``context.inner_product``, each times the trapezoid
+    of a product of two 1-D profiles.  That takes O(N) floats where the
+    tangents take two complex (4, N+1, m, m) stacks.
+    """
+    X = _tangent_draws(context, rng_x, amplitude)
+    Y = _tangent_draws(context, rng_y, amplitude)
+    # profile 0 is sin(pi t); profile p > 0 is cos(pi f t) for the p-th
+    # distinct drawn frequency f
+    freqs = sorted({int(f) for _, _, f in X + Y})
+    ts = np.linspace(0.0, 1.0, grid_size + 1)
+    profiles = [np.sin(np.pi * ts)] + [np.cos(np.pi * f * ts) for f in freqs]
+    del ts
+    w = _trapezoid_weights(grid_size)
+    gram = np.empty((len(profiles), len(profiles)))
+    for p, row in enumerate(profiles):
+        weighted = w * row
+        gram[p] = [np.dot(weighted, col) for col in profiles]
+    G = context.inner_product
+
+    def terms(draw):
+        a, b, f = draw
+        return ((freqs.index(int(f)) + 1, a), (0, b))
+
+    weights, order = _OMEGA_I_PAIRING
+    total = 0.0
+    for weight, x, j in zip(weights, X, order):
+        total += weight * sum(gram[p, q] * (u @ G @ v)
+                              for p, u in terms(x) for q, v in terms(Y[j]))
+    return float(total)

@@ -340,6 +340,19 @@ def test_growing_two_form_error_fails_the_order_gate(monkeypatch):
     assert "[observed -1.99" in order.note
 
 
+@pytest.mark.parametrize("pairing", [
+    ((1.0, -1.0, 1.0, -1.0), (1, 0, 2, 3)),   # T2 and T3 of Y swapped
+    ((1.0, 1.0, 1.0, -1.0), (1, 0, 3, 2)),    # one weight's sign flipped
+])
+def test_wrong_two_form_reference_fails_the_order_gate(monkeypatch, pairing):
+    # potential_two_form does not read the pairing table, so only the
+    # reference moves, and every grid then misses it by the same amount
+    monkeypatch.setattr(nahm, "_OMEGA_I_PAIRING", pairing)
+    records = cli.run_suite(cli.SuiteConfig(suite="s1-isometry", grid=64))
+    order = next(rec for rec in records if rec.case == "two-form-order")
+    assert order.status == "fail"
+
+
 def test_coset_case_fails_for_shifts_outside_the_subgroup(monkeypatch):
     ctx = liealg.builtin_context("su2_u1")
     off = liealg.group_exp(ctx, 0.8 * ctx.m_basis()[0]).matrix  # exp(m), not in H

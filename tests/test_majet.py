@@ -200,6 +200,19 @@ def test_ma_residual_pointwise_against_direct_numerics():
         assert jet_val == pytest.approx(num_val, abs=5e-6)
 
 
+def _per_entry_residual(rho, n):
+    """The residual from the Neumann-series inverse, independent of the
+    library's solve, summed one Hessian entry at a time."""
+    H = majet.complex_hessian(rho)
+    N = JetPolynomial._from_array(H.num_vars, H.max_degree,
+                                  einsum_inverse(H._c, H.num_vars, H.max_degree))
+    want = (-2.0) * rho
+    for a in range(n):
+        for b in range(n):
+            want = want + N[b][a] * wirtinger_zbar(rho, b, n) * wirtinger_z(rho, a, n)
+    return want
+
+
 def test_ma_residual_matches_a_per_entry_contraction():
     rng = np.random.default_rng(11)
     for n in (2, 3, 4):
@@ -210,17 +223,44 @@ def test_ma_residual_matches_a_per_entry_contraction():
                 powers = np.bincount(rng.integers(0, 2 * n, d), minlength=2 * n)
                 terms[tuple(powers.tolist())] = rng.uniform(-0.3, 0.3)
         rho = rho + JetPolynomial(2 * n, rho.max_degree, terms)
-        # the Neumann-series inverse, independent of the library's solve
-        H = majet.complex_hessian(rho)
-        N = JetPolynomial._from_array(H.num_vars, H.max_degree,
-                                      einsum_inverse(H._c, H.num_vars, H.max_degree))
-        want = (-2.0) * rho
-        for a in range(n):
-            for b in range(n):
-                want = want + N[b][a] * wirtinger_zbar(rho, b, n) * wirtinger_z(rho, a, n)
         got = majet.ma_residual(rho)
         assert got.max_degree == rho.max_degree
-        assert (got - want).max_abs_coeff() < 1e-13
+        assert (got - _per_entry_residual(rho, n)).max_abs_coeff() < 1e-13
+
+
+def _with_terms_above(rho, degree, rng):
+    """rho on the layout of ``degree``, with random terms of that degree."""
+    wider = rho.truncated(degree)
+    block = wider._layout.block(degree)
+    wider._c[block] = rng.uniform(-0.3, 0.3, block.stop - block.start)
+    return wider
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_residual_with_a_linear_part_stops_at_the_last_determined_degree(n):
+    # with a linear part, the residual's degree-d block needs rho through
+    # degree d + 2, so a degree-bound jet determines it through bound - 2
+    rng = np.random.default_rng(23)
+    rho = majet.potential_expansion(cv.constant_curvature(n, 1.0))
+    bound = rho.max_degree
+    linear = {tuple(row): rng.uniform(-0.5, 0.5)
+              for row in np.eye(2 * n, dtype=int).tolist()}
+    tilted = rho + JetPolynomial(2 * n, bound, linear)
+    got = majet.ma_residual(tilted)
+    assert got.max_degree == bound - 2
+    want = _per_entry_residual(tilted, n).truncated(bound - 2)
+    assert (got - want).max_abs_coeff() < 1e-13
+    # terms above the bound leave every kept block as it is, and move the
+    # first block cut off
+    wider = majet.ma_residual(_with_terms_above(tilted, bound + 1, rng))
+    assert np.array_equal(wider.truncated(bound - 2)._c, got._c)
+    top = wider._layout.block(bound - 1)
+    assert np.max(np.abs(wider._c[top] - want.truncated(bound - 1)._c[top])) > 1e-3
+    # a potential keeps its bound, and every block is determined
+    plain = majet.ma_residual(rho)
+    assert plain.max_degree == bound
+    wider = majet.ma_residual(_with_terms_above(rho, bound + 1, rng))
+    assert np.array_equal(wider.truncated(bound)._c, plain._c)
 
 
 def test_residual_of_a_real_potential_is_real():

@@ -534,6 +534,54 @@ def test_omega_expands_one_slot_at_a_time():
     assert peak <= 12 * 2 ** 20
 
 
+def _traced_peak(fn, *args):
+    fn(*args)  # warm any lazily built context tables
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_two_form_order_peak_memory():
+    # the reference comes from the tangents' draws: the default 25 600 nodes
+    # cost a few profile vectors, not two (4, N+1, 3, 3) complex stacks
+    su3 = la.builtin_context("su3_u2")
+    peak = _traced_peak(registry.two_form_order, su3, (7, 5, 6),
+                        registry.SWEEPS["two_form_ref"])
+    assert peak <= 4 * 2 ** 20
+
+
+def test_tangent_omega_reference_peak_memory():
+    su3 = la.builtin_context("su3_u2")
+    peak = _traced_peak(lambda: nahm.smooth_tangent_omega_I(
+        su3, np.random.default_rng(5), np.random.default_rng(6), 200000))
+    assert peak <= 16 * 2 ** 20
+
+
+def _scaled_su2():
+    # su(2) with its basis doubled, on which the same trace form reads 4 I
+    su2 = la.builtin_context("su2")
+    return la.LieAlgebraContext("su2x2", 2 * su2.basis, inner_product=4 * np.eye(3))
+
+
+@pytest.mark.parametrize("name", ["su2", "su2_u1", "su3", "su3_u2", "so3", "so4",
+                                  "torus2", "su2x2"])
+def test_tangent_omega_reference_equals_omega_on_the_tangents(name):
+    context = _scaled_su2() if name == "su2x2" else la.builtin_context(name)
+    N = 2000
+    for seed in (3, 17):
+        rng = np.random.default_rng(seed)
+        X = nahm.smooth_tangent(context, rng, N, amplitude=1.5)
+        Y = nahm.smooth_tangent(context, rng, N, amplitude=1.5)
+        want = nahm.omega_I(X, Y)
+        rng = np.random.default_rng(seed)  # X's draws, then Y's, from one rng
+        got = nahm.smooth_tangent_omega_I(context, rng, rng, N, amplitude=1.5)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_potential_values(ctx):
     N = 100
     zero = _zero(ctx, N)

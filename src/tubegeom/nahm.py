@@ -931,18 +931,15 @@ def smooth_tangent(context, rng, grid_size, amplitude=1.0):
     prof2 = np.sin(np.pi * ts)[:, None, None]
     m = context.matrix_size
     values = np.empty((4, grid_size + 1, m, m), dtype=complex)
-    spare = np.empty_like(values[0])
     for slot, (a, b, freq) in zip(values, _tangent_draws(context, rng, amplitude)):
-        np.multiply(np.cos(np.pi * freq * ts)[:, None, None],
-                    context.reconstruct(a), out=slot)
-        slot += np.multiply(prof2, context.reconstruct(b), out=spare)
+        slot[...] = (np.cos(np.pi * freq * ts)[:, None, None] * context.reconstruct(a)
+                     + prof2 * context.reconstruct(b))
     return NahmConfiguration._from_stack(values, context)
 
 
-def smooth_tangent_omega_I(context, rng_x, rng_y, grid_size, amplitude=1.0):
-    """omega_I(X, Y) for X = smooth_tangent(context, rng_x, grid_size,
-    amplitude) and Y the same from rng_y, drawn after X, without either
-    configuration.
+def smooth_tangent_omega_I(context, rng_x, rng_y, grid_size):
+    """omega_I(X, Y) for X = smooth_tangent(context, rng_x, grid_size) and
+    Y the same from rng_y, drawn after X, without either configuration.
 
     omega_I is bilinear, and slot k of X is cos(pi f_k t) A_k + sin(pi t) B_k,
     so its trapezoid value is a sum of pairings <A_k, C_j> of the drawn
@@ -950,8 +947,8 @@ def smooth_tangent_omega_I(context, rng_x, rng_y, grid_size, amplitude=1.0):
     of a product of two 1-D profiles.  That takes O(N) floats where the
     tangents take two complex (4, N+1, m, m) stacks.
     """
-    X = _tangent_draws(context, rng_x, amplitude)
-    Y = _tangent_draws(context, rng_y, amplitude)
+    X = _tangent_draws(context, rng_x)
+    Y = _tangent_draws(context, rng_y)
     # profile 0 is sin(pi t); profile p > 0 is cos(pi f t) for the p-th
     # distinct drawn frequency f
     freqs = sorted({int(f) for _, _, f in X + Y})

@@ -574,11 +574,11 @@ def test_tangent_omega_reference_equals_omega_on_the_tangents(name):
     N = 2000
     for seed in (3, 17):
         rng = np.random.default_rng(seed)
-        X = nahm.smooth_tangent(context, rng, N, amplitude=1.5)
-        Y = nahm.smooth_tangent(context, rng, N, amplitude=1.5)
+        X = nahm.smooth_tangent(context, rng, N)
+        Y = nahm.smooth_tangent(context, rng, N)
         want = nahm.omega_I(X, Y)
         rng = np.random.default_rng(seed)  # X's draws, then Y's, from one rng
-        got = nahm.smooth_tangent_omega_I(context, rng, rng, N, amplitude=1.5)
+        got = nahm.smooth_tangent_omega_I(context, rng, rng, N)
         assert abs(got - want) <= 1e-13 * abs(want)
 
 

@@ -20,7 +20,6 @@ nowhere else.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -71,48 +70,6 @@ class CurvatureTensor:
         if diag > tol * scale:
             raise SymmetryViolation(f"R[i,i,i,i] nonzero: {diag:.3e}")
         return self
-
-    # -- serialization: independent components + index manifest --------
-
-    def to_json(self):
-        n = self.dimension
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        rows = []
-        for a, (i, j) in enumerate(pairs):
-            for (k, l) in pairs[a:]:
-                rows.append([i, j, k, l, float(self.components[i, j, k, l])])
-        return json.dumps({
-            "kind": "curvature_tensor",
-            "dimension": n,
-            "convention": "R[i,j,k,l] = g(R(e_i,e_j) e_l, e_k); S(i,j) = R[i,j,i,j]",
-            "components": rows,
-        })
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        if not isinstance(data, dict) or data.get("kind") != "curvature_tensor":
-            raise MalformedInput("not a curvature tensor record")
-        n = data.get("dimension")
-        if not _is_int(n) or n < 1:
-            raise MalformedInput(f"dimension must be an integer >= 1, not {n!r}")
-        rows = data.get("components")
-        if not isinstance(rows, list):
-            raise MalformedInput("a curvature tensor record lists its components")
-        R = np.zeros((n, n, n, n))
-        for row in rows:
-            if not (isinstance(row, list) and len(row) == 5
-                    and all(_is_int(idx) for idx in row[:4])):
-                raise MalformedInput(f"component {row!r} is not [i, j, k, l, value] "
-                                     "with integer indices")
-            i, j, k, l, v = row
-            _check_indices(n, i, j, k, l)
-            _assign_orbit(R, i, j, k, l, v)
-        return cls(R).validate()
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _assign_orbit(R, i, j, k, l, v):
@@ -225,31 +182,6 @@ def chart_from_metric_jet(metric):
     """Wrap an (n, n) metric jet in 2n variables as a chart in x alone, at y = 0."""
     n = len(metric)
     return MetricChart(n, lambda x: metric.evaluate(np.pad(x, (0, n))), "metric-jet")
-
-
-def sphere_chart(n, kappa=1.0):
-    """Round space form metric of curvature ``kappa`` in normal coordinates."""
-
-    def radial_factor(r2):
-        # sin(sqrt(k) r)^2 / (k r^2), continued through r = 0 and kappa <= 0
-        u = kappa * r2
-        if abs(u) < 1e-10:
-            return 1.0 - u / 3.0 + 2.0 * u * u / 45.0
-        if u > 0:
-            s = np.sqrt(u)
-            return np.sin(s) ** 2 / u
-        s = np.sqrt(-u)
-        return np.sinh(s) ** 2 / (-u)
-
-    def evaluator(x):
-        r2 = float(np.dot(x, x))
-        if r2 == 0.0:
-            return np.eye(n)
-        f = radial_factor(r2)
-        proj = np.outer(x, x) / r2
-        return f * np.eye(n) + (1.0 - f) * proj
-
-    return MetricChart(n, evaluator, name=f"sphere(kappa={kappa})")
 
 
 # -- finite-difference curvature oracle --------------------------------

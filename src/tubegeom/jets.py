@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 
 import numpy as np
 
@@ -319,8 +318,8 @@ class JetPolynomial:
     dropped.  Coefficients have shape ``(*shape, monomials)``, so a jet
     matrix is one jet with entries ``A[i, j] == A[i][j]``.  Arithmetic,
     ``partial`` and ``evaluate`` act entry-wise; the dict constructor,
-    ``coeffs``, ``coefficient``, ``to_json`` and jet products take scalar
-    jets only.  Instances are immutable; operations return new jets.
+    ``coeffs``, ``coefficient`` and jet products take scalar jets only.
+    Instances are immutable; operations return new jets.
     """
 
     __slots__ = ("num_vars", "max_degree", "_c")
@@ -584,25 +583,6 @@ class JetPolynomial:
         return (f"JetPolynomial(num_vars={self.num_vars}, "
                 f"max_degree={self.max_degree}, shape={self.shape}, "
                 f"terms={np.count_nonzero(self._c)})")
-
-    # -- serialization ------------------------------------------------
-
-    def to_json(self):
-        terms = [{"powers": list(p), "re": float(np.real(c)), "im": float(np.imag(c))}
-                 for p, c in sorted(self.coeffs.items())]
-        return json.dumps({"kind": "jet", "num_vars": self.num_vars,
-                           "max_degree": self.max_degree, "terms": terms})
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        if data.get("kind") != "jet":
-            raise MalformedInput("not a jet record")
-        coeffs = {}
-        for t in data["terms"]:
-            c = t["re"] + 1j * t["im"]
-            coeffs[tuple(t["powers"])] = c.real if c.imag == 0.0 else c
-        return cls(data["num_vars"], data["max_degree"], coeffs)
 
 
 # -- Wirtinger derivatives on the (x_1..x_n, y_1..y_n) layout ----------

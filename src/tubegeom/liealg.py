@@ -305,33 +305,6 @@ def adjoint(g, X):
     return g.matrix @ X @ g.inverse().matrix
 
 
-def check_ad_invariance(context, tol=1e-12):
-    """Max defect of <[Z,X],Y> + <X,[Z,Y]> over all basis triples."""
-    worst = 0.0
-    for Z in context.basis:
-        for X in context.basis:
-            for Y in context.basis:
-                zx = Z @ X - X @ Z
-                zy = Z @ Y - Y @ Z
-                worst = max(worst, abs(context.pair(zx, Y) + context.pair(X, zy)))
-    if worst > tol:
-        raise MalformedInput(f"inner product is not Ad-invariant ({worst:.3e})")
-    return worst
-
-
-def check_reductive(context, tol=1e-12):
-    """Max subalgebra component of [h, m] over split basis pairs."""
-    context._require_split()
-    worst = 0.0
-    for H in context.h_basis():
-        for M in context.m_basis():
-            proj = context.project_h(H @ M - M @ H)
-            worst = max(worst, np.linalg.norm(proj))
-    if worst > tol:
-        raise MalformedInput(f"split is not reductive ([h,m] leaves m, {worst:.3e})")
-    return worst
-
-
 def polar_split(matrices):
     """Split each matrix of a (K, m, m) stack as m = u exp(i v).
 

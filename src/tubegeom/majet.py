@@ -17,10 +17,12 @@ any potential jet satisfies the degenerate Monge-Ampere identity
 
 computed with exact Wirtinger calculus on jets: the raised index is one graded
 solve against the transposed complex Hessian, with no inverse formed, and one
-jet-matrix product pairs it with d rho / dz.
-``solve_quartic_coefficients`` is the one quartic read: the identity
-linearized at |y|^2 multiplies a pure-y degree-d block by -(d-1)(d-2), so the
-free pure-y quartic coefficients are one residual block, divided by 6.
+jet-matrix product pairs it with d rho / dz.  ``solve_potential`` solves the
+identity through any degree by bi-degree back-substitution: the seed gives
+the blocks of y-degree at most 2, and the identity linearized at |y|^2
+multiplies a block of y-degree b by -(b-1)(b-2), so each block with b >= 3
+is a residual block divided by (b-1)(b-2).  ``solve_quartic_coefficients``
+reads the free pure-y quartic coefficients off the degree-4 solve.
 
 Normalization: the whole potential carries the factor ``FIBER_SCALE = 1``
 (so ``rho = |y|^2`` on the fiber over the base point); the identity is
@@ -45,14 +47,6 @@ FIBER_SCALE = 1.0
 
 DEFAULT_DEGREE = 6  # exposes the first surviving residual order above four
 HESSIAN_TOL = 1e-8  # smallest eigenvalue a constant complex Hessian may have
-
-# The identity linearized at rho = |y|^2 is
-#     dMA(P) = 2 (y . grad_y) P - y^T (grad_x^2 + grad_y^2) P y - 2 P.
-# On a pure-y P homogeneous of degree d, Euler's identity gives
-# (y . grad_y) P = d P and y^T grad_y^2 P y = d (d - 1) P, and grad_x^2 P = 0,
-# so dMA(P) = (2 d - d (d - 1) - 2) P = -(d - 1)(d - 2) P: the gain on the
-# pure-y quartic block (d = 4) is -6.
-PURE_Y_QUARTIC_GAIN = 6.0
 
 
 def potential_expansion(tensor, max_degree=DEFAULT_DEGREE):
@@ -132,19 +126,64 @@ def ma_residual(rho):
     return residual
 
 
+# The identity linearized at rho = |y|^2 is
+#     dMA(P) = 2 (y . grad_y) P - y^T (grad_x^2 + grad_y^2) P y - 2 P.
+# On a block P of x-degree a and y-degree b, Euler's identity gives
+# (y . grad_y) P = b P and y^T grad_y^2 P y = b (b - 1) P, so
+# dMA(P) = (2 b - b (b - 1) - 2) P - y^T grad_x^2 P y
+#        = -(b - 1)(b - 2) P - y^T grad_x^2 P y.
+# The gain -(b - 1)(b - 2) is nonzero for every b >= 3 (-6 on the quartic
+# blocks, b = 4), and the last term moves block (a, b) to (a - 2, b + 2) of
+# the same total degree: the residual block (a, b) also holds the image of
+# block (a + 2, b - 2), which a solve by ascending y-degree has already set.
+def _block_gain(b):
+    """Minus the gain of the linearized identity on a block of y-degree b."""
+    return (b - 1) * (b - 2)
+
+
+def solve_potential(seed):
+    """The potential that solves the identity through the seed's degree bound.
+
+    The seed supplies the blocks of y-degree at most 2, y^T g(x) y for a
+    metric g; the solve fills every block of y-degree b >= 3 by
+    Gauss-Seidel on ``ma_residual``.  For total degree d = 3..max_degree
+    and, within d, b = 3..d, it adds the residual's blocks of degree d and
+    y-degree b divided by (b - 1)(b - 2).  Within degree d the step changes
+    the residual only by the gain on its own blocks, which it cancels, and
+    in blocks of larger b, which come later.  The residual is recomputed
+    only after a step that changed the jet, so an even seed of degree 4
+    costs one residual.
+    Raises MalformedInput for a seed with a linear part, whose residual
+    stops two degrees short of the bound.
+    """
+    n = _fiber_dimension(seed)
+    if seed.max_abs_coeff(degrees={1}):
+        raise MalformedInput("a potential seed may not have a linear part")
+    layout = seed._layout
+    y_degree = layout.exponents[:, n:].sum(axis=1)
+    coeffs = seed._c.copy()
+    rho = JetPolynomial._from_array(seed.num_vars, seed.max_degree, coeffs)
+    residual = None
+    for d in range(3, seed.max_degree + 1):
+        block = layout.block(d)
+        for b in range(3, d + 1):
+            if residual is None:
+                residual = ma_residual(rho)._c
+            positions = block.start + np.flatnonzero(y_degree[block] == b)
+            step = residual[positions] / _block_gain(b)
+            if step.any():
+                coeffs[positions] += step
+                residual = None
+    return rho
+
+
 @dataclass(frozen=True)
 class QuarticCoefficients:
-    """Free quartic y-coefficients of the potential ansatz.
+    """Free quartic y-coefficients of the potential: ``values`` maps the
+    non-decreasing quadruples (i <= j <= k <= l) to the coefficient of
+    y_i y_j y_k y_l."""
 
-    ``values`` maps non-decreasing quadruples (i <= j <= k <= l) to the
-    coefficient of y_i y_j y_k y_l; any other arrangement counts as zero.
-    """
-
-    dimension: int
     values: dict
-
-    def coefficient(self, i, j, k, l):
-        return self.values.get((i, j, k, l), 0.0)
 
     def max_abs(self):
         """Largest |coefficient|; NaN when any coefficient is NaN."""
@@ -156,31 +195,16 @@ def ordered_quadruples(n):
     return list(itertools.combinations_with_replacement(range(n), 4))
 
 
-def _pure_y_quartic_powers(n):
-    """Exponent rows of the monomials y_i y_j y_k y_l, ``ordered_quadruples`` order."""
-    return np.eye(2 * n, dtype=np.int64)[n:][ordered_quadruples(n)].sum(axis=1)
-
-
-def _pure_y_quartic_read(residual, n):
-    """The pure-y quartic block of a residual jet, in ``ordered_quadruples``
-    order, divided by PURE_Y_QUARTIC_GAIN: the pure-y quartic that matching
-    the block to zero asks the potential to gain."""
-    positions = residual._layout.index(_pure_y_quartic_powers(n))
-    return residual._c[positions] / PURE_Y_QUARTIC_GAIN
-
-
 def solve_quartic_coefficients(tensor):
-    """Solve for the free quartic coefficients directly from the identity.
-
-    The pure-y degree-4 block of the residual is affine in the free pure-y
-    quartic coefficients P, with gain -PURE_Y_QUARTIC_GAIN, so matching it
-    to zero reads P off the residual of the closed-form expansion at x = 0:
-    P = r / PURE_Y_QUARTIC_GAIN.  One residual, no linear system.
-    """
+    """The pure-y quartic block of ``solve_potential`` on the degree-4
+    expansion of ``tensor``, which the paper says vanishes.  The seed has
+    none, so the block is the solve's degree-4 step: one residual."""
     n = tensor.dimension
-    found = _pure_y_quartic_read(ma_residual(potential_expansion(tensor, 4)), n)
-    return QuarticCoefficients(n, {q: float(v) for q, v in
-                                   zip(ordered_quadruples(n), found)})
+    solved = solve_potential(potential_expansion(tensor, 4))
+    quadruples = ordered_quadruples(n)
+    powers = np.eye(2 * n, dtype=np.int64)[n:][quadruples].sum(axis=1)
+    found = solved._c[solved._layout.index(powers)]
+    return QuarticCoefficients(dict(zip(quadruples, found.tolist())))
 
 
 # -- residual scaling study --------------------------------------------

@@ -54,18 +54,19 @@ def quartic_sweep(rng, count):
 
 
 def planted_quartic_gap(rng):
-    """Worst |read + P| over n = 2, 3, where a seeded pure-y quartic P is
-    added to the degree-4 expansion of a seeded admissible tensor and read
-    is the solve's pure-y quartic read of its residual: the matching must
-    cancel the plant, with the gain and at the positions of the solve."""
+    """Worst |correction + P| over n = 2, 3, where a seeded pure-y quartic P
+    is planted into the solver's seed, the degree-4 expansion of a seeded
+    admissible tensor: the solve must cancel the plant, with its gain and at
+    its positions.  The solved pure-y quartic block is P + correction."""
     gaps = []
     for n in (2, 3):
         R = cv.random_admissible(n, rng)
-        powers = majet._pure_y_quartic_powers(n)
+        powers = [(0,) * n + tuple(np.bincount(q, minlength=n).tolist())
+                  for q in majet.ordered_quadruples(n)]
         P = rng.standard_normal(len(powers))
-        planted = JetPolynomial(2 * n, 4, dict(zip(map(tuple, powers.tolist()), P)))
-        residual = majet.ma_residual(majet.potential_expansion(R, 4) + planted)
-        gaps.append(np.max(np.abs(majet._pure_y_quartic_read(residual, n) + P)))
+        planted = JetPolynomial(2 * n, 4, dict(zip(powers, P)))
+        solved = majet.solve_potential(majet.potential_expansion(R, 4) + planted)
+        gaps.append(np.max(np.abs([solved.coefficient(p) for p in powers])))
     return _worst(gaps)
 
 

@@ -232,8 +232,6 @@ def test_scalar_only_operations_reject_jets_with_leading_axes():
     with pytest.raises(MalformedInput):
         A.coefficient((0, 0, 0, 0))
     with pytest.raises(MalformedInput):
-        A.to_json()
-    with pytest.raises(MalformedInput):
         A * A[0, 0]
     with pytest.raises(MalformedInput):
         A[0, 0] * A[0]
@@ -271,17 +269,6 @@ def test_evaluate_shape_checks():
     jet = JetPolynomial(3, 2, {(1, 0, 0): 1.0})
     with pytest.raises(MalformedInput):
         jet.evaluate(np.zeros(2))
-
-
-def test_json_roundtrip():
-    rng = np.random.default_rng(4)
-    jet = _random_jet(rng) + 1j * _random_jet(rng)
-    back = JetPolynomial.from_json(jet.to_json())
-    assert back.num_vars == jet.num_vars
-    assert back.max_degree == jet.max_degree
-    assert back.coeffs.keys() == jet.coeffs.keys()
-    for powers, c in jet.coeffs.items():
-        assert back.coefficient(powers) == pytest.approx(c, abs=1e-16)
 
 
 def test_max_abs_coeff_propagates_nan():

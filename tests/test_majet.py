@@ -5,7 +5,7 @@ import pytest
 
 from tubegeom import curvature as cv
 from tubegeom import majet
-from tubegeom.errors import DegenerateHessian, SingularSystem
+from tubegeom.errors import DegenerateHessian, MalformedInput, SingularSystem
 from tubegeom.jets import (JetPolynomial, matrix_inverse, wirtinger_z,
                            wirtinger_zbar)
 
@@ -298,8 +298,7 @@ def test_pure_y_block_gain_is_minus_d_minus_one_times_d_minus_two(n, d):
     # the identity linearized at |y|^2 multiplies a pure-y degree-d block by
     # -(d-1)(d-2); through degree d the block is exactly linear for d >= 3
     gain = -(d - 1) * (d - 2)
-    if d == 4:
-        assert gain == -majet.PURE_Y_QUARTIC_GAIN
+    assert gain == -majet._block_gain(d)
     rng = np.random.default_rng(100 * n + d)
     powers = _pure_y_powers(n, d)
     P = dict(zip(powers, rng.uniform(-1.0, 1.0, len(powers))))
@@ -319,8 +318,7 @@ def test_pure_y_quartic_probe_matrix_is_minus_six_times_identity(n):
         _fiber_quadratic(n, 4) + JetPolynomial(2 * n, 4, {p: 1.0})), n, 4) - base
         for p in powers]
     L = np.column_stack(columns)
-    np.testing.assert_allclose(L, -majet.PURE_Y_QUARTIC_GAIN * np.eye(len(powers)),
-                               rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(L, -6.0 * np.eye(len(powers)), rtol=0.0, atol=1e-12)
 
 
 def test_invert_near_identity_closed_form():
@@ -392,20 +390,33 @@ def test_solve_quartic_reads_the_residual_block_divided_by_six():
         assert np.any(want != 0.0)  # round-off, but it tells positions apart
 
 
-def test_solve_quartic_recovers_a_planted_pure_y_quartic(monkeypatch):
-    # an expansion carrying a pure-y quartic P solves to -P: the matching
-    # cancels it, with the gain and sign of the linearized identity
-    n = 3
-    rng = np.random.default_rng(22)
-    quads = majet.ordered_quadruples(n)
-    planted = dict(zip(quads, rng.uniform(-1.0, 1.0, len(quads))))
-    P = JetPolynomial(2 * n, 4, dict(zip(_pure_y_powers(n, 4), planted.values())))
-    expansion = majet.potential_expansion
-    monkeypatch.setattr(majet, "potential_expansion",
-                        lambda tensor, degree: expansion(tensor, degree) + P)
-    q = majet.solve_quartic_coefficients(cv.random_admissible(n, rng))
-    for quad, v in planted.items():
-        assert q.coefficient(*quad) == pytest.approx(-v, abs=1e-12)
+def _planted_solve(n, rng):
+    """A seeded pure-y quartic P, and the solve of the degree-4 expansion
+    of a seeded tensor with P planted into the seed."""
+    powers = _pure_y_powers(n, 4)
+    P = dict(zip(powers, rng.uniform(-1.0, 1.0, len(powers))))
+    seed = majet.potential_expansion(cv.random_admissible(n, rng), 4)
+    return P, majet.solve_potential(seed + JetPolynomial(2 * n, 4, P))
+
+
+def test_solve_quartic_recovers_a_planted_pure_y_quartic():
+    # a seed carrying a pure-y quartic P solves to the correction -P, so the
+    # solved block, P plus the correction, vanishes: the solve cancels
+    # the plant with the gain and sign of the linearized identity
+    P, solved = _planted_solve(3, np.random.default_rng(22))
+    for powers in P:
+        assert solved.coefficient(powers) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_a_wrong_gain_leaves_the_plant_but_not_the_flat_quartic(monkeypatch):
+    # b (b - 1) in place of (b - 1)(b - 2) halves the quartic correction:
+    # the plant reads back as P / 2, while the unplanted solve stays zero
+    monkeypatch.setattr(majet, "_block_gain", lambda b: b * (b - 1))
+    P, solved = _planted_solve(3, np.random.default_rng(22))
+    for powers, v in P.items():
+        assert solved.coefficient(powers) == pytest.approx(v / 2.0, abs=1e-12)
+    R = cv.random_admissible(3, np.random.default_rng(2))
+    assert majet.solve_quartic_coefficients(R).max_abs() < 1e-12
 
 
 def test_solve_quartic_makes_one_residual_call(monkeypatch):
@@ -418,6 +429,70 @@ def test_solve_quartic_makes_one_residual_call(monkeypatch):
     second = majet.solve_quartic_coefficients(R)
     assert second.values == first.values
     assert len(calls) == 1
+
+
+def test_solve_potential_rejects_a_seed_with_a_linear_part():
+    # its residual stops at bound - 2, which would leave the top blocks
+    # unsolved
+    seed = majet.potential_expansion(cv.constant_curvature(2, 1.0), 4)
+    with pytest.raises(MalformedInput, match="linear part"):
+        majet.solve_potential(seed + JetPolynomial(4, 4, {(0, 0, 1, 0): 0.1}))
+
+
+def _space_form_seed(kappa, max_degree):
+    """|y|^2 - (1/3) y^T R_x y + (2/45) y^T R_x^2 y for the space form of
+    curvature kappa in dimension 2, R_x[i, j] = R[i, p, j, q] x_p x_q: its
+    metric through degree 4 in x."""
+    R = cv.constant_curvature(2, kappa).components
+    var = [JetPolynomial.variable(k, 4, max_degree) for k in range(4)]
+    x, y = var[:2], var[2:]
+    Rx = [[sum(R[i, p, j, q] * x[p] * x[q] for p in range(2) for q in range(2))
+           for j in range(2)] for i in range(2)]
+    Rx2 = [[Rx[i][0] * Rx[0][j] + Rx[i][1] * Rx[1][j] for j in range(2)]
+           for i in range(2)]
+    return sum(y[i] * y[j] * (float(i == j) - Rx[i][j] * (1.0 / 3.0)
+                              + Rx2[i][j] * (2.0 / 45.0))
+               for i in range(2) for j in range(2))
+
+
+def _odd_y(jet, n):
+    """Mask of the monomials of odd y-degree."""
+    return jet._layout.exponents[:, n:].sum(axis=1) % 2 == 1
+
+
+@pytest.mark.parametrize("kappa", [1.0, -1.0])
+def test_sextic_solve_on_space_forms(monkeypatch, kappa):
+    # Monge-Ampere forces (2/15) (R_pikj x_p y_i y_j)^2, so x0^2 y1^4 = 2/15
+    # on S^2 and on H^2, and no y^6 term.  The steps before the x^2 y^4 block
+    # change nothing, so one residual serves them all and one more serves
+    # the y-degrees 5 and 6
+    calls = []
+    real_residual = majet.ma_residual
+    monkeypatch.setattr(majet, "ma_residual",
+                        lambda rho: calls.append(1) or real_residual(rho))
+    solved = majet.solve_potential(_space_form_seed(kappa, 6))
+    assert len(calls) == 2
+    assert solved.coefficient((2, 0, 0, 4)) == pytest.approx(2.0 / 15.0, abs=1e-15)
+    assert np.max(np.abs(_pure_y_block(solved, 2, 6))) <= 1e-15
+    assert not solved._c[_odd_y(solved, 2)].any()
+    assert real_residual(solved).max_abs_coeff() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_solve_potential_completes_a_random_metric_seed(n):
+    # a random admissible tensor is in general no symmetric space's
+    # curvature, but I - R_x / 3 is still an analytic metric, so the solve
+    # exists: it keeps the seed's blocks of y-degree <= 2, leaves the seed
+    # itself as it is, and its residual is round-off through the bound
+    seed = majet.potential_expansion(cv.random_admissible(n, np.random.default_rng(5)), 6)
+    kept = seed._c.copy()
+    solved = majet.solve_potential(seed)
+    assert np.array_equal(seed._c, kept)
+    low = seed._layout.exponents[:, n:].sum(axis=1) <= 2
+    assert np.array_equal(solved._c[low], kept[low])
+    assert np.max(np.abs(solved._c[~low])) > 1e-3
+    assert not solved._c[_odd_y(solved, n)].any()
+    assert majet.ma_residual(solved).max_abs_coeff() <= 1e-14
 
 
 def test_residual_scaling_slope_for_sphere():
@@ -439,7 +514,7 @@ def test_scaling_csv_shape():
 
 
 def test_quartic_max_abs_propagates_nan():
-    q = majet.QuarticCoefficients(2, {(0, 0, 0, 0): 1.0, (0, 0, 0, 1): np.nan,
-                                      (0, 0, 1, 1): 0.5})
+    q = majet.QuarticCoefficients({(0, 0, 0, 0): 1.0, (0, 0, 0, 1): np.nan,
+                                   (0, 0, 1, 1): 0.5})
     assert np.isnan(q.max_abs())
-    assert majet.QuarticCoefficients(2, {}).max_abs() == 0.0
+    assert majet.QuarticCoefficients({}).max_abs() == 0.0

@@ -67,10 +67,10 @@ def test_readme_override_table_lists_the_registry_keys_and_defaults(capsys):
 
 
 def test_planted_quartic_read_fails_where_the_vanishing_read_cannot(monkeypatch):
-    # a wrong gain leaves the vanishing block at round-off, but the plant
-    # reads back as -P * 6 / 4
+    # a gain of b (b - 1) in place of (b - 1)(b - 2) leaves the vanishing
+    # block at round-off, but the plant reads back as P / 2
     assert registry.planted_quartic_gap(np.random.default_rng(44)) <= 1e-12
-    monkeypatch.setattr(majet, "PURE_Y_QUARTIC_GAIN", 4.0)
+    monkeypatch.setattr(majet, "_block_gain", lambda b: b * (b - 1))
     assert registry.quartic_sweep(np.random.default_rng(43), 2) <= 1e-9
     assert registry.planted_quartic_gap(np.random.default_rng(44)) > 0.1
 
@@ -87,15 +87,17 @@ def _plus_monomial(build, powers):
 
 @pytest.mark.parametrize("module, name, powers, red", [
     (None, None, None, None),
-    (majet, "potential_expansion", (0, 0, 4, 0), "quartic-vanishing"),
+    (majet, "potential_expansion", (2, 0, 2, 0), "quartic-vanishing"),
     (registry, "sphere_potential", (0, 0, 4, 0), "low-order-residual"),
     (registry, "sphere_potential", (2, 0, 3, 0), "residual-scaling-slope"),
-], ids=["clean", "y0^4-in-expansion", "y0^4-in-sphere", "x0^2y0^3-in-sphere"])
+], ids=["clean", "x0^2y0^2-in-expansion", "y0^4-in-sphere", "x0^2y0^3-in-sphere"])
 def test_ma_expansion_plants_turn_their_case_red(monkeypatch, module, name,
                                                  powers, red):
-    # y0^4 in the expansion is a pure-y quartic the solve must report; in the
-    # sphere jet it leaves a degree-4 residual; x0^2 y0^3 leaves a degree-5
-    # residual, which only the slope of the scaled sup sees (about 5.0)
+    # x0^2 y0^2 in the expansion breaks the curvature symmetry that keeps
+    # the solved pure-y quartic zero (the solve absorbs a planted y0^4
+    # instead); y0^4 in the sphere jet leaves a degree-4 residual; x0^2 y0^3
+    # leaves a degree-5 residual, which only the slope of the scaled sup sees
+    # (about 5.0)
     if module is not None:
         monkeypatch.setattr(module, name,
                             _plus_monomial(getattr(module, name), powers))

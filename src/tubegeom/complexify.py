@@ -43,10 +43,10 @@ class TangentPoint:
     def context(self):
         return self.base.context
 
-    def require_in_complement(self, tol=1e-10):
+    def require_in_complement(self):
         """For coset points the vector must have no subalgebra part."""
         h_part = self.context.project_h(self.vector)
-        if np.linalg.norm(h_part) > tol:
+        if np.linalg.norm(h_part) > 1e-10:
             raise VectorNotInM(
                 f"vector has a subalgebra component of norm {np.linalg.norm(h_part):.3e}")
         return self
@@ -64,12 +64,12 @@ class CosetPoint:
         return bool(self.subgroup_membership(rel))
 
 
-def subgroup_membership(context, tol=1e-8):
+def subgroup_membership(context):
     """Membership test for the complexified subgroup H_C of the context's split.
 
     H is modeled by a sub-context over the subalgebra basis (with its block
     of the inner product); a matrix belongs to H_C = H exp(i h) when its
-    polar-split defect (``liealg.membership_defect``) is below ``tol``.
+    polar-split defect (``liealg.membership_defect``) is below 1e-8.
     Raises NoSplitConfigured when the context has no split.
     """
     mask = context.h_mask
@@ -77,7 +77,7 @@ def subgroup_membership(context, tol=1e-8):
                             inner_product=context.inner_product[np.ix_(mask, mask)])
 
     def member(m):
-        return membership_defect(sub, np.asarray(m)[None]) < tol
+        return membership_defect(sub, np.asarray(m)[None]) < 1e-8
 
     return member
 
@@ -104,18 +104,18 @@ def coset_complexification(point, membership):
     return CosetPoint(rep, membership)
 
 
-def group_complexification_inverse(context, image, tol=1e-10):
+def group_complexification_inverse(context, image):
     """Recover (a, v) from m = a exp(i v) by polar splitting.
 
     For anti-Hermitian algebras exp(i v) is the positive-definite polar
     factor of m, so v = -i/2 log(m^* m) and a is the unitary factor
     (``liealg.polar_split``).  Raises LogBranchFailure when the polar factor
-    is singular, ClosureViolation when v leaves the algebra beyond ``tol``,
+    is singular, ClosureViolation when v leaves the algebra span,
     and MalformedInput when a is not unitary.
     """
     m = image.matrix if isinstance(image, GroupElement) else np.asarray(image)
     u, v = polar_split(m[None])
-    v = context.reconstruct(context.coefficients(v[0], tol))
+    v = context.reconstruct(context.coefficients(v[0]))
     return GroupElement(u[0], context).validate(), v
 
 
@@ -143,9 +143,11 @@ def leaf_cr_residual(a, X, t, s, step=1e-3):
     return float(np.linalg.norm(ds - 1j * dt))
 
 
-def cr_order_estimate(a, X, t=0.2, s=0.3, steps=(0.02, 0.01, 0.005)):
-    """Observed order of the CR residual under step refinement."""
-    resid = [leaf_cr_residual(a, X, t, s, h) for h in steps]
+def cr_order_estimate(a, X):
+    """Observed order of the CR residual at (t, s) = (0.2, 0.3) under step
+    refinement."""
+    steps = (0.02, 0.01, 0.005)
+    resid = [leaf_cr_residual(a, X, 0.2, 0.3, h) for h in steps]
     logs = np.log(np.maximum(resid, 1e-300))
     return float(np.polyfit(np.log(steps), logs, 1)[0])
 

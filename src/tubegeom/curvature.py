@@ -113,27 +113,21 @@ def sphere_product(n, plane_curvatures):
     return CurvatureTensor(R).validate()
 
 
-def random_admissible(n, rng, scale=1.0, tol=1e-10):
+def random_admissible(n, rng):
     """Random tensor obtained by symmetrizing noise over the full symmetry group.
 
     Noise is projected onto the pair symmetries, then the cyclic-identity
     defect (its totally antisymmetric part) is removed.  The result is
-    validated and rejected/retried if it still fails, which does not happen
-    in practice.
+    validated, which raises SymmetryViolation if the projection failed.
     """
-    for _ in range(10):
-        N = rng.standard_normal((n, n, n, n)) * scale
-        S = 0.125 * (N - N.transpose(1, 0, 2, 3) - N.transpose(0, 1, 3, 2)
-                     + N.transpose(1, 0, 3, 2) + N.transpose(2, 3, 0, 1)
-                     - N.transpose(3, 2, 0, 1) - N.transpose(2, 3, 1, 0)
-                     + N.transpose(3, 2, 1, 0))
-        bianchi = S + S.transpose(1, 2, 0, 3) + S.transpose(2, 0, 1, 3)
-        R = S - bianchi / 3.0
-        try:
-            return CurvatureTensor(R).validate(tol)
-        except SymmetryViolation:
-            continue
-    raise SymmetryViolation("symmetrized noise kept failing validation")
+    N = rng.standard_normal((n, n, n, n))
+    S = 0.125 * (N - N.transpose(1, 0, 2, 3) - N.transpose(0, 1, 3, 2)
+                 + N.transpose(1, 0, 3, 2) + N.transpose(2, 3, 0, 1)
+                 - N.transpose(3, 2, 0, 1) - N.transpose(2, 3, 1, 0)
+                 + N.transpose(3, 2, 1, 0))
+    bianchi = S + S.transpose(1, 2, 0, 3) + S.transpose(2, 0, 1, 3)
+    R = S - bianchi / 3.0
+    return CurvatureTensor(R).validate()
 
 
 def sectional(tensor, i, j):

@@ -35,7 +35,6 @@ class KahlerCurvatureAtZero:
     """K[i, j, k, l] stands for the component with j and l conjugated."""
 
     components: np.ndarray
-    source: object = None  # CurvatureTensor when built from the closed form
 
     def __post_init__(self):
         arr = np.asarray(self.components, dtype=complex)
@@ -56,7 +55,7 @@ def kahler_curvature_at_zero(tensor):
     tensor.validate()
     R = tensor.components
     K = (R + R.transpose(0, 3, 2, 1)) / 6.0
-    return KahlerCurvatureAtZero(K.astype(complex), source=tensor)
+    return KahlerCurvatureAtZero(K.astype(complex))
 
 
 def _wirtinger_contract(D, *weights):

@@ -36,7 +36,6 @@ class LieAlgebraContext:
         self.basis = basis
         self.dim = basis.shape[0]
         self.matrix_size = basis.shape[1]
-        self.trace_scale = trace_scale
         if inner_product is None:
             if trace_scale is None:
                 raise MalformedInput("need inner_product or trace_scale")
@@ -223,7 +222,7 @@ class GroupElement:
 
 # -- core operations ----------------------------------------------------
 
-def bracket(context, X, Y, tol=None):
+def bracket(context, X, Y):
     """Matrix commutator, checked to re-expand in the basis (closure)."""
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
@@ -231,7 +230,7 @@ def bracket(context, X, Y, tol=None):
     if X.shape != (size, size) or Y.shape != (size, size):
         raise ContextMismatch("bracket operands do not fit the context")
     comm = X @ Y - Y @ X
-    coeffs = context.coefficients(comm, tol)  # ClosureViolation on failure
+    coeffs = context.coefficients(comm)  # ClosureViolation on failure
     return context.reconstruct(coeffs)
 
 
@@ -255,13 +254,13 @@ def _check_branch(eigs):
         raise LogBranchFailure("eigenvalue on the negative real axis")
 
 
-def _normal_log(a, tol=1e-8):
+def _normal_log(a):
     """Principal logarithm of a normal group element from one Schur form.
 
     The complex Schur form a = Z T Z* has T diagonal when a is normal, so
     with lam = log diag(T) the logarithm is L = Z diag(lam) Z*.  Returns
     (L, Z, lam); for a real element L is projected onto the basis span
-    (ClosureViolation beyond ``tol``).  Raises LogBranchFailure when an
+    (ClosureViolation beyond 1e-8).  Raises LogBranchFailure when an
     eigenvalue sits on the closed negative real axis and MalformedInput
     when T is not diagonal to 1e-10.
     """
@@ -274,22 +273,22 @@ def _normal_log(a, tol=1e-8):
     lam = np.log(eigs)
     L = (Z * lam) @ Z.conj().T
     if not a.complexified:
-        L = a.context.reconstruct(a.context.coefficients(L, tol))
+        L = a.context.reconstruct(a.context.coefficients(L, 1e-8))
     return L, Z, lam
 
 
-def group_log(a, tol=1e-8):
+def group_log(a):
     """Principal matrix logarithm of a group element, back into the algebra.
 
     A real group element is unitary, hence normal, and its logarithm comes
     from one complex Schur form (``_normal_log``), projected onto the basis
-    span (ClosureViolation beyond ``tol``); MalformedInput when the element
+    span (ClosureViolation beyond 1e-8); MalformedInput when the element
     is not normal.  Complexified elements and raw arrays go through
     scipy.linalg.logm.  Raises LogBranchFailure when an eigenvalue sits on
     the closed negative real axis, where the principal branch is undefined.
     """
     if isinstance(a, GroupElement) and not a.complexified:
-        return _normal_log(a, tol)[0]
+        return _normal_log(a)[0]
     m = a.matrix if isinstance(a, GroupElement) else np.asarray(a, dtype=complex)
     _check_branch(np.linalg.eigvals(m))
     return scipy.linalg.logm(m)
@@ -349,14 +348,14 @@ def membership_defect(context, matrices, complexified=True):
     return float(np.max(v_defect + gap(log_u)))
 
 
-def tangent_at(a, w, tol=1e-8):
+def tangent_at(a, w):
     """Left-trivialize a tangent matrix at ``a``: returns a^-1 w in the algebra."""
     if not isinstance(a, GroupElement):
         raise ContextMismatch("base point must be a GroupElement")
     v = a.inverse().matrix @ np.asarray(w, dtype=complex)
-    if not a.context.contains(v, tol):
+    if not a.context.contains(v, 1e-8):
         raise NotTangent("a^-1 w is not in the algebra span")
-    return a.context.reconstruct(a.context.coefficients(v, tol))
+    return a.context.reconstruct(a.context.coefficients(v, 1e-8))
 
 
 # -- built-in contexts ---------------------------------------------------

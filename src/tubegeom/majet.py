@@ -41,7 +41,7 @@ import numpy as np
 from .curvature import normal_metric_jet
 from .errors import DegenerateHessian, MalformedInput, SingularSystem
 from .jets import (JetPolynomial, _graded_matmul, _graded_solve, _layout,
-                   _wirtinger_pair, wirtinger_z, wirtinger_zbar)
+                   _split, _wirtinger_pair, wirtinger_z, wirtinger_zbar)
 
 FIBER_SCALE = 1.0
 
@@ -156,11 +156,11 @@ def solve_potential(seed):
     Raises MalformedInput for a seed with a linear part, whose residual
     stops two degrees short of the bound.
     """
-    n = _fiber_dimension(seed)
+    _fiber_dimension(seed)  # raises unless x then y, so y is _split's right half
     if seed.max_abs_coeff(degrees={1}):
         raise MalformedInput("a potential seed may not have a linear part")
     layout = seed._layout
-    y_degree = layout.exponents[:, n:].sum(axis=1)
+    y_degree = _split(seed.num_vars, seed.max_degree).right_degree
     coeffs = seed._c.copy()
     rho = JetPolynomial._from_array(seed.num_vars, seed.max_degree, coeffs)
     residual = None
@@ -209,16 +209,15 @@ def solve_quartic_coefficients(tensor):
 
 # -- residual scaling study --------------------------------------------
 
-def residual_scaling_table(rho, eps_values=None, samples=400, seed=2024):
-    """Rows (eps, sup |residual|) for the numerically evaluated identity."""
+def residual_scaling_table(rho, seed=2024):
+    """Rows (eps, sup |residual|) for the numerically evaluated identity,
+    each sup over 400 seeded points of the unit polydisk scaled by eps."""
     n = _fiber_dimension(rho)
     residual = ma_residual(rho)
-    if eps_values is None:
-        eps_values = np.geomspace(1e-2, 1e-1, 7)
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-1.0, 1.0, size=(samples, 2 * n))
+    pts = rng.uniform(-1.0, 1.0, size=(400, 2 * n))
     rows = []
-    for eps in eps_values:
+    for eps in np.geomspace(1e-2, 1e-1, 7):
         vals = residual.evaluate(pts * eps)
         rows.append((float(eps), float(np.max(np.abs(vals)))))
     return rows

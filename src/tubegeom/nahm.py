@@ -132,10 +132,10 @@ def constant_path(context, value, grid_size, kind="algebra"):
     return GaugePath(reps, kind, context)
 
 
-def sampled_path(context, func, grid_size, kind="algebra"):
+def sampled_path(context, func, grid_size):
     ts = np.linspace(0.0, 1.0, grid_size + 1)
     vals = np.array([func(t) for t in ts], dtype=complex)
-    return GaugePath(vals, kind, context)
+    return GaugePath(vals, "algebra", context)
 
 
 def path_derivative(values, dt):
@@ -735,8 +735,8 @@ def kahler_potential(config):
     return _slot_pairing(config, config, (0.0, 0.5, 0.25, 0.25), (0, 1, 2, 3))
 
 
-def potential_two_form(config, X, Y, step=1e-3):
-    """d(I df)(X, Y) by centered differences of the potential.
+def potential_two_form(config, X, Y):
+    """d(I df)(X, Y) by centered differences of the potential, step 1e-3.
 
     The configuration space is flat, so for constant directions the
     exterior derivative reduces to antisymmetrized directional derivatives
@@ -745,6 +745,7 @@ def potential_two_form(config, X, Y, step=1e-3):
     quadratic), and matches the continuum pairing at the quadrature order.
     """
     _same_grid(config, X, Y)
+    step = 1e-3
 
     def shift(cfg, direction, eps):
         return NahmConfiguration._from_stack(cfg.values + eps * direction.values,
@@ -912,26 +913,26 @@ def smooth_gauge(context, rng, grid_size, amplitude=0.5, endpoints="free"):
     return GaugePath(_expm_stack(context.path_reconstruct(coeffs)), "group", context)
 
 
-def _tangent_draws(context, rng, amplitude=1.0):
+def _tangent_draws(context, rng):
     """The draws of ``smooth_tangent`` in its rng order: per slot the real
     coefficients a, b of its two algebra elements and its frequency f, so
     that the slot is cos(pi f t) A + sin(pi t) B."""
     draws = []
     for _ in range(4):
-        a = context.random_coefficients(rng, amplitude)
-        b = context.random_coefficients(rng, amplitude)
+        a = context.random_coefficients(rng)
+        b = context.random_coefficients(rng)
         draws.append((a, b, rng.integers(1, 4)))
     return draws
 
 
-def smooth_tangent(context, rng, grid_size, amplitude=1.0):
-    """Random analytic configuration (trig profiles per slot), used as a
-    point or as a tangent direction."""
+def smooth_tangent(context, rng, grid_size):
+    """Random analytic configuration (trig profiles per slot, coefficients
+    in the unit ball), used as a point or as a tangent direction."""
     ts = np.linspace(0.0, 1.0, grid_size + 1)
     prof2 = np.sin(np.pi * ts)[:, None, None]
     m = context.matrix_size
     values = np.empty((4, grid_size + 1, m, m), dtype=complex)
-    for slot, (a, b, freq) in zip(values, _tangent_draws(context, rng, amplitude)):
+    for slot, (a, b, freq) in zip(values, _tangent_draws(context, rng)):
         slot[...] = (np.cos(np.pi * freq * ts)[:, None, None] * context.reconstruct(a)
                      + prof2 * context.reconstruct(b))
     return NahmConfiguration._from_stack(values, context)

@@ -97,10 +97,10 @@ def sphere_potential():
     return majet.potential_expansion(cv.constant_curvature(2, 1.0))
 
 
-def residual_scaling(rho, seed, eps_values=None):
+def residual_scaling(rho, seed):
     """Log-log slope of the sup MA residual over scaled polydisks, and the
     (eps, sup) rows it is fitted to."""
-    rows = majet.residual_scaling_table(rho, eps_values=eps_values, seed=seed)
+    rows = majet.residual_scaling_table(rho, seed=seed)
     return majet.fitted_loglog_slope(rows), rows
 
 
@@ -113,7 +113,7 @@ def kahler_oracle_sweep(rng, count):
         for _ in range(count):
             R = cv.random_admissible(n, rng)
             Kc = kahler.kahler_curvature_at_zero(R)
-            Kj = kahler.kahler_curvature_from_jet(majet.potential_expansion(R))
+            Kj = kahler.kahler_curvature_from_jet(majet.potential_expansion(R, 4))
             gaps.append(np.max(np.abs(Kc.components - Kj.components)))
             imags.append(Kj.max_imag())
     return _worst(gaps), _worst(imags)
@@ -282,13 +282,13 @@ def roundtrip_zero_vector(ctx, rng, count, N):
     return _worst(errs)
 
 
-def roundtrip_order_errors(ctx, rng, grids=(32, 64, 128, 256)):
-    """Roundtrip errors of one seeded pair (|v| <= 1.8) at each grid."""
+def roundtrip_order_errors(ctx, rng):
+    """Roundtrip errors of one seeded pair (|v| <= 1.8) at grids 32 to 256."""
     a = liealg.group_exp(ctx, ctx.random_element(rng, 1.2))
     v = ctx.random_element(rng, 1.8)
     want = a.matrix @ scipy.linalg.expm(1j * v)
     return np.array([np.linalg.norm(nahm.adapted_roundtrip(a, v, n).matrix - want)
-                     for n in grids])
+                     for n in (32, 64, 128, 256)])
 
 
 def halving_order(errs):
@@ -317,18 +317,18 @@ def hyperkahler_identities(ctx, rng, N):
     }, theta
 
 
-def two_form_order(ctx, seeds, ref_grid, grids=(50, 100, 200)):
-    """Observed order of ``potential_two_form`` against omega_I at
-    ``ref_grid``, taken from the tangents' draws in O(ref_grid) floats;
-    ``seeds`` seed T, X and Y alike at every grid."""
+def two_form_order(ctx, seeds, ref_grid):
+    """Observed order of ``potential_two_form`` at the grids 50, 100 and 200
+    against omega_I at ``ref_grid``, taken from the tangents' draws in
+    O(ref_grid) floats; ``seeds`` seed T, X and Y alike at every grid."""
     seed_T, seed_X, seed_Y = seeds
     rng = np.random.default_rng
     tangent = lambda seed, n: nahm.smooth_tangent(ctx, rng(seed), n)
     ref = nahm.smooth_tangent_omega_I(ctx, rng(seed_X), rng(seed_Y), ref_grid)
-    errs = [abs(nahm.potential_two_form(
-        tangent(seed_T, n), tangent(seed_X, n), tangent(seed_Y, n)) - ref)
-        for n in grids]
-    return float(-np.polyfit(np.log(grids), np.log(np.maximum(errs, 1e-300)), 1)[0])
+    rows = [(n, abs(nahm.potential_two_form(
+        tangent(seed_T, n), tangent(seed_X, n), tangent(seed_Y, n)) - ref))
+        for n in (50, 100, 200)]
+    return -majet.fitted_loglog_slope(rows)
 
 
 def embedded_potential(ctx, rng, N, count):

@@ -330,8 +330,8 @@ def test_growing_two_form_error_fails_the_order_gate(monkeypatch):
     # an error that grows like N^2 has order -2: a sign-blind gate passes it
     real = nahm.potential_two_form
 
-    def growing(config, X, Y, step=1e-3):
-        return real(config, X, Y, step) + 1e-6 * config.grid_size ** 2
+    def growing(config, X, Y):
+        return real(config, X, Y) + 1e-6 * config.grid_size ** 2
 
     monkeypatch.setattr(nahm, "potential_two_form", growing)
     records = cli.run_suite(cli.SuiteConfig(suite="s1-isometry", grid=64))

@@ -192,14 +192,14 @@ class GroupElement:
             raise ContextMismatch("group matrix has the wrong size")
         object.__setattr__(self, "matrix", m)
 
-    def validate(self, tol=1e-8):
+    def validate(self):
         m = self.matrix
         if self.complexified:
             if abs(np.linalg.det(m)) < 1e-12:
                 raise MalformedInput("complexified group element is singular")
         else:
             defect = np.linalg.norm(m @ m.conj().T - np.eye(m.shape[0]))
-            if defect > tol:
+            if defect > 1e-8:
                 raise MalformedInput(
                     f"matrix is not unitary within tolerance ({defect:.3e})")
         return self

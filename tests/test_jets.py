@@ -1,3 +1,7 @@
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -278,3 +282,72 @@ def test_max_abs_coeff_propagates_nan():
     assert np.isnan(jet.max_abs_coeff(degrees={2}))
     assert jet.max_abs_coeff(degrees={0, 1, 3}) == 2.0
     assert JetPolynomial.zero(2, 3).max_abs_coeff() == 0.0
+
+
+# -- cached tables against brute force ---------------------------------
+
+def _graded_lex_rows(num_vars, max_degree):
+    rows = [tuple(np.bincount(np.array(combo, dtype=int), minlength=num_vars))
+            for d in range(max_degree + 1)
+            for combo in itertools.combinations_with_replacement(range(num_vars), d)]
+    return sorted(rows, key=lambda row: (sum(row), row))
+
+
+@pytest.mark.parametrize("num_vars", range(7))
+@pytest.mark.parametrize("max_degree", range(7))
+def test_layout_tables_match_brute_force(num_vars, max_degree):
+    layout = jets._layout(num_vars, max_degree)
+    rows = _graded_lex_rows(num_vars, max_degree)
+    expected = np.array(rows, dtype=np.int64).reshape(len(rows), num_vars)
+    assert layout.exponents.dtype == np.int64
+    np.testing.assert_array_equal(layout.exponents, expected)
+    # runs: maximal stretches of one degree sharing the first nonzero variable
+    def first(t):
+        return next(v for v, e in enumerate(rows[t]) if e)
+
+    runs = [()]
+    for d in range(1, max_degree + 1):
+        block = [t for t, row in enumerate(rows) if sum(row) == d]
+        src = int(layout.offsets[d - 1])
+        degree_runs = []
+        for var, group in itertools.groupby(block, key=first):
+            group = list(group)
+            a, b = group[0], group[-1] + 1
+            degree_runs.append((a, b, src, src + b - a, var))
+        runs.append(tuple(degree_runs))
+    assert layout.runs == tuple(runs)
+
+
+@pytest.mark.parametrize("num_vars", range(7))
+@pytest.mark.parametrize("order", range(5))
+def test_derivative_table_matches_its_definition(num_vars, order):
+    rows = _graded_lex_rows(num_vars, order)
+    shape = (num_vars,) * order
+    position = np.zeros(shape, dtype=np.int64)
+    weight = np.zeros(shape)
+    for index in itertools.product(range(num_vars), repeat=order):
+        powers = np.bincount(np.array(index, dtype=int), minlength=num_vars)
+        position[index] = rows.index(tuple(powers))
+        weight[index] = math.prod(math.factorial(a) for a in powers)
+    table = jets._derivative_table(num_vars, order)
+    for got, want in zip(table, (position, weight)):
+        assert got.dtype == want.dtype and got.shape == shape
+        np.testing.assert_array_equal(got, want)
+
+
+def test_cached_tables_hold_only_their_own_entries():
+    for table in (jets._monomials, jets._product_block, jets._layout,
+                  jets._split, jets._partial_map, jets._derivative_table):
+        table.cache_clear()
+    tracemalloc.start()
+    try:
+        jets._layout(12, 6)
+        maps = [jets._partial_map(12, 6, var) for var in range(12)]
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # exponents 1.8 MB, their degree blocks as much again, 1.2 MB of maps
+    assert kept <= 6 * 2 ** 20
+    derivatives = [jets._derivative_table(12, order) for order in range(5)]
+    for array in itertools.chain(*maps, *derivatives):
+        assert array.base is None

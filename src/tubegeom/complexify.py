@@ -1,8 +1,8 @@
 """Complexification maps for tangent bundles of compact groups and cosets.
 
 The tangent bundle of a compact group is identified with (group) x
-(algebra) by left trivialization; the complexification map sends a
-left-trivialized point (a, v) to ``a exp(iv)`` in the complexified group.
+(algebra) by left trivialization; the complexification map sends a point
+(a, v) of that product to ``a exp(iv)`` in the complexified group.
 For a homogeneous quotient the same formula lands in the complexified coset
 space, where points are compared through an explicit membership predicate
 for the complexified subgroup.
@@ -22,12 +22,13 @@ import numpy as np
 
 from .errors import ContextMismatch, VectorNotInM
 from .liealg import (GroupElement, LieAlgebraContext, group_exp,
-                     membership_defect, polar_split, tangent_at)
+                     membership_defect, polar_split)
 
 
 @dataclass(frozen=True)
 class TangentPoint:
-    """Left-trivialized tangent point: base in the group, vector in the algebra."""
+    """Tangent point in the left trivialization: base in the group, vector in
+    the algebra."""
 
     base: GroupElement
     vector: np.ndarray
@@ -80,14 +81,6 @@ def subgroup_membership(context):
         return membership_defect(sub, np.asarray(m)[None]) < 1e-8
 
     return member
-
-
-def trivialize(a, w):
-    """Left-trivialize a tangent matrix ``w`` at base ``a``.
-
-    Raises NotTangent when ``a^-1 w`` is not in the algebra span.
-    """
-    return TangentPoint(a, tangent_at(a, w))
 
 
 def group_complexification(point):

@@ -20,13 +20,13 @@ nowhere else.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import (EqualIndices, IndexOutOfRange, MalformedInput,
-                     SingularMetric, SymmetryViolation)
+from .errors import (IndexOutOfRange, MalformedInput, SingularMetric,
+                     SymmetryViolation)
 from .jets import JetPolynomial, _layout, _scatter
 
 
@@ -130,14 +130,6 @@ def random_admissible(n, rng):
     return CurvatureTensor(R).validate()
 
 
-def sectional(tensor, i, j):
-    """Sectional curvature of the orthonormal coordinate plane (e_i, e_j)."""
-    _check_indices(tensor.dimension, i, j)
-    if i == j:
-        raise EqualIndices("a plane needs two distinct indices")
-    return float(tensor.components[i, j, i, j])
-
-
 def normal_metric_jet(tensor, max_degree=2):
     """(n, n) jet ``g_ij(x) = delta_ij - (1/3) sum_pq R[i,p,j,q] x_p x_q``,
     the metric in geodesic normal coordinates (Gray 1973), in the 2n-variable
@@ -163,7 +155,6 @@ class MetricChart:
 
     dimension: int
     evaluator: Callable[[np.ndarray], np.ndarray]
-    name: str = field(default="chart")
 
     def __call__(self, x):
         g = np.asarray(self.evaluator(np.asarray(x, dtype=float)), dtype=float)
@@ -175,7 +166,7 @@ class MetricChart:
 def chart_from_metric_jet(metric):
     """Wrap an (n, n) metric jet in 2n variables as a chart in x alone, at y = 0."""
     n = len(metric)
-    return MetricChart(n, lambda x: metric.evaluate(np.pad(x, (0, n))), "metric-jet")
+    return MetricChart(n, lambda x: metric.evaluate(np.pad(x, (0, n))))
 
 
 # -- finite-difference curvature oracle --------------------------------

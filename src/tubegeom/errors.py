@@ -54,10 +54,6 @@ class SingularSystem(TubeGeomError):
     """An internal linear system that must be solvable turned out singular."""
 
 
-class NotTangent(TubeGeomError):
-    """A matrix is not tangent to the group at the given base point."""
-
-
 class VectorNotInM(TubeGeomError):
     """A vector that must lie in the complement subspace has a subalgebra part."""
 

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (ClosureViolation, ContextMismatch, LogBranchFailure,
-                     MalformedInput, NoSplitConfigured, NotTangent)
+                     MalformedInput, NoSplitConfigured)
 
 DEFAULT_EXPAND_TOL = 1e-10
 
@@ -211,28 +211,8 @@ class GroupElement:
             inv = self.matrix.conj().T
         return GroupElement(inv, self.context, self.complexified)
 
-    def __matmul__(self, other):
-        if isinstance(other, GroupElement):
-            if other.context is not self.context:
-                raise ContextMismatch("group elements from different contexts")
-            return GroupElement(self.matrix @ other.matrix, self.context,
-                                self.complexified or other.complexified)
-        return self.matrix @ other
-
 
 # -- core operations ----------------------------------------------------
-
-def bracket(context, X, Y):
-    """Matrix commutator, checked to re-expand in the basis (closure)."""
-    X = np.asarray(X, dtype=complex)
-    Y = np.asarray(Y, dtype=complex)
-    size = context.matrix_size
-    if X.shape != (size, size) or Y.shape != (size, size):
-        raise ContextMismatch("bracket operands do not fit the context")
-    comm = X @ Y - Y @ X
-    coeffs = context.coefficients(comm)  # ClosureViolation on failure
-    return context.reconstruct(coeffs)
-
 
 def group_exp(context, X, complexified=None):
     """Matrix exponential into the modeled group.
@@ -249,59 +229,43 @@ def group_exp(context, X, complexified=None):
     return GroupElement(scipy.linalg.expm(X), context, complexified)
 
 
-def _check_branch(eigs):
-    if np.any((eigs.real <= 0.0) & (np.abs(eigs.imag) < 1e-12)):
-        raise LogBranchFailure("eigenvalue on the negative real axis")
-
-
 def _normal_log(a):
-    """Principal logarithm of a normal group element from one Schur form.
+    """Principal logarithm of a real group element from one Schur form.
 
     The complex Schur form a = Z T Z* has T diagonal when a is normal, so
     with lam = log diag(T) the logarithm is L = Z diag(lam) Z*.  Returns
-    (L, Z, lam); for a real element L is projected onto the basis span
-    (ClosureViolation beyond 1e-8).  Raises LogBranchFailure when an
-    eigenvalue sits on the closed negative real axis and MalformedInput
-    when T is not diagonal to 1e-10.
+    (L, Z, lam), L projected onto the basis span (ClosureViolation beyond
+    1e-8).  Raises MalformedInput when a is not a real GroupElement or T
+    is not diagonal to 1e-10, and LogBranchFailure when an eigenvalue sits
+    on the closed negative real axis.
     """
+    if not isinstance(a, GroupElement) or a.complexified:
+        raise MalformedInput("the logarithm takes a real GroupElement")
     m = a.matrix
     tri, Z = scipy.linalg.schur(m, output="complex")
     eigs = np.diag(tri)
-    _check_branch(eigs)
+    if np.any((eigs.real <= 0.0) & (np.abs(eigs.imag) < 1e-12)):
+        raise LogBranchFailure("eigenvalue on the negative real axis")
     if np.linalg.norm(tri - np.diag(eigs)) > 1e-10 * max(1.0, np.linalg.norm(m)):
         raise MalformedInput("group element is not a normal matrix")
     lam = np.log(eigs)
     L = (Z * lam) @ Z.conj().T
-    if not a.complexified:
-        L = a.context.reconstruct(a.context.coefficients(L, 1e-8))
+    L = a.context.reconstruct(a.context.coefficients(L, 1e-8))
     return L, Z, lam
 
 
 def group_log(a):
-    """Principal matrix logarithm of a group element, back into the algebra.
+    """Principal matrix logarithm of a real group element, back into the
+    algebra.
 
     A real group element is unitary, hence normal, and its logarithm comes
     from one complex Schur form (``_normal_log``), projected onto the basis
-    span (ClosureViolation beyond 1e-8); MalformedInput when the element
-    is not normal.  Complexified elements and raw arrays go through
-    scipy.linalg.logm.  Raises LogBranchFailure when an eigenvalue sits on
-    the closed negative real axis, where the principal branch is undefined.
+    span (ClosureViolation beyond 1e-8).  Raises MalformedInput for
+    anything but a real GroupElement or when the element is not normal, and
+    LogBranchFailure when an eigenvalue sits on the closed negative real
+    axis, where the principal branch is undefined.
     """
-    if isinstance(a, GroupElement) and not a.complexified:
-        return _normal_log(a)[0]
-    m = a.matrix if isinstance(a, GroupElement) else np.asarray(a, dtype=complex)
-    _check_branch(np.linalg.eigvals(m))
-    return scipy.linalg.logm(m)
-
-
-def adjoint(g, X):
-    """Conjugation g X g^-1 of an algebra element by a group element."""
-    if not isinstance(g, GroupElement):
-        raise ContextMismatch("adjoint needs a GroupElement")
-    X = np.asarray(X, dtype=complex)
-    if X.shape != g.matrix.shape:
-        raise ContextMismatch("algebra element does not fit the group context")
-    return g.matrix @ X @ g.inverse().matrix
+    return _normal_log(a)[0]
 
 
 def polar_split(matrices):
@@ -346,16 +310,6 @@ def membership_defect(context, matrices, complexified=True):
         X - context.path_reconstruct(context.path_coefficients(X)), axis=(1, 2))
     v_defect = gap(v) if complexified else np.linalg.norm(v, axis=(1, 2))
     return float(np.max(v_defect + gap(log_u)))
-
-
-def tangent_at(a, w):
-    """Left-trivialize a tangent matrix at ``a``: returns a^-1 w in the algebra."""
-    if not isinstance(a, GroupElement):
-        raise ContextMismatch("base point must be a GroupElement")
-    v = a.inverse().matrix @ np.asarray(w, dtype=complex)
-    if not a.context.contains(v, 1e-8):
-        raise NotTangent("a^-1 w is not in the algebra span")
-    return a.context.reconstruct(a.context.coefficients(v, 1e-8))
 
 
 # -- built-in contexts ---------------------------------------------------

@@ -38,11 +38,11 @@ stacks.
 
 The gauge ODE is one entry-major pipeline, shared by ``solve_gauge_ode``
 and ``adapted_roundtrip``.  The input path alpha is written once into an
-(m, m, N+1) stack; on the default path of the roundtrip it comes from
-L = log a and the product T1 of ``embed_tangent``, which keeps its BLAS
-layout so that both agree bit for bit, with no T0 path.  The midpoints,
-the Simpson sum, the commutator, the exponential and the scan or the tree
-then run on slices of entry-major stacks, with no node-major round trip.
+(m, m, N+1) stack; in the roundtrip it comes from L = log a and the
+product T1 of ``embed_tangent``, which keeps its BLAS layout so that both
+agree bit for bit, with no T0 path.  The midpoints, the Simpson sum, the
+commutator, the exponential and the scan or the tree then run on slices of
+entry-major stacks, with no node-major round trip.
 Every whole-path temporary of that pipeline is a view of one of five
 named regions ("alpha", "omega", "bracket", "swap", "spare") of a
 thread-local scratch arena (``_scratch``), which every call reuses: a
@@ -127,9 +127,9 @@ def _same_grid(*paths):
         raise ContextMismatch("paths from different contexts")
 
 
-def constant_path(context, value, grid_size, kind="algebra"):
+def constant_path(context, value, grid_size):
     reps = np.repeat(np.asarray(value, dtype=complex)[None], grid_size + 1, axis=0)
-    return GaugePath(reps, kind, context)
+    return GaugePath(reps, "algebra", context)
 
 
 def sampled_path(context, func, grid_size):
@@ -222,24 +222,24 @@ def _node_major(c, out=None):
     return out
 
 
-def _matmul_paths(A, B, out=None):
+def _matmul_paths(A, B):
     """C_k = A_k B_k over (..., m, m) stacks, broadcast over the node axes.
 
     A single (m, m) matrix on either side multiplies every node, and an
     (N+1, m, m) path multiplies each slot of a (4, N+1, m, m) stack; at
-    least one side must be a stack.  ``out`` must not overlap A or B.
-    Non-finite entries propagate as in a sum of entry products.
+    least one side must be a stack.  Non-finite entries propagate as in a
+    sum of entry products.
     """
-    return _blockwise_product(A, B, out, bracket=False)
+    return _blockwise_product(A, B, bracket=False)
 
 
 def _commutator_paths(A, B):
     """[A_k, B_k] over (..., m, m) stacks, broadcast as in ``_matmul_paths``."""
-    return _blockwise_product(A, B, None, bracket=True)
+    return _blockwise_product(A, B, bracket=True)
 
 
-def _blockwise_product(A, B, out, bracket):
-    """A B, or A B - B A when ``bracket``, into ``out`` (new if None).
+def _blockwise_product(A, B, bracket):
+    """A B, or A B - B A when ``bracket``, as a new array.
 
     The last node axis is walked in blocks that hold about ``_BLOCK_BYTES``
     of complex entries of one operand; each block of A and B is copied to
@@ -249,8 +249,7 @@ def _blockwise_product(A, B, out, bracket):
     A, B = np.asarray(A), np.asarray(B)
     nodes = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
     m = A.shape[-1]
-    if out is None:
-        out = np.empty(nodes + (m, m), dtype=np.result_type(A, B))
+    out = np.empty(nodes + (m, m), dtype=np.result_type(A, B))
     width = max(1, _BLOCK_BYTES // (16 * m * m * math.prod(nodes[:-1])))
     for start in range(0, nodes[-1], width):
         block = slice(start, start + width)
@@ -650,32 +649,27 @@ def embed_tangent(a, v, grid_size, h_path=None):
     return T0, T1
 
 
-def adapted_roundtrip(a, v, grid_size=2000, h_path=None):
+def adapted_roundtrip(a, v, grid_size=2000):
     """Recover the complexified image of (a, v) through the gauge ODE.
 
-    Builds the embedded pair, gauges the complex combination
-    alpha = T0 + i T1 to zero, and returns g(0)^-1, which converges at 4th
-    order to a exp(i v).  alpha is written once, entry-major, on the
-    "alpha" region: on the default path from L and the product T1 of
+    Embeds (a, v) along the default path of ``embed_tangent``, gauges the
+    complex combination alpha = T0 + i T1 to zero, and returns g(0)^-1,
+    which converges at 4th order to a exp(i v).  alpha is written once,
+    entry-major, on the "alpha" region from L and the product T1 of
     ``embed_tangent`` (the phases on "omega", T1 node-major on "bracket",
-    as BLAS writes it, so that T1 is ``embed_tangent``'s bit for bit), with
-    ``h_path`` from one copy of ``embed_tangent``'s paths.  Only g(0)
-    is formed, by ``_tree_product`` over the Magnus factors of
-    ``solve_gauge_ode``, equal bit for bit to the scan's g(0).
+    as BLAS writes it, so that T1 is ``embed_tangent``'s bit for bit).
+    Only g(0) is formed, by ``_tree_product`` over the Magnus factors of
+    ``solve_gauge_ode``, equal bit for bit to the scan's g(0).  Another
+    path from a runs the same route by hand: ``embed_tangent`` with that
+    path, ``solve_gauge_ode`` on T0 + i T1, and the inverse of g(0).
     """
     ctx = a.context
     m, nodes = ctx.matrix_size, grid_size + 1
     alpha = _scratch("alpha", (m, m, nodes))
-    if h_path is None:
-        T1 = _scratch("bracket", (nodes, m * m))
-        L = _transported_tangent(a, v, grid_size, _scratch("omega", (nodes, m * m)), T1)
-        np.multiply(T1.reshape(nodes, m, m).transpose(1, 2, 0), 1j, out=alpha)
-        alpha += L[:, :, None]
-    else:
-        T0, T1 = embed_tangent(a, v, grid_size, h_path)
-        np.multiply(T1.values.transpose(1, 2, 0), 1j, out=alpha)
-        alpha += T0.values.transpose(1, 2, 0)
-        del T0, T1
+    T1 = _scratch("bracket", (nodes, m * m))
+    L = _transported_tangent(a, v, grid_size, _scratch("omega", (nodes, m * m)), T1)
+    np.multiply(T1.reshape(nodes, m, m).transpose(1, 2, 0), 1j, out=alpha)
+    alpha += L[:, :, None]
     g0 = _tree_product(_magnus_factors(alpha))
     return GroupElement(np.linalg.inv(g0), ctx, complexified=True)
 
@@ -811,7 +805,7 @@ def _span_coefficients(context, values, what):
         raise MalformedInput(f"{what} must lie in the real span: {err}") from None
 
 
-def integrate_nahm(context, initial, T0, norm_bound=1e6):
+def integrate_nahm(context, initial, T0):
     """RK4 evolution of the three cyclic equations with prescribed T0.
 
     ``initial`` supplies (T1, T2, T3) at t = 0; T0 is connection data, not
@@ -823,7 +817,7 @@ def integrate_nahm(context, initial, T0, norm_bound=1e6):
     stage's step.  The (4, N+1, m, m) stack is reconstructed once at the
     end.  Raises MalformedInput when T0 or the initial data leave the real
     span, and BlowupDetected naming the first step after which some evolved
-    norm leaves the bound or is not finite (the flow genuinely blows up in
+    norm exceeds 1e6 or is not finite (the flow genuinely blows up in
     finite time for some data); the norms are read off the finished stack.
     """
     if T0.kind != "algebra":
@@ -881,9 +875,10 @@ def integrate_nahm(context, initial, T0, norm_bound=1e6):
         values[0] = T0.values
         values[1:] = states.reshape(3, N + 1, m, m)
         norms_sq = (np.abs(values[1:, 1:]) ** 2).sum(axis=(2, 3)).max(axis=0)
-    exceeded = np.flatnonzero(~(norms_sq <= norm_bound * norm_bound))
+    bound = 1e6
+    exceeded = np.flatnonzero(~(norms_sq <= bound * bound))
     if exceeded.size:
-        raise BlowupDetected(f"flow norm exceeded {norm_bound:.1e} or is not "
+        raise BlowupDetected(f"flow norm exceeded {bound:.1e} or is not "
                              f"finite at step {exceeded[0] + 1}")
     return NahmConfiguration._from_stack(values, context)
 

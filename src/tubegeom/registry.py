@@ -203,10 +203,10 @@ def nahm_solution(ctx, N):
     return T0, sol, nahm.nahm_residual_sup(sol)
 
 
-def gauge_residual_order(ctx, rng, count, grids=GAUGE_GRIDS):
+def gauge_residual_order(ctx, rng, count):
     """Observed order of the worst gauged Nahm residual over ``count``
-    seeded smooth gauges, each sampled on every grid of ``grids`` (doubling
-    sizes), as ``halving_order`` reads it.
+    seeded smooth gauges, each sampled on every grid of ``GAUGE_GRIDS``
+    (doubling sizes), as ``halving_order`` reads it.
 
     Returns (order, worst gauge, worst gauged residual, ungauged residual):
     the 0-based index of the gauge with the largest residual on the finest
@@ -215,11 +215,11 @@ def gauge_residual_order(ctx, rng, count, grids=GAUGE_GRIDS):
     ``smooth_gauge`` call, and is replayed from that state on every grid.
     With no gauges the order is NaN.
     """
-    solutions, ungauged = zip(*(nahm_solution(ctx, N)[1:] for N in grids))
-    gauged = np.empty((count, len(grids)))
+    solutions, ungauged = zip(*(nahm_solution(ctx, N)[1:] for N in GAUGE_GRIDS))
+    gauged = np.empty((count, len(GAUGE_GRIDS)))
     for k in range(count):
         start = rng.bit_generator.state
-        for j, (N, sol) in enumerate(zip(grids, solutions)):
+        for j, (N, sol) in enumerate(zip(GAUGE_GRIDS, solutions)):
             rng.bit_generator.state = start
             gauge = nahm.smooth_gauge(ctx, rng, N, amplitude=0.5)
             gauged[k, j] = nahm.nahm_residual_sup(nahm.gauge_transform(gauge, sol))

@@ -4,36 +4,12 @@ import scipy.linalg
 
 from tubegeom import complexify as cx
 from tubegeom import liealg as la
-from tubegeom.errors import (LogBranchFailure, NoSplitConfigured, NotTangent,
-                             VectorNotInM)
+from tubegeom.errors import LogBranchFailure, NoSplitConfigured, VectorNotInM
 
 
 @pytest.fixture(scope="module")
 def ctx():
     return la.su2(h_split=True)
-
-
-def test_trivialize_at_identity(ctx):
-    rng = np.random.default_rng(0)
-    w = ctx.random_element(rng)
-    p = cx.trivialize(la.GroupElement(np.eye(ctx.matrix_size), ctx), w)
-    assert np.linalg.norm(p.vector - w) < 1e-15
-
-
-def test_trivialize_geodesic_velocity(ctx):
-    rng = np.random.default_rng(1)
-    X = ctx.random_element(rng, 1.0)
-    a = la.group_exp(ctx, 0.6 * X)
-    # velocity of t -> exp(tX) at t = 0.6 is exp(0.6 X) X
-    for s in (1.0, -2.3):
-        p = cx.trivialize(a, s * a.matrix @ X)
-        assert np.linalg.norm(p.vector - s * X) < 1e-13
-
-
-def test_trivialize_rejects_non_tangent(ctx):
-    a = la.GroupElement(np.eye(ctx.matrix_size), ctx)
-    with pytest.raises(NotTangent):
-        cx.trivialize(a, np.eye(2))  # identity is not in su(2)
 
 
 def test_group_complexification_values(ctx):
@@ -110,7 +86,8 @@ def test_coset_map_equivariance(ctx):
         v = ctx.project_m(ctx.random_element(rng, 1.0))
         g = la.group_exp(ctx, ctx.random_element(rng, 1.0))
         pt = cx.TangentPoint(a, v)
-        lhs = cx.coset_complexification(cx.TangentPoint(g @ a, v), member)
+        ga = la.GroupElement(g.matrix @ a.matrix, ctx)
+        lhs = cx.coset_complexification(cx.TangentPoint(ga, v), member)
         rep = cx.coset_complexification(pt, member).representative
         rhs = cx.CosetPoint(
             la.GroupElement(g.matrix @ rep.matrix, ctx, complexified=True),
@@ -131,7 +108,8 @@ def test_coset_map_tells_subgroup_shifts_from_complement_shifts(split):
         base = cx.coset_complexification(pt, member)
         assert base.same_coset(cx.coset_complexification(cx.bundle_shift(pt, h), member))
         off = la.group_exp(c, c.project_m(c.random_element(rng, 1.0)))
-        moved = cx.CosetPoint(base.representative @ off, member)
+        moved = cx.CosetPoint(la.GroupElement(base.representative.matrix @ off.matrix,
+                                              c, complexified=True), member)
         assert not base.same_coset(moved)
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from tubegeom import curvature as cv
 from tubegeom import kahler
-from tubegeom.errors import (EqualIndices, IndexOutOfRange, MalformedInput,
-                             SingularMetric, SymmetryViolation)
+from tubegeom.errors import (IndexOutOfRange, MalformedInput, SingularMetric,
+                             SymmetryViolation)
 
 from jet_reference import loop_normal_metric_jet
 
@@ -33,11 +33,11 @@ def _sphere_chart(n, kappa=1.0):
         proj = np.outer(x, x) / r2
         return f * np.eye(n) + (1.0 - f) * proj
 
-    return cv.MetricChart(n, evaluator, name=f"sphere(kappa={kappa})")
+    return cv.MetricChart(n, evaluator)
 
 
 def _euclidean_chart(n):
-    return cv.MetricChart(n, lambda x: np.eye(n), name="euclidean")
+    return cv.MetricChart(n, lambda x: np.eye(n))
 
 
 def test_constant_curvature_components():
@@ -51,21 +51,14 @@ def test_constant_curvature_components():
 
 def test_sectional_values():
     flat = cv.CurvatureTensor(np.zeros((3, 3, 3, 3)))
-    assert cv.sectional(flat, 0, 1) == 0.0
+    assert flat.components[0, 1, 0, 1] == 0.0
     sphere = cv.constant_curvature(3, 2.5)
+    K = lambda i, j: sphere.components[i, j, i, j]
     for i in range(3):
         for j in range(3):
             if i != j:
-                assert cv.sectional(sphere, i, j) == pytest.approx(2.5)
-                assert cv.sectional(sphere, i, j) == cv.sectional(sphere, j, i)
-
-
-def test_sectional_index_errors():
-    R = cv.constant_curvature(2, 1.0)
-    with pytest.raises(IndexOutOfRange):
-        cv.sectional(R, 0, 5)
-    with pytest.raises(EqualIndices):
-        cv.sectional(R, 1, 1)
+                assert K(i, j) == pytest.approx(2.5)
+                assert K(i, j) == K(j, i)
 
 
 def test_random_admissible_passes_all_symmetries():
@@ -201,8 +194,8 @@ def test_non_normal_chart_rejected():
 def test_sphere_product_is_admissible_and_nonnegative():
     R = cv.sphere_product(3, {(0, 1): 2.0})
     R.validate(1e-12)
-    assert cv.sectional(R, 0, 1) == 2.0
-    assert cv.sectional(R, 0, 2) == 0.0
+    assert R.components[0, 1, 0, 1] == 2.0
+    assert R.components[0, 2, 0, 2] == 0.0
     for plane in ((0, 5), (-1, 1)):
         with pytest.raises(IndexOutOfRange, match="outside"):
             cv.sphere_product(3, {plane: 1.0})

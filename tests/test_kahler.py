@@ -139,8 +139,8 @@ def test_plane_identities_random():
             xy = kahler.plane_sectional(R, "xy", i, j)
             xx = kahler.plane_sectional(R, "xx", i, j)
             yy = kahler.plane_sectional(R, "yy", i, j)
-            assert xy == pytest.approx(-cv.sectional(R, i, j) / 3.0, abs=1e-13)
-            assert xx == pytest.approx(cv.sectional(R, i, j), abs=1e-13)
+            assert xy == pytest.approx(-R.components[i, j, i, j] / 3.0, abs=1e-13)
+            assert xx == pytest.approx(R.components[i, j, i, j], abs=1e-13)
             assert yy == xx  # realized through the same component formula
 
 

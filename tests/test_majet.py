@@ -106,7 +106,7 @@ def test_fd_curvature_of_the_potentials_fiber_metric_recovers_the_tensor(n):
         return scale * np.array([[np.real(h.evaluate(point)) for h in row]
                                  for row in hessian])
 
-    got = cv.curvature_from_chart(cv.MetricChart(n, metric, name="fiber-hessian"))
+    got = cv.curvature_from_chart(cv.MetricChart(n, metric))
     assert np.max(np.abs(got.components - R.components)) <= 1e-6
 
 

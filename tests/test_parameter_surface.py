@@ -1,24 +1,33 @@
-"""Every defaulted parameter of the library is one that some caller sets.
+"""The library's surface answers to the program, not to a unit test.
 
-A default that no call in ``src``, ``perfbench`` or ``tests`` overrides is a
-constant that reads as an option.  A call sets a parameter when it passes it
-by keyword, or by position, to a function of the parameter's function's
+Every defaulted parameter is one that some caller sets: a default that no
+call in ``src``, ``perfbench`` or the acceptance contract
+(``tests/test_acceptance.py``) overrides is a constant that reads as an
+option, whatever a unit test sets.  A call sets a parameter when it passes
+it by keyword, or by position, to a function of the parameter's function's
 name; a ``*args`` or ``**kwargs`` argument sets every parameter it could
 reach.  A method's positions count after ``self``, and a class call reaches
 its ``__init__``.
+
+The package top level re-exports exactly the names that some caller takes
+from it.
 """
 
 import ast
+import pkgutil
 from pathlib import Path
+from types import ModuleType
+
+import tubegeom
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = ROOT / "src" / "tubegeom"
-CALLERS = (ROOT / "src", ROOT / "perfbench", ROOT / "tests")
+CALLERS = (ROOT / "src", ROOT / "perfbench", ROOT / "tests" / "test_acceptance.py")
 
 
-def _trees(*dirs):
-    for d in dirs:
-        for path in sorted(d.rglob("*.py")):
+def _trees(*roots):
+    for root in roots:
+        for path in sorted(root.rglob("*.py")) if root.is_dir() else [root]:
             yield path, ast.parse(path.read_text(), filename=str(path))
 
 
@@ -87,6 +96,31 @@ def unset_defaults():
             if not any(_sets(c, param, index, offset) for c in calls.get(name, ())):
                 unset.append(f"{path.stem}:{name}({param})")
     return unset
+
+
+def reached_package_names():
+    """Names that a ``from tubegeom import X`` or a ``tubegeom.X`` in
+    ``src``, ``perfbench`` or ``tests`` takes from the package top level,
+    submodules and dunder attributes aside."""
+    modules = {m.name for m in pkgutil.iter_modules([str(LIBRARY)])}
+    names = set()
+    for _, tree in _trees(ROOT / "src", ROOT / "perfbench", ROOT / "tests"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "tubegeom" \
+                    and node.level == 0:
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "tubegeom":
+                names.add(node.attr)
+    return sorted(n for n in names - modules if not n.startswith("__"))
+
+
+def test_the_package_reexports_exactly_the_names_its_callers_take():
+    reached = reached_package_names()
+    assert sorted(tubegeom.__all__) == reached
+    public = [n for n, value in vars(tubegeom).items()
+              if not n.startswith("_") and not isinstance(value, ModuleType)]
+    assert sorted(public) == reached
 
 
 def test_every_defaulted_library_parameter_is_set_by_some_call():

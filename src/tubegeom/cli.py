@@ -6,11 +6,11 @@ ordered by id, floats are emitted verbatim, and wall-clock timings are
 zeroed unless explicitly requested (they would otherwise break the
 byte-identical-report contract).
 
-The cases, their gates and their preconditions come from
+The cases, their gates, their sizes and their preconditions come from
 ``registry.CHECKS``, which the acceptance tests share.  The settings of a
-run (suite, context, grid, steps, seed, the ``sweep.`` sample counts and
-the outputs) size the work; none of them moves a gate.  Each setting is one
-argparse flag, checked where it is parsed, with the default of
+run (suite, context, seed and the outputs) choose what runs and where its
+reports go; none of them moves a gate or resizes a case.  Each setting is
+one argparse flag, checked where it is parsed, with the default of
 ``SuiteConfig``.  A case whose precondition the context does not meet is
 written as a ``skip`` record with the reason in its note; skips do not
 count as failures.  A metric that is not finite fails its case.
@@ -28,7 +28,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -42,10 +42,7 @@ SUITE_NAMES = registry.SUITE_NAMES
 class SuiteConfig:
     suite: str = "all"
     context: str = "su2_u1"
-    grid: int = 400
-    steps: int = 2000
     seed: int = 42
-    sweeps: dict = field(default_factory=dict)
     out: str | None = None
     fmt: str = "json"
     timings: bool = False
@@ -74,7 +71,7 @@ def _run_checks(checks, config, ctx):
     metric and the error in its note; the remaining cases still run.
     """
     rng = np.random.default_rng(config.seed)
-    run = registry.SuiteRun(config.grid, config.steps, config.seed, config.sweeps)
+    run = registry.SuiteRun(config.seed)
     records = []
     for check in checks:
         reason = check.unmet(ctx)
@@ -162,17 +159,15 @@ def _write_outputs(config, records, tables):
 
 # -- command line ----------------------------------------------------------
 
-def _int_at_least(least):
-    """argparse ``type``: an int of at least ``least``."""
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
-        return value
-    return parse
+def _seed(text):
+    """argparse ``type``: an int of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def parse_args(argv):
@@ -185,25 +180,14 @@ def parse_args(argv):
     parser.add_argument("--context", default=defaults.context,
                         choices=sorted(liealg.BUILTIN_CONTEXTS),
                         help=f"Lie context (default {defaults.context})")
-    for name, least, what in (("grid", 8, "path grid size"),
-                              ("steps", 8, "ODE step count"), ("seed", 0, "RNG seed")):
-        default = getattr(defaults, name)
-        parser.add_argument(f"--{name}", type=_int_at_least(least), default=default,
-                            help=f"{what} (default {default}, at least {least})")
-    for key, count in registry.SWEEPS.items():
-        least = 8 if key == "two_form_ref" else 1
-        parser.add_argument(f"--sweep.{key}", dest=key, type=_int_at_least(least),
-                            metavar="N", help=f"size of the {key} sweep "
-                            f"(default {count}, at least {least})")
+    parser.add_argument("--seed", type=_seed, default=defaults.seed,
+                        help=f"RNG seed (default {defaults.seed}, at least 0)")
     parser.add_argument("--out", default=defaults.out, help="report output directory")
     parser.add_argument("--format", dest="fmt", choices=("json", "csv"),
                         default=defaults.fmt, help="additional report format")
     parser.add_argument("--timings", action="store_true",
                         help="record wall-clock times (breaks byte determinism)")
-    settings = vars(parser.parse_args(argv))
-    sweeps = {key: settings.pop(key) for key in registry.SWEEPS}
-    return SuiteConfig(**settings, sweeps={key: count for key, count in sweeps.items()
-                                           if count is not None})
+    return SuiteConfig(**vars(parser.parse_args(argv)))
 
 
 def main(argv=None):

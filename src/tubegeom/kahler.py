@@ -172,9 +172,10 @@ def negative_plane_witness(tensor):
 def plane_report_rows(tensor):
     """Comparison table rows: closed form vs the jet oracle on the tensor's
     potential expansion, for every plane, as (i, j, kind, closed_form,
-    oracle, abs_error) tuples."""
+    oracle, abs_error) tuples.  The oracle reads the expansion through
+    degree 4, all that ``kahler_curvature_from_jet`` reads."""
     K_closed = kahler_curvature_at_zero(tensor)
-    K_jet = kahler_curvature_from_jet(potential_expansion(tensor))
+    K_jet = kahler_curvature_from_jet(potential_expansion(tensor, 4))
     n = tensor.dimension
     rows = []
     for i in range(n):

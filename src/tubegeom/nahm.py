@@ -65,7 +65,7 @@ import numpy as np
 
 from .errors import (BlowupDetected, ClosureViolation, ContextMismatch,
                      GridMismatch, MalformedInput)
-from .liealg import (GroupElement, LieAlgebraContext, _normal_log,
+from .liealg import (GroupElement, LieAlgebraContext, _normal_log, group_log,
                      membership_defect)
 
 PATH_KINDS = ("group", "algebra", "complex-group", "complex-algebra")
@@ -618,9 +618,11 @@ def embed_tangent(a, v, grid_size, h_path=None):
 
     With the default interpolating path h(t) = exp((1 - t) log a) the
     connection component is the constant log a and T1(t) = h v h^-1; any
-    supplied ``h_path`` must run from a at t = 0 to the identity (or into
-    the subgroup) at t = 1.  The pair satisfies the reduced flow equation
-    and T1(1) = v for the default path.
+    supplied ``h_path`` must be a path of kind "group" in G from a real a
+    at t = 0 to the identity (to 1e-8) or, on a context with a split, into
+    H (the m-part of log h(1) below 1e-8) at t = 1; MalformedInput
+    otherwise.  The pair satisfies the reduced flow equation and T1(1) = v
+    for the default path.
 
     The default path reads L = log a = Z diag(lam) Z* (Z unitary) off the
     one complex Schur form of a that the logarithm takes
@@ -637,11 +639,19 @@ def embed_tangent(a, v, grid_size, h_path=None):
         L = _transported_tangent(a, v, grid_size, np.empty((nodes, m * m), dtype=complex),
                                  T1.reshape(nodes, m * m))
         return constant_path(ctx, L, grid_size), GaugePath(T1, "algebra", ctx)
+    if h_path.kind != "group":
+        raise MalformedInput(f"h_path must be a group path, not {h_path.kind!r}")
+    if a.complexified:
+        raise MalformedInput("the base point must be a real group element")
     if h_path.grid_size != grid_size:
         raise GridMismatch("h_path grid does not match the requested grid")
     hv = h_path.values
     if np.linalg.norm(hv[0] - a.matrix) > 1e-8:
         raise MalformedInput("h_path must start at the base point")
+    if (np.linalg.norm(hv[-1] - np.eye(ctx.matrix_size)) > 1e-8
+            and (ctx.h_mask is None or ctx.norm(ctx.project_m(
+                group_log(GroupElement(hv[-1], ctx)))) > 1e-8)):
+        raise MalformedInput("h_path must end at the identity or in the subgroup")
     dh = path_derivative(hv, 1.0 / grid_size)
     hinv = np.linalg.inv(hv)
     T0 = GaugePath(-_matmul_paths(dh, hinv), "algebra", ctx)

@@ -25,9 +25,17 @@ from . import curvature as cv
 from . import kahler, liealg, majet, nahm
 from .jets import JetPolynomial
 
-# default sample counts, overridable per run with --sweep.KEY=VALUE
-SWEEPS = {"tensors": 10, "leaves": 10, "well_defined": 25, "gauges": 20,
-          "pairs": 25, "two_form_ref": 25600}
+# The sizes of the cases.  Each gate was calibrated at its case's size (the
+# roundtrip's 1e-6 at 2000 steps, the two-form order against its reference
+# grid), so a size is part of the gate and no setting changes one.
+TENSORS = 10  # curvature tensors per dimension n = 2, 3
+LEAVES = 10  # leaves of each CR-order case, and pairs of polar-inverse
+WELL_DEFINED = 25  # subgroup shifts of coset-well-defined
+GAUGES = 20  # gauges of gauge-invariance-order
+PAIRS = 25  # pairs of roundtrip-error
+TWO_FORM_REF = 25600  # reference grid of two-form-order
+GRID = 400  # path grid of the s1-isometry identities and embedded-potential
+STEPS = 2000  # steps of the Nahm flow and the gauge ODE (nahm-gauge, nahm-roundtrip)
 
 # every error of an order sweep at or below this is round-off: the method is
 # exact on the input (Magnus on an abelian algebra), so no order is observed
@@ -371,23 +379,17 @@ def needs_triple(ctx):
 
 @dataclass
 class SuiteRun:
-    """Sizes of one suite run, and what its cases share.
+    """The seed of one suite run, and what its cases share.
 
-    ``counts`` overrides the sample counts of ``SWEEPS``.  ``once(sweep,
+    The cases read their sizes from the constants above.  ``once(sweep,
     *args)`` runs a sweep that several cases of the run read: the first
     case to ask pays for it, later ones get its result whatever their args.
     ``tables`` collects the CSV tables the run writes.
     """
 
-    grid: int
-    steps: int
     seed: int
-    counts: dict = field(default_factory=dict)
     tables: dict = field(default_factory=dict)
     shared: dict = field(default_factory=dict)
-
-    def count(self, key):
-        return int(self.counts.get(key, SWEEPS[key]))
 
     def once(self, sweep, *args):
         if sweep not in self.shared:
@@ -454,17 +456,16 @@ def _roundtrip_order(ctx, rng, run):
 
 
 def _gauge_invariance_order(ctx, rng, run):
-    count = run.count("gauges")
-    order, worst, gauged, base = gauge_residual_order(ctx, rng, count)
+    order, worst, gauged, base = gauge_residual_order(ctx, rng, GAUGES)
     return order, (
-        f"median halving order of the worst gauged residual over {count} gauges "
+        f"median halving order of the worst gauged residual over {GAUGES} gauges "
         f"at N = {', '.join(map(str, GAUGE_GRIDS))} (at N = {GAUGE_GRIDS[-1]}: "
         f"gauged {gauged:.3e}, ungauged residual {base:.3e}, worst gauge {worst})")
 
 
 def _identity(case, note):
     def compute(ctx, rng, run):
-        defects, theta = run.once(hyperkahler_identities, ctx, rng, run.grid)
+        defects, theta = run.once(hyperkahler_identities, ctx, rng, GRID)
         return defects[case], note.format(theta=theta)
     return compute
 
@@ -474,8 +475,8 @@ def _identity(case, note):
 CHECKS = (
     Check("ma-expansion", "quartic-vanishing", tol=1e-9,
           compute=lambda ctx, rng, run: (
-              run.once(quartic_sweep, rng, run.count("tensors")),
-              f"max |A| over {run.count('tensors')} tensors per dim, n=2,3")),
+              run.once(quartic_sweep, rng, TENSORS),
+              f"max |A| over {TENSORS} tensors per dim, n=2,3")),
     Check("ma-expansion", "low-order-residual", tol=1e-12,
           compute=lambda ctx, rng, run: (
               majet.ma_residual(run.once(sphere_potential))
@@ -492,11 +493,11 @@ CHECKS = (
 
     Check("kahler-curvature", "oracle-vs-closed-form", tol=1e-10,
           compute=lambda ctx, rng, run: (
-              run.once(kahler_oracle_sweep, rng, run.count("tensors"))[0],
-              f"max component gap over {run.count('tensors')} tensors per dim")),
+              run.once(kahler_oracle_sweep, rng, TENSORS)[0],
+              f"max component gap over {TENSORS} tensors per dim")),
     Check("kahler-curvature", "oracle-reality", tol=1e-12,
           compute=lambda ctx, rng, run: (
-              run.once(kahler_oracle_sweep, rng, run.count("tensors"))[1],
+              run.once(kahler_oracle_sweep, rng, TENSORS)[1],
               "imaginary parts of jet-oracle components")),
     *(Check("kahler-curvature", case, tol=1e-10,
             compute=_sphere_special(case))
@@ -513,49 +514,49 @@ CHECKS = (
 
     Check("complexify-holomorphy", "leaf-cr-order-group", order=(1.9, np.inf),
           compute=lambda ctx, rng, run: (
-              leaf_cr_order(ctx, rng, run.count("leaves")),
-              f"lowest CR order over {run.count('leaves')} leaves")),
+              leaf_cr_order(ctx, rng, LEAVES),
+              f"lowest CR order over {LEAVES} leaves")),
     Check("complexify-holomorphy", "leaf-cr-order-coset", order=(1.9, np.inf),
           needs=(needs_split,), compute=lambda ctx, rng, run: (
-              leaf_cr_order(ctx, rng, run.count("leaves"), coset=True),
-              f"lowest CR order over {run.count('leaves')} leaves, directions in m")),
+              leaf_cr_order(ctx, rng, LEAVES, coset=True),
+              f"lowest CR order over {LEAVES} leaves, directions in m")),
     Check("complexify-holomorphy", "coset-well-defined", needs=(needs_split,),
           compute=lambda ctx, rng, run: (
-              coset_shift_failures(ctx, rng, run.count("well_defined")),
-              f"failed well-definedness checks out of {run.count('well_defined')}")),
+              coset_shift_failures(ctx, rng, WELL_DEFINED),
+              f"failed well-definedness checks out of {WELL_DEFINED}")),
     Check("complexify-holomorphy", "polar-inverse", tol=1e-9,
           compute=lambda ctx, rng, run: (
-              polar_inverse_gap(ctx, rng, run.count("leaves")),
+              polar_inverse_gap(ctx, rng, LEAVES),
               "recover (a, v) from the complexified image")),
 
     Check("nahm-gauge", "solution-residual", tol=1e-8,
           needs=(needs_triple,), compute=lambda ctx, rng, run: (
-              run.once(nahm_solution, ctx, run.steps)[2],
-              f"integrator self-consistency at grid {run.steps}")),
+              run.once(nahm_solution, ctx, STEPS)[2],
+              f"integrator self-consistency at grid {STEPS}")),
     Check("nahm-gauge", "gauge-invariance-order", order=(3.8, 4.2),
           needs=(needs_triple,), compute=_gauge_invariance_order),
     Check("nahm-gauge", "connection-gauged-constancy", tol=1e-6,
           compute=lambda ctx, rng, run: (
-              gauged_constancy(ctx, rng, run.steps),
+              gauged_constancy(ctx, rng, STEPS),
               "gauged T1 stays at its endpoint value")),
     Check("nahm-gauge", "moment-map-zero", tol=1e-12,
           needs=(needs_split, needs_triple), compute=lambda ctx, rng, run: (
               run.once(moment_map_gaps, ctx, rng,
-                       run.once(nahm_solution, ctx, run.steps)[0])[0],
+                       run.once(nahm_solution, ctx, STEPS)[0])[0],
               "endpoints in the complement")),
     Check("nahm-gauge", "moment-map-loop-gauge", tol=1e-12,
           needs=(needs_split, needs_triple), compute=lambda ctx, rng, run: (
               run.once(moment_map_gaps, ctx, rng,
-                       run.once(nahm_solution, ctx, run.steps)[0])[1],
+                       run.once(nahm_solution, ctx, STEPS)[0])[1],
               "invariance under endpoint-fixing gauges")),
 
     Check("nahm-roundtrip", "roundtrip-error", tol=1e-6,
           compute=lambda ctx, rng, run: (
-              roundtrip_error(ctx, rng, run.count("pairs"), run.steps)[0],
-              f"{run.count('pairs')} seeded pairs at {run.steps} steps")),
+              roundtrip_error(ctx, rng, PAIRS, STEPS)[0],
+              f"{PAIRS} seeded pairs at {STEPS} steps")),
     Check("nahm-roundtrip", "roundtrip-zero-vector", tol=1e-12,
           compute=lambda ctx, rng, run: (
-              roundtrip_zero_vector(ctx, rng, 1, run.steps),
+              roundtrip_zero_vector(ctx, rng, 1, STEPS),
               "v = 0 returns the base point")),
     Check("nahm-roundtrip", "roundtrip-order", order=(3.8, 4.2),
           compute=_roundtrip_order),
@@ -570,11 +571,11 @@ CHECKS = (
     Check("s1-isometry", "two-form-order", order=(1.9, np.inf),
           compute=lambda ctx, rng, run: (
               two_form_order(ctx, (run.seed + 7, run.seed + 5, run.seed + 6),
-                             run.count("two_form_ref")),
+                             TWO_FORM_REF),
               "trapezoid quadrature order")),
     Check("s1-isometry", "embedded-potential", tol=1e-8,
           compute=lambda ctx, rng, run: (
-              embedded_potential(ctx, rng, run.grid, 1),
+              embedded_potential(ctx, rng, GRID, 1),
               "potential equals half the squared norm")),
 )
 

@@ -34,8 +34,14 @@ def test_unknown_suite_exit_code(capsys):
 
 
 def test_bad_override_exit_code():
-    assert cli.main(["--suite", "s1-isometry", "--sweep.pairs=notanint"]) == 2
-    assert cli.main(["--suite", "s1-isometry", "--sweep.pairs"]) == 2
+    assert cli.main(["--suite", "s1-isometry", "--seed=notanint"]) == 2
+    assert cli.main(["--suite", "s1-isometry", "--seed"]) == 2
+
+
+def test_settings_are_what_runs_and_where_reports_go():
+    # no setting sizes a case: the sizes are registry constants
+    assert [f.name for f in dataclasses.fields(cli.parse_args([]))] == [
+        "suite", "context", "seed", "out", "fmt", "timings"]
 
 
 def test_single_suite_passes_and_writes_report(tmp_path, capsys):
@@ -52,13 +58,24 @@ def test_single_suite_passes_and_writes_report(tmp_path, capsys):
     assert (tmp_path / "kahler_planes.csv").exists()
 
 
-def test_csv_report_reads_back_as_the_json_records(tmp_path):
+def _roundtrip_off_by(monkeypatch, offset):
+    """Plant an error of ``offset`` on every roundtrip of the registry."""
+    real = registry.roundtrip_error
+
+    def off(*args):
+        worst, norm = real(*args)
+        return worst + offset, norm
+
+    monkeypatch.setattr(registry, "roundtrip_error", off)
+
+
+def test_csv_report_reads_back_as_the_json_records(tmp_path, monkeypatch):
     # s1-isometry notes hold commas, such as "omega(X, X), omega(X, Y) + ...";
-    # 8 roundtrip steps give a fail record
+    # a planted roundtrip error gives a fail record
+    _roundtrip_off_by(monkeypatch, 1e-3)
     for suite, code in (("s1-isometry", 0), ("nahm-roundtrip", 1)):
         out = tmp_path / suite
-        assert cli.main(["--suite", suite, "--grid", "64", "--steps", "8",
-                         "--sweep.pairs=1", "--format", "csv",
+        assert cli.main(["--suite", suite, "--format", "csv",
                          "--out", str(out)]) == code
         report = json.loads((out / "report.json").read_text())
         with open(out / "report.csv", newline="") as fh:
@@ -77,7 +94,7 @@ def test_report_determinism(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):
         code = cli.main(["--suite", "ma-expansion", "--seed", "42",
-                         "--out", str(d), "--sweep.tensors=3"])
+                         "--out", str(d)])
         assert code == 0
     assert (d1 / "report.json").read_bytes() == (d2 / "report.json").read_bytes()
 
@@ -115,11 +132,11 @@ def test_gauge_order_note_shows_the_residuals_and_worst_gauge(tmp_path):
                                 f"[observed {order:.3f}, needs 3.8 to 4.2]")
 
 
-def test_failing_tolerance_gives_exit_one(tmp_path):
-    # 8 steps are too few for the fixed 1e-6 roundtrip gate: a fail record
-    # and exit code 1
-    code = cli.main(["--suite", "nahm-roundtrip", "--steps", "8",
-                     "--sweep.pairs=1", "--out", str(tmp_path)])
+def test_failing_tolerance_gives_exit_one(tmp_path, monkeypatch):
+    # a roundtrip off by 1e-3 misses the fixed 1e-6 gate: a fail record and
+    # exit code 1
+    _roundtrip_off_by(monkeypatch, 1e-3)
+    code = cli.main(["--suite", "nahm-roundtrip", "--out", str(tmp_path)])
     assert code == 1
     report = json.loads((tmp_path / "report.json").read_text())
     rec = next(rec for rec in report if rec["case"] == "roundtrip-error")
@@ -127,21 +144,8 @@ def test_failing_tolerance_gives_exit_one(tmp_path):
     assert rec["metric"] > rec["tol"] == 1e-6
 
 
-def test_sweep_sizes_out_of_range_are_usage_errors(capsys):
-    # a zero count would pass its case on no samples; a zero reference grid
-    # divides by zero
-    bad = [(key, 0) for key in registry.SWEEPS] + [("pairs", -3),
-                                                   ("two_form_ref", 7)]
-    for key, value in bad:
-        err = _usage_error(["--suite", "s1-isometry", f"--sweep.{key}={value}"], capsys)
-        assert f"argument --sweep.{key}: must be at least" in err
-    parsed = cli.parse_args(["--sweep.pairs=1", "--sweep.two_form_ref=8"])
-    assert parsed.sweeps == {"pairs": 1, "two_form_ref": 8}
-    assert cli.parse_args(["--sweep.pairs", "3"]) == cli.parse_args(["--sweep.pairs=3"])
-
-
 def test_records_carry_schema_fields():
-    config = cli.SuiteConfig(suite="s1-isometry", grid=64)
+    config = cli.SuiteConfig(suite="s1-isometry")
     records = cli.run_suite(config)
     assert records == sorted(records, key=lambda r: (r.suite, r.case))
     for rec in records:
@@ -245,8 +249,7 @@ def test_nan_roundtrip_sample_fails_its_case(monkeypatch):
         return got
 
     monkeypatch.setattr(nahm, "adapted_roundtrip", second_is_nan)
-    records = cli.run_suite(cli.SuiteConfig(suite="nahm-roundtrip", steps=64,
-                                            sweeps={"pairs": 3}))
+    records = cli.run_suite(cli.SuiteConfig(suite="nahm-roundtrip"))
     status = {rec.case: rec.status for rec in records}
     assert status["roundtrip-error"] == "fail"
     assert status["roundtrip-zero-vector"] == "pass"
@@ -283,7 +286,7 @@ def test_nan_order_fails_order_case():
 
 
 def test_timings_measure_the_roundtrip_computation(tmp_path):
-    assert cli.main(["--suite", "nahm-roundtrip", "--sweep.pairs=4", "--timings",
+    assert cli.main(["--suite", "nahm-roundtrip", "--timings",
                      "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     ms = {rec["case"]: rec["ms"] for rec in report}
@@ -306,9 +309,6 @@ def test_unknown_override_keys_are_rejected():
     # there is no --config flag, and no flag matches by a prefix of its name
     for argv in (["--config", "x"], ["--sweep.pair=1"], ["--see", "1"]):
         assert cli.main(["--suite", "nahm-roundtrip", *argv]) == 2
-    # a key of another suite is accepted, as an all run reads every key
-    parsed = cli.parse_args(["--suite", "nahm-roundtrip", "--sweep.tensors=3"])
-    assert parsed.sweeps == {"tensors": 3}
 
 
 @pytest.mark.parametrize("context", sorted(liealg.BUILTIN_CONTEXTS))
@@ -334,7 +334,7 @@ def test_growing_two_form_error_fails_the_order_gate(monkeypatch):
         return real(config, X, Y) + 1e-6 * config.grid_size ** 2
 
     monkeypatch.setattr(nahm, "potential_two_form", growing)
-    records = cli.run_suite(cli.SuiteConfig(suite="s1-isometry", grid=64))
+    records = cli.run_suite(cli.SuiteConfig(suite="s1-isometry"))
     order = next(rec for rec in records if rec.case == "two-form-order")
     assert order.status == "fail"
     assert "[observed -1.99" in order.note
@@ -348,7 +348,7 @@ def test_wrong_two_form_reference_fails_the_order_gate(monkeypatch, pairing):
     # potential_two_form does not read the pairing table, so only the
     # reference moves, and every grid then misses it by the same amount
     monkeypatch.setattr(nahm, "_OMEGA_I_PAIRING", pairing)
-    records = cli.run_suite(cli.SuiteConfig(suite="s1-isometry", grid=64))
+    records = cli.run_suite(cli.SuiteConfig(suite="s1-isometry"))
     order = next(rec for rec in records if rec.case == "two-form-order")
     assert order.status == "fail"
 
@@ -392,21 +392,12 @@ def test_a_library_error_fails_its_case_and_the_others_still_run(monkeypatch, tm
             assert rec["status"] == "pass", rec
 
 
-def test_well_defined_sweep_key_sizes_the_coset_case(capsys):
-    config = cli.parse_args(["--suite", "complexify-holomorphy",
-                             "--sweep.well_defined=3"])
-    assert config.sweeps == {"well_defined": 3}
-    assert capsys.readouterr().err == ""
-    records = cli.run_suite(config)
-    case = next(rec for rec in records if rec.case == "coset-well-defined")
-    assert case.status == "pass"
-    assert case.note == "failed well-definedness checks out of 3"
-
-
-def test_removed_equivariance_key_is_unknown(capsys):
-    # every tol. key is gone, and so is sweep.equivariance: each is an
-    # unrecognised argument and exits 2
+def test_removed_equivariance_key_is_unknown(capsys, monkeypatch):
+    # every tol. key is gone, and so are sweep.equivariance and the size
+    # flags: each is an unrecognised argument and exits 2 before any case runs
+    monkeypatch.setattr(cli, "_run_checks", lambda *args: pytest.fail("a case ran"))
     retired = [("complexify-holomorphy", "sweep.equivariance", "3"),
+               ("s1-isometry", "grid", "64"), ("nahm-roundtrip", "steps", "8"),
                ("ma-expansion", "tol.permutation", "1e-12"),
                ("complexify-holomorphy", "tol.order_slack", "0.1"),
                ("nahm-roundtrip", "tol.order_window", "0.2")]
@@ -414,6 +405,9 @@ def test_removed_equivariance_key_is_unknown(capsys):
                 for key in ("quartic", "low_order", "components", "imag", "inverse",
                             "residual", "constancy", "moment", "roundtrip",
                             "zero_vector", "exact", "potential")]
+    retired += [("all", f"sweep.{key}", "8")
+                for key in ("tensors", "leaves", "well_defined", "gauges", "pairs",
+                            "two_form_ref")]
     for suite, key, value in retired:
         err = _usage_error(["--suite", suite, f"--{key}={value}"], capsys)
         assert f"unrecognized arguments: --{key}={value}" in err
@@ -423,10 +417,8 @@ def test_negative_seed_and_file_out_are_usage_errors(tmp_path, capsys, monkeypat
     # rejected before any case runs: an --out at or below a file would
     # otherwise fail only after every case ran, and a negative seed inside
     # numpy
-    for argv, message in ((["--seed", "-1"], "argument --seed: must be at least 0"),
-                          (["--grid", "4"], "argument --grid: must be at least 8"),
-                          (["--steps", "2"], "argument --steps: must be at least 8")):
-        assert message in _usage_error(["--suite", "s1-isometry", *argv], capsys)
+    err = _usage_error(["--suite", "s1-isometry", "--seed", "-1"], capsys)
+    assert "argument --seed: must be at least 0" in err
     assert cli.parse_args(["--seed", "0", "--out", str(tmp_path)]).seed == 0
     taken = tmp_path / "taken"
     taken.write_text("")
@@ -435,8 +427,7 @@ def test_negative_seed_and_file_out_are_usage_errors(tmp_path, capsys, monkeypat
         message = f"cannot use --out {out}"
         with pytest.raises(ConfigParseError, match=re.escape(message)):
             cli.run_suite(cli.SuiteConfig(suite="s1-isometry", out=str(out)))
-        assert cli.main(["--suite", "s1-isometry", "--grid", "64",
-                         "--out", str(out)]) == 2
+        assert cli.main(["--suite", "s1-isometry", "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
 
 

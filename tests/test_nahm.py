@@ -126,7 +126,7 @@ def test_gauge_invariance_of_nahm_residual(ctx):
                   if c.case == "gauge-invariance-order")
     for seed in (17, 3, 13):
         order, _, _, _ = registry.gauge_residual_order(
-            ctx, np.random.default_rng(seed), registry.SWEEPS["gauges"])
+            ctx, np.random.default_rng(seed), registry.GAUGES)
         assert lo <= order <= hi
 
 
@@ -429,6 +429,36 @@ def test_embed_tangent_custom_path_well_definedness(ctx):
     assert np.linalg.norm(default.matrix - alternate) < 1e-9
 
 
+def test_embed_tangent_rejects_a_path_that_misses_its_end(ctx):
+    rng = _rng()
+    a = la.group_exp(ctx, ctx.random_element(rng, 1.2))
+    v = ctx.random_element(rng, 1.5)
+    N = 64
+    ts = np.linspace(0, 1, N + 1)[:, None, None]
+    L = la.group_log(a)
+    # a path that stays at a ends neither at the identity (0.60 away) nor
+    # in H: its T1(1) = a v a^-1 misses v by 0.62
+    at_a = nahm.GaugePath(np.repeat(a.matrix[None], N + 1, axis=0), "group", ctx)
+    with pytest.raises(MalformedInput, match="end at the identity or in the subgroup"):
+        nahm.embed_tangent(a, v, N, at_a)
+    # a complexified base, on a path from it to the identity
+    b = la.GroupElement(a.matrix @ scipy.linalg.expm(1j * v), ctx, complexified=True)
+    to_one = nahm._matmul_paths(nahm._expm_stack((1 - ts) * L),
+                                nahm._expm_stack((1 - ts) * 1j * v))
+    with pytest.raises(MalformedInput, match="not 'complex-group'"):
+        nahm.embed_tangent(b, v, N, nahm.GaugePath(to_one, "complex-group", ctx))
+    with pytest.raises(MalformedInput, match="real group element"):
+        nahm.embed_tangent(b, v, N, nahm.GaugePath(to_one, "group", ctx))
+    # a path into H is accepted where the context has a split, and only there
+    into_h = nahm._matmul_paths(nahm._expm_stack((1 - ts) * L),
+                                nahm._expm_stack(ts * 0.5 * ctx.h_basis()[0]))
+    nahm.embed_tangent(a, v, N, nahm.GaugePath(into_h, "group", ctx))
+    su2 = la.su2()
+    a2 = la.GroupElement(a.matrix, su2)
+    with pytest.raises(MalformedInput, match="end at the identity or in the subgroup"):
+        nahm.embed_tangent(a2, v, N, nahm.GaugePath(into_h, "group", su2))
+
+
 def test_adapted_roundtrip_small_sweep(ctx):
     rng = _rng()
     for _ in range(10):
@@ -543,11 +573,11 @@ def _traced_peak(fn, *args):
 
 
 def test_two_form_order_peak_memory():
-    # the reference comes from the tangents' draws: the default 25 600 nodes
+    # the reference comes from the tangents' draws: the case's 25 600 nodes
     # cost a few profile vectors, not two (4, N+1, 3, 3) complex stacks
     su3 = la.builtin_context("su3_u2")
     peak = _traced_peak(registry.two_form_order, su3, (7, 5, 6),
-                        registry.SWEEPS["two_form_ref"])
+                        registry.TWO_FORM_REF)
     assert peak <= 4 * 2 ** 20
 
 

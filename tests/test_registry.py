@@ -38,16 +38,20 @@ def test_case_ids_are_unique_and_keys_declared():
                for c in registry.CHECKS)
 
 
-def test_readme_override_table_lists_the_registry_keys_and_defaults(capsys):
+def test_readme_size_table_lists_the_registry_constants(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    rows = re.findall(r"^\| `((?:tol|sweep)\.\w+)` \| ([^|]+) \|", readme, re.M)
-    table = {key: float(default) for key, default in rows}
-    assert len(table) == len(rows)  # no key listed twice
-    assert table == {f"sweep.{k}": v for k, v in registry.SWEEPS.items()}
+    rows = re.findall(r"^\| `([A-Z_]+)` \| (\d+) \|", readme, re.M)
+    table = {name: int(value) for name, value in rows}
+    assert len(table) == len(rows)  # no constant listed twice
+    assert set(table) == {"TENSORS", "LEAVES", "WELL_DEFINED", "GAUGES", "PAIRS",
+                          "TWO_FORM_REF", "GRID", "STEPS"}
+    assert table == {name: getattr(registry, name) for name in table}
     with pytest.raises(SystemExit):
         cli.parse_args(["--help"])
-    usage = capsys.readouterr().out
-    assert all(f"--{key} N" in usage for key in table)  # every row is a flag
+    usage = capsys.readouterr().out.lower()
+    # no flag sizes a case
+    assert not any(name.lower() in usage for name in table)
+    assert "sweep" not in usage
     assert "--config" not in usage
     text = " ".join(readme.split())
     listed = re.search(r"fixed tolerances: (.*?\))\.", text)

@@ -425,7 +425,9 @@ class JetPolynomial:
         powers = tuple(int(p) for p in powers)
         if len(powers) != self.num_vars:
             raise MalformedInput("exponent tuple does not match variable count")
-        if min(powers) < 0 or sum(powers) > self.max_degree:
+        if min(powers) < 0:
+            raise MalformedInput("exponents must be non-negative")
+        if sum(powers) > self.max_degree:
             return 0.0
         return self._c[self._layout.index(powers)].item()
 

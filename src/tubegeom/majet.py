@@ -21,8 +21,9 @@ jet-matrix product pairs it with d rho / dz.  ``solve_potential`` solves the
 identity through any degree by bi-degree back-substitution: the seed gives
 the blocks of y-degree at most 2, and the identity linearized at |y|^2
 multiplies a block of y-degree b by -(b-1)(b-2), so each block with b >= 3
-is a residual block divided by (b-1)(b-2).  ``solve_quartic_coefficients``
-reads the free pure-y quartic coefficients off the degree-4 solve.
+is a residual block divided by (b-1)(b-2).  The solve's steps and the read
+of the free pure-y quartic coefficients off the degree-4 solve find their
+blocks through one rule, ``_block_positions``.
 
 Normalization: the whole potential carries the factor ``FIBER_SCALE = 1``
 (so ``rho = |y|^2`` on the fiber over the base point); the identity is
@@ -33,7 +34,6 @@ assumes the value below.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,6 +141,15 @@ def _block_gain(b):
     return (b - 1) * (b - 2)
 
 
+def _block_positions(num_vars, max_degree, a, b):
+    """Positions of the block of x-degree ``a`` and y-degree ``b`` in the
+    tube layout, descending: on the pure-y quartic block that is the order
+    of the quadruples i <= j <= k <= l of y_i y_j y_k y_l, ascending."""
+    block = _layout(num_vars, max_degree).block(a + b)
+    y_degree = _split(num_vars, max_degree).right_degree[block]
+    return block.start + np.flatnonzero(y_degree == b)[::-1]
+
+
 def solve_potential(seed):
     """The potential that solves the identity through the seed's degree bound.
 
@@ -159,17 +168,14 @@ def solve_potential(seed):
     _fiber_dimension(seed)  # raises unless x then y, so y is _split's right half
     if seed.max_abs_coeff(degrees={1}):
         raise MalformedInput("a potential seed may not have a linear part")
-    layout = seed._layout
-    y_degree = _split(seed.num_vars, seed.max_degree).right_degree
     coeffs = seed._c.copy()
     rho = JetPolynomial._from_array(seed.num_vars, seed.max_degree, coeffs)
     residual = None
     for d in range(3, seed.max_degree + 1):
-        block = layout.block(d)
         for b in range(3, d + 1):
             if residual is None:
                 residual = ma_residual(rho)._c
-            positions = block.start + np.flatnonzero(y_degree[block] == b)
+            positions = _block_positions(seed.num_vars, seed.max_degree, d - b, b)
             step = residual[positions] / _block_gain(b)
             if step.any():
                 coeffs[positions] += step
@@ -185,25 +191,26 @@ class QuarticCoefficients:
 
     values: dict
 
-    def max_abs(self):
-        """Largest |coefficient|; NaN when any coefficient is NaN."""
-        values = np.abs(np.asarray(list(self.values.values())))
-        return float(np.max(values)) if values.size else 0.0
 
-
-def ordered_quadruples(n):
-    return list(itertools.combinations_with_replacement(range(n), 4))
+def _solved_pure_y_quartic(tensor, plant):
+    """The pure-y quartic block of ``solve_potential`` on the degree-4
+    expansion of ``tensor`` plus ``plant(size)`` in that block: the plant
+    plus the solve's degree-4 step, one residual."""
+    seed = potential_expansion(tensor, 4)
+    positions = _block_positions(seed.num_vars, 4, 0, 4)
+    coeffs = seed._c.copy()
+    coeffs[positions] += plant(len(positions))
+    solved = solve_potential(JetPolynomial._from_array(seed.num_vars, 4, coeffs))
+    return solved._c[positions]
 
 
 def solve_quartic_coefficients(tensor):
     """The pure-y quartic block of ``solve_potential`` on the degree-4
-    expansion of ``tensor``, which the paper says vanishes.  The seed has
-    none, so the block is the solve's degree-4 step: one residual."""
+    expansion of ``tensor``, which the paper says vanishes."""
     n = tensor.dimension
-    solved = solve_potential(potential_expansion(tensor, 4))
-    quadruples = ordered_quadruples(n)
-    powers = np.eye(2 * n, dtype=np.int64)[n:][quadruples].sum(axis=1)
-    found = solved._c[solved._layout.index(powers)]
+    found = _solved_pure_y_quartic(tensor, np.zeros)
+    powers = _layout(2 * n, 4).exponents[_block_positions(2 * n, 4, 0, 4), n:]
+    quadruples = [tuple(np.repeat(np.arange(n), p).tolist()) for p in powers]
     return QuarticCoefficients(dict(zip(quadruples, found.tolist())))
 
 

@@ -342,7 +342,11 @@ def baby_nahm_residual(T0, T1):
 
 
 def gauge_transform(g, config):
-    """Gauge action: T0 conjugates with a connection shift, Tj conjugate."""
+    """Gauge action: T0 conjugates with a connection shift, Tj conjugate.
+
+    The shift -dg g^-1 of a real (``"group"``) gauge is projected onto the
+    real span: the difference stencil leaves it by O(h^4), and the
+    integrator takes real-span data only."""
     _same_grid(g, config)
     if g.kind not in ("group", "complex-group"):
         raise MalformedInput("gauge paths must be group-valued")
@@ -350,7 +354,10 @@ def gauge_transform(g, config):
     ginv = np.linalg.inv(gv)
     dg = path_derivative(gv, 1.0 / g.grid_size)
     values = _matmul_paths(_matmul_paths(gv, config.values), ginv)
-    values[0] -= _matmul_paths(dg, ginv)
+    shift = _matmul_paths(dg, ginv)
+    if g.kind == "group":
+        shift = g.context.path_reconstruct(g.context.path_coefficients(shift))
+    values[0] -= shift
     return NahmConfiguration._from_stack(values, config.context)
 
 
@@ -901,6 +908,8 @@ def smooth_gauge(context, rng, grid_size, amplitude=0.5, endpoints="free"):
     "free": no constraint; "loop": identity at both ends; "subgroup":
     identity at t = 0 and a subgroup element at t = 1.
     """
+    if endpoints not in ("free", "loop", "subgroup"):
+        raise MalformedInput(f"unknown endpoints {endpoints!r}")
     d = context.dim
     c1 = rng.standard_normal(d) * amplitude
     c2 = rng.standard_normal(d) * amplitude

@@ -50,15 +50,18 @@ def _worst(values):
     return float(np.max(values, initial=0.0))
 
 
+def _pure_y_quartic_sweep(rng, count, plant):
+    """Worst |coefficient| of the solved pure-y quartic block, with
+    ``plant``, over ``count`` seeded admissible tensors per n = 2, 3."""
+    return _worst([
+        np.max(np.abs(majet._solved_pure_y_quartic(cv.random_admissible(n, rng), plant)))
+        for n in (2, 3) for _ in range(count)])
+
+
 def quartic_sweep(rng, count):
     """Worst |A| of the solved quartic coefficients over ``count`` random
-    admissible curvature tensors per dimension n = 2, 3."""
-    sizes = []
-    for n in (2, 3):
-        for _ in range(count):
-            R = cv.random_admissible(n, rng)
-            sizes.append(majet.solve_quartic_coefficients(R).max_abs())
-    return _worst(sizes)
+    admissible curvature tensors per dimension n = 2, 3 (no plant)."""
+    return _pure_y_quartic_sweep(rng, count, np.zeros)
 
 
 def planted_quartic_gap(rng):
@@ -66,16 +69,7 @@ def planted_quartic_gap(rng):
     is planted into the solver's seed, the degree-4 expansion of a seeded
     admissible tensor: the solve must cancel the plant, with its gain and at
     its positions.  The solved pure-y quartic block is P + correction."""
-    gaps = []
-    for n in (2, 3):
-        R = cv.random_admissible(n, rng)
-        powers = [(0,) * n + tuple(np.bincount(q, minlength=n).tolist())
-                  for q in majet.ordered_quadruples(n)]
-        P = rng.standard_normal(len(powers))
-        planted = JetPolynomial(2 * n, 4, dict(zip(powers, P)))
-        solved = majet.solve_potential(majet.potential_expansion(R, 4) + planted)
-        gaps.append(np.max(np.abs([solved.coefficient(p) for p in powers])))
-    return _worst(gaps)
+    return _pure_y_quartic_sweep(rng, 1, rng.standard_normal)
 
 
 def holomorphic_change_pairs(rng):

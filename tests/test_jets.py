@@ -61,6 +61,16 @@ def test_partial_derivative():
     assert jet.partial(1).coefficient((2, 0)) == 1.0
 
 
+def test_coefficient_rejects_negative_exponents_as_the_constructor_does():
+    jet = JetPolynomial(2, 3, {(0, 2): 1.0})
+    for powers in [(-1, 3), (1, -1)]:
+        with pytest.raises(MalformedInput, match="non-negative"):
+            jet.coefficient(powers)
+        with pytest.raises(MalformedInput, match="non-negative"):
+            JetPolynomial(2, 3, {powers: 1.0})
+    assert jet.coefficient((0, 4)) == 0.0  # above the bound: no stored term
+
+
 @pytest.mark.parametrize("var", [-1, 2, [0, 2], np.array([-1, 1]), 0.0])
 def test_partial_rejects_a_variable_outside_the_jet(var):
     # -1 used to differentiate by the last variable, 2 to raise IndexError

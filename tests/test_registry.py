@@ -79,6 +79,25 @@ def test_planted_quartic_read_fails_where_the_vanishing_read_cannot(monkeypatch)
     assert registry.planted_quartic_gap(np.random.default_rng(44)) > 0.1
 
 
+def test_one_nan_in_the_solved_pure_y_block_makes_both_quartic_sweeps_nan(monkeypatch):
+    real = majet.solve_potential
+    calls = []
+
+    def second_has_a_nan(seed):
+        calls.append(seed)
+        solved = real(seed)
+        if len(calls) == 2:  # NaN on y_(n-1)^4, one coefficient of one sample
+            y_last = (0,) * (seed.num_vars - 1) + (4,)
+            return solved + JetPolynomial(seed.num_vars, seed.max_degree, {y_last: np.nan})
+        return solved
+
+    monkeypatch.setattr(majet, "solve_potential", second_has_a_nan)
+    assert np.isnan(registry.quartic_sweep(np.random.default_rng(43), 2))
+    calls.clear()
+    assert np.isnan(registry.planted_quartic_gap(np.random.default_rng(44)))
+    assert len(calls) == 2
+
+
 def _plus_monomial(build, powers):
     """``build`` with 0.3 times the monomial of exponents ``powers`` of
     (x0, x1, y0, y1) added to the jet it returns."""

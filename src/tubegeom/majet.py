@@ -21,9 +21,8 @@ jet-matrix product pairs it with d rho / dz.  ``solve_potential`` solves the
 identity through any degree by bi-degree back-substitution: the seed gives
 the blocks of y-degree at most 2, and the identity linearized at |y|^2
 multiplies a block of y-degree b by -(b-1)(b-2), so each block with b >= 3
-is a residual block divided by (b-1)(b-2).  The solve's steps and the read
-of the free pure-y quartic coefficients off the degree-4 solve find their
-blocks through one rule, ``_block_positions``.
+is a residual block divided by (b-1)(b-2).  ``_block_positions`` finds the
+blocks, for the solve's steps and for the pure-y quartic read.
 
 Normalization: the whole potential carries the factor ``FIBER_SCALE = 1``
 (so ``rho = |y|^2`` on the fiber over the base point); the identity is
@@ -196,12 +195,11 @@ def _solved_pure_y_quartic(tensor, plant):
     """The pure-y quartic block of ``solve_potential`` on the degree-4
     expansion of ``tensor`` plus ``plant(size)`` in that block: the plant
     plus the solve's degree-4 step, one residual."""
-    seed = potential_expansion(tensor, 4)
-    positions = _block_positions(seed.num_vars, 4, 0, 4)
-    coeffs = seed._c.copy()
+    num_vars = 2 * tensor.dimension
+    positions = _block_positions(num_vars, 4, 0, 4)
+    coeffs = potential_expansion(tensor, 4)._c.copy()
     coeffs[positions] += plant(len(positions))
-    solved = solve_potential(JetPolynomial._from_array(seed.num_vars, 4, coeffs))
-    return solved._c[positions]
+    return solve_potential(JetPolynomial._from_array(num_vars, 4, coeffs))._c[positions]
 
 
 def solve_quartic_coefficients(tensor):

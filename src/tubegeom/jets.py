@@ -325,6 +325,16 @@ def _scalar_only(what, *jets):
         raise MalformedInput(f"{what} takes scalar jets, not jets with leading axes")
 
 
+def _exponent_rows(powers, num_vars):
+    """(k, num_vars) float rows of k exponent tuples; MalformedInput unless
+    each exponent is a non-negative integral value (2.0 passes, 1.5 and NaN
+    do not).  The rows stay float because an int cast of NaN warns."""
+    rows = np.array(powers, dtype=float).reshape(-1, num_vars)
+    if not np.all(np.isfinite(rows) & (rows >= 0) & (np.round(rows) == rows)):
+        raise MalformedInput("exponents must be non-negative integers")
+    return rows
+
+
 class JetPolynomial:
     """Polynomial truncated at a total degree bound, stored densely.
 
@@ -354,9 +364,7 @@ class JetPolynomial:
                 raise MalformedInput(
                     f"exponent tuple {powers} has {len(powers)} entries, "
                     f"expected {self.num_vars}")
-        rows = np.array(list(coeffs), dtype=np.int64).reshape(-1, self.num_vars)
-        if np.any(rows < 0):
-            raise MalformedInput("exponents must be non-negative")
+        rows = _exponent_rows(list(coeffs), self.num_vars)
         values = np.asarray(list(coeffs.values()))
         if values.ndim != 1:
             raise MalformedInput("dict coefficients must be scalars")
@@ -422,14 +430,13 @@ class JetPolynomial:
     def coefficient(self, powers):
         """Coefficient of the monomial with the given exponent tuple."""
         _scalar_only("coefficient", self)
-        powers = tuple(int(p) for p in powers)
+        powers = tuple(powers)
         if len(powers) != self.num_vars:
             raise MalformedInput("exponent tuple does not match variable count")
-        if min(powers) < 0:
-            raise MalformedInput("exponents must be non-negative")
-        if sum(powers) > self.max_degree:
+        row = _exponent_rows(powers, self.num_vars)[0]
+        if row.sum() > self.max_degree:
             return 0.0
-        return self._c[self._layout.index(powers)].item()
+        return self._c[self._layout.index(row)].item()
 
     def degree(self):
         """Largest total degree with a stored term in any entry (0 for zero)."""

@@ -6,6 +6,14 @@ orthogonal reductive split into a subalgebra and its complement.  Algebra
 elements are plain complex ndarrays; group elements carry their context so
 membership can be checked.
 
+One rule says what lies in the real span: ``coefficients`` expands one
+matrix or a (..., m, m) stack and raises ClosureViolation when some matrix
+is off the span by more than tol * max(1, |X|), and ``reconstruct`` is its
+inverse on (..., dim) coefficient arrays.  ``path_coefficients`` is the one
+unchecked projection, for values that may leave the span, and
+``membership_defect`` measures its gap with the residual that
+``coefficients`` checks.  Pairings always go through ``inner_product``.
+
 Built-in contexts cover su(2), su(3), so(3), so(4), abelian tori, and the
 split pairs su(2) > u(1) and su(3) > u(2).  Bases are scaled so the default
 trace-form inner product <X, Y> = -c tr(XY) makes them orthonormal.
@@ -54,35 +62,44 @@ class LieAlgebraContext:
         if np.linalg.cond(gram) > 1e8:
             raise MalformedInput("basis matrices are not linearly independent")
         self._expand_op = np.linalg.solve(gram, flat.conj())
-        self._ip_is_identity = np.allclose(
-            self.inner_product, np.eye(self.dim), atol=1e-13)
 
     # -- expansion and membership --------------------------------------
 
-    def coefficients(self, X, tol=None):
-        """Real coefficients of X in the basis; ClosureViolation if X is
-        outside the real span beyond tolerance."""
+    def coefficients(self, X, tol=DEFAULT_EXPAND_TOL):
+        """Real coefficients, (..., dim), of one matrix or a (..., m, m)
+        stack; ClosureViolation when some matrix lies outside the real span
+        by more than tol * max(1, |X|).  Non-finite matrices are not
+        flagged."""
         X = np.asarray(X, dtype=complex)
-        if X.shape != (self.matrix_size, self.matrix_size):
+        if X.shape[-2:] != (self.matrix_size, self.matrix_size):
             raise ContextMismatch(
                 f"matrix shape {X.shape} does not fit context {self.name}")
-        coeffs = np.real(self._expand_op @ X.reshape(-1))
-        resid = np.linalg.norm(self.reconstruct(coeffs) - X)
-        limit = (DEFAULT_EXPAND_TOL if tol is None else tol)
-        if resid > limit * max(1.0, np.linalg.norm(X)):
+        # one matrix-vector product per matrix, so that a stack's rows are
+        # bit for bit the single-matrix expansions
+        coeffs = np.real(self._expand_op @ X.reshape(X.shape[:-2] + (-1, 1)))[..., 0]
+        resid = self._span_residual(X, coeffs)
+        outside = resid > tol * np.maximum(1.0, np.linalg.norm(X, axis=(-2, -1)))
+        if np.any(outside):
             raise ClosureViolation(
-                f"matrix is not in the span of {self.name} (residual {resid:.3e})")
+                f"{np.count_nonzero(outside)} of {outside.size} matrices are not in "
+                f"the span of {self.name} (residual {np.max(resid[outside]):.3e})")
         return coeffs
 
     def reconstruct(self, coeffs):
-        return np.tensordot(np.asarray(coeffs), self.basis, axes=(0, 0))
+        """Inverse of ``coefficients``: (..., dim) -> (..., m, m)."""
+        return np.tensordot(coeffs, self.basis, axes=(-1, 0))
 
-    def contains(self, X, tol=None):
-        try:
-            self.coefficients(X, tol)
-            return True
-        except (ClosureViolation, ContextMismatch):
-            return False
+    def path_coefficients(self, values):
+        """Unchecked expansion of a (..., m, m) stack: the real coefficients
+        of its least-squares projection onto the real span, by one matrix
+        product (rows may differ from ``coefficients`` in the last bit)."""
+        values = np.asarray(values, dtype=complex)
+        return np.real(values.reshape(values.shape[:-2] + (-1,)) @ self._expand_op.T)
+
+    def _span_residual(self, X, coeffs):
+        """Distance of each matrix of X from the reconstruction of its
+        expansion ``coeffs``, the one gap that ``coefficients`` checks."""
+        return np.linalg.norm(X - self.reconstruct(coeffs), axis=(-2, -1))
 
     def random_coefficients(self, rng, radius=1.0):
         """Coefficient vector drawn uniformly in the ball of ``radius``."""
@@ -98,53 +115,21 @@ class LieAlgebraContext:
 
     def pair(self, X, Y):
         """Ad-invariant inner product of two algebra elements."""
-        cx = self.coefficients(X)
-        cy = self.coefficients(Y)
-        if self._ip_is_identity:
-            return float(np.dot(cx, cy))
-        return float(cx @ self.inner_product @ cy)
+        return float(self.coefficients(X) @ self.inner_product @ self.coefficients(Y))
 
     def norm(self, X):
         return float(np.sqrt(max(self.pair(X, X), 0.0)))
 
     def pair_coeff_paths(self, ca, cb):
         """Pointwise inner products for (nodes, dim) coefficient arrays."""
-        if not self._ip_is_identity:
-            ca = ca @ self.inner_product
-        return (ca * cb) @ np.ones(self.dim)  # row sums as one mat-vec
-
-    def path_coefficients(self, values):
-        """Vectorized expansion of a (nodes, m, m) stack of algebra values."""
-        flat = np.asarray(values, dtype=complex).reshape(len(values), -1)
-        return np.real(flat @ self._expand_op.T)
-
-    def path_reconstruct(self, coeffs):
-        """Vectorized inverse of ``path_coefficients``: (nodes, dim) -> stack."""
-        flat = np.asarray(coeffs) @ self.basis.reshape(self.dim, -1)
-        return flat.reshape(-1, self.matrix_size, self.matrix_size)
-
-    def _span_path_coefficients(self, values):
-        """``path_coefficients`` with the check of ``coefficients``: raises
-        ClosureViolation when some node lies outside the real span beyond
-        DEFAULT_EXPAND_TOL relative to max(1, |X|).  Non-finite nodes are not
-        flagged."""
-        values = np.asarray(values, dtype=complex)
-        coeffs = self.path_coefficients(values)
-        resid = np.linalg.norm(values - self.path_reconstruct(coeffs), axis=(1, 2))
-        scale = np.maximum(1.0, np.linalg.norm(values, axis=(1, 2)))
-        outside = resid > DEFAULT_EXPAND_TOL * scale
-        if np.any(outside):
-            raise ClosureViolation(
-                f"{np.count_nonzero(outside)} of {len(values)} matrices are not in "
-                f"the span of {self.name} (residual {np.max(resid[outside]):.3e})")
-        return coeffs
+        # row sums as one mat-vec
+        return ((ca @ self.inner_product) * cb) @ np.ones(self.dim)
 
     def structure_constants(self):
         """Real (dim, dim, dim) array f with [e_j, e_k] = sum_l f[j, k, l] e_l;
         ClosureViolation when some bracket of basis elements leaves the span."""
-        B, d, m = self.basis, self.dim, self.matrix_size
-        comm = (B[:, None] @ B[None] - B[None] @ B[:, None]).reshape(d * d, m, m)
-        return self._span_path_coefficients(comm).reshape(d, d, d)
+        B = self.basis
+        return self.coefficients(B[:, None] @ B[None] - B[None] @ B[:, None])
 
     # -- split ---------------------------------------------------------
 
@@ -225,7 +210,11 @@ def group_exp(context, X, complexified=None):
     if not np.all(np.isfinite(X)):
         raise MalformedInput("exponent must be finite")
     if complexified is None:
-        complexified = not context.contains(X, 1e-8)
+        try:
+            context.coefficients(X, 1e-8)
+            complexified = False
+        except ClosureViolation:
+            complexified = True
     return GroupElement(scipy.linalg.expm(X), context, complexified)
 
 
@@ -306,8 +295,7 @@ def membership_defect(context, matrices, complexified=True):
         return float("inf")
     w, V = np.linalg.eig(u)
     log_u = (V * np.log(w)[:, None, :]) @ np.linalg.inv(V)
-    gap = lambda X: np.linalg.norm(
-        X - context.path_reconstruct(context.path_coefficients(X)), axis=(1, 2))
+    gap = lambda X: context._span_residual(X, context.path_coefficients(X))
     v_defect = gap(v) if complexified else np.linalg.norm(v, axis=(1, 2))
     return float(np.max(v_defect + gap(log_u)))
 

@@ -356,7 +356,7 @@ def gauge_transform(g, config):
     values = _matmul_paths(_matmul_paths(gv, config.values), ginv)
     shift = _matmul_paths(dg, ginv)
     if g.kind == "group":
-        shift = g.context.path_reconstruct(g.context.path_coefficients(shift))
+        shift = g.context.reconstruct(g.context.path_coefficients(shift))
     values[0] -= shift
     return NahmConfiguration._from_stack(values, config.context)
 
@@ -817,7 +817,7 @@ def _nahm_table(context):
 
 def _span_coefficients(context, values, what):
     try:
-        return context._span_path_coefficients(values)
+        return context.coefficients(values)
     except ClosureViolation as err:
         raise MalformedInput(f"{what} must lie in the real span: {err}") from None
 
@@ -886,11 +886,9 @@ def integrate_nahm(context, initial, T0):
             dot(flat, half, out=k4)
             dot(weights, k, out=Y_next)
             add(Y_next, Y, out=Y_next)
-        states = context.path_reconstruct(
-            coeffs.reshape(N + 1, 3, d).transpose(1, 0, 2).reshape(-1, d))
         values = np.empty((4, N + 1, m, m), dtype=complex)
         values[0] = T0.values
-        values[1:] = states.reshape(3, N + 1, m, m)
+        values[1:] = context.reconstruct(coeffs.reshape(N + 1, 3, d).transpose(1, 0, 2))
         norms_sq = (np.abs(values[1:, 1:]) ** 2).sum(axis=(2, 3)).max(axis=0)
     bound = 1e6
     exceeded = np.flatnonzero(~(norms_sq <= bound * bound))
@@ -924,7 +922,7 @@ def smooth_gauge(context, rng, grid_size, amplitude=0.5, endpoints="free"):
     else:
         profiles = [np.cos(0.5 * np.pi * ts), np.sin(1.5 * ts)]
     coeffs = np.outer(profiles[0], c1) + np.outer(profiles[1], c2)
-    return GaugePath(_expm_stack(context.path_reconstruct(coeffs)), "group", context)
+    return GaugePath(_expm_stack(context.reconstruct(coeffs)), "group", context)
 
 
 def _tangent_draws(context, rng):

@@ -71,6 +71,23 @@ def test_coefficient_rejects_negative_exponents_as_the_constructor_does():
     assert jet.coefficient((0, 4)) == 0.0  # above the bound: no stored term
 
 
+@pytest.mark.parametrize("bad", [1.7, 1.5, 0.5, np.nan, np.inf])
+def test_exponents_that_are_not_integral_values_are_rejected(bad):
+    # 1.7 used to be truncated to 1; NaN must not reach the int cast's warning
+    jet = JetPolynomial(2, 3, {(1, 0): 5.0})
+    with pytest.raises(MalformedInput, match="integers"):
+        JetPolynomial(2, 3, {(bad, 0): 5.0})
+    with pytest.raises(MalformedInput, match="integers"):
+        jet.coefficient((bad, 0))
+
+
+def test_integral_float_exponents_read_as_integers():
+    jet = JetPolynomial(2, 3, {(2.0, 1.0): 3.0, (np.float64(1), 0): 5.0})
+    assert jet.coeffs == {(2, 1): 3.0, (1, 0): 5.0}
+    assert jet.coefficient((2.0, 1)) == 3.0
+    assert jet.coefficient((1.0, 0.0)) == 5.0
+
+
 @pytest.mark.parametrize("var", [-1, 2, [0, 2], np.array([-1, 1]), 0.0])
 def test_partial_rejects_a_variable_outside_the_jet(var):
     # -1 used to differentiate by the last variable, 2 to raise IndexError

@@ -79,6 +79,29 @@ def test_structure_constants_reject_a_basis_that_does_not_close():
         partial.structure_constants()
 
 
+@pytest.mark.parametrize("name", sorted(la.BUILTIN_CONTEXTS))
+def test_a_stack_expands_and_reconstructs_as_its_matrices_do(name):
+    ctx = la.builtin_context(name)
+    rng = np.random.default_rng(8)
+    K = 6
+    stack = np.array([ctx.random_element(rng, 2.0) for _ in range(K)])
+    coeffs = ctx.coefficients(stack)
+    assert coeffs.shape == (K, ctx.dim)
+    for X, c in zip(stack, coeffs):
+        assert np.array_equal(c, ctx.coefficients(X))
+    # a stack rebuilds by one matrix product, whose rows may round in the
+    # last bit unlike a vector-matrix product
+    rebuilt = ctx.reconstruct(coeffs)
+    assert rebuilt.shape == stack.shape
+    for row, M in zip(coeffs, rebuilt):
+        assert np.max(np.abs(M - ctx.reconstruct(row))) <= 1e-15
+    assert ctx.coefficients(stack.reshape(2, 3, *stack.shape[1:])).shape == (2, 3, ctx.dim)
+    # one node nudged off the real span: i X leaves it for every context
+    stack[2] += 1e-6 * 1j * ctx.basis[0]
+    with pytest.raises(ClosureViolation, match=f"1 of {K} matrices"):
+        ctx.coefficients(stack)
+
+
 def test_inner_products_are_orthonormal_and_ad_invariant():
     for ctx in (la.su2(), la.su2(True), la.su3(), la.su3(True), la.so(3),
                 la.so(4), la.torus(2)):

@@ -609,6 +609,21 @@ def test_tangent_omega_reference_equals_omega_on_the_tangents(name):
         assert abs(got - want) <= 1e-13 * abs(want)
 
 
+def test_an_explicit_inner_product_pairs_as_the_orthonormal_basis_does():
+    # su2x2 expands every matrix with half su2's coefficients and pairs them
+    # with 4 I: the same numbers through the general inner-product path
+    su2, su2x2 = la.builtin_context("su2"), _scaled_su2()
+    rng = np.random.default_rng(21)
+    X = np.array([su2.random_element(rng, 2.0) for _ in range(8)])
+    Y = np.array([su2.random_element(rng, 2.0) for _ in range(8)])
+    for A, B in zip(X, Y):
+        assert abs(su2x2.pair(A, B) - su2.pair(A, B)) <= 1e-15
+        assert abs(su2x2.norm(A) - su2.norm(A)) <= 1e-15
+    got = su2x2.pair_coeff_paths(su2x2.coefficients(X), su2x2.coefficients(Y))
+    want = su2.pair_coeff_paths(su2.coefficients(X), su2.coefficients(Y))
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
 def test_potential_values(ctx):
     N = 100
     zero = _zero(ctx, N)
@@ -949,7 +964,7 @@ def test_a_real_gauge_keeps_the_connection_in_the_real_span():
         _, sol, _ = registry.nahm_solution(ctx, N)
         gauged = nahm.gauge_transform(nahm.smooth_gauge(ctx, np.random.default_rng(7), N), sol)
         T0 = gauged.T0.values
-        assert np.max(np.abs(T0 - ctx.path_reconstruct(ctx.path_coefficients(T0)))) < 1e-13
+        assert np.max(np.abs(T0 - ctx.reconstruct(ctx.path_coefficients(T0)))) < 1e-13
         again = nahm.integrate_nahm(ctx, gauged.values[1:, 0], gauged.T0)
         errs.append(np.max(np.abs(again.values[1:] - gauged.values[1:])))
     assert errs[0] < 1e-6 and errs[1] < errs[0] / 100, errs

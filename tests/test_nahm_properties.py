@@ -69,7 +69,7 @@ def test_stacked_gauge_action_matches_a_per_slot_loop(data):
     # the shift of a real gauge is projected onto the real span: the
     # stencil leaves it by O(h^4), 0.051 on so3 at the smallest grids
     shift = nahm.path_derivative(g.values, 1.0 / X.grid_size) @ ginv
-    shift = ctx.path_reconstruct(ctx.path_coefficients(shift))
+    shift = ctx.reconstruct(ctx.path_coefficients(shift))
     got = nahm.gauge_transform(g, X)
     for k, (P, Q) in enumerate(zip((X.T0, X.T1, X.T2, X.T3),
                                    (got.T0, got.T1, got.T2, got.T3))):

@@ -86,8 +86,12 @@ class LieAlgebraContext:
         return coeffs
 
     def reconstruct(self, coeffs):
-        """Inverse of ``coefficients``: (..., dim) -> (..., m, m)."""
-        return np.tensordot(coeffs, self.basis, axes=(-1, 0))
+        """Inverse of ``coefficients``: (..., dim) -> (..., m, m), the
+        contraction np.tensordot(coeffs, basis, axes=(-1, 0)) as one
+        product with the flattened basis."""
+        coeffs = np.asarray(coeffs)
+        flat = coeffs @ self.basis.reshape(self.dim, -1)
+        return flat.reshape(coeffs.shape[:-1] + self.basis.shape[1:])
 
     def path_coefficients(self, values):
         """Unchecked expansion of a (..., m, m) stack: the real coefficients

@@ -325,14 +325,17 @@ def _scalar_only(what, *jets):
         raise MalformedInput(f"{what} takes scalar jets, not jets with leading axes")
 
 
-def _exponent_rows(powers, num_vars):
-    """(k, num_vars) float rows of k exponent tuples; MalformedInput unless
-    each exponent is a non-negative integral value (2.0 passes, 1.5 and NaN
-    do not).  The rows stay float because an int cast of NaN warns."""
-    rows = np.array(powers, dtype=float).reshape(-1, num_vars)
-    if not np.all(np.isfinite(rows) & (rows >= 0) & (np.round(rows) == rows)):
+def _exponent_tuple(powers, num_vars):
+    """``powers`` as a tuple of ints; MalformedInput unless it has one entry
+    per variable, each a non-negative integral value (2.0 passes; 1.5, NaN
+    and inf do not, where an int cast would truncate, warn or raise)."""
+    powers = tuple(powers)
+    if len(powers) != num_vars:
+        raise MalformedInput(f"exponent tuple {powers} has {len(powers)} entries, "
+                             f"expected {num_vars}")
+    if not all(p >= 0 and float(p).is_integer() for p in powers):
         raise MalformedInput("exponents must be non-negative integers")
-    return rows
+    return tuple(map(int, powers))
 
 
 class JetPolynomial:
@@ -359,12 +362,8 @@ class JetPolynomial:
         if not coeffs:
             self._c = np.zeros(layout.size)
             return
-        for powers in coeffs:
-            if len(powers) != self.num_vars:
-                raise MalformedInput(
-                    f"exponent tuple {powers} has {len(powers)} entries, "
-                    f"expected {self.num_vars}")
-        rows = _exponent_rows(list(coeffs), self.num_vars)
+        rows = np.array([_exponent_tuple(p, self.num_vars) for p in coeffs],
+                        dtype=np.int64).reshape(-1, self.num_vars)
         values = np.asarray(list(coeffs.values()))
         if values.ndim != 1:
             raise MalformedInput("dict coefficients must be scalars")
@@ -430,13 +429,10 @@ class JetPolynomial:
     def coefficient(self, powers):
         """Coefficient of the monomial with the given exponent tuple."""
         _scalar_only("coefficient", self)
-        powers = tuple(powers)
-        if len(powers) != self.num_vars:
-            raise MalformedInput("exponent tuple does not match variable count")
-        row = _exponent_rows(powers, self.num_vars)[0]
-        if row.sum() > self.max_degree:
+        powers = _exponent_tuple(powers, self.num_vars)
+        if sum(powers) > self.max_degree:
             return 0.0
-        return self._c[self._layout.index(row)].item()
+        return self._c[self._layout.index(powers)].item()
 
     def degree(self):
         """Largest total degree with a stored term in any entry (0 for zero)."""

@@ -79,7 +79,7 @@ class LieAlgebraContext:
         coeffs = np.real(self._expand_op @ X.reshape(X.shape[:-2] + (-1, 1)))[..., 0]
         resid = self._span_residual(X, coeffs)
         outside = resid > tol * np.maximum(1.0, np.linalg.norm(X, axis=(-2, -1)))
-        if np.any(outside):
+        if outside.any():
             raise ClosureViolation(
                 f"{np.count_nonzero(outside)} of {outside.size} matrices are not in "
                 f"the span of {self.name} (residual {np.max(resid[outside]):.3e})")

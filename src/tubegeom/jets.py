@@ -11,14 +11,18 @@ graded monomial table of ``(num_vars, max_degree)``; leading axes make a
 vector or matrix of jets one jet.  Monomials are listed degree by degree,
 lexicographically within a degree, so truncating to degree ``d`` is a prefix
 slice.  The tables (exponent matrix, product index maps per pair of degrees,
-one index map per partial derivative) are built once with vectorised NumPy
-and cached.  The degree-d rows are the degree d-1 rows times each variable,
-deduplicated by their integer codes in base d + 1, which sort like the rows;
-evaluation runs are counted with binomials, and every cached array owns its
-entries, so no cached view keeps a larger temporary alive.  At 16 variables
-and degree 8 (735 471 monomials) the layout builds in 0.5 s and keeps
-191 MiB, and its 16 partial-derivative maps take 0.5 s and keep 60 MiB
-(tracemalloc, 2-core x86-64 host).  Products scatter the outer product of
+one stacked gather table of every first partial) are built once with
+vectorised NumPy and cached.  The degree-d rows are the degree d-1 rows times
+each variable, deduplicated by their integer codes in base d + 1, which sort
+like the rows; evaluation runs are counted with binomials, and every cached
+table owns its entries, so no cached view keeps a larger temporary alive
+(``evaluate``'s cached plans hold views of the cached position tables).
+Graded blocks form the same prefix in every layout, so the partial table of
+one layout serves every lower one, and a second partial is a gather of the
+first partials through it.  At 16 variables and degree 8 (735 471
+monomials) the layout builds in 0.5 s and keeps 191 MiB, and its partial
+table takes 0.5 s and keeps 60 MiB (tracemalloc, 2-core x86-64 host).
+Products scatter the outer product of
 two homogeneous parts into their target degree with ``np.bincount`` and
 skip degrees whose coefficients are all zero.  A jet-matrix system A X = B
 is solved degree by degree by back-substitution on the same block products.
@@ -34,6 +38,8 @@ indices.  The value is then one matrix product per left degree a, of the
 coefficients of x^alpha y^beta with |alpha| = a and the right values,
 weighted by the left values of degree a.  Bi-degrees (|alpha|, |beta|) whose
 coefficients are all zero are skipped; an MA residual has only even ones.
+What a call reads for one set of live bi-degrees (the coefficient positions,
+the runs, the row counts) is cached, so a call gathers, runs and multiplies.
 
 The tube-potential work uses the variable layout ``(x_1..x_n, y_1..y_n)``:
 variable ``i`` is ``x_{i+1}`` and variable ``n+i`` is ``y_{i+1}``.  The
@@ -143,9 +149,12 @@ class _Layout:
         return self._order[np.searchsorted(self._sorted_codes, codes)]
 
     def live_degrees(self, coeffs):
-        """Degrees at which any of the stacked coefficient arrays is nonzero."""
-        nonzero = np.any(coeffs.reshape(-1, self.size) != 0, axis=0)
-        return np.flatnonzero(np.logical_or.reduceat(nonzero, self.offsets[:-1])).tolist()
+        """Degrees at which any of the stacked coefficient arrays is nonzero;
+        the arrays may stop at a lower degree bound, a prefix of the layout."""
+        size = coeffs.shape[-1]
+        nonzero = coeffs.reshape(-1, size).any(axis=0)
+        starts = self.offsets[:np.searchsorted(self.offsets, size)]
+        return np.flatnonzero(np.logical_or.reduceat(nonzero, starts)).tolist()
 
 
 @functools.lru_cache(maxsize=None)
@@ -159,8 +168,9 @@ class _Split:
     layout; none for one variable) and a right half y (the rest).
 
     ``left`` and ``right`` are the graded layouts of the halves through
-    max_degree.  Monomial m has left degree ``left_degree[m]`` = |alpha| and
-    right degree ``right_degree[m]`` = |beta|.  ``positions[a]`` has one row
+    max_degree.  Monomial m has right degree ``right_degree[m]`` = |beta|,
+    and ``bidegree[m]`` is the flat index of (|alpha|, |beta|) in a
+    (max_degree + 1, max_degree + 1) table.  ``positions[a]`` has one row
     per alpha of degree a and one column per beta of degree <= max_degree - a
     (the right layout's prefix) and holds the position of x^alpha y^beta.
     """
@@ -171,13 +181,14 @@ class _Split:
         self.left = _layout(self.cut, max_degree)
         self.right = _layout(num_vars - self.cut, max_degree)
         alpha, beta = layout.exponents[:, :self.cut], layout.exponents[:, self.cut:]
-        self.left_degree = _readonly(alpha.sum(axis=1))
+        left_degree = alpha.sum(axis=1)
         self.right_degree = _readonly(beta.sum(axis=1))
-        rows = self.left.index(alpha) - self.left.offsets[self.left_degree]
+        self.bidegree = _readonly(left_degree * (max_degree + 1) + self.right_degree)
+        rows = self.left.index(alpha) - self.left.offsets[left_degree]
         cols = self.right.index(beta)
         self.positions = []
         for a in range(max_degree + 1):
-            block = self.left_degree == a
+            block = left_degree == a
             pos = np.empty((self.left.offsets[a + 1] - self.left.offsets[a],
                             self.right.offsets[max_degree - a + 1]), dtype=np.int64)
             pos[rows[block], cols[block]] = np.flatnonzero(block)
@@ -188,14 +199,39 @@ class _Split:
         left degree a and right degree b nonzero (``live_degrees`` by
         bi-degree)."""
         live = np.zeros((len(self.positions),) * 2, dtype=bool)
-        nonzero = np.flatnonzero(coeffs.any(axis=0))
-        live[self.left_degree[nonzero], self.right_degree[nonzero]] = True
+        live.flat[self.bidegree[coeffs.any(axis=0)]] = True
         return live
 
 
 @functools.lru_cache(maxsize=None)
 def _split(num_vars, max_degree):
     return _Split(num_vars, max_degree)
+
+
+@functools.lru_cache(maxsize=256)
+def _evaluation_plan(num_vars, max_degree, live):
+    """What ``evaluate`` reads for the bytes ``live`` of a ``live_blocks``
+    table: per live left degree a, the left block, the right rows b0..b1
+    from the first to the last live right degree, and the positions of the
+    coefficients of x^alpha y^beta in them (a view of ``positions[a]``); the
+    runs of both halves through the highest degrees read; the row counts of
+    both halves; and the largest left block read."""
+    split = _split(num_vars, max_degree)
+    left, right = split.left, split.right
+    table = np.frombuffer(live, dtype=bool).reshape(len(split.positions), -1)
+    plan = []
+    x_top = y_top = 0  # highest left and right degrees the products read
+    for a, row in enumerate(table.tolist()):
+        if True in row:
+            b0, b1 = row.index(True), len(row) - 1 - row[::-1].index(True)
+            cols = slice(int(right.offsets[b0]), int(right.offsets[b1 + 1]))
+            plan.append((left.block(a), cols, split.positions[a][:, cols]))
+            x_top, y_top = a, max(y_top, b1)
+    return (tuple(plan),
+            tuple(r for runs in left.runs[1:x_top + 1] for r in runs),
+            tuple(r for runs in right.runs[1:y_top + 1] for r in runs),
+            left.block(x_top).stop, right.block(y_top).stop,
+            max((len(index) for *_, index in plan), default=0))
 
 
 def _fill_monomials(rows, runs, xt):
@@ -207,15 +243,24 @@ def _fill_monomials(rows, runs, xt):
 
 
 @functools.lru_cache(maxsize=None)
-def _partial_map(num_vars, max_degree, var_index):
-    """(src, weight): d/dx_var puts coefficient src[t] times weight[t] at
-    each position t below the top degree, which is a prefix; the top
-    degree block of a derivative is zero."""
+def _partial_table(num_vars, max_degree):
+    """(src, weight), each (num_vars, below): d/dx_v puts coefficient
+    src[v, t] times weight[v, t] at each position t below the top degree;
+    the top degree block of a derivative is zero.  Graded blocks form the
+    same prefix in every layout, so the first ``offsets[k]`` columns are the
+    table of the layout of degree k: a second derivative gathers the first
+    derivatives through the same table."""
     layout = _layout(num_vars, max_degree)
-    raised = layout.exponents[:layout.offsets[-2]].copy()
-    raised[:, var_index] += 1
-    # a column view would keep all of ``raised`` alive in the cache
-    return _readonly(layout.index(raised)), _readonly(raised[:, var_index].copy())
+    below = int(layout.offsets[-2])
+    src = np.empty((num_vars, below), dtype=np.int64)
+    weight = np.empty((num_vars, below))
+    raised = np.empty((below, num_vars), dtype=np.int64)
+    for var in range(num_vars):  # one variable at a time bounds the temporaries
+        raised[...] = layout.exponents[:below]
+        raised[:, var] += 1
+        src[var] = layout.index(raised)
+        weight[var] = raised[:, var]
+    return _readonly(src), _readonly(weight)
 
 
 @functools.lru_cache(maxsize=None)
@@ -520,26 +565,20 @@ class JetPolynomial:
         Differentiating a degree-d jet is complete through degree d-1, so
         the degree bound is kept as is; its top block is zero.
         """
-        return self._partials(var_index, self.max_degree)
-
-    def _partials(self, var_index, bound):
-        """``partial`` on the layout of degree ``bound``, at least
-        max_degree - 1, the degree through which it is complete."""
         variables = np.asarray(var_index)
         flat = variables.ravel().tolist()
         if variables.dtype.kind not in "iu" or not all(0 <= v < self.num_vars
                                                        for v in flat):
             raise MalformedInput(f"variable index {var_index!r} is not an integer "
                                  f"in [0, {self.num_vars})")
-        below = int(self._layout.offsets[-2])  # positions below the top degree
-        size = _layout(self.num_vars, bound).size
-        out = np.empty((variables.size,) + self.shape + (size,), dtype=self._c.dtype)
+        src, weight = _partial_table(self.num_vars, self.max_degree)
+        below = src.shape[1]  # positions below the top degree
+        out = np.empty(variables.shape + self._c.shape, dtype=self._c.dtype)
         out[..., below:] = 0
-        for k, var in enumerate(flat):
-            src, weight = _partial_map(self.num_vars, self.max_degree, var)
-            np.multiply(weight, self._c.take(src, axis=-1), out=out[k][..., :below])
-        return JetPolynomial._from_array(self.num_vars, bound,
-                                         out.reshape(variables.shape + out.shape[1:]))
+        gathered = np.moveaxis(self._c[..., src[flat]], -2, 0)  # (k, *shape, below)
+        weight = weight[flat].reshape((len(flat),) + (1,) * len(self.shape) + (below,))
+        np.multiply(gathered, weight, out=out.reshape((len(flat),) + self._c.shape)[..., :below])
+        return JetPolynomial._from_array(self.num_vars, self.max_degree, out)
 
     def evaluate(self, points):
         """Evaluate at one point (1-d array) or many points ((P, num_vars));
@@ -560,29 +599,20 @@ class JetPolynomial:
             pts = pts[None, :]
         if pts.ndim != 2 or pts.shape[1] != self.num_vars:
             raise MalformedInput("point dimension does not match variable count")
-        split = _split(self.num_vars, self.max_degree)
-        left, right = split.left, split.right
         coeffs = self._c.reshape(-1, self._layout.size)
         entries = len(coeffs)
         if np.iscomplexobj(coeffs):
             coeffs = np.concatenate([coeffs.real, coeffs.imag])
-        products = []  # (left block a, right rows b0..b1, C_a) per live a
-        x_top = y_top = 0  # highest left and right degrees the products read
-        for a, row in enumerate(split.live_blocks(coeffs).tolist()):
-            if True in row:
-                b0, b1 = row.index(True), len(row) - 1 - row[::-1].index(True)
-                cols = slice(int(right.offsets[b0]), int(right.offsets[b1 + 1]))
-                c = coeffs[:, split.positions[a][:, cols]]  # (rows, alpha, beta)
-                products.append((left.block(a), cols, c.reshape(-1, c.shape[2])))
-                x_top, y_top = a, max(y_top, b1)
-        x_rows, y_rows = left.block(x_top).stop, right.block(y_top).stop
-        held = x_rows + y_rows + max((len(c) for *_, c in products), default=0)
+        split = _split(self.num_vars, self.max_degree)
+        plan, x_runs, y_runs, x_rows, y_rows, alphas = _evaluation_plan(
+            self.num_vars, self.max_degree, split.live_blocks(coeffs).tobytes())
+        products = [(blk, cols, coeffs[:, index].reshape(-1, index.shape[1]))
+                    for blk, cols, index in plan]  # C_a: (rows * alpha, beta)
+        held = x_rows + y_rows + len(coeffs) * alphas
         chunk = max(1, min(pts.shape[0], _EVAL_CHUNK // held))
         sums = np.zeros((len(coeffs), pts.shape[0]))
         buffer = np.empty((x_rows + y_rows, chunk))  # monomial rows, reused
         buffer[0] = buffer[x_rows] = 1.0
-        x_runs = [r for runs in left.runs[1:x_top + 1] for r in runs]
-        y_runs = [r for runs in right.runs[1:y_top + 1] for r in runs]
         for start in range(0, pts.shape[0], chunk):
             xt = np.ascontiguousarray(pts[start:start + chunk].T)
             X = buffer[:x_rows, :xt.shape[1]]
@@ -609,23 +639,34 @@ class JetPolynomial:
 
 def wirtinger_z(jet, alpha, n):
     """d/dz_alpha = (d/dx_alpha - i d/dy_alpha) / 2; an array ``alpha`` stacks."""
-    alpha = np.asarray(alpha)
-    return 0.5 * (jet.partial(alpha) - 1j * jet.partial(n + alpha))
+    dx, dy = jet.partial(np.stack([alpha, n + np.asarray(alpha)]))
+    return 0.5 * (dx - 1j * dy)
 
 
 def wirtinger_zbar(jet, alpha, n):
     """d/dzbar_alpha = (d/dx_alpha + i d/dy_alpha) / 2."""
-    alpha = np.asarray(alpha)
-    return 0.5 * (jet.partial(alpha) + 1j * jet.partial(n + alpha))
+    dx, dy = jet.partial(np.stack([alpha, n + np.asarray(alpha)]))
+    return 0.5 * (dx + 1j * dy)
 
 
-def _wirtinger_pair(jet, n):
-    """(``wirtinger_z``, ``wirtinger_zbar``) of ``jet`` along all n complex
-    variables, each an (n,) jet on the layout of degree max_degree - 1,
-    through which first derivatives are complete."""
-    grad = jet._partials(np.arange(2 * n), max(jet.max_degree - 1, 0))
-    dx, dy = grad[:n], grad[n:]
-    return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
+def _wirtinger_parts(jet, n):
+    """Coefficient arrays (dz, dzbar, HT) of a scalar jet: dz[a] = d jet /
+    dz_a and dzbar[b] on the layout of degree max_degree - 1, and the
+    transposed complex Hessian HT[b, a] = d^2 jet / dz_a dzbar_b on that of
+    degree max_degree - 2, the degrees through which each is complete.
+    With S the real second partials, 4 HT[b, a] = S[x_a, x_b] + S[y_a, y_b]
+    + i (S[x_a, y_b] - S[y_a, x_b]); a real jet has dzbar = conj(dz)."""
+    src, weight = _partial_table(jet.num_vars, jet.max_degree)
+    grad = jet._c[src] * weight
+    # S[i, j] = d grad[i] / dx_j, complete through max_degree - 2
+    below = int(jet._layout.offsets[-3])
+    second = np.take(grad, src[:, :below], axis=1) * weight[:, :below]
+    dz = 0.5 * (grad[:n] - 1j * grad[n:])
+    dzbar = dz.conj() if np.isrealobj(grad) else 0.5 * (grad[:n] + 1j * grad[n:])
+    H = 1j * (second[:n, n:] - second[n:, :n])  # H[a, b] = HT[b, a]
+    H += second[:n, :n] + second[n:, n:]
+    H *= 0.25
+    return dz, dzbar, H.transpose(1, 0, 2)
 
 
 def matrix_inverse(A):

@@ -10,19 +10,23 @@ Riemannian manifold restricts, in geodesic normal coordinates, to
 with g the metric in normal coordinates, and no cubic, pure-x, or
 pure-quartic-y terms.  ``potential_expansion`` builds this jet as
 FIBER_SCALE * y^T g(x) y from ``curvature.normal_metric_jet``, the one place
-where the curvature contraction is written; ``ma_residual`` measures how well
-any potential jet satisfies the degenerate Monge-Ampere identity
+where the curvature contraction is written, by one ``bincount``: multiplying
+by y_i y_j is a shift of positions.  ``ma_residual`` measures how well any
+potential jet satisfies the degenerate Monge-Ampere identity
 
     sum_a rho^a rho_a - 2 rho = 0,   rho^a = sum_b rho^{a bbar} rho_bbar,
 
-computed with exact Wirtinger calculus on jets: the raised index is one graded
-solve against the transposed complex Hessian, with no inverse formed, and one
-jet-matrix product pairs it with d rho / dz.  ``solve_potential`` solves the
+computed with exact Wirtinger calculus on jets: d rho / dz and the transposed
+complex Hessian are one gather each of first and second partials, the raised
+index is one graded solve against the Hessian, with no inverse formed, and
+one real product pairs it with d rho / dz.  ``solve_potential`` solves the
 identity through any degree by bi-degree back-substitution: the seed gives
-the blocks of y-degree at most 2, and the identity linearized at |y|^2
+the blocks of y-degree 2, and the identity linearized at the fiber quadratic
 multiplies a block of y-degree b by -(b-1)(b-2), so each block with b >= 3
-is a residual block divided by (b-1)(b-2).  ``_block_positions`` finds the
-blocks, for the solve's steps and for the pure-y quartic read.
+is a residual block, less the coupling from the block two y-degrees lower,
+divided by (b-1)(b-2), with one residual per total degree.
+``_block_positions`` finds the blocks, for the solve's steps and for the
+pure-y quartic read.
 
 Normalization: the whole potential carries the factor ``FIBER_SCALE = 1``
 (so ``rho = |y|^2`` on the fiber over the base point); the identity is
@@ -33,14 +37,15 @@ assumes the value below.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curvature import normal_metric_jet
 from .errors import DegenerateHessian, MalformedInput, SingularSystem
-from .jets import (JetPolynomial, _graded_matmul, _graded_solve, _layout,
-                   _split, _wirtinger_pair, wirtinger_z, wirtinger_zbar)
+from .jets import (JetPolynomial, _encode, _graded_matmul, _graded_solve, _layout,
+                   _readonly, _split, _wirtinger_parts, wirtinger_z, wirtinger_zbar)
 
 FIBER_SCALE = 1.0
 
@@ -48,19 +53,30 @@ DEFAULT_DEGREE = 6  # exposes the first surviving residual order above four
 HESSIAN_TOL = 1e-8  # smallest eigenvalue a constant complex Hessian may have
 
 
+@functools.lru_cache(maxsize=None)
+def _fiber_shift(n, max_degree):
+    """(src, dst) in the tube layout of (2n, max_degree): ``src`` holds the
+    positions of the x monomials of degree <= max_degree - 2, and row
+    i * n + j of ``dst`` the positions of their products with y_i y_j.
+    Multiplying by a monomial is a shift of positions."""
+    layout = _layout(2 * n, max_degree)
+    x = np.pad(_layout(n, max_degree - 2).exponents, ((0, 0), (0, n)))
+    y = np.eye(2 * n, dtype=np.int64)[n:]
+    yy = (y[:, None] + y[None, :]).reshape(n * n, 1, 2 * n)
+    return _readonly(layout.index(x)), _readonly(layout.index(x + yy))
+
+
 def potential_expansion(tensor, max_degree=DEFAULT_DEGREE):
-    """Degree-4 jet of the tube potential, FIBER_SCALE * y^T g(x) y: one
-    graded product of the (n, n) normal-coordinate metric jet of ``tensor``,
-    as a (1, n^2) stack, with the (n^2, 1) stack of the monomials y_i y_j."""
+    """Jet of the tube potential, FIBER_SCALE * y^T g(x) y, for the (n, n)
+    normal-coordinate metric jet g of ``tensor``, which lives on the x
+    monomials: one ``bincount`` of the stack of its entries g_ij, each
+    shifted by y_i y_j."""
     metric = normal_metric_jet(tensor, max_degree)._c
     n = len(metric)
-    layout = _layout(2 * n, max_degree)
-    y = np.eye(2 * n, dtype=np.int64)[n:]
-    fiber = np.zeros((n * n, 1, layout.size))
-    fiber[np.arange(n * n), 0,
-          layout.index((y[:, None] + y[None, :]).reshape(n * n, 2 * n))] = FIBER_SCALE
-    rho = _graded_matmul(metric.reshape(1, n * n, -1), fiber, 2 * n, max_degree)
-    return JetPolynomial._from_array(2 * n, max_degree, rho[0, 0])
+    src, dst = _fiber_shift(n, max_degree)
+    coeffs = np.bincount(dst.ravel(), (FIBER_SCALE * metric.reshape(n * n, -1)[:, src]).ravel(),
+                         _layout(2 * n, max_degree).size)
+    return JetPolynomial._from_array(2 * n, max_degree, coeffs)
 
 
 def _fiber_dimension(rho):
@@ -99,27 +115,31 @@ def ma_residual(rho):
     """
     n = _fiber_dimension(rho)
     num_vars, bound = rho.num_vars, rho.max_degree
-    # dz[a] = d rho / dz_a and dzbar[b] are complete through degree bound - 1
-    # and kept there, and so are the Hessian and the solve: only a linear
-    # part of rho, which gives dz and dzbar constant terms, lets the product
-    # read the Hessian's incomplete top block, and the residual is then cut
-    # to bound - 2.  Only the last product is padded to the bound.
-    dz, dzbar = _wirtinger_pair(rho, n)
-    # the transposed complex Hessian, HT[b, a] = d^2 rho / dz_a dzbar_b
-    HT = wirtinger_zbar(dz, np.arange(n), n)._c
+    if bound < 2:  # the jet keeps no Hessian
+        require_positive_hessian(np.zeros((n, n)))
+    # dz and dzbar are complete through degree bound - 1 and kept there, the
+    # Hessian through bound - 2, and the solve runs through bound - 1 as if
+    # the Hessian's block of degree bound - 1 were zero: only a linear part
+    # of rho, which gives dz and dzbar constant terms, lets that block reach
+    # the product, and the residual is then cut to bound - 2.
+    dz, dzbar, HT = _wirtinger_parts(rho, n)
     require_positive_hessian(HT[:, :, 0].T)
     # raised[a] = sum_b (H^-1)[b][a] dzbar[b]: solve H^T raised = dzbar,
-    # then sum_a raised[a] dz[a]
+    # then sum_a raised[a] dz[a] as one real product, whose first row is
+    # Re(raised).Re(dz) - Im(raised).Im(dz) and whose second, for a complex
+    # rho, is the imaginary part
     try:
-        raised = _graded_solve(HT, dzbar._c[:, None], num_vars, dz.max_degree)
+        raised = _graded_solve(HT, dzbar[:, None], num_vars, bound - 1)[:, 0]
     except SingularSystem as exc:
         raise DegenerateHessian(str(exc)) from exc
-    raised = JetPolynomial._from_array(num_vars, dz.max_degree, raised.transpose(1, 0, 2))
-    contracted = _graded_matmul(raised.truncated(bound)._c,
-                                dz.truncated(bound)._c[:, None], num_vars, bound)[0, 0]
-    if np.isrealobj(rho._c):
-        contracted = contracted.real
-    residual = (-2.0) * rho + JetPolynomial._from_array(num_vars, bound, contracted)
+    rows = [np.concatenate([raised.real, -raised.imag])]
+    if not np.isrealobj(rho._c):
+        rows.append(np.concatenate([raised.imag, raised.real]))
+    contracted = _graded_matmul(np.array(rows), np.concatenate([dz.real, dz.imag])[:, None],
+                                num_vars, bound)[:, 0]
+    if len(rows) == 2:
+        contracted = contracted[0] + 1j * contracted[1]
+    residual = (-2.0) * rho + JetPolynomial._from_array(num_vars, bound, contracted.reshape(-1))
     if rho._c[rho._layout.block(1)].any():
         return residual.truncated(bound - 2)
     return residual
@@ -132,53 +152,94 @@ def ma_residual(rho):
 # dMA(P) = (2 b - b (b - 1) - 2) P - y^T grad_x^2 P y
 #        = -(b - 1)(b - 2) P - y^T grad_x^2 P y.
 # The gain -(b - 1)(b - 2) is nonzero for every b >= 3 (-6 on the quartic
-# blocks, b = 4), and the last term moves block (a, b) to (a - 2, b + 2) of
-# the same total degree: the residual block (a, b) also holds the image of
-# block (a + 2, b - 2), which a solve by ascending y-degree has already set.
+# blocks, b = 4), and the last term, ``_coupling``, moves block (a, b) to
+# (a - 2, b + 2) of the same total degree.  A step P of degree d changes the
+# residual below degree d + 1 by dMA(P) alone when the rest of rho is
+# y^T g(0) y plus terms of degree >= 3 (the real linear change z -> g(0)^(1/2) z
+# is holomorphic, takes y^T g(0) y to |y|^2 and keeps each bi-degree, the
+# gains and y^T grad_x^2 P y), so one residual per degree serves all its
+# blocks: by ascending b, the residual block (a, b) less the coupled image
+# of the step just taken on block (a + 2, b - 2).
 def _block_gain(b):
     """Minus the gain of the linearized identity on a block of y-degree b."""
     return (b - 1) * (b - 2)
 
 
+@functools.lru_cache(maxsize=None)
 def _block_positions(num_vars, max_degree, a, b):
     """Positions of the block of x-degree ``a`` and y-degree ``b`` in the
     tube layout, descending: on the pure-y quartic block that is the order
     of the quadruples i <= j <= k <= l of y_i y_j y_k y_l, ascending."""
     block = _layout(num_vars, max_degree).block(a + b)
     y_degree = _split(num_vars, max_degree).right_degree[block]
-    return block.start + np.flatnonzero(y_degree == b)[::-1]
+    return _readonly(block.start + np.flatnonzero(y_degree == b)[::-1])
+
+
+@functools.lru_cache(maxsize=None)
+def _coupling(num_vars, max_degree, a, b):
+    """(rows, cols, weight): for S on block (a + 2, b - 2), the block (a, b)
+    of y^T grad_x^2 S y is bincount(rows, weight * S[cols]), both blocks in
+    ``_block_positions`` order.  d^2 x^alpha / dx_i dx_j times y_i y_j is
+    alpha_i (alpha_j - delta_ij) times the monomial whose code is shifted
+    by the codes of y_i y_j less those of x_i x_j."""
+    layout = _layout(num_vars, max_degree)
+    n = num_vars // 2
+    source = layout.exponents[_block_positions(num_vars, max_degree, a + 2, b - 2)]
+    target = _encode(layout.exponents[_block_positions(num_vars, max_degree, a, b)[::-1]],
+                     layout.base)  # ascending
+    codes = _encode(source, layout.base)
+    unit = _encode(np.eye(num_vars, dtype=np.int64), layout.base)
+    shift = (unit[n:, None] + unit[n:]) - (unit[:n, None] + unit[:n])
+    rows, cols, weight = [], [], []
+    for i in range(n):  # one x_i at a time bounds the temporaries
+        w = source[:, i] * (source[:, :n] - np.eye(n, dtype=np.int64)[i]).T  # (n, m)
+        j, col = np.nonzero(w)
+        rows.append(len(target) - 1 - np.searchsorted(target, codes[col] + shift[i, j]))
+        cols.append(col)
+        weight.append(w[j, col].astype(float))
+    return tuple(_readonly(np.concatenate(part)) for part in (rows, cols, weight))
 
 
 def solve_potential(seed):
     """The potential that solves the identity through the seed's degree bound.
 
-    The seed supplies the blocks of y-degree at most 2, y^T g(x) y for a
-    metric g; the solve fills every block of y-degree b >= 3 by
-    Gauss-Seidel on ``ma_residual``.  For total degree d = 3..max_degree
-    and, within d, b = 3..d, it adds the residual's blocks of degree d and
-    y-degree b divided by (b - 1)(b - 2).  Within degree d the step changes
-    the residual only by the gain on its own blocks, which it cancels, and
-    in blocks of larger b, which come later.  The residual is recomputed
-    only after a step that changed the jet, so an even seed of degree 4
-    costs one residual.
-    Raises MalformedInput for a seed with a linear part, whose residual
-    stops two degrees short of the bound.
+    The seed supplies the blocks of y-degree 2, y^T g(x) y for a metric g;
+    the solve fills every block of y-degree b >= 3.  For total degree d =
+    3..max_degree it takes one residual, recomputed only when an earlier
+    step changed the jet, and within d, by ascending b = 3..d, sets the
+    block (a, b), a = d - b, to (r_(a, b) - [y^T grad_x^2 S y]_(a, b)) /
+    ((b - 1)(b - 2)), with S the step just added to block (a + 2, b - 2):
+    a step changes the residual within its degree only by the gain on its
+    own block, which it cancels, and by that coupling.  An even seed of
+    degree D costs at most D / 2 - 1 residuals.
+    Raises MalformedInput for a seed with any term of y-degree 0 or 1, such
+    as a linear part or x_0^2: the solve leaves those blocks of the
+    residual as they are, and the coupling is exact only without them.
     """
     _fiber_dimension(seed)  # raises unless x then y, so y is _split's right half
-    if seed.max_abs_coeff(degrees={1}):
-        raise MalformedInput("a potential seed may not have a linear part")
+    num_vars, bound = seed.num_vars, seed.max_degree
+    if seed._c[_split(num_vars, bound).right_degree <= 1].any():
+        raise MalformedInput("a potential seed may not have a linear part, "
+                             "or any other term of y-degree 0 or 1")
     coeffs = seed._c.copy()
-    rho = JetPolynomial._from_array(seed.num_vars, seed.max_degree, coeffs)
-    residual = None
-    for d in range(3, seed.max_degree + 1):
+    rho = JetPolynomial._from_array(num_vars, bound, coeffs)
+    residual = None  # the residual of rho, while rho is unchanged
+    for d in range(3, bound + 1):
+        if residual is None:
+            residual = ma_residual(rho)._c
+        steps = {}  # y-degree -> the nonzero step taken on it within degree d
         for b in range(3, d + 1):
-            if residual is None:
-                residual = ma_residual(rho)._c
-            positions = _block_positions(seed.num_vars, seed.max_degree, d - b, b)
-            step = residual[positions] / _block_gain(b)
+            positions = _block_positions(num_vars, bound, d - b, b)
+            block = residual[positions]
+            if b - 2 in steps:
+                rows, cols, weight = _coupling(num_vars, bound, d - b, b)
+                block = block - np.bincount(rows, weight * steps[b - 2][cols], len(block))
+            step = block / _block_gain(b)
             if step.any():
                 coeffs[positions] += step
-                residual = None
+                steps[b] = step
+        if steps:
+            residual = None
     return rho
 
 
@@ -197,19 +258,24 @@ def _solved_pure_y_quartic(tensor, plant):
     plus the solve's degree-4 step, one residual."""
     num_vars = 2 * tensor.dimension
     positions = _block_positions(num_vars, 4, 0, 4)
-    coeffs = potential_expansion(tensor, 4)._c.copy()
+    coeffs = potential_expansion(tensor, 4)._c
     coeffs[positions] += plant(len(positions))
     return solve_potential(JetPolynomial._from_array(num_vars, 4, coeffs))._c[positions]
+
+
+@functools.lru_cache(maxsize=None)
+def _quartic_keys(n):
+    """The quadruples i <= j <= k <= l in the order of the pure-y quartic
+    block's positions."""
+    powers = _layout(2 * n, 4).exponents[_block_positions(2 * n, 4, 0, 4), n:]
+    return tuple(tuple(np.repeat(np.arange(n), p).tolist()) for p in powers)
 
 
 def solve_quartic_coefficients(tensor):
     """The pure-y quartic block of ``solve_potential`` on the degree-4
     expansion of ``tensor``, which the paper says vanishes."""
-    n = tensor.dimension
     found = _solved_pure_y_quartic(tensor, np.zeros)
-    powers = _layout(2 * n, 4).exponents[_block_positions(2 * n, 4, 0, 4), n:]
-    quadruples = [tuple(np.repeat(np.arange(n), p).tolist()) for p in powers]
-    return QuarticCoefficients(dict(zip(quadruples, found.tolist())))
+    return QuarticCoefficients(dict(zip(_quartic_keys(tensor.dimension), found.tolist())))
 
 
 # -- residual scaling study --------------------------------------------

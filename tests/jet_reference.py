@@ -16,13 +16,19 @@ scalar jets, as test inputs are easiest to write entry by entry.
 ``loop_normal_metric_jet`` and ``loop_potential_expansion`` write the
 curvature contraction -(1/3) R[i,p,j,q] x_p x_q (y_i y_j) term by term into
 a dict, one n^4 loop each, with no scatter and no jet product.
+
+``gauss_seidel_potential`` is the potential solve by Gauss-Seidel on the
+residual: after every block step it takes the residual again, so it needs
+neither the coupling between the blocks of one degree nor any condition
+under which that coupling is exact.  It finds the blocks from the exponent
+rows and shares only ``ma_residual`` with the library's solve.
 """
 
 import itertools
 
 import numpy as np
 
-from tubegeom import jets
+from tubegeom import jets, majet
 from tubegeom.jets import JetPolynomial
 
 
@@ -98,3 +104,20 @@ def loop_potential_expansion(tensor, max_degree, fiber_scale=1.0):
         key = tuple(powers)
         coeffs[key] = coeffs.get(key, 0.0) - fiber_scale * R[i, p, j, q] / 3.0
     return JetPolynomial(2 * n, max_degree, coeffs)
+
+
+def gauss_seidel_potential(seed):
+    """Fill every block of y-degree b >= 3 of a tube-layout seed, for total
+    degree d = 3..max_degree and, within d, b = 3..d: add the residual's
+    block of x-degree d - b and y-degree b divided by (b - 1)(b - 2), with a
+    new residual for every block."""
+    n = seed.num_vars // 2
+    coeffs = seed._c.copy()
+    rho = JetPolynomial._from_array(seed.num_vars, seed.max_degree, coeffs)
+    exponents = rho._layout.exponents
+    x_degree, y_degree = exponents[:, :n].sum(axis=1), exponents[:, n:].sum(axis=1)
+    for d in range(3, seed.max_degree + 1):
+        for b in range(3, d + 1):
+            block = (x_degree == d - b) & (y_degree == b)
+            coeffs[block] += majet.ma_residual(rho)._c[block] / ((b - 1) * (b - 2))
+    return rho

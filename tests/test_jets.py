@@ -364,17 +364,24 @@ def test_derivative_table_matches_its_definition(num_vars, order):
 
 def test_cached_tables_hold_only_their_own_entries():
     for table in (jets._monomials, jets._product_block, jets._layout,
-                  jets._split, jets._partial_map, jets._derivative_table):
+                  jets._split, jets._partial_table, jets._derivative_table):
         table.cache_clear()
     tracemalloc.start()
     try:
         jets._layout(12, 6)
-        maps = [jets._partial_map(12, 6, var) for var in range(12)]
+        # every partial and Wirtinger derivative reads the one stacked table
+        jet = JetPolynomial.variable(0, 12, 6)
+        for var in range(12):
+            jet.partial(var)
+        wirtinger_z(jet, np.arange(6), 6)
+        del jet
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # exponents 1.8 MB, their degree blocks as much again, 1.2 MB of maps
     assert kept <= 6 * 2 ** 20
+    assert jets._partial_table.cache_info().currsize == 1
+    maps = jets._partial_table(12, 6)
     derivatives = [jets._derivative_table(12, order) for order in range(5)]
-    for array in itertools.chain(*maps, *derivatives):
+    for array in itertools.chain(maps, *derivatives):
         assert array.base is None

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from tubegeom.errors import DegenerateHessian, MalformedInput, SingularSystem
 from tubegeom.jets import (JetPolynomial, matrix_inverse, wirtinger_z,
                            wirtinger_zbar)
 
-from jet_reference import (einsum_inverse, identity_gap,
+from jet_reference import (einsum_inverse, gauss_seidel_potential, identity_gap,
                            loop_potential_expansion, stack_jets)
 
 
@@ -444,6 +445,79 @@ def test_solve_potential_rejects_a_seed_with_a_linear_part():
         majet.solve_potential(seed + JetPolynomial(4, 4, {(0, 0, 1, 0): 0.1}))
 
 
+@pytest.mark.parametrize("powers, value", [((2, 0, 0, 0), 0.3), ((1, 0, 1, 0), 0.3),
+                                           ((2, 0, 1, 0), 0.2), ((4, 0, 0, 0), 0.1)])
+def test_solve_potential_rejects_seed_terms_of_y_degree_zero_or_one(powers, value):
+    # the solve fills only blocks of y-degree >= 3, so these would leave a
+    # residual of 0.1 to 1.2 behind, and the coupling assumes their absence
+    seed = _space_form_seed(1.0, 6) + JetPolynomial(4, 6, {powers: value})
+    with pytest.raises(MalformedInput, match="y-degree 0 or 1"):
+        majet.solve_potential(seed)
+
+
+def test_a_seed_with_a_cubic_y_term_still_solves():
+    seed = _space_form_seed(1.0, 6) + JetPolynomial(4, 6, {(0, 0, 3, 0): 0.2})
+    assert majet.ma_residual(majet.solve_potential(seed)).max_abs_coeff() <= 1e-15
+
+
+def _planted_quartic_seed():
+    rng = np.random.default_rng(22)
+    seed = majet.potential_expansion(cv.random_admissible(3, rng), 4)
+    return seed + JetPolynomial(2 * 3, 4, dict(zip(_pure_y_powers(3, 4),
+                                                  rng.uniform(-1.0, 1.0, 15))))
+
+
+def _reference_seeds():
+    A = np.array([[1.0, 0.3], [0.3, 2.0]])
+    y = [JetPolynomial.variable(2 + i, 4, 6) for i in range(2)]
+    yAy = sum(A[i, j] * y[i] * y[j] for i in range(2) for j in range(2))
+    return {"S^2": _space_form_seed(1.0, 8), "H^2": _space_form_seed(-1.0, 8),
+            "random n=3": majet.potential_expansion(
+                cv.random_admissible(3, np.random.default_rng(31)), 8),
+            "yAy": yAy,
+            # g(0) = A with curvature terms: a linear change of z takes A to I
+            # and keeps the gains and the coupling
+            "yAy + S^2": yAy + _space_form_seed(1.0, 6) - y[0] * y[0] - y[1] * y[1],
+            "planted quartic": _planted_quartic_seed()}
+
+
+@pytest.mark.parametrize("name", ["S^2", "H^2", "random n=3", "yAy", "yAy + S^2",
+                                  "planted quartic"])
+def test_solve_potential_matches_gauss_seidel(name):
+    # one residual per degree and the coupling between the blocks of a
+    # degree give the potential that a residual after every step gives
+    seed = _reference_seeds()[name]
+    got = majet.solve_potential(seed)
+    want = gauss_seidel_potential(seed)
+    assert np.max(np.abs(got._c - want._c)) <= 1e-13
+    assert np.max(np.abs(want._c)) > 0.1
+
+
+@pytest.mark.parametrize("max_degree", [4, 6, 8, 10])
+def test_an_even_seed_costs_at_most_one_residual_per_even_degree(monkeypatch, max_degree):
+    seed = majet.potential_expansion(cv.random_admissible(2, np.random.default_rng(8)),
+                                     max_degree)
+    calls = []
+    real_residual = majet.ma_residual
+    monkeypatch.setattr(majet, "ma_residual",
+                        lambda rho: calls.append(1) or real_residual(rho))
+    solved = majet.solve_potential(seed)
+    assert len(calls) <= max_degree // 2 - 1
+    assert real_residual(solved).max_abs_coeff() <= 1e-14
+
+
+def test_a_warm_residual_at_six_dimensions_stays_within_its_memory():
+    rho = majet.potential_expansion(cv.random_admissible(6, np.random.default_rng(0)), 6)
+    majet.ma_residual(rho)  # builds the cached tables
+    tracemalloc.start()
+    try:
+        majet.ma_residual(rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13.5 * 2 ** 20
+
+
 def _space_form_seed(kappa, max_degree):
     """|y|^2 - (1/3) y^T R_x y + (2/45) y^T R_x^2 y for the space form of
     curvature kappa in dimension 2, R_x[i, j] = R[i, p, j, q] x_p x_q: its
@@ -468,15 +542,15 @@ def _odd_y(jet, n):
 @pytest.mark.parametrize("kappa", [1.0, -1.0])
 def test_sextic_solve_on_space_forms(monkeypatch, kappa):
     # Monge-Ampere forces (2/15) (R_pikj x_p y_i y_j)^2, so x0^2 y1^4 = 2/15
-    # on S^2 and on H^2, and no y^6 term.  The steps before the x^2 y^4 block
-    # change nothing, so one residual serves them all and one more serves
-    # the y-degrees 5 and 6
+    # on S^2 and on H^2, and no y^6 term.  The steps before degree 6 change
+    # nothing, so one residual serves every degree, and within degree 6 the
+    # coupling carries the x^2 y^4 step on to the y-degree 6 block
     calls = []
     real_residual = majet.ma_residual
     monkeypatch.setattr(majet, "ma_residual",
                         lambda rho: calls.append(1) or real_residual(rho))
     solved = majet.solve_potential(_space_form_seed(kappa, 6))
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert solved.coefficient((2, 0, 0, 4)) == pytest.approx(2.0 / 15.0, abs=1e-15)
     assert np.max(np.abs(_pure_y_block(solved, 2, 6))) <= 1e-15
     assert not solved._c[_odd_y(solved, 2)].any()

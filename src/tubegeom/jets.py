@@ -573,12 +573,12 @@ class JetPolynomial:
                                  f"in [0, {self.num_vars})")
         src, weight = _partial_table(self.num_vars, self.max_degree)
         below = src.shape[1]  # positions below the top degree
-        out = np.empty(variables.shape + self._c.shape, dtype=self._c.dtype)
+        out = np.empty((len(flat),) + self._c.shape, dtype=self._c.dtype)
         out[..., below:] = 0
-        gathered = np.moveaxis(self._c[..., src[flat]], -2, 0)  # (k, *shape, below)
-        weight = weight[flat].reshape((len(flat),) + (1,) * len(self.shape) + (below,))
-        np.multiply(gathered, weight, out=out.reshape((len(flat),) + self._c.shape)[..., :below])
-        return JetPolynomial._from_array(self.num_vars, self.max_degree, out)
+        for k, var in enumerate(flat):
+            np.multiply(self._c.take(src[var], axis=-1), weight[var], out=out[k][..., :below])
+        return JetPolynomial._from_array(self.num_vars, self.max_degree,
+                                         out.reshape(variables.shape + self._c.shape))
 
     def evaluate(self, points):
         """Evaluate at one point (1-d array) or many points ((P, num_vars));
@@ -639,14 +639,14 @@ class JetPolynomial:
 
 def wirtinger_z(jet, alpha, n):
     """d/dz_alpha = (d/dx_alpha - i d/dy_alpha) / 2; an array ``alpha`` stacks."""
-    dx, dy = jet.partial(np.stack([alpha, n + np.asarray(alpha)]))
-    return 0.5 * (dx - 1j * dy)
+    alpha = np.asarray(alpha)
+    return 0.5 * (jet.partial(alpha) - 1j * jet.partial(n + alpha))
 
 
 def wirtinger_zbar(jet, alpha, n):
     """d/dzbar_alpha = (d/dx_alpha + i d/dy_alpha) / 2."""
-    dx, dy = jet.partial(np.stack([alpha, n + np.asarray(alpha)]))
-    return 0.5 * (dx + 1j * dy)
+    alpha = np.asarray(alpha)
+    return 0.5 * (jet.partial(alpha) + 1j * jet.partial(n + alpha))
 
 
 def _wirtinger_parts(jet, n):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (IndexOutOfRange, MalformedInput, SingularMetric,
                      SymmetryViolation)
-from .jets import JetPolynomial, _layout, _scatter
+from .jets import JetPolynomial, _derivative_table, _layout, _scatter
 
 
 @dataclass(frozen=True)
@@ -132,21 +132,19 @@ def random_admissible(n, rng):
 
 def normal_metric_jet(tensor, max_degree=2):
     """(n, n) jet ``g_ij(x) = delta_ij - (1/3) sum_pq R[i,p,j,q] x_p x_q``,
-    the metric in geodesic normal coordinates (Gray 1973), in the 2n-variable
-    layout with the y variables unused.  The one place where curvature
-    enters a jet: one scatter of the weights -R[i,p,j,q] / 3 onto x_p x_q.
+    the metric in geodesic normal coordinates (Gray 1973), in the n
+    variables x.  The one place where curvature enters a jet: one scatter of
+    the weights -R[i,p,j,q] / 3 onto the cached positions of x_p x_q.
     """
     tensor.validate()
     if max_degree < 2:
         raise MalformedInput("the normal metric jet needs max_degree >= 2")
     n = tensor.dimension
-    layout = _layout(2 * n, max_degree)
-    x = np.eye(2 * n, dtype=np.int64)[:n]
-    positions = layout.index((x[:, None] + x[None, :]).reshape(n * n, 2 * n))
+    position, _ = _derivative_table(n, 2)  # x_p x_q, in every layout of degree >= 2
     weights = -tensor.components.transpose(0, 2, 1, 3).reshape(n * n, n * n) / 3.0
-    stack = _scatter(positions, weights, layout.size)
+    stack = _scatter(position.reshape(-1), weights, _layout(n, max_degree).size)
     stack[::n + 1, 0] += 1.0
-    return JetPolynomial._from_array(2 * n, max_degree, stack.reshape(n, n, -1))
+    return JetPolynomial._from_array(n, max_degree, stack.reshape(n, n, -1))
 
 
 @dataclass
@@ -164,9 +162,8 @@ class MetricChart:
 
 
 def chart_from_metric_jet(metric):
-    """Wrap an (n, n) metric jet in 2n variables as a chart in x alone, at y = 0."""
-    n = len(metric)
-    return MetricChart(n, lambda x: metric.evaluate(np.pad(x, (0, n))))
+    """Wrap an (n, n) metric jet in the n variables x as a chart."""
+    return MetricChart(len(metric), metric.evaluate)
 
 
 # -- finite-difference curvature oracle --------------------------------

@@ -29,22 +29,16 @@ is solved degree by degree by back-substitution on the same block products.
 This is truncated Taylor arithmetic (Griewank and Walther, *Evaluating
 Derivatives*, ch. 13).
 
-``evaluate`` splits the variables into two halves, x and y, so that every
-monomial is x^alpha y^beta, and builds the monomial values of each half by
-contiguous runs: in the graded lex order the degree-d monomials that share a
-first variable form one run, and so do their quotients by that variable in
-degree d-1, so each run is one slice-times-variable product with no gathered
-indices.  The value is then one matrix product per left degree a, of the
-coefficients of x^alpha y^beta with |alpha| = a and the right values,
-weighted by the left values of degree a.  Bi-degrees (|alpha|, |beta|) whose
-coefficients are all zero are skipped; an MA residual has only even ones.
-What a call reads for one set of live bi-degrees (the coefficient positions,
-the runs, the row counts) is cached, so a call gathers, runs and multiplies.
+``evaluate`` splits the variables into two halves, so that every monomial
+is x^alpha y^beta, builds the monomial values of each half by contiguous
+runs (one slice-times-variable product each, with no gathered indices), and
+sums one matrix product per left degree, skipping the bi-degrees whose
+coefficients are all zero; what it reads for one set of live bi-degrees is
+cached.
 
-The tube-potential work uses the variable layout ``(x_1..x_n, y_1..y_n)``:
-variable ``i`` is ``x_{i+1}`` and variable ``n+i`` is ``y_{i+1}``.  The
-Wirtinger helpers below assume that layout; the rest of the module is
-agnostic.
+Only ``wirtinger_z`` and ``wirtinger_zbar`` assume the tube layout that
+``majet`` decides, ``(x_1..x_n, y_1..y_n)``: variable ``i`` is ``x_{i+1}``
+and variable ``n+i`` is ``y_{i+1}``.
 """
 
 from __future__ import annotations
@@ -164,14 +158,13 @@ def _layout(num_vars, max_degree):
 
 class _Split:
     """The monomials of ``(num_vars, max_degree)`` as products x^alpha y^beta
-    of a left half x (the first num_vars // 2 variables, the x of the tube
-    layout; none for one variable) and a right half y (the rest).
+    of a left half x (the first num_vars // 2 variables; none for one
+    variable) and a right half y (the rest).
 
     ``left`` and ``right`` are the graded layouts of the halves through
-    max_degree.  Monomial m has right degree ``right_degree[m]`` = |beta|,
-    and ``bidegree[m]`` is the flat index of (|alpha|, |beta|) in a
-    (max_degree + 1, max_degree + 1) table.  ``positions[a]`` has one row
-    per alpha of degree a and one column per beta of degree <= max_degree - a
+    max_degree; ``bidegree[m]`` is the flat index of monomial m's (|alpha|,
+    |beta|) in a (max_degree + 1)^2 table.  ``positions[a]`` has one row per
+    alpha of degree a and one column per beta of degree <= max_degree - a
     (the right layout's prefix) and holds the position of x^alpha y^beta.
     """
 
@@ -182,8 +175,7 @@ class _Split:
         self.right = _layout(num_vars - self.cut, max_degree)
         alpha, beta = layout.exponents[:, :self.cut], layout.exponents[:, self.cut:]
         left_degree = alpha.sum(axis=1)
-        self.right_degree = _readonly(beta.sum(axis=1))
-        self.bidegree = _readonly(left_degree * (max_degree + 1) + self.right_degree)
+        self.bidegree = _readonly(left_degree * (max_degree + 1) + beta.sum(axis=1))
         rows = self.left.index(alpha) - self.left.offsets[left_degree]
         cols = self.right.index(beta)
         self.positions = []
@@ -195,9 +187,8 @@ class _Split:
             self.positions.append(_readonly(pos))
 
     def live_blocks(self, coeffs):
-        """Boolean (a, b) table: is any stacked coefficient of a monomial of
-        left degree a and right degree b nonzero (``live_degrees`` by
-        bi-degree)."""
+        """Boolean (a, b) table: is any stacked coefficient of left degree a
+        and right degree b nonzero."""
         live = np.zeros((len(self.positions),) * 2, dtype=bool)
         live.flat[self.bidegree[coeffs.any(axis=0)]] = True
         return live
@@ -399,10 +390,11 @@ class JetPolynomial:
     __array_ufunc__ = None  # NumPy scalars defer to the jet's operators
 
     def __init__(self, num_vars, max_degree, coeffs=None):
+        if not (num_vars >= 1 and max_degree >= 0  # integral, as exponents are
+                and float(num_vars).is_integer() and float(max_degree).is_integer()):
+            raise MalformedInput("jets need integers num_vars >= 1 and max_degree >= 0")
         self.num_vars = int(num_vars)
         self.max_degree = int(max_degree)
-        if self.max_degree < 0 or self.num_vars < 1:
-            raise MalformedInput("jets need num_vars >= 1 and max_degree >= 0")
         layout = _layout(self.num_vars, self.max_degree)
         if not coeffs:
             self._c = np.zeros(layout.size)
@@ -485,8 +477,8 @@ class JetPolynomial:
         return live[-1] if live else 0
 
     def truncated(self, new_max_degree):
-        if new_max_degree < 0:
-            raise MalformedInput("max_degree must be >= 0")
+        if not (new_max_degree >= 0 and float(new_max_degree).is_integer()):
+            raise MalformedInput("max_degree must be an integer >= 0")
         size = _layout(self.num_vars, int(new_max_degree)).size
         out = np.zeros(self.shape + (size,), dtype=self._c.dtype)
         kept = min(size, self._c.shape[-1])
@@ -647,26 +639,6 @@ def wirtinger_zbar(jet, alpha, n):
     """d/dzbar_alpha = (d/dx_alpha + i d/dy_alpha) / 2."""
     alpha = np.asarray(alpha)
     return 0.5 * (jet.partial(alpha) + 1j * jet.partial(n + alpha))
-
-
-def _wirtinger_parts(jet, n):
-    """Coefficient arrays (dz, dzbar, HT) of a scalar jet: dz[a] = d jet /
-    dz_a and dzbar[b] on the layout of degree max_degree - 1, and the
-    transposed complex Hessian HT[b, a] = d^2 jet / dz_a dzbar_b on that of
-    degree max_degree - 2, the degrees through which each is complete.
-    With S the real second partials, 4 HT[b, a] = S[x_a, x_b] + S[y_a, y_b]
-    + i (S[x_a, y_b] - S[y_a, x_b]); a real jet has dzbar = conj(dz)."""
-    src, weight = _partial_table(jet.num_vars, jet.max_degree)
-    grad = jet._c[src] * weight
-    # S[i, j] = d grad[i] / dx_j, complete through max_degree - 2
-    below = int(jet._layout.offsets[-3])
-    second = np.take(grad, src[:, :below], axis=1) * weight[:, :below]
-    dz = 0.5 * (grad[:n] - 1j * grad[n:])
-    dzbar = dz.conj() if np.isrealobj(grad) else 0.5 * (grad[:n] + 1j * grad[n:])
-    H = 1j * (second[:n, n:] - second[n:, :n])  # H[a, b] = HT[b, a]
-    H += second[:n, :n] + second[n:, n:]
-    H *= 0.25
-    return dz, dzbar, H.transpose(1, 0, 2)
 
 
 def matrix_inverse(A):

@@ -8,10 +8,10 @@ Riemannian manifold restricts, in geodesic normal coordinates, to
                   - (1/3) sum_{ipjq} R[i,p,j,q] x_p x_q y_i y_j  + higher,
 
 with g the metric in normal coordinates, and no cubic, pure-x, or
-pure-quartic-y terms.  ``potential_expansion`` builds this jet as
-FIBER_SCALE * y^T g(x) y from ``curvature.normal_metric_jet``, the one place
-where the curvature contraction is written, by one ``bincount``: multiplying
-by y_i y_j is a shift of positions.  ``ma_residual`` measures how well any
+pure-quartic-y terms, in the tube layout (x then y) decided here.
+``potential_expansion`` shifts each entry g_ij of the (n, n) jet in x of
+``curvature.normal_metric_jet``, where the curvature contraction is written,
+by y_i y_j, all in one ``bincount``.  ``ma_residual`` measures how well any
 potential jet satisfies the degenerate Monge-Ampere identity
 
     sum_a rho^a rho_a - 2 rho = 0,   rho^a = sum_b rho^{a bbar} rho_bbar,
@@ -26,7 +26,7 @@ multiplies a block of y-degree b by -(b-1)(b-2), so each block with b >= 3
 is a residual block, less the coupling from the block two y-degrees lower,
 divided by (b-1)(b-2), with one residual per total degree.
 ``_block_positions`` finds the blocks, for the solve's steps and for the
-pure-y quartic read.
+pure-y quartic read, by the y-degrees of the tube layout's exponent rows.
 
 Normalization: the whole potential carries the factor ``FIBER_SCALE = 1``
 (so ``rho = |y|^2`` on the fiber over the base point); the identity is
@@ -45,7 +45,7 @@ import numpy as np
 from .curvature import normal_metric_jet
 from .errors import DegenerateHessian, MalformedInput, SingularSystem
 from .jets import (JetPolynomial, _encode, _graded_matmul, _graded_solve, _layout,
-                   _readonly, _split, _wirtinger_parts, wirtinger_z, wirtinger_zbar)
+                   _partial_table, _readonly, wirtinger_z, wirtinger_zbar)
 
 FIBER_SCALE = 1.0
 
@@ -55,26 +55,25 @@ HESSIAN_TOL = 1e-8  # smallest eigenvalue a constant complex Hessian may have
 
 @functools.lru_cache(maxsize=None)
 def _fiber_shift(n, max_degree):
-    """(src, dst) in the tube layout of (2n, max_degree): ``src`` holds the
-    positions of the x monomials of degree <= max_degree - 2, and row
-    i * n + j of ``dst`` the positions of their products with y_i y_j.
-    Multiplying by a monomial is a shift of positions."""
-    layout = _layout(2 * n, max_degree)
+    """Row i * n + j: the positions in the tube layout of (2n, max_degree)
+    of y_i y_j times each x monomial of the n-variable layout of degree
+    max_degree - 2.  Multiplying by a monomial is a shift of positions."""
     x = np.pad(_layout(n, max_degree - 2).exponents, ((0, 0), (0, n)))
     y = np.eye(2 * n, dtype=np.int64)[n:]
     yy = (y[:, None] + y[None, :]).reshape(n * n, 1, 2 * n)
-    return _readonly(layout.index(x)), _readonly(layout.index(x + yy))
+    return _readonly(_layout(2 * n, max_degree).index(x + yy))
 
 
 def potential_expansion(tensor, max_degree=DEFAULT_DEGREE):
     """Jet of the tube potential, FIBER_SCALE * y^T g(x) y, for the (n, n)
-    normal-coordinate metric jet g of ``tensor``, which lives on the x
-    monomials: one ``bincount`` of the stack of its entries g_ij, each
+    normal-coordinate metric jet g of ``tensor`` in x through x-degree
+    max_degree - 2: one ``bincount`` of the stack of its entries g_ij, each
     shifted by y_i y_j."""
-    metric = normal_metric_jet(tensor, max_degree)._c
+    # below the quartic, a prefix of g through degree 2 (and max_degree < 2 raises)
+    metric = normal_metric_jet(tensor, max(max_degree - 2, min(max_degree, 2)))._c
     n = len(metric)
-    src, dst = _fiber_shift(n, max_degree)
-    coeffs = np.bincount(dst.ravel(), (FIBER_SCALE * metric.reshape(n * n, -1)[:, src]).ravel(),
+    coeffs = np.bincount(_fiber_shift(n, max_degree).ravel(),
+                         (FIBER_SCALE * metric[..., :_layout(n, max_degree - 2).size]).ravel(),
                          _layout(2 * n, max_degree).size)
     return JetPolynomial._from_array(2 * n, max_degree, coeffs)
 
@@ -98,6 +97,26 @@ def require_positive_hessian(H0):
     if not smallest >= HESSIAN_TOL:
         raise DegenerateHessian(
             f"quadratic part not positive-definite (min eigenvalue {smallest:.3e})")
+
+
+def _wirtinger_parts(jet, n):
+    """Coefficient arrays (dz, dzbar, HT) of a scalar jet: dz[a] = d jet /
+    dz_a and dzbar[b] on the layout of degree max_degree - 1, and the
+    transposed complex Hessian HT[b, a] = d^2 jet / dz_a dzbar_b on that of
+    degree max_degree - 2, the degrees through which each is complete.
+    With S the real second partials, 4 HT[b, a] = S[x_a, x_b] + S[y_a, y_b]
+    + i (S[x_a, y_b] - S[y_a, x_b]); a real jet has dzbar = conj(dz)."""
+    src, weight = _partial_table(jet.num_vars, jet.max_degree)
+    grad = jet._c[src] * weight
+    # S[i, j] = d grad[i] / dx_j, complete through max_degree - 2
+    below = int(jet._layout.offsets[-3])
+    second = np.take(grad, src[:, :below], axis=1) * weight[:, :below]
+    dz = 0.5 * (grad[:n] - 1j * grad[n:])
+    dzbar = dz.conj() if np.isrealobj(grad) else 0.5 * (grad[:n] + 1j * grad[n:])
+    H = 1j * (second[:n, n:] - second[n:, :n])  # H[a, b] = HT[b, a]
+    H += second[:n, :n] + second[n:, n:]
+    H *= 0.25
+    return dz, dzbar, H.transpose(1, 0, 2)
 
 
 def ma_residual(rho):
@@ -170,8 +189,9 @@ def _block_positions(num_vars, max_degree, a, b):
     """Positions of the block of x-degree ``a`` and y-degree ``b`` in the
     tube layout, descending: on the pure-y quartic block that is the order
     of the quadruples i <= j <= k <= l of y_i y_j y_k y_l, ascending."""
-    block = _layout(num_vars, max_degree).block(a + b)
-    y_degree = _split(num_vars, max_degree).right_degree[block]
+    layout = _layout(num_vars, max_degree)
+    block = layout.block(a + b)
+    y_degree = layout.exponents[block, num_vars // 2:].sum(axis=1)
     return _readonly(block.start + np.flatnonzero(y_degree == b)[::-1])
 
 
@@ -216,9 +236,9 @@ def solve_potential(seed):
     as a linear part or x_0^2: the solve leaves those blocks of the
     residual as they are, and the coupling is exact only without them.
     """
-    _fiber_dimension(seed)  # raises unless x then y, so y is _split's right half
+    n = _fiber_dimension(seed)
     num_vars, bound = seed.num_vars, seed.max_degree
-    if seed._c[_split(num_vars, bound).right_degree <= 1].any():
+    if seed._c[seed._layout.exponents[:, n:].sum(axis=1) <= 1].any():
         raise MalformedInput("a potential seed may not have a linear part, "
                              "or any other term of y-degree 0 or 1")
     coeffs = seed._c.copy()

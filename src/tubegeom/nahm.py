@@ -162,6 +162,8 @@ def _midpoints(values, out=None):
     """4th-order midpoint interpolation per grid interval along the last
     (node) axis, into ``out`` (new if None)."""
     v = np.asarray(values)
+    if v.shape[-1] < 4:
+        raise MalformedInput("need at least 4 nodes for 4th-order midpoints")
     if out is None:
         out = np.empty(v.shape[:-1] + (v.shape[-1] - 1,), dtype=v.dtype)
     inner = out[..., 1:-1]
@@ -560,9 +562,9 @@ def _magnus_factors(alpha):
     consumed: the exponential reuses its region.
     """
     m, N = alpha.shape[0], alpha.shape[-1] - 1
+    omega = _midpoints(alpha, _scratch("omega", (m, m, N)))  # N >= 3
     h = 1.0 / N
     left, right = alpha[..., :-1], alpha[..., 1:]
-    omega = _midpoints(alpha, _scratch("omega", (m, m, N)))
     omega *= 4.0
     omega += left
     omega += right
@@ -591,7 +593,7 @@ def solve_gauge_ode(A):
     products in 2 ceil(log2 N) batched calls).  Each factor is the
     exponential of an element of the (complexified) algebra, so the path
     stays in the group by construction; on an abelian algebra the step is
-    exact.
+    exact.  The midpoint rule needs N >= 3: MalformedInput otherwise.
     """
     if A.kind not in ("algebra", "complex-algebra"):
         raise MalformedInput("gauge ODE input must be algebra-valued")
@@ -606,6 +608,14 @@ def solve_gauge_ode(A):
     return GaugePath(g, kind, A.context)
 
 
+def _tangent_matrix(ctx, v):
+    """v as one complex matrix, checked by ``ctx.coefficients``."""
+    v = np.asarray(v, dtype=complex)
+    if ctx.coefficients(v).ndim != 1:  # ContextMismatch, ClosureViolation
+        raise MalformedInput("a tangent vector is one matrix, not a stack")
+    return v
+
+
 def _transported_tangent(a, v, grid_size, phases, T1):
     """L = log a of the default path h(t) = exp((1 - t) L), with the Schur
     phases and T1(t) = h v h^-1 written into ``phases`` and ``T1``, both
@@ -614,8 +624,7 @@ def _transported_tangent(a, v, grid_size, phases, T1):
     m = len(lam)
     ts = np.linspace(0.0, 1.0, grid_size + 1)
     np.exp(np.outer(1.0 - ts, lam[:, None] - lam[None, :], out=phases), out=phases)
-    K = np.einsum("ij,ri,cj->ijrc", Z.conj().T @ np.asarray(v, dtype=complex) @ Z,
-                  Z, Z.conj())
+    K = np.einsum("ij,ri,cj->ijrc", Z.conj().T @ v @ Z, Z, Z.conj())
     np.matmul(phases, K.reshape(m * m, m * m), out=T1)
     return L
 
@@ -629,7 +638,7 @@ def embed_tangent(a, v, grid_size, h_path=None):
     at t = 0 to the identity (to 1e-8) or, on a context with a split, into
     H (the m-part of log h(1) below 1e-8) at t = 1; MalformedInput
     otherwise.  The pair satisfies the reduced flow equation and T1(1) = v
-    for the default path.
+    for the default path; ``_tangent_matrix`` checks v.
 
     The default path reads L = log a = Z diag(lam) Z* (Z unitary) off the
     one complex Schur form of a that the logarithm takes
@@ -639,7 +648,7 @@ def embed_tangent(a, v, grid_size, h_path=None):
     when a is not normal, which no compact group produces.
     """
     ctx = a.context
-    v = np.asarray(v, dtype=complex)
+    v = _tangent_matrix(ctx, v)
     if h_path is None:
         m, nodes = ctx.matrix_size, grid_size + 1
         T1 = np.empty((nodes, m, m), dtype=complex)
@@ -670,17 +679,18 @@ def adapted_roundtrip(a, v, grid_size=2000):
     """Recover the complexified image of (a, v) through the gauge ODE.
 
     Embeds (a, v) along the default path of ``embed_tangent``, gauges the
-    complex combination alpha = T0 + i T1 to zero, and returns g(0)^-1,
-    which converges at 4th order to a exp(i v).  alpha is written once,
-    entry-major, on the "alpha" region from L and the product T1 of
-    ``embed_tangent`` (the phases on "omega", T1 node-major on "bracket",
-    as BLAS writes it, so that T1 is ``embed_tangent``'s bit for bit).
-    Only g(0) is formed, by ``_tree_product`` over the Magnus factors of
-    ``solve_gauge_ode``, equal bit for bit to the scan's g(0).  Another
-    path from a runs the same route by hand: ``embed_tangent`` with that
-    path, ``solve_gauge_ode`` on T0 + i T1, and the inverse of g(0).
+    complex combination alpha = T0 + i T1 to zero, and returns g(0)^-1, which
+    converges at 4th order to a exp(i v) (v checked as there; grid_size >= 3).
+    alpha is written once, entry-major, on the "alpha" region from L and the
+    product T1 of ``embed_tangent`` (the phases on "omega", T1 node-major on
+    "bracket", as BLAS writes it, so that T1 is ``embed_tangent``'s bit for
+    bit).  Only g(0) is formed, by ``_tree_product`` over the Magnus factors
+    of ``solve_gauge_ode``, equal bit for bit to the scan's g(0).  Another
+    path from a runs the same route by hand: ``embed_tangent`` with that path,
+    ``solve_gauge_ode`` on T0 + i T1, and the inverse of g(0).
     """
     ctx = a.context
+    v = _tangent_matrix(ctx, v)
     m, nodes = ctx.matrix_size, grid_size + 1
     alpha = _scratch("alpha", (m, m, nodes))
     T1 = _scratch("bracket", (nodes, m * m))
@@ -832,10 +842,11 @@ def integrate_nahm(context, initial, T0):
     product z ⊗ z and one product with a constant (16 d^2, 3 d) table built
     from the structure constants (``_nahm_table``) and scaled by the
     stage's step.  The (4, N+1, m, m) stack is reconstructed once at the
-    end.  Raises MalformedInput when T0 or the initial data leave the real
-    span, and BlowupDetected naming the first step after which some evolved
-    norm exceeds 1e6 or is not finite (the flow genuinely blows up in
-    finite time for some data); the norms are read off the finished stack.
+    end.  Raises MalformedInput when N < 3 or when T0 or the initial data
+    leave the real span, and BlowupDetected naming the first step after
+    which some evolved norm exceeds 1e6 or is not finite (the flow genuinely
+    blows up in finite time for some data); the norms are read off the
+    finished stack.
     """
     if T0.kind != "algebra":
         raise MalformedInput("T0 must be an algebra-valued path")

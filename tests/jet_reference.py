@@ -66,21 +66,22 @@ def identity_gap(A, X):
 
 
 def loop_normal_metric_jet(tensor, max_degree):
-    """Matrix of jets delta_ij - (1/3) sum_pq R[i,p,j,q] x_p x_q."""
+    """Matrix of jets delta_ij - (1/3) sum_pq R[i,p,j,q] x_p x_q in the n
+    variables x."""
     n = tensor.dimension
     R = tensor.components
     jet = []
     for i in range(n):
         row = []
         for j in range(n):
-            coeffs = {(0,) * (2 * n): 1.0} if i == j else {}
+            coeffs = {(0,) * n: 1.0} if i == j else {}
             for p, q in itertools.product(range(n), repeat=2):
-                powers = [0] * (2 * n)
+                powers = [0] * n
                 powers[p] += 1
                 powers[q] += 1
                 key = tuple(powers)
                 coeffs[key] = coeffs.get(key, 0.0) - R[i, p, j, q] / 3.0
-            row.append(JetPolynomial(2 * n, max_degree, coeffs))
+            row.append(JetPolynomial(n, max_degree, coeffs))
         jet.append(row)
     return jet
 

@@ -88,6 +88,20 @@ def test_integral_float_exponents_read_as_integers():
     assert jet.coefficient((1.0, 0.0)) == 5.0
 
 
+@pytest.mark.parametrize("bad", [2.5, 0.5, np.nan, np.inf])
+def test_jet_sizes_that_are_not_integral_values_are_rejected(bad):
+    # 2.5 used to be truncated to 2, as exponents once were
+    with pytest.raises(MalformedInput, match="integers"):
+        JetPolynomial(bad, 3)
+    with pytest.raises(MalformedInput, match="integers"):
+        JetPolynomial(2, bad + 1)
+    with pytest.raises(MalformedInput, match="integer"):
+        JetPolynomial(2, 3).truncated(bad)
+    jet = JetPolynomial(2.0, np.float64(3), {(1, 0): 5.0}).truncated(2.0)
+    assert (jet.num_vars, jet.max_degree) == (2, 2)
+    assert type(jet.num_vars) is type(jet.max_degree) is int
+
+
 @pytest.mark.parametrize("var", [-1, 2, [0, 2], np.array([-1, 1]), 0.0])
 def test_partial_rejects_a_variable_outside_the_jet(var):
     # -1 used to differentiate by the last variable, 2 to raise IndexError

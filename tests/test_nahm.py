@@ -9,7 +9,8 @@ import scipy.special
 
 from tubegeom import liealg as la
 from tubegeom import nahm, registry
-from tubegeom.errors import (BlowupDetected, GridMismatch, MalformedInput)
+from tubegeom.errors import (BlowupDetected, ClosureViolation, ContextMismatch,
+                             GridMismatch, MalformedInput)
 
 
 @pytest.fixture(scope="module")
@@ -457,6 +458,47 @@ def test_embed_tangent_rejects_a_path_that_misses_its_end(ctx):
     a2 = la.GroupElement(a.matrix, su2)
     with pytest.raises(MalformedInput, match="end at the identity or in the subgroup"):
         nahm.embed_tangent(a2, v, N, nahm.GaugePath(into_h, "group", su2))
+
+
+@pytest.mark.parametrize("N", [0, 1, 2])
+def test_grids_too_short_for_the_midpoint_rule_are_rejected(ctx, N):
+    # N = 1, 2 used to raise IndexError from the midpoints, and N = 0 a
+    # ZeroDivisionError from the roundtrip's step
+    rng = _rng()
+    a = la.group_exp(ctx, ctx.random_element(rng, 1.2))
+    v = ctx.random_element(rng, 1.5)
+    with pytest.raises(MalformedInput, match="at least 4 nodes"):
+        nahm.adapted_roundtrip(a, v, N)
+    if N:
+        T0, _ = nahm.embed_tangent(a, v, N)
+        with pytest.raises(MalformedInput, match="at least 4 nodes"):
+            nahm.solve_gauge_ode(T0)
+        with pytest.raises(MalformedInput, match="at least 4 nodes"):
+            nahm.integrate_nahm(ctx, ctx.basis, T0)
+    T0, _ = nahm.embed_tangent(a, v, 3)  # four nodes are enough
+    nahm.solve_gauge_ode(T0)
+    nahm.integrate_nahm(ctx, ctx.basis, T0)
+
+
+def test_a_tangent_vector_must_be_one_matrix_of_the_real_span(ctx):
+    # i v used to return a matrix, and a (3, 3) v to fail inside numpy
+    rng = _rng()
+    a = la.group_exp(ctx, ctx.random_element(rng, 1.2))
+    v = ctx.random_element(rng, 1.5)
+    N = 64
+    ts = np.linspace(0, 1, N + 1)[:, None, None]
+    to_one = nahm.GaugePath(nahm._expm_stack((1 - ts) * la.group_log(a)), "group", ctx)
+    calls = (lambda w: nahm.adapted_roundtrip(a, w, N),
+             lambda w: nahm.embed_tangent(a, w, N),
+             lambda w: nahm.embed_tangent(a, w, N, to_one))
+    for call in calls:
+        with pytest.raises(ClosureViolation):
+            call(1j * v)
+        with pytest.raises(ContextMismatch):
+            call(np.eye(3))
+        with pytest.raises(MalformedInput, match="one matrix"):
+            call(np.stack([v, v]))
+        call(v)
 
 
 def test_adapted_roundtrip_small_sweep(ctx):

@@ -12,26 +12,26 @@ vector or matrix of jets one jet.  Monomials are listed degree by degree,
 lexicographically within a degree, so truncating to degree ``d`` is a prefix
 slice.  The tables (exponent matrix, product index maps per pair of degrees,
 one stacked gather table of every first partial) are built once with
-vectorised NumPy and cached.  The degree-d rows are the degree d-1 rows times
-each variable, deduplicated by their integer codes in base d + 1, which sort
-like the rows; evaluation runs are counted with binomials, and every cached
-table owns its entries, so no cached view keeps a larger temporary alive
-(``evaluate``'s cached plans hold views of the cached position tables).
-Graded blocks form the same prefix in every layout, so the partial table of
-one layout serves every lower one, and a second partial is a gather of the
-first partials through it.  At 16 variables and degree 8 (735 471
-monomials) the layout builds in 0.5 s and keeps 191 MiB, and its partial
-table takes 0.5 s and keeps 60 MiB (tracemalloc, 2-core x86-64 host).
-Products scatter the outer product of
-two homogeneous parts into their target degree with ``np.bincount`` and
-skip degrees whose coefficients are all zero.  A jet-matrix system A X = B
-is solved degree by degree by back-substitution on the same block products.
-This is truncated Taylor arithmetic (Griewank and Walther, *Evaluating
-Derivatives*, ch. 13).
+vectorised NumPy and cached, and each owns its entries (``evaluate``'s
+cached plans hold views of the cached position tables).  The layout's runs,
+counted with binomials, define the order: each is a slice of lower rows
+times one variable, and they fill the exponent rows, their integer codes and
+``evaluate``'s monomial values.  Codes increase within each degree block and
+add under products, so every lookup is a search within one block.  Graded
+blocks form the same prefix in every layout, so the partial table of one
+layout serves every lower one, and a second partial is a gather of the first
+partials through it.  At 16 variables and degree 8 (735 471 monomials) the
+layout builds in 0.07 s and keeps 95 MiB, and its partial table takes 0.2 s
+and keeps 60 MiB (tracemalloc, 2-core x86-64 host).  Products scatter the
+outer product of two homogeneous parts into their target degree with
+``np.bincount`` and skip degrees whose coefficients are all zero.  A
+jet-matrix system A X = B is solved degree by degree by back-substitution on
+the same block products.  This is truncated Taylor arithmetic (Griewank and
+Walther, *Evaluating Derivatives*, ch. 13).
 
 ``evaluate`` splits the variables into two halves, so that every monomial
-is x^alpha y^beta, builds the monomial values of each half by contiguous
-runs (one slice-times-variable product each, with no gathered indices), and
+is x^alpha y^beta, builds the monomial values of each half by the runs of
+its layout (one slice-times-variable product each, no gathered index), and
 sums one matrix product per left degree, skipping the bi-degrees whose
 coefficients are all zero; what it reads for one set of live bi-degrees is
 cached.
@@ -61,68 +61,41 @@ def _readonly(arr):
     return arr
 
 
-def _encode(exponents, base):
-    """Base-``base`` integer codes of exponent rows; they sort like the rows."""
-    weights = base ** np.arange(exponents.shape[-1] - 1, -1, -1, dtype=np.int64)
-    return exponents @ weights
-
-
-@functools.lru_cache(maxsize=None)
-def _monomials(num_vars, degree):
-    """Exponent rows of total degree ``degree`` in lexicographic order."""
-    if degree == 0 or num_vars == 0:  # no variables: the constant alone
-        return _readonly(np.zeros((int(degree == 0), num_vars), dtype=np.int64))
-    # raise each lower row by each variable and keep the first of every code:
-    # the code of row * x_v is the row's code plus the code of x_v
-    lower = _monomials(num_vars, degree - 1)
-    eye = np.eye(num_vars, dtype=np.int64)
-    codes = _encode(lower, degree + 1)[:, None] + _encode(eye, degree + 1)
-    _, first = np.unique(codes.ravel(), return_index=True)
-    row, var = np.divmod(first, num_vars)
-    return _readonly(lower[row] + eye[var])
-
-
 @functools.lru_cache(maxsize=None)
 def _product_block(num_vars, d1, d2):
     """Position within degree ``d1 + d2`` of each product monomial m1 * m2,
     flattened over (m1 of degree d1, m2 of degree d2)."""
-    base = d1 + d2 + 1
-    c1 = _encode(_monomials(num_vars, d1), base)
-    c2 = _encode(_monomials(num_vars, d2), base)
-    target = _encode(_monomials(num_vars, d1 + d2), base)
-    return _readonly(np.searchsorted(target, (c1[:, None] + c2[None, :]).ravel()))
+    layout = _layout(num_vars, d1 + d2)
+    c1, c2, target = (layout.codes[layout.block(d)] for d in (d1, d2, d1 + d2))
+    return _readonly(np.searchsorted(target, (c1[:, None] + c2).ravel()))
 
 
 class _Layout:
-    """Graded monomial table of ``(num_vars, max_degree)``."""
+    """Graded monomial table of ``(num_vars, max_degree)``.
+
+    ``runs`` holds one tuple of runs (dst_start, dst_stop, src_start,
+    src_stop, var) per degree (none at degree 0): rows dst_start:dst_stop
+    are rows src_start:src_stop times x_var.  Within degree d the monomials
+    whose first nonzero variable is ``var`` are contiguous, and dividing them
+    by x_var maps them in order onto the degree d-1 monomials free of the
+    variables before ``var``, a prefix of block d-1.  The runs fill the
+    exponent rows, lexicographic within each degree, their integer codes in
+    base max_degree + 1 (``unit[v]`` is the code of x_v) and the monomial
+    values of ``evaluate``.  Codes increase within each degree block, and
+    the code of a product is the sum of the codes.
+    """
 
     def __init__(self, num_vars, max_degree):
         if (max_degree + 1) ** num_vars >= 2 ** 62:
             raise MalformedInput("jet too large for the monomial encoding")
-        blocks = [_monomials(num_vars, d) for d in range(max_degree + 1)]
-        self.exponents = _readonly(np.concatenate(blocks))
-        self.offsets = np.cumsum([0] + [len(b) for b in blocks])
+        # comb(num_vars + d, d) monomials of degree <= d
+        self.offsets = np.array([0] + [math.comb(num_vars + d, d)
+                                       for d in range(max_degree + 1)], dtype=np.int64)
         self.size = int(self.offsets[-1])
         self._blocks = [slice(int(a), int(b))
                         for a, b in zip(self.offsets[:-1], self.offsets[1:])]
-        self.base = max_degree + 1
-        codes = _encode(self.exponents, self.base)
-        self._order = np.argsort(codes)
-        self._sorted_codes = codes[self._order]
-        self.runs = self._parent_runs()
-
-    def _parent_runs(self):
-        """Runs (dst_start, dst_stop, src_start, src_stop, var) of ``evaluate``,
-        one tuple of runs per degree (none at degree 0).
-
-        Within degree d the monomials whose first nonzero variable is ``var``
-        are contiguous, and dividing them by x_var maps them in order onto the
-        degree d-1 monomials free of the variables before ``var``: a prefix
-        of block d-1 of the same length.  Each run is then one slice product.
-        """
-        num_vars = self.exponents.shape[1]
         runs = [()]
-        for d in range(1, len(self._blocks)):
+        for d in range(1, max_degree + 1):
             # the run of variable n - k follows the comb(d + k - 2, d)
             # monomials of degree d in the last k - 1 variables and ends
             # after the comb(d + k - 1, d) of degree d in the last k
@@ -131,16 +104,28 @@ class _Layout:
             src = int(self.offsets[d - 1])
             runs.append(tuple((a, b, src, src + b - a, num_vars - k)
                               for k, (a, b) in enumerate(zip(ends, ends[1:]), 1)))
-        return tuple(runs)
+        self.runs = tuple(runs)
+        self.unit = _readonly((max_degree + 1) ** np.arange(num_vars, dtype=np.int64)[::-1])
+        every = [run for degree_runs in runs for run in degree_runs]
+        self.exponents = _readonly(_fill_runs(np.zeros((self.size, num_vars), dtype=np.int64),
+                                              every, np.eye(num_vars, dtype=np.int64), np.add))
+        self.codes = _readonly(_fill_runs(np.zeros(self.size, dtype=np.int64),
+                                          every, self.unit, np.add))
 
     def block(self, d):
         """Slice of the monomials of total degree ``d``."""
         return self._blocks[d]
 
     def index(self, exponents):
-        """Positions of exponent rows, each of total degree <= max_degree."""
-        codes = _encode(np.asarray(exponents, dtype=np.int64), self.base)
-        return self._order[np.searchsorted(self._sorted_codes, codes)]
+        """Positions of exponent rows, each of total degree <= max_degree:
+        each row's code is searched in the block of its degree."""
+        rows = np.asarray(exponents, dtype=np.int64)
+        codes, degrees = rows @ self.unit, rows.sum(axis=-1)
+        positions = np.empty(codes.shape, dtype=np.int64)
+        for d in np.flatnonzero(np.bincount(degrees.ravel())):  # the degrees present
+            block, hit = self.block(d), degrees == d
+            positions[hit] = block.start + np.searchsorted(self.codes[block], codes[hit])
+        return positions
 
     def live_degrees(self, coeffs):
         """Degrees at which any of the stacked coefficient arrays is nonzero;
@@ -225,12 +210,14 @@ def _evaluation_plan(num_vars, max_degree, live):
             max((len(index) for *_, index in plan), default=0))
 
 
-def _fill_monomials(rows, runs, xt):
-    """Monomial values of one half in ``rows`` (row 0 already holds ones):
-    each run (dst_start, dst_stop, src_start, src_stop, var) is one slice
-    of lower-degree values times variable row ``xt[var]``."""
+def _fill_runs(rows, runs, factors, op):
+    """``rows``, whose row 0 is set, filled by ``runs``: each run (dst_start,
+    dst_stop, src_start, src_stop, var) is a slice of lower rows ``op``-ed
+    with ``factors[var]`` (np.add and the unit exponent rows or codes for a
+    layout, np.multiply and variable values for ``evaluate``)."""
     for a, b, pa, pb, var in runs:
-        np.multiply(rows[pa:pb], xt[var], out=rows[a:b])
+        op(rows[pa:pb], factors[var], out=rows[a:b])
+    return rows
 
 
 @functools.lru_cache(maxsize=None)
@@ -245,12 +232,13 @@ def _partial_table(num_vars, max_degree):
     below = int(layout.offsets[-2])
     src = np.empty((num_vars, below), dtype=np.int64)
     weight = np.empty((num_vars, below))
-    raised = np.empty((below, num_vars), dtype=np.int64)
-    for var in range(num_vars):  # one variable at a time bounds the temporaries
-        raised[...] = layout.exponents[:below]
-        raised[:, var] += 1
-        src[var] = layout.index(raised)
-        weight[var] = raised[:, var]
+    for d in range(max_degree):  # row * x_v lies in the next degree block
+        block, above = layout.block(d), layout.block(d + 1)
+        codes, targets = layout.codes[block], layout.codes[above]
+        for var in range(num_vars):
+            src[var, block] = above.start + np.searchsorted(targets, codes + layout.unit[var])
+    weight[...] = layout.exponents[:below].T
+    weight += 1  # the exponent of x_v in row * x_v
     return _readonly(src), _readonly(weight)
 
 
@@ -264,18 +252,12 @@ def _derivative_table(num_vars, order):
     Positions hold in every layout with max_degree >= order, since the
     graded blocks of degree <= order form the same prefix in all of them.
     """
-    shape = (num_vars,) * order
-    count = num_vars ** order
-    powers = np.zeros((count, num_vars), dtype=np.int64)
-    rows = np.arange(count)
-    for axis in np.indices(shape).reshape(order, count):  # i_1, ..., i_order
-        powers[rows, axis] += 1
+    # powers[i_1, ..., i_order] = e_i_1 + ... + e_i_order
+    powers = np.eye(num_vars, dtype=np.int64)[np.indices((num_vars,) * order)].sum(axis=0)
     factorials = np.cumprod([1] + list(range(1, order + 1)))
-    weight = factorials[powers].prod(axis=1).astype(float)
-    position = _layout(num_vars, order).index(powers)
-    # copies, so that the cached tables own their entries
-    return (_readonly(position.reshape(shape).copy()),
-            _readonly(weight.reshape(shape).copy()))
+    # new arrays of the table's shape, so that the cached tables own their entries
+    return (_readonly(_layout(num_vars, order).index(powers)),
+            _readonly(np.array(factorials[powers].prod(axis=-1), dtype=float)))
 
 
 def _scatter(index, values, length):
@@ -325,18 +307,21 @@ def _graded_matmul(A, B, num_vars, bound):
     return C
 
 
-def _graded_solve(A, B, num_vars, bound):
+def _graded_solve(A, B, num_vars, bound, condition=None):
     """X with A X = B through degree ``bound``, for stacked coefficient arrays.
 
     ``A`` has shape (s, s, >= size) and ``B`` shape (s, r, >= size).  The
     degree-d part of A X = B is A0 X_d + sum_{k >= 1} A_k X_{d-k} = B_d, so
     back-substitution gives X_d = A0^-1 (B_d - sum_k A_k X_{d-k}) degree by
     degree, skipping the degrees at which A or X is zero.  Raises
-    SingularSystem unless A0 is finite with cond(A0) <= COND_LIMIT.
+    SingularSystem unless A0 is finite with condition number <= COND_LIMIT;
+    a caller that knows that number passes it as ``condition``, otherwise
+    it is ``np.linalg.cond(A0)``.
     """
     layout = _layout(num_vars, bound)
     A0 = A[:, :, 0]
-    if not np.all(np.isfinite(A0)) or np.linalg.cond(A0) > COND_LIMIT:
+    if not np.all(np.isfinite(A0)) or (
+            np.linalg.cond(A0) if condition is None else condition) > COND_LIMIT:
         raise SingularSystem("constant part of the jet matrix is singular")
     A0inv = np.linalg.inv(A0)
     X = np.zeros((len(A), B.shape[1], layout.size), dtype=np.result_type(A, B))
@@ -609,8 +594,8 @@ class JetPolynomial:
             xt = np.ascontiguousarray(pts[start:start + chunk].T)
             X = buffer[:x_rows, :xt.shape[1]]
             Y = buffer[x_rows:, :xt.shape[1]]
-            _fill_monomials(X, x_runs, xt[:split.cut])
-            _fill_monomials(Y, y_runs, xt[split.cut:])
+            _fill_runs(X, x_runs, xt[:split.cut], np.multiply)
+            _fill_runs(Y, y_runs, xt[split.cut:], np.multiply)
             acc = sums[:, start:start + chunk]
             for blk, cols, c in products:
                 term = (c @ Y[cols]).reshape(len(acc), -1, xt.shape[1])

@@ -44,7 +44,7 @@ import numpy as np
 
 from .curvature import normal_metric_jet
 from .errors import DegenerateHessian, MalformedInput, SingularSystem
-from .jets import (JetPolynomial, _encode, _graded_matmul, _graded_solve, _layout,
+from .jets import (JetPolynomial, _graded_matmul, _graded_solve, _layout,
                    _partial_table, _readonly, wirtinger_z, wirtinger_zbar)
 
 FIBER_SCALE = 1.0
@@ -92,11 +92,13 @@ def complex_hessian(rho):
 
 def require_positive_hessian(H0):
     """Raise DegenerateHessian unless the constant complex Hessian ``H0`` is
-    positive-definite with smallest eigenvalue at least HESSIAN_TOL."""
-    smallest = np.min(np.linalg.eigvalsh(0.5 * (H0 + H0.conj().T)))
-    if not smallest >= HESSIAN_TOL:
+    positive-definite with smallest eigenvalue at least HESSIAN_TOL; return
+    the eigenvalues of its Hermitian part, ascending."""
+    eigenvalues = np.linalg.eigvalsh(0.5 * (H0 + H0.conj().T))
+    if not eigenvalues[0] >= HESSIAN_TOL:
         raise DegenerateHessian(
-            f"quadratic part not positive-definite (min eigenvalue {smallest:.3e})")
+            f"quadratic part not positive-definite (min eigenvalue {eigenvalues[0]:.3e})")
+    return eigenvalues
 
 
 def _wirtinger_parts(jet, n):
@@ -142,13 +144,15 @@ def ma_residual(rho):
     # of rho, which gives dz and dzbar constant terms, lets that block reach
     # the product, and the residual is then cut to bound - 2.
     dz, dzbar, HT = _wirtinger_parts(rho, n)
-    require_positive_hessian(HT[:, :, 0].T)
+    eigenvalues = require_positive_hessian(HT[:, :, 0].T)
+    # a real rho has a Hermitian H0: its condition number is an eigenvalue ratio
+    condition = eigenvalues[-1] / eigenvalues[0] if np.isrealobj(rho._c) else None
     # raised[a] = sum_b (H^-1)[b][a] dzbar[b]: solve H^T raised = dzbar,
     # then sum_a raised[a] dz[a] as one real product, whose first row is
     # Re(raised).Re(dz) - Im(raised).Im(dz) and whose second, for a complex
     # rho, is the imaginary part
     try:
-        raised = _graded_solve(HT, dzbar[:, None], num_vars, bound - 1)[:, 0]
+        raised = _graded_solve(HT, dzbar[:, None], num_vars, bound - 1, condition)[:, 0]
     except SingularSystem as exc:
         raise DegenerateHessian(str(exc)) from exc
     rows = [np.concatenate([raised.real, -raised.imag])]
@@ -204,11 +208,10 @@ def _coupling(num_vars, max_degree, a, b):
     by the codes of y_i y_j less those of x_i x_j."""
     layout = _layout(num_vars, max_degree)
     n = num_vars // 2
-    source = layout.exponents[_block_positions(num_vars, max_degree, a + 2, b - 2)]
-    target = _encode(layout.exponents[_block_positions(num_vars, max_degree, a, b)[::-1]],
-                     layout.base)  # ascending
-    codes = _encode(source, layout.base)
-    unit = _encode(np.eye(num_vars, dtype=np.int64), layout.base)
+    positions = _block_positions(num_vars, max_degree, a + 2, b - 2)
+    source, codes = layout.exponents[positions], layout.codes[positions]
+    target = layout.codes[_block_positions(num_vars, max_degree, a, b)[::-1]]  # ascending
+    unit = layout.unit
     shift = (unit[n:, None] + unit[n:]) - (unit[:n, None] + unit[:n])
     rows, cols, weight = [], [], []
     for i in range(n):  # one x_i at a time bounds the temporaries

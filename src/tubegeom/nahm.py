@@ -24,7 +24,8 @@ on the stack.  The machinery here provides
   vector (T0, T1, T2, T3) in R^{4d}: each stage is one outer product and
   one product with a constant bilinear table of the structure constants.
 
-Derivatives on the grid use 4th-order stencils (one-sided at the ends) so
+Every ``grid_size`` argument passes one check, ``_grid_size``.  Derivatives
+on the grid use 4th-order stencils (one-sided at the ends) so
 that residual magnitudes track the integrator's order on analytic data.
 Matrix exponentials along a path are taken for the whole (nodes, m, m)
 stack in one call (``_expm_stack``), never node by node, and so are
@@ -127,13 +128,21 @@ def _same_grid(*paths):
         raise ContextMismatch("paths from different contexts")
 
 
+def _grid_size(grid_size):
+    """``grid_size`` as an int; MalformedInput unless it is a non-negative
+    integral value (64.0 passes; -5, 2.5, NaN and inf do not)."""
+    if not (grid_size >= 0 and float(grid_size).is_integer()):
+        raise MalformedInput(f"grid_size must be a non-negative integer, not {grid_size!r}")
+    return int(grid_size)
+
+
 def constant_path(context, value, grid_size):
-    reps = np.repeat(np.asarray(value, dtype=complex)[None], grid_size + 1, axis=0)
+    reps = np.repeat(np.asarray(value, dtype=complex)[None], _grid_size(grid_size) + 1, 0)
     return GaugePath(reps, "algebra", context)
 
 
 def sampled_path(context, func, grid_size):
-    ts = np.linspace(0.0, 1.0, grid_size + 1)
+    ts = np.linspace(0.0, 1.0, _grid_size(grid_size) + 1)
     vals = np.array([func(t) for t in ts], dtype=complex)
     return GaugePath(vals, "algebra", context)
 
@@ -649,6 +658,7 @@ def embed_tangent(a, v, grid_size, h_path=None):
     """
     ctx = a.context
     v = _tangent_matrix(ctx, v)
+    grid_size = _grid_size(grid_size)
     if h_path is None:
         m, nodes = ctx.matrix_size, grid_size + 1
         T1 = np.empty((nodes, m, m), dtype=complex)
@@ -691,6 +701,7 @@ def adapted_roundtrip(a, v, grid_size=2000):
     """
     ctx = a.context
     v = _tangent_matrix(ctx, v)
+    grid_size = _grid_size(grid_size)
     m, nodes = ctx.matrix_size, grid_size + 1
     alpha = _scratch("alpha", (m, m, nodes))
     T1 = _scratch("bracket", (nodes, m * m))
@@ -922,7 +933,7 @@ def smooth_gauge(context, rng, grid_size, amplitude=0.5, endpoints="free"):
     d = context.dim
     c1 = rng.standard_normal(d) * amplitude
     c2 = rng.standard_normal(d) * amplitude
-    ts = np.linspace(0.0, 1.0, grid_size + 1)
+    ts = np.linspace(0.0, 1.0, _grid_size(grid_size) + 1)
     if endpoints == "loop":
         profiles = [np.sin(np.pi * ts), ts * (1.0 - ts)]
     elif endpoints == "subgroup":
@@ -951,10 +962,10 @@ def _tangent_draws(context, rng):
 def smooth_tangent(context, rng, grid_size):
     """Random analytic configuration (trig profiles per slot, coefficients
     in the unit ball), used as a point or as a tangent direction."""
-    ts = np.linspace(0.0, 1.0, grid_size + 1)
+    ts = np.linspace(0.0, 1.0, _grid_size(grid_size) + 1)
     prof2 = np.sin(np.pi * ts)[:, None, None]
     m = context.matrix_size
-    values = np.empty((4, grid_size + 1, m, m), dtype=complex)
+    values = np.empty((4, len(ts), m, m), dtype=complex)
     for slot, (a, b, freq) in zip(values, _tangent_draws(context, rng)):
         slot[...] = (np.cos(np.pi * freq * ts)[:, None, None] * context.reconstruct(a)
                      + prof2 * context.reconstruct(b))
@@ -971,6 +982,7 @@ def smooth_tangent_omega_I(context, rng_x, rng_y, grid_size):
     of a product of two 1-D profiles.  That takes O(N) floats where the
     tangents take two complex (4, N+1, m, m) stacks.
     """
+    grid_size = _grid_size(grid_size)
     X = _tangent_draws(context, rng_x)
     Y = _tangent_draws(context, rng_y)
     # profile 0 is sin(pi t); profile p > 0 is cos(pi f t) for the p-th

@@ -13,6 +13,9 @@ multiplies the coefficient stacks of two (s, s) jets with ``_graded_matmul``,
 and ``stack_jets`` builds one (rows, cols) jet from a list of lists of
 scalar jets, as test inputs are easiest to write entry by entry.
 
+``lex_rows`` lists the exponent rows of a graded layout by brute force
+over all tuples, with no library code.
+
 ``loop_normal_metric_jet`` and ``loop_potential_expansion`` write the
 curvature contraction -(1/3) R[i,p,j,q] x_p x_q (y_i y_j) term by term into
 a dict, one n^4 loop each, with no scatter and no jet product.
@@ -63,6 +66,14 @@ def identity_gap(A, X):
     product = jets._graded_matmul(A._c, X._c, A.num_vars, bound)
     product[:, :, 0] -= np.eye(len(product))
     return float(np.max(np.abs(product)))
+
+
+def lex_rows(num_vars, max_degree):
+    """Exponent tuples of total degree <= max_degree, degree by degree and
+    lexicographically within a degree."""
+    return [row for d in range(max_degree + 1)
+            for row in sorted(t for t in itertools.product(range(d + 1), repeat=num_vars)
+                              if sum(t) == d)]
 
 
 def loop_normal_metric_jet(tensor, max_degree):

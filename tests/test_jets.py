@@ -11,7 +11,7 @@ from tubegeom.errors import MalformedInput, SingularSystem
 from tubegeom.jets import (JetPolynomial, matrix_inverse, wirtinger_z,
                            wirtinger_zbar)
 
-from jet_reference import einsum_inverse, identity_gap, stack_jets
+from jet_reference import einsum_inverse, identity_gap, lex_rows, stack_jets
 
 
 def _random_jet(rng, num_vars=4, max_degree=4, terms=12):
@@ -327,18 +327,11 @@ def test_max_abs_coeff_propagates_nan():
 
 # -- cached tables against brute force ---------------------------------
 
-def _graded_lex_rows(num_vars, max_degree):
-    rows = [tuple(np.bincount(np.array(combo, dtype=int), minlength=num_vars))
-            for d in range(max_degree + 1)
-            for combo in itertools.combinations_with_replacement(range(num_vars), d)]
-    return sorted(rows, key=lambda row: (sum(row), row))
-
-
 @pytest.mark.parametrize("num_vars", range(7))
 @pytest.mark.parametrize("max_degree", range(7))
 def test_layout_tables_match_brute_force(num_vars, max_degree):
     layout = jets._layout(num_vars, max_degree)
-    rows = _graded_lex_rows(num_vars, max_degree)
+    rows = lex_rows(num_vars, max_degree)
     expected = np.array(rows, dtype=np.int64).reshape(len(rows), num_vars)
     assert layout.exponents.dtype == np.int64
     np.testing.assert_array_equal(layout.exponents, expected)
@@ -359,10 +352,17 @@ def test_layout_tables_match_brute_force(num_vars, max_degree):
     assert layout.runs == tuple(runs)
 
 
+def test_layout_size_is_bounded_by_the_code_range():
+    # codes reach (max_degree + 1) ** num_vars, which must stay below 2 ** 62
+    assert jets._layout(61, 1).size == 62
+    with pytest.raises(MalformedInput):
+        jets._layout(62, 1)
+
+
 @pytest.mark.parametrize("num_vars", range(7))
 @pytest.mark.parametrize("order", range(5))
 def test_derivative_table_matches_its_definition(num_vars, order):
-    rows = _graded_lex_rows(num_vars, order)
+    rows = lex_rows(num_vars, order)
     shape = (num_vars,) * order
     position = np.zeros(shape, dtype=np.int64)
     weight = np.zeros(shape)
@@ -377,7 +377,7 @@ def test_derivative_table_matches_its_definition(num_vars, order):
 
 
 def test_cached_tables_hold_only_their_own_entries():
-    for table in (jets._monomials, jets._product_block, jets._layout,
+    for table in (jets._product_block, jets._layout,
                   jets._split, jets._partial_table, jets._derivative_table):
         table.cache_clear()
     tracemalloc.start()
@@ -392,8 +392,8 @@ def test_cached_tables_hold_only_their_own_entries():
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # exponents 1.8 MB, their degree blocks as much again, 1.2 MB of maps
-    assert kept <= 6 * 2 ** 20
+    # exponents 1.8 MB and their codes, 1.2 MB of maps
+    assert kept <= 4 * 2 ** 20
     assert jets._partial_table.cache_info().currsize == 1
     maps = jets._partial_table(12, 6)
     derivatives = [jets._derivative_table(12, order) for order in range(5)]

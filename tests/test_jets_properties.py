@@ -88,6 +88,26 @@ def test_partial_matches_analytic_derivative(data):
         assert got.coefficient(p) == c  # one product per term: exact
 
 
+@SETTINGS
+@given(st.data())
+def test_layout_codes_order_blocks_and_add_under_products(data):
+    num_vars = data.draw(st.integers(1, 6))
+    max_degree = data.draw(st.integers(0, 6))
+    layout = jets._layout(num_vars, max_degree)
+    for d in range(max_degree + 1):
+        assert np.all(np.diff(layout.codes[layout.block(d)]) > 0)
+    # index inverts exponents, on rows of mixed degrees in any order
+    picks = data.draw(st.lists(st.integers(0, layout.size - 1), max_size=20))
+    assert layout.index(layout.exponents[picks].reshape(-1, num_vars)).tolist() == picks
+    m1 = data.draw(st.integers(0, layout.size - 1))
+    room = max_degree - int(layout.exponents[m1].sum())  # m2 of degree <= room
+    m2 = data.draw(st.integers(0, int(layout.offsets[room + 1]) - 1))
+    want = layout.exponents[m1] + layout.exponents[m2]
+    product = layout.index(want)
+    np.testing.assert_array_equal(layout.exponents[product], want)
+    assert layout.codes[product] == layout.codes[m1] + layout.codes[m2]
+
+
 def oracle_values(terms, points):
     """``oracle_value`` at each row of ``points``, one term at a time."""
     out = np.zeros(len(points), dtype=complex)

@@ -298,6 +298,21 @@ def test_ill_conditioned_hessian_raises_through_the_graded_solve():
     assert isinstance(info.value.__cause__, SingularSystem)
 
 
+def test_a_real_potential_is_conditioned_from_its_hessian_eigenvalues(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.cond called")
+
+    monkeypatch.setattr(np.linalg, "cond", no_svd)
+    rho = majet.potential_expansion(cv.random_admissible(3, np.random.default_rng(8)))
+    assert majet.ma_residual(rho).max_abs_coeff(degrees={4}) <= 1e-12
+    # Hessian diag(1e6, 1e-7): its smallest eigenvalue passes the 1e-8
+    # check, but its condition number 1e13 fails the solve's
+    rho = JetPolynomial(4, 4, {(0, 0, 2, 0): 2e6, (0, 0, 0, 2): 2e-7})
+    with pytest.raises(DegenerateHessian) as info:
+        majet.ma_residual(rho)
+    assert isinstance(info.value.__cause__, SingularSystem)
+
+
 @pytest.mark.parametrize("n, d", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3),
                                   (3, 4), (3, 5), (3, 6), (4, 4)])
 def test_pure_y_block_gain_is_minus_d_minus_one_times_d_minus_two(n, d):

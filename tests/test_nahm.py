@@ -460,6 +460,35 @@ def test_embed_tangent_rejects_a_path_that_misses_its_end(ctx):
         nahm.embed_tangent(a2, v, N, nahm.GaugePath(into_h, "group", su2))
 
 
+def _grid_entry_points(ctx):
+    """Every public function that takes a grid_size, as name -> f(grid_size),
+    each returning an array of its result."""
+    rng = _rng()
+    a = la.group_exp(ctx, ctx.random_element(rng, 1.2))
+    v = ctx.random_element(rng, 1.5)
+    return {
+        "constant_path": lambda N: nahm.constant_path(ctx, v, N).values,
+        "sampled_path": lambda N: nahm.sampled_path(ctx, lambda t: t * v, N).values,
+        "embed_tangent": lambda N: nahm.embed_tangent(a, v, N)[1].values,
+        "adapted_roundtrip": lambda N: nahm.adapted_roundtrip(a, v, N).matrix,
+        "smooth_gauge": lambda N: nahm.smooth_gauge(ctx, _rng(), N).values,
+        "smooth_tangent": lambda N: nahm.smooth_tangent(ctx, _rng(), N).values,
+        "smooth_tangent_omega_I": lambda N: np.array(nahm.smooth_tangent_omega_I(
+            ctx, _rng(), np.random.default_rng(18), N)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_grid_entry_points(la.su2(h_split=True))))
+def test_every_grid_size_passes_one_rule(ctx, name):
+    # -5 used to raise numpy's ValueError, 2.5 a TypeError or, from
+    # constant_path, a path on a truncated grid; 64.0 a TypeError
+    call = _grid_entry_points(ctx)[name]
+    for bad in (-5, -1, 2.5, float("nan"), float("inf")):
+        with pytest.raises(MalformedInput, match="grid_size must be a non-negative integer"):
+            call(bad)
+    np.testing.assert_array_equal(call(64.0), call(64))
+
+
 @pytest.mark.parametrize("N", [0, 1, 2])
 def test_grids_too_short_for_the_midpoint_rule_are_rejected(ctx, N):
     # N = 1, 2 used to raise IndexError from the midpoints, and N = 0 a

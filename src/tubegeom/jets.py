@@ -121,6 +121,9 @@ class _Layout:
         each row's code is searched in the block of its degree."""
         rows = np.asarray(exponents, dtype=np.int64)
         codes, degrees = rows @ self.unit, rows.sum(axis=-1)
+        if degrees.size and (degrees.ndim == 0 or (degrees == degrees.flat[0]).all()):
+            block = self.block(degrees.flat[0])  # one degree: one search
+            return np.asarray(block.start + np.searchsorted(self.codes[block], codes))
         positions = np.empty(codes.shape, dtype=np.int64)
         for d in np.flatnonzero(np.bincount(degrees.ravel())):  # the degrees present
             block, hit = self.block(d), degrees == d
@@ -313,10 +316,11 @@ def _graded_solve(A, B, num_vars, bound, condition=None):
     ``A`` has shape (s, s, >= size) and ``B`` shape (s, r, >= size).  The
     degree-d part of A X = B is A0 X_d + sum_{k >= 1} A_k X_{d-k} = B_d, so
     back-substitution gives X_d = A0^-1 (B_d - sum_k A_k X_{d-k}) degree by
-    degree, skipping the degrees at which A or X is zero.  Raises
-    SingularSystem unless A0 is finite with condition number <= COND_LIMIT;
-    a caller that knows that number passes it as ``condition``, otherwise
-    it is ``np.linalg.cond(A0)``.
+    degree, skipping the products in which A_k or X_{d-k} is zero and the
+    degrees with nothing to solve.  Raises SingularSystem unless A0 is
+    finite with condition number <= COND_LIMIT; a caller that knows that
+    number passes it as ``condition``, otherwise it is
+    ``np.linalg.cond(A0)``.
     """
     layout = _layout(num_vars, bound)
     A0 = A[:, :, 0]
@@ -327,15 +331,18 @@ def _graded_solve(A, B, num_vars, bound, condition=None):
     X = np.zeros((len(A), B.shape[1], layout.size), dtype=np.result_type(A, B))
     live_a = [k for k in layout.live_degrees(A[..., :layout.size]) if k > 0]
     for d in range(bound + 1):
-        target = layout.block(d)
-        lower = np.zeros(X[:, :, target].shape, dtype=X.dtype)
-        for k in live_a:
-            if k <= d and X[:, :, layout.block(d - k)].any():
+        rhs = B[:, :, layout.block(d)]
+        live = [k for k in live_a if k <= d and X[:, :, layout.block(d - k)].any()]
+        if live:
+            lower = np.zeros(rhs.shape, dtype=X.dtype)
+            for k in live:
                 _add_block_product(lower, A[:, :, layout.block(k)],
                                    X[:, :, layout.block(d - k)],
                                    _product_block(num_vars, k, d - k))
-        rhs = (B[:, :, target] - lower).reshape(len(A), -1)
-        X[:, :, target] = (A0inv @ rhs).reshape(lower.shape)
+            rhs = rhs - lower
+        elif not rhs.any():
+            continue  # X_d = A0^-1 0 stays zero
+        X[:, :, layout.block(d)] = (A0inv @ rhs.reshape(len(A), -1)).reshape(rhs.shape)
     return X
 
 

@@ -60,8 +60,8 @@ def kahler_curvature_at_zero(tensor):
 
 def _wirtinger_contract(D, *weights):
     """Contract slot k of the real derivative tensor ``D`` with weights[k]."""
-    for w in weights:
-        D = np.tensordot(D, w, axes=(0, 1))  # the new slot goes last
+    for w in weights:  # the new slot goes last
+        D = (D.reshape(len(w[0]), -1).T @ w.T).reshape(D.shape[1:] + (len(w),))
     return D
 
 

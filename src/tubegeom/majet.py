@@ -16,15 +16,16 @@ potential jet satisfies the degenerate Monge-Ampere identity
 
     sum_a rho^a rho_a - 2 rho = 0,   rho^a = sum_b rho^{a bbar} rho_bbar,
 
-computed with exact Wirtinger calculus on jets: d rho / dz and the transposed
-complex Hessian are one gather each of first and second partials, the raised
-index is one graded solve against the Hessian, with no inverse formed, and
-one real product pairs it with d rho / dz.  ``solve_potential`` solves the
-identity through any degree by bi-degree back-substitution: the seed gives
-the blocks of y-degree 2, and the identity linearized at the fiber quadratic
-multiplies a block of y-degree b by -(b-1)(b-2), so each block with b >= 3
-is a residual block, less the coupling from the block two y-degrees lower,
-divided by (b-1)(b-2), with one residual per total degree.
+computed exactly on jets in real form: with g the real gradient and S the
+real Hessian, one gather each of first and second partials, the sum is
+g^T L^-1 g for the symmetric 2n x 2n matrix L of 4 ddbar rho, formed on
+S's storage.  The raised index is one real graded solve L u = g, with no
+inverse formed, and the sum one real product g . u.  ``solve_potential``
+solves the identity through any degree by bi-degree back-substitution: the
+seed gives the blocks of y-degree 2, and the identity linearized at the
+fiber quadratic multiplies a block of y-degree b by -(b-1)(b-2), so each
+block with b >= 3 is a residual block, less the coupling from the block two
+y-degrees lower, divided by (b-1)(b-2), with one residual per total degree.
 ``_block_positions`` finds the blocks, for the solve's steps and for the
 pure-y quartic read, by the y-degrees of the tube layout's exponent rows.
 
@@ -101,68 +102,51 @@ def require_positive_hessian(H0):
     return eigenvalues
 
 
-def _wirtinger_parts(jet, n):
-    """Coefficient arrays (dz, dzbar, HT) of a scalar jet: dz[a] = d jet /
-    dz_a and dzbar[b] on the layout of degree max_degree - 1, and the
-    transposed complex Hessian HT[b, a] = d^2 jet / dz_a dzbar_b on that of
-    degree max_degree - 2, the degrees through which each is complete.
-    With S the real second partials, 4 HT[b, a] = S[x_a, x_b] + S[y_a, y_b]
-    + i (S[x_a, y_b] - S[y_a, x_b]); a real jet has dzbar = conj(dz)."""
-    src, weight = _partial_table(jet.num_vars, jet.max_degree)
-    grad = jet._c[src] * weight
-    # S[i, j] = d grad[i] / dx_j, complete through max_degree - 2
-    below = int(jet._layout.offsets[-3])
-    second = np.take(grad, src[:, :below], axis=1) * weight[:, :below]
-    dz = 0.5 * (grad[:n] - 1j * grad[n:])
-    dzbar = dz.conj() if np.isrealobj(grad) else 0.5 * (grad[:n] + 1j * grad[n:])
-    H = 1j * (second[:n, n:] - second[n:, :n])  # H[a, b] = HT[b, a]
-    H += second[:n, :n] + second[n:, n:]
-    H *= 0.25
-    return dz, dzbar, H.transpose(1, 0, 2)
-
-
 def ma_residual(rho):
     """Jet of sum_a rho^a rho_a - 2 rho.
 
     The raised index follows the convention sum_b rho^{a bbar} rho_{c bbar}
-    = delta_{ac}.  The residual of a real ``rho`` is real, and is returned as
-    a real jet.  Raises DegenerateHessian when the constant part of the
-    complex Hessian is not positive-definite.  When rho has no linear part,
-    as every potential here, the residual has rho's degree bound.  With one,
-    the residual's block of degree d needs rho through degree d + 2: the
-    inverse Hessian's degree-d block meets the constant terms of both first
-    derivatives.  The residual then stops at ``bound - 2``, the last degree
-    the jet determines.
+    = delta_{ac}.  The sum is g^T L^-1 g, for the real gradient g, the real
+    Hessian S and L = [[Sxx + Syy, Sxy - Syx], [Syx - Sxy, Sxx + Syy]], the
+    real form of 4 ddbar rho.  That is polynomial in S and g, so a complex
+    rho takes the same route, and a real rho gives a real jet.  Raises
+    DegenerateHessian when the constant part of the complex Hessian is not
+    positive-definite.  When rho has no linear part, as every potential
+    here, the residual has rho's degree bound.  With one, the residual's
+    block of degree d needs rho through degree d + 2: the inverse Hessian's
+    degree-d block meets the constant terms of g twice.  The residual then
+    stops at ``bound - 2``, the last degree the jet determines.
     """
     n = _fiber_dimension(rho)
     num_vars, bound = rho.num_vars, rho.max_degree
     if bound < 2:  # the jet keeps no Hessian
         require_positive_hessian(np.zeros((n, n)))
-    # dz and dzbar are complete through degree bound - 1 and kept there, the
-    # Hessian through bound - 2, and the solve runs through bound - 1 as if
-    # the Hessian's block of degree bound - 1 were zero: only a linear part
-    # of rho, which gives dz and dzbar constant terms, lets that block reach
-    # the product, and the residual is then cut to bound - 2.
-    dz, dzbar, HT = _wirtinger_parts(rho, n)
-    eigenvalues = require_positive_hessian(HT[:, :, 0].T)
-    # a real rho has a Hermitian H0: its condition number is an eigenvalue ratio
-    condition = eigenvalues[-1] / eigenvalues[0] if np.isrealobj(rho._c) else None
-    # raised[a] = sum_b (H^-1)[b][a] dzbar[b]: solve H^T raised = dzbar,
-    # then sum_a raised[a] dz[a] as one real product, whose first row is
-    # Re(raised).Re(dz) - Im(raised).Im(dz) and whose second, for a complex
-    # rho, is the imaginary part
+    # g is complete through degree bound - 1, S through bound - 2, and the
+    # solve runs through bound - 1 as if L's block of degree bound - 1 were
+    # zero: only a linear part of rho, which gives g constant terms, lets
+    # that block reach the product, and the residual is then cut.
+    src, weight = _partial_table(num_vars, bound)
+    g = rho._c[src] * weight
+    below = int(rho._layout.offsets[-3])
+    L = np.take(g, src[:, :below], axis=1)  # S, then L, each in place
+    L *= weight[:, :below]
+    L[:n, :n] += L[n:, n:]
+    L[n:, n:] = L[:n, :n]
+    L[:n, n:] -= L[n:, :n]
+    np.negative(L[:n, n:], out=L[n:, :n])
+    H0 = (L[:n, :n, 0] + 1j * L[:n, n:, 0]) / 4
+    eigenvalues = require_positive_hessian(H0)
+    # the gate reads H0's condition number, an eigenvalue ratio for a real
+    # rho's Hermitian H0; L0's differs from it when H0 is not Hermitian
+    condition = (eigenvalues[-1] / eigenvalues[0] if np.isrealobj(rho._c)
+                 else np.linalg.cond(H0))
     try:
-        raised = _graded_solve(HT, dzbar[:, None], num_vars, bound - 1, condition)[:, 0]
+        u = _graded_solve(L, g[:, None], num_vars, bound - 1, condition)[:, 0]
     except SingularSystem as exc:
         raise DegenerateHessian(str(exc)) from exc
-    rows = [np.concatenate([raised.real, -raised.imag])]
-    if not np.isrealobj(rho._c):
-        rows.append(np.concatenate([raised.imag, raised.real]))
-    contracted = _graded_matmul(np.array(rows), np.concatenate([dz.real, dz.imag])[:, None],
-                                num_vars, bound)[:, 0]
-    if len(rows) == 2:
-        contracted = contracted[0] + 1j * contracted[1]
-    residual = (-2.0) * rho + JetPolynomial._from_array(num_vars, bound, contracted.reshape(-1))
+    del L  # its storage is free before the product's temporaries
+    contracted = _graded_matmul(u[None], g[:, None], num_vars, bound)[0, 0]
+    residual = (-2.0) * rho + JetPolynomial._from_array(num_vars, bound, contracted)
     if rho._c[rho._layout.block(1)].any():
         return residual.truncated(bound - 2)
     return residual

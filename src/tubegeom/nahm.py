@@ -136,6 +136,13 @@ def _grid_size(grid_size):
     return int(grid_size)
 
 
+def _path_grid_size(grid_size):
+    """``_grid_size`` with at least one interval, as ``GaugePath`` requires."""
+    if _grid_size(grid_size) < 1:
+        raise MalformedInput("a path needs grid_size >= 1, not 0")
+    return int(grid_size)
+
+
 def constant_path(context, value, grid_size):
     reps = np.repeat(np.asarray(value, dtype=complex)[None], _grid_size(grid_size) + 1, 0)
     return GaugePath(reps, "algebra", context)
@@ -962,7 +969,7 @@ def _tangent_draws(context, rng):
 def smooth_tangent(context, rng, grid_size):
     """Random analytic configuration (trig profiles per slot, coefficients
     in the unit ball), used as a point or as a tangent direction."""
-    ts = np.linspace(0.0, 1.0, _grid_size(grid_size) + 1)
+    ts = np.linspace(0.0, 1.0, _path_grid_size(grid_size) + 1)
     prof2 = np.sin(np.pi * ts)[:, None, None]
     m = context.matrix_size
     values = np.empty((4, len(ts), m, m), dtype=complex)
@@ -982,7 +989,7 @@ def smooth_tangent_omega_I(context, rng_x, rng_y, grid_size):
     of a product of two 1-D profiles.  That takes O(N) floats where the
     tangents take two complex (4, N+1, m, m) stacks.
     """
-    grid_size = _grid_size(grid_size)
+    grid_size = _path_grid_size(grid_size)
     X = _tangent_draws(context, rng_x)
     Y = _tangent_draws(context, rng_y)
     # profile 0 is sin(pi t); profile p > 0 is cos(pi f t) for the p-th

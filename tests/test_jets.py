@@ -359,6 +359,25 @@ def test_layout_size_is_bounded_by_the_code_range():
         jets._layout(62, 1)
 
 
+@pytest.mark.parametrize("num_vars, max_degree", [(1, 4), (3, 3), (4, 5)])
+def test_index_of_a_stack_equals_its_row_by_row_lookups(num_vars, max_degree):
+    # rows of mixed degrees take one search per degree, rows of one degree
+    # (one row, say) a single search; every row lands where it does alone
+    layout = jets._layout(num_vars, max_degree)
+    rng = np.random.default_rng(num_vars)
+    mixed = layout.exponents[rng.integers(0, layout.size, 12)].reshape(3, 4, num_vars)
+    one_degree = layout.exponents[layout.block(max_degree)][::-1]
+    assert len(np.unique(mixed.sum(axis=-1))) > 1
+    for rows in (mixed, one_degree, one_degree[:1], one_degree[0], mixed[:0]):
+        got = layout.index(rows)
+        assert isinstance(got, np.ndarray) and got.dtype == np.int64
+        assert got.shape == rows.shape[:-1]
+        flat = rows.reshape(-1, num_vars)
+        want = [layout.index(tuple(row)).item() for row in flat.tolist()]
+        np.testing.assert_array_equal(got.ravel(), want)
+        np.testing.assert_array_equal(layout.exponents[got.ravel()], flat)
+
+
 @pytest.mark.parametrize("num_vars", range(7))
 @pytest.mark.parametrize("order", range(5))
 def test_derivative_table_matches_its_definition(num_vars, order):

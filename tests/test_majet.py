@@ -229,9 +229,13 @@ def test_ma_residual_matches_a_per_entry_contraction():
                 powers = np.bincount(rng.integers(0, 2 * n, d), minlength=2 * n)
                 terms[tuple(powers.tolist())] = rng.uniform(-0.3, 0.3)
         rho = rho + JetPolynomial(2 * n, rho.max_degree, terms)
-        got = majet.ma_residual(rho)
-        assert got.max_degree == rho.max_degree
-        assert (got - _per_entry_residual(rho, n)).max_abs_coeff() < 1e-13
+        # the real form's identity is polynomial, so a complex rho (the
+        # same positive-definite quadratic part) takes the same route
+        imaginary = {powers: 1j * rng.uniform(-0.3, 0.3) for powers in terms}
+        for jet in (rho, rho + JetPolynomial(2 * n, rho.max_degree, imaginary)):
+            got = majet.ma_residual(jet)
+            assert got.max_degree == jet.max_degree
+            assert (got - _per_entry_residual(jet, n)).max_abs_coeff() < 1e-13
 
 
 def _with_terms_above(rho, degree, rng):
@@ -269,13 +273,22 @@ def test_residual_with_a_linear_part_stops_at_the_last_determined_degree(n):
     assert np.array_equal(wider.truncated(bound)._c, plain._c)
 
 
-def test_residual_of_a_real_potential_is_real():
-    # the complex route's imaginary parts are round-off; a real rho drops them
+def test_residual_of_a_real_potential_is_real(monkeypatch):
+    # a real rho's solve L u = g builds no complex array; a complex-typed
+    # copy takes the same real form, and its imaginary parts stay zero
+    solve, seen = majet._graded_solve, []
+
+    def recording(A, B, *rest):
+        seen.append((A.dtype, B.dtype))
+        return solve(A, B, *rest)
+
+    monkeypatch.setattr(majet, "_graded_solve", recording)
     rng = np.random.default_rng(7)
     for n in (2, 3, 4):
         rho = majet.potential_expansion(cv.random_admissible(n, rng))
         got = majet.ma_residual(rho)
         complex_route = majet.ma_residual(rho * (1 + 0j))
+        assert seen[-2:] == [(np.float64, np.float64), (np.complex128, np.complex128)]
         assert got._c.dtype == np.float64
         assert complex_route._c.dtype == np.complex128
         assert np.array_equal(got._c, complex_route._c.real)

@@ -509,6 +509,17 @@ def test_grids_too_short_for_the_midpoint_rule_are_rejected(ctx, N):
     nahm.integrate_nahm(ctx, ctx.basis, T0)
 
 
+@pytest.mark.parametrize("name", ["smooth_tangent", "smooth_tangent_omega_I"])
+def test_smooth_tangents_need_one_grid_interval(ctx, name):
+    # N = 0 used to give smooth_tangent a one-node configuration and
+    # smooth_tangent_omega_I a ZeroDivisionError, where smooth_gauge's
+    # GaugePath raised MalformedInput
+    call = _grid_entry_points(ctx)[name]
+    with pytest.raises(MalformedInput, match="grid_size >= 1"):
+        call(0)
+    assert np.all(np.isfinite(call(1)))
+
+
 def test_a_tangent_vector_must_be_one_matrix_of_the_real_span(ctx):
     # i v used to return a matrix, and a (3, 3) v to fail inside numpy
     rng = _rng()

@@ -169,9 +169,19 @@ def test_holomorphic_change_sees_a_transposed_solve_and_the_correction(monkeypat
         plain = kahler._wirtinger_contract(changed.derivatives_at_origin(4),
                                            Wz, Wz.conj(), Wz, Wz.conj())
         assert np.max(np.abs(plain - K(rho))) > 0.1
+    # raising with H in place of H^T: in the real form L of 4 H that flips
+    # the sign of L's off-diagonal blocks (L is symmetric, so a transpose
+    # of L plants nothing)
     solve = majet._graded_solve
-    monkeypatch.setattr(majet, "_graded_solve",
-                        lambda A, B, *rest: solve(A.transpose(1, 0, 2), B, *rest))
+
+    def with_H_for_H_transposed(A, B, *rest):
+        n = len(A) // 2
+        A = A.copy()
+        A[:n, n:] *= -1
+        A[n:, :n] *= -1
+        return solve(A, B, *rest)
+
+    monkeypatch.setattr(majet, "_graded_solve", with_H_for_H_transposed)
     assert max(majet.ma_residual(changed).max_abs_coeff() for _, changed in pairs) > 1.0
 
 

@@ -15,6 +15,16 @@ one argparse flag, checked where it is parsed, with the default of
 written as a ``skip`` record with the reason in its note; skips do not
 count as failures.  A metric that is not finite fails its case.
 
+The suites share nothing, so ``--suite all`` runs them on the CPUs the
+process may use: it forks a worker per further CPU (at most one per suite),
+and the report bytes and stdout are those of a run in one process.  One
+usable CPU, a single suite, another OS thread in the process (a BLAS pool:
+OpenBLAS at more than one thread) or no ``/proc`` to count threads in (as
+on every platform without fork) runs everything here.
+``--timings`` times each case in the process that ran it, and
+``RUSAGE_SELF`` does not count a suite run in a child.  Python >= 3.12
+warns when a process with other OS threads forks, which a run never does.
+
 Exit codes: 0 no case failed, 1 at least one failure, 2 usage errors (a
 bad flag, or an ``--out`` that cannot be made a directory).
 """
@@ -26,8 +36,10 @@ import csv
 import io
 import json
 import os
+import pickle
 import sys
 import time
+import traceback
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -116,15 +128,145 @@ def run_suite(config):
             raise ConfigParseError(f"cannot use --out {config.out}: {exc}") from exc
     records = []
     tables = {}
-    for name in names:
-        checks = [check for check in registry.CHECKS if check.suite == name]
-        suite_records, suite_tables = _run_checks(checks, config, ctx)
+    for suite_records, suite_tables in _run_suites(names, config, ctx):
         records.extend(suite_records)
         tables.update(suite_tables)
     records.sort(key=lambda rec: (rec.suite, rec.case))
     if config.out:
         _write_outputs(config, records, tables)
     return records
+
+
+def _run_named(name, config, ctx):
+    return _run_checks([check for check in registry.CHECKS if check.suite == name],
+                       config, ctx)
+
+
+def _usable_cpus():
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without sched_getaffinity
+        return os.cpu_count() or 1
+
+
+def _only_thread():
+    """Whether this process runs no OS thread but the calling one.
+
+    A forked child keeps only the thread that forked it, so a lock another
+    thread held stays held there.  And a BLAS thread pool (OpenBLAS starts
+    one per library at import unless its thread count is 1) in each worker
+    contends for the same CPUs: on 2 CPUs, a forked ``--suite all`` read
+    1.3-3x slower than one process.  Where the count cannot be read (no
+    ``/proc``, as on every platform without fork), the answer is no.
+    """
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _run_suites(names, config, ctx):
+    """``_run_named`` of each suite in ``names``, in that order.
+
+    The suites share nothing, so they run on the usable CPUs at once.  With
+    one usable CPU, one suite or another thread in this process, every suite
+    runs here and no process starts.
+    """
+    workers = min(_usable_cpus(), len(names))
+    if workers < 2 or not _only_thread():
+        return [_run_named(name, config, ctx) for name in names]
+    return _fork_suites(names, config, ctx, workers)
+
+
+def _fork_suites(names, config, ctx, workers):
+    """``_run_suites`` on ``workers`` processes: this one and forked children.
+
+    A pipe loaded with the suite indices is the shared counter: each one-byte
+    read takes the next suite.  It hands out nahm-gauge, about half of a
+    pass, first, so that no worker starts it late, then the others in
+    suite order.  A child sends each suite's records and tables, or the
+    exception that stopped it, back over its own pipe.
+    """
+    import multiprocessing  # loaded only by a run that forks
+
+    fork = multiprocessing.get_context("fork")
+    counter, loader = os.pipe()
+    os.write(loader, bytes(sorted(range(len(names)),
+                                  key=lambda i: names[i] != "nahm-gauge")))
+    os.close(loader)  # an empty counter now reads as the end of the suites
+
+    def take():
+        index = os.read(counter, 1)
+        return index[0] if index else None
+
+    def serve(conn):
+        try:
+            for index in iter(take, None):
+                conn.send((index, _run_named(names[index], config, ctx), None))
+        except BaseException as exc:
+            conn.send((None, None, _portable(exc)))
+
+    results = [None] * len(names)
+    children = []
+    try:
+        for _ in range(workers - 1):
+            receive, send = fork.Pipe(duplex=False)
+            child = fork.Process(target=serve, args=(send,), daemon=True)
+            child.start()
+            send.close()  # so that the child's exit reads as EOF here
+            children.append((child, receive))
+        for index in iter(take, None):
+            results[index] = _run_named(names[index], config, ctx)
+        for _, receive in children:
+            _receive(receive, results)
+    except BaseException:
+        for child, _ in children:
+            child.kill()
+        raise
+    finally:
+        os.close(counter)
+        for child, receive in children:
+            receive.close()
+            child.join()
+    lost = [name for name, result in zip(names, results) if result is None]
+    if lost:
+        codes = ", ".join(str(child.exitcode) for child, _ in children)
+        raise RuntimeError(f"a worker process exited (exit codes {codes}) "
+                           f"without the results of {', '.join(lost)}")
+    return results
+
+
+class _WorkerTraceback(Exception):
+    """The traceback, as text, of an exception raised in a worker process."""
+
+    def __str__(self):
+        return self.args[0]
+
+
+def _portable(exc):
+    """``exc`` if it pickles back, else None, with its traceback text."""
+    text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        exc = None
+    return exc, text
+
+
+def _receive(conn, results):
+    """Store the results a child sends until it exits; raise what it raised."""
+    while True:
+        try:
+            index, result, error = conn.recv()
+        except EOFError:
+            return
+        if error is not None:
+            exc, text = error
+            if exc is None:
+                exc = RuntimeError("a suite raised in a worker process")
+            raise exc from _WorkerTraceback(text)
+        results[index] = result
 
 
 def _replace_file(path, text):

@@ -2,8 +2,12 @@ import csv
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import re
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -450,3 +454,116 @@ def test_unknown_context_is_a_usage_error(capsys):
     assert "argument --context: invalid choice: 'nope'" in err
     assert "su2_u1" in err  # the choices are listed
     assert cli.parse_args(["--suite", "s1-isometry", "--context", "so3"]).context == "so3"
+
+
+def _plant_in_children(monkeypatch, instead):
+    """Make the first case of every suite call ``instead`` when it runs in a
+    forked worker; in this process every case runs as before."""
+    def planted(compute):
+        def planted_case(ctx, rng, run):
+            if multiprocessing.parent_process() is not None:
+                instead()
+            return compute(ctx, rng, run)
+        return planted_case
+
+    firsts = {}
+    for check in registry.CHECKS:
+        firsts.setdefault(check.suite, check)
+    checks = tuple(dataclasses.replace(c, compute=planted(c.compute))
+                   if firsts[c.suite] is c else c for c in registry.CHECKS)
+    monkeypatch.setattr(registry, "CHECKS", checks)
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """A forked run that hangs fails after a minute, and none leaves a child.
+
+    A BLAS thread pool in this process would keep ``--suite all`` in it, so
+    the thread probe answers that there is none."""
+    monkeypatch.setattr(cli, "_only_thread", lambda: True)
+    previous = signal.signal(signal.SIGALRM, lambda *args: pytest.fail("the run hung"))
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def two_cpus(forking, monkeypatch):
+    # two workers whatever the host has: this process and one forked child
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+
+
+@pytest.mark.parametrize("context", ["su2_u1", "su3_u2", "torus2"])
+def test_forked_suites_write_the_bytes_of_one_process(context, tmp_path, monkeypatch,
+                                                       capsys, forking):
+    # torus2 has skip records; three workers fork two children on any host
+    written = {}
+    for cpus in (3, 1):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        out = tmp_path / str(cpus)
+        assert cli.main(["--suite", "all", "--context", context, "--format", "csv",
+                         "--out", str(out)]) == 0
+        written[cpus] = {path.name: path.read_bytes() for path in out.iterdir()}
+        written[cpus]["stdout"] = capsys.readouterr().out
+    assert sorted(written[1]) == ["kahler_planes.csv", "ma_residual_scaling.csv",
+                                  "report.csv", "report.json", "stdout"]
+    assert written[3] == written[1]
+
+
+def test_an_error_in_a_child_is_raised_here_with_its_traceback(two_cpus, monkeypatch):
+    _plant_in_children(monkeypatch, lambda: 1 / 0)
+    with pytest.raises(ZeroDivisionError) as exc:
+        cli.run_suite(cli.SuiteConfig())
+    assert "ZeroDivisionError: division by zero" in str(exc.value.__cause__)
+    assert "in planted_case" in str(exc.value.__cause__)  # the child's frame
+
+
+def test_a_child_that_dies_without_replying_fails_the_run(two_cpus, monkeypatch):
+    _plant_in_children(monkeypatch, lambda: os._exit(3))
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match=r"exit codes 3\) without the results of"):
+        cli.run_suite(cli.SuiteConfig())
+    assert time.monotonic() - t0 < 30
+
+
+def test_an_interrupt_here_stops_the_children(two_cpus, monkeypatch):
+    # a case that raises KeyboardInterrupt in this process; the children,
+    # still running their suites, are killed before main lets it through
+    def interrupt(ctx, rng, run):
+        if multiprocessing.parent_process() is None:
+            raise KeyboardInterrupt
+        time.sleep(30)
+
+    checks = tuple(dataclasses.replace(c, compute=interrupt) for c in registry.CHECKS)
+    monkeypatch.setattr(registry, "CHECKS", checks)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["--suite", "all"])
+    assert time.monotonic() - t0 < 30
+
+
+def test_one_suite_one_cpu_or_another_thread_starts_no_process(monkeypatch, tmp_path):
+    def no_process(*args, **kwargs):
+        pytest.fail("a process was started")
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", no_process)
+    for cpus, only_thread, suite in ((2, True, "kahler-curvature"), (1, True, "all"),
+                                     (2, False, "all")):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cli, "_only_thread", lambda: only_thread)
+        assert cli.main(["--suite", suite, "--context", "torus2",
+                         "--out", str(tmp_path)]) == 0
+
+
+def test_a_running_thread_is_seen():
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert not cli._only_thread()
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive()
